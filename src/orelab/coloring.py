@@ -10,6 +10,13 @@ greedily found clique is precolored with distinct colors, and a fresh
 color may only be introduced as the lowest unused one.  Vertex choice is
 smallest remaining domain (equivalently largest saturation), ties to the
 lowest index, so runs are deterministic.
+
+Criticality needs a 4-coloring of G - e for every edge e.  Rather than one
+exact search per edge, a solved G - uv seeds a witness walk: the coloring
+gives u and v one color, and recoloring an endpoint x to a color b that
+exactly one neighbor w carries yields a proper coloring of G - xw.  Each
+walked coloring is re-checked proper before it certifies its edge, and
+only edges the walk never reaches are solved exactly.
 """
 
 from __future__ import annotations
@@ -62,7 +69,11 @@ def _solve_component(g: Graph, k: int) -> list[int] | None:
         color[v] = c
         uncolored &= ~(1 << v)
         bit = 1 << (c - 1)
-        for u in bits(g.adj[v] & uncolored):
+        m = g.adj[v] & uncolored
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
             if domain[u] & bit:
                 domain[u] &= ~bit
                 touched.append(u)
@@ -89,7 +100,11 @@ def _solve_component(g: Graph, k: int) -> list[int] | None:
         if not uncolored:
             return True
         best_v, best_size = -1, k + 1
-        for v in bits(uncolored):
+        m = uncolored
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
             size = domain[v].bit_count()
             if size == 0:
                 return False
@@ -175,6 +190,60 @@ def seeded_coloring(G: Graph, k: int, rng: random.Random) -> tuple[int, ...] | N
     return out
 
 
+def _recolor(colors: tuple[int, ...], x: int, b: int) -> tuple[int, ...]:
+    """One walk step: ``colors`` with vertex x moved to color b."""
+    return colors[:x] + (b,) + colors[x + 1 :]
+
+
+def _certify(G: Graph, colors: tuple[int, ...], x: int, w: int) -> list[int]:
+    """Color-class masks of ``colors``, after checking that it is a proper
+    4-coloring of G - xw in which x and w share a color.
+
+    One mask test per vertex; a failure is a bug in the walk, not a verdict.
+    """
+    cls = [0] * 5
+    for v in range(G.n):
+        c = colors[v]
+        if not 1 <= c <= 4:
+            raise InvariantViolation("walk produced an out-of-range color")
+        cls[c] |= 1 << v
+    for v in range(G.n):
+        clash = G.adj[v] & cls[colors[v]]
+        if clash != (1 << w if v == x else 1 << x if v == w else 0):
+            raise InvariantViolation(
+                f"walked coloring is not proper on G - ({x},{w})"
+            )
+    return cls
+
+
+def _walk(G: Graph, colors: tuple[int, ...], u: int, v: int, done: list[int]):
+    """Certify uv, and every edge reachable by recoloring single vertices.
+
+    ``colors`` must be a proper 4-coloring of G - uv with u and v alike,
+    which shows G - uv is 4-colorable.  If an endpoint x of the current
+    conflict edge has exactly one neighbor w of color b, recoloring x to b
+    gives a proper 4-coloring of G - xw, which certifies xw in turn.  The
+    walk never revisits an edge already set in ``done`` (``done[x]`` is the
+    mask of x's certified neighbors) and marks every edge it certifies.
+    """
+    adj = G.adj
+    stack = [(colors, _certify(G, colors, u, v), u, v)]
+    done[u] |= 1 << v
+    done[v] |= 1 << u
+    while stack:
+        colors, cls, p, q = stack.pop()
+        for x in (p, q):
+            for b in range(1, 5):
+                hit = adj[x] & cls[b]
+                if not hit or hit & (hit - 1) or hit & done[x]:
+                    continue
+                w = hit.bit_length() - 1
+                walked = _recolor(colors, x, b)
+                stack.append((walked, _certify(G, walked, x, w), x, w))
+                done[x] |= 1 << w
+                done[w] |= 1 << x
+
+
 def is_5_critical(G: Graph) -> bool:
     """Not 4-colorable, and every single-edge deletion is 4-colorable.
 
@@ -184,6 +253,13 @@ def is_5_critical(G: Graph) -> bool:
     isolated vertex.  Vertices of degree 1..3 cannot occur in a 5-critical
     graph (their removal plus greedy extension would 4-color G), so the
     degree prefilter below is a sound fast path.
+
+    Once G is proved not 4-colorable, G - e is solved exactly only for
+    edges not yet certified; each solution seeds a witness walk
+    (:func:`_walk`) that certifies further edges by single-vertex
+    recolorings, each walked coloring re-checked proper.  Most edges of a
+    critical graph are certified by the walk, and a ``None`` from any
+    exact solve still refutes criticality.
     """
     if G.n < 5:
         return False
@@ -191,9 +267,14 @@ def is_5_critical(G: Graph) -> bool:
         return False
     if is_k_colorable(G, 4) is not None:
         return False
+    done = [0] * G.n
     for u, v in G.edges():
-        if is_k_colorable(without_edge(G, u, v), 4) is None:
+        if done[u] >> v & 1:
+            continue
+        colors = is_k_colorable(without_edge(G, u, v), 4)
+        if colors is None:
             return False
+        _walk(G, colors, u, v, done)
     return True
 
 
@@ -205,14 +286,25 @@ def extract_5_critical(G: Graph) -> Graph:
     monotone under further deletion, so one pass reaches an edge-minimal
     non-4-colorable graph.  Isolated vertices are dropped at the end.  The
     result's labels point back at G's vertices.
+
+    An edge found necessary by an exact solve seeds the witness walk of
+    :func:`is_5_critical`.  A coloring of cur - f stays proper as later
+    deletions shrink cur, so every edge the walk certifies is kept without
+    a solve of its own, and the result is the one the plain scan gives.
     """
     if is_k_colorable(G, 4) is not None:
         raise ValueError("graph is 4-colorable; nothing to extract")
     cur = G if G.labels is not None else Graph(G.n, G.adj, tuple(range(G.n)))
+    done = [0] * cur.n
     for u, v in reversed(cur.edges()):
+        if done[u] >> v & 1:
+            continue
         attempt = without_edge(cur, u, v)
-        if is_k_colorable(attempt, 4) is None:
+        colors = is_k_colorable(attempt, 4)
+        if colors is None:
             cur = attempt
+        else:
+            _walk(cur, colors, u, v, done)
     keep = [v for v in range(cur.n) if cur.degree(v) > 0]
     cur = induced_subgraph(cur, keep)
     if not is_5_critical(cur):
@@ -254,7 +346,6 @@ class CollapseReport:
     boundary: tuple[int, ...]
     splitting_coloring: dict[int, int] | None
     checked_pairs: tuple[tuple[int, int], ...]
-    tight: bool | None
 
 
 def is_collapsible(G: Graph, R) -> CollapseReport:
@@ -263,9 +354,7 @@ def is_collapsible(G: Graph, R) -> CollapseReport:
     Equivalent formulation, and the one actually checked: the boundary is
     independent and every boundary pair is identifiable in R.  A negative
     answer carries a witness coloring splitting some boundary pair; a
-    single-vertex boundary is collapsible by convention.  The ``tight``
-    flag records whether each G[R] + uv is itself 5-critical; it is
-    computed for positive answers and not consumed anywhere yet.
+    single-vertex boundary is collapsible by convention.
     """
     R = sorted(set(R))
     if len(R) < 5:
@@ -281,23 +370,20 @@ def is_collapsible(G: Graph, R) -> CollapseReport:
         raise ValueError("R has empty boundary")
     pos = {v: i for i, v in enumerate(R)}
     if len(bnd) == 1:
-        return CollapseReport(True, bnd, None, (), True)
+        return CollapseReport(True, bnd, None, ())
     checked = []
     for i, u in enumerate(bnd):
         for v in bnd[i + 1 :]:
             if G.has_edge(u, v):
                 # adjacent boundary vertices always split
                 witness = {w: base[pos[w]] for w in R}
-                return CollapseReport(False, bnd, witness, tuple(checked), None)
+                return CollapseReport(False, bnd, witness, tuple(checked))
             split = is_k_colorable(with_edge(sub, pos[u], pos[v]), 4)
             if split is not None:
                 witness = {w: split[pos[w]] for w in R}
-                return CollapseReport(False, bnd, witness, tuple(checked), None)
+                return CollapseReport(False, bnd, witness, tuple(checked))
             checked.append((u, v))
-    tight = all(
-        is_5_critical(with_edge(sub, pos[u], pos[v])) for u, v in checked
-    )
-    return CollapseReport(True, bnd, None, tuple(checked), tight)
+    return CollapseReport(True, bnd, None, tuple(checked))
 
 
 def critical_complement(G: Graph, R) -> tuple[Graph, int]:

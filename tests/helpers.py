@@ -7,7 +7,7 @@ and not at the oracle.
 
 from itertools import combinations, permutations
 
-from orelab import Graph
+from orelab import Graph, is_k_colorable, without_edge
 
 
 def brute_colorable(G: Graph, k: int) -> bool:
@@ -26,6 +26,28 @@ def brute_colorable(G: Graph, k: int) -> bool:
         return False
 
     return go(0)
+
+
+def critical_by_edges(G: Graph) -> bool:
+    """5-criticality with one exact 4-coloring search per edge of G."""
+    if G.n < 5 or any(G.degree(v) < 4 for v in range(G.n)):
+        return False
+    if is_k_colorable(G, 4) is not None:
+        return False
+    return all(
+        is_k_colorable(without_edge(G, u, v), 4) is not None for u, v in G.edges()
+    )
+
+
+def extract_by_edges(G: Graph) -> Graph:
+    """The edge scan of ``extract_5_critical`` with one exact search per edge,
+    before isolated vertices are dropped."""
+    cur = G
+    for u, v in reversed(G.edges()):
+        attempt = without_edge(cur, u, v)
+        if is_k_colorable(attempt, 4) is None:
+            cur = attempt
+    return cur
 
 
 def brute_isomorphic(G: Graph, H: Graph) -> bool:

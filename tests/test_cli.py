@@ -3,12 +3,14 @@ import json
 import pytest
 
 from orelab import (
+    Report,
     complete_graph,
     graph_to_graph6,
     graph_to_text,
     named_graph,
     short_key,
 )
+from orelab import lab_cli
 from orelab.lab_cli import main
 
 
@@ -144,6 +146,19 @@ def test_verify_catches_tampered_invariants(small_corpus, run):
     assert code == 1
     assert f"CHECK corpus-invariants {key} FAIL note=stale=p_ky" in out
     assert out.strip().splitlines()[-1].startswith("SUITE main FAIL")
+
+
+def test_verify_counts_failures_from_verdicts_not_text(small_corpus, run, monkeypatch):
+    def noted(G):
+        rep = Report()
+        rep.add("noted", "k", True, note="previous FAIL fixed")
+        return rep
+
+    monkeypatch.setattr(lab_cli, "verify_main_theorem", noted)
+    code, out, _ = run("verify", "main", "--corpus", str(small_corpus))
+    assert "CHECK noted k PASS note=previous FAIL fixed" in out
+    assert code == 0
+    assert out.strip().splitlines()[-1].endswith("failures=0")
 
 
 def test_verify_is_deterministic(small_corpus, run):

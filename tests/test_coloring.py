@@ -12,6 +12,7 @@ from orelab import (
     cycle_graph,
     extract_5_critical,
     identifiable_pairs,
+    induced_subgraph,
     is_5_critical,
     is_collapsible,
     is_k_colorable,
@@ -23,9 +24,11 @@ from orelab import (
     with_edge,
     without_edge,
 )
+from orelab import coloring
+from orelab.constructions import NAMED
 from orelab.ore import Compose, Leaf
 
-from helpers import brute_colorable, random_graph
+from helpers import brute_colorable, critical_by_edges, extract_by_edges, random_graph
 
 
 def proper(G, colors, k):
@@ -110,6 +113,75 @@ def test_k5_plus_pendant_is_not_critical():
     assert not is_5_critical(G)
 
 
+# --- the witness walk ----------------------------------------------------------
+
+
+def one_edge_changes(G):
+    """G with each edge deleted, then G with each non-edge added."""
+    out = [without_edge(G, u, v) for u, v in G.edges()]
+    for u in range(G.n):
+        for v in range(u + 1, G.n):
+            if not G.has_edge(u, v):
+                out.append(with_edge(G, u, v))
+    return out
+
+
+def test_is_5_critical_agrees_with_per_edge_oracle(ore13):
+    classes = [g for g, _ in ore13]
+    assert len(classes) == 26
+    graphs = classes + [named_graph(name) for name in sorted(NAMED)]
+    for g in classes:
+        if g.n <= 9:
+            graphs += one_edge_changes(g)
+    verdicts = [is_5_critical(g) for g in graphs]
+    assert verdicts == [critical_by_edges(g) for g in graphs]
+    assert 0 < verdicts.count(False) < len(verdicts)
+
+
+def test_walk_checks_every_walked_coloring(monkeypatch):
+    real = coloring._recolor
+
+    def corrupt(colors, x, b):
+        walked = list(real(colors, x, b))
+        z = (x + 1) % len(walked)
+        walked[z] = walked[z] % 4 + 1
+        return tuple(walked)
+
+    # in K5 - xw the other three vertices hold the other three colors, so
+    # recoloring any vertex but x makes a clash on an edge other than xw
+    monkeypatch.setattr(coloring, "_recolor", corrupt)
+    with pytest.raises(InvariantViolation, match="walk"):
+        is_5_critical(complete_graph(5))
+
+
+def test_walk_solves_fewer_than_one_search_per_edge(monkeypatch):
+    G = named_graph("mycielski_groetzsch")
+    assert G.m == 71
+    real = coloring._solve_component
+    solves = []
+
+    def counted(g, k):
+        solves.append(g.n)
+        return real(g, k)
+
+    monkeypatch.setattr(coloring, "_solve_component", counted)
+    is_k_colorable.cache_clear()
+    assert is_5_critical(G)
+    assert 0 < len(solves) < G.m
+
+
+def test_extract_keeps_the_plain_scan_result(doubles):
+    inputs = [complete_graph(6)] + one_edge_changes(named_graph("mycielski_groetzsch"))[-3:]
+    for g, _ in doubles:
+        inputs += one_edge_changes(g)[g.m :]
+    for G in inputs:
+        want = extract_by_edges(G)
+        keep = [v for v in range(want.n) if want.degree(v) > 0]
+        got = extract_5_critical(G)
+        assert got == induced_subgraph(want, keep)
+        assert got.labels == tuple(keep)
+
+
 def test_extract_5_critical():
     got = extract_5_critical(complete_graph(6))
     assert canonical_key(got) == canonical_key(complete_graph(5))
@@ -172,8 +244,6 @@ def test_edge_block_is_collapsible(doubles):
         x, y = recipe.replaced_edge
         assert rep.boundary == (min(x, y), max(x, y))
         assert rep.splitting_coloring is None
-        # the filled-in block is K5 here, so the pair is tight
-        assert rep.tight is True
 
 
 def test_adjacent_boundary_pair_splits(doubles):
