@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .graph_core import (
     Graph,
@@ -128,7 +127,6 @@ def _solve_component(g: Graph, k: int) -> list[int] | None:
     return color
 
 
-@lru_cache(maxsize=1 << 15)
 def is_k_colorable(G: Graph, k: int) -> tuple[int, ...] | None:
     """A proper k-coloring as a tuple of colors 1..k, or None.
 

@@ -29,10 +29,6 @@ def star_graph(leaves: int) -> Graph:
     return Graph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
 
 
-def complete_bipartite(a: int, b: int) -> Graph:
-    return Graph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
-
-
 def join(G: Graph, H: Graph) -> Graph:
     """Disjoint union plus all edges between the two sides."""
     edges = list(G.edges())

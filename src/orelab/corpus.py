@@ -13,11 +13,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import coloring as col
-from . import ore
-from . import packing
 from .graph_core import Graph, d4_components, graph_from_text, graph_to_text
-from .potential import p_ky, potential, short_key
+from .potential import Facts, p_ky
 from .report import Report
 
 DEFAULT_DIR = "corpus"
@@ -33,19 +30,18 @@ def resolve_dir(explicit: str | None) -> Path:
     return Path(DEFAULT_DIR)
 
 
-def compute_invariants(G: Graph) -> dict:
-    t, _ = packing.t_number(G)
-    mic_value, _ = packing.mic(G)
+def compute_invariants(facts: Facts) -> dict:
+    G = facts.graph
     d4 = d4_components(G)
     return {
         "n": G.n,
         "m": G.m,
         "p_ky": p_ky(G),
-        "t": t,
-        "p_num": potential(G).num,
-        "critical5": col.is_5_critical(G),
-        "ore5": ore.is_5_ore(G) is not None,
-        "mic": mic_value,
+        "t": facts.t,
+        "p_num": facts.p.num,
+        "critical5": facts.critical,
+        "ore5": facts.recipe is not None,
+        "mic": facts.mic,
         "s": d4.singles,
         "m_pairs": d4.pairs,
     }
@@ -53,6 +49,8 @@ def compute_invariants(G: Graph) -> dict:
 
 @dataclass(frozen=True)
 class Entry:
+    """One stored graph; ``key`` is the name it is stored under."""
+
     key: str
     graph: Graph
     provenance: str
@@ -82,18 +80,18 @@ class Corpus:
         with open(self.root / "ledger.log", "a", encoding="utf-8") as fh:
             fh.write(message + "\n")
 
-    def add(self, G: Graph, provenance: str) -> tuple[str, bool]:
-        """Persist a graph; returns (key, freshly_added)."""
-        key = short_key(G)
+    def add(self, facts: Facts, provenance: str) -> bool:
+        """Persist a graph under its key; False if it was already there."""
+        key = facts.key
         path = self._path(key)
         if path.is_file():
-            return key, False
+            return False
         self.root.mkdir(parents=True, exist_ok=True)
         entry = {
             "key": key,
-            "graph": graph_to_text(G),
+            "graph": graph_to_text(facts.graph),
             "provenance": provenance,
-            "invariants": compute_invariants(G),
+            "invariants": compute_invariants(facts),
         }
         tmp = path.with_suffix(".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -102,7 +100,7 @@ class Corpus:
         os.replace(tmp, path)
         inv = entry["invariants"]
         self.log(f"add {key} n={inv['n']} m={inv['m']} {provenance}")
-        return key, True
+        return True
 
     def load(self, key: str) -> Entry:
         path = self._path(key)
@@ -114,23 +112,24 @@ class Corpus:
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: corrupt entry: {exc}") from None
         G = graph_from_text(raw["graph"])
-        return Entry(raw["key"], G, raw.get("provenance", "?"), raw["invariants"])
+        return Entry(key, G, raw.get("provenance", "?"), raw["invariants"])
 
     def entries(self) -> list[Entry]:
         return [self.load(k) for k in self.keys()]
 
-    def verify_entry(self, key: str) -> Report:
-        """Recompute the cached invariants and compare (staleness check)."""
-        entry = self.load(key)
+    def verify_entry(self, entry: Entry, facts: Facts) -> Report:
+        """Compare an entry's key and cached invariants with the fresh
+        facts of its graph (staleness check)."""
+        key = entry.key
         rep = Report()
-        fresh_key = short_key(entry.graph)
+        fresh_key = facts.key
         rep.add(
             "corpus-key",
             key,
             fresh_key == key,
             note=f"recomputed={fresh_key}" if fresh_key != key else "",
         )
-        fresh = compute_invariants(entry.graph)
+        fresh = compute_invariants(facts)
         stale = sorted(
             name for name, value in fresh.items() if entry.invariants.get(name) != value
         )

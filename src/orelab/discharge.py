@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import packing
 from .graph_core import Graph, InvariantViolation, bits, d4_components, mask_of
+from .potential import Facts
 from .report import Report
 
 
@@ -88,7 +88,7 @@ def ledger_dump(ledger: ChargeLedger) -> str:
     return "\n".join(lines) + "\n"
 
 
-def closing_inequalities(G: Graph) -> Report:
+def closing_inequalities(facts: Facts) -> Report:
     """The inequalities that close the counting argument, exactly.
 
     With S singleton and M two-vertex components of the degree-4 subgraph:
@@ -103,15 +103,11 @@ def closing_inequalities(G: Graph) -> Report:
     vertices in different components are never adjacent), which is why
     mic dominates 4 (S + M) no matter how large the components get.
     """
-    from .potential import potential, short_key
-
-    key = short_key(G)
+    G, key, p = facts.graph, facts.key, facts.p
     rep = Report()
     ledger = run_discharge(G)
-    p = potential(G)
-    t, _ = packing.t_number(G)
     lhs = ledger.total84
-    rhs = 4 * p.num + 32 * t
+    rhs = 4 * p.num + 32 * facts.t
     rep.add("charge-sum-identity", key, lhs == rhs, note=f"{lhs}/84 vs {rhs}/84")
     rep.add(
         "conservation",
@@ -119,13 +115,12 @@ def closing_inequalities(G: Graph) -> Report:
         sum(ledger.final84) == ledger.total84,
         note=f"transfers={len(ledger.transfers)}",
     )
-    mic_value, _ = packing.mic(G)
-    slack_edges = 2 * G.m - 3 * G.n - mic_value
+    slack_edges = 2 * G.m - 3 * G.n - facts.mic
     rep.add("edges-vs-mic", key, slack_edges >= 0, 21 * slack_edges)
     d4 = d4_components(G)
     s_count = d4.singles
     m_count = d4.pairs
-    slack_mic = mic_value - 4 * (s_count + m_count)
+    slack_mic = facts.mic - 4 * (s_count + m_count)
     rep.add("mic-vs-components", key, slack_mic >= 0, 21 * slack_mic)
     if p.num > 0:
         margin = 8 * G.n - 21 * (s_count + m_count)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 MAX_VERTICES = 64
 
@@ -382,7 +381,6 @@ def _cert_rows(adj: tuple[int, ...], perm: list[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=1 << 16)
 def canonical_form(G: Graph) -> tuple[bytes, tuple[int, ...]]:
     """Canonical key plus a witnessing vertex order.
 

@@ -12,8 +12,10 @@ Subcommands:
 
 The corpus directory comes from --corpus, else $ORELAB_CORPUS, else
 ./corpus.  Exit codes: 0 all checks pass, 1 at least one FAIL row,
-2 usage errors.  Output contains no timestamps; a command re-run with the
-same corpus and seed produces identical bytes.
+2 usage errors, 3 an internal invariant broke (the message names the
+corpus entry and its graph6 string).  Output contains no timestamps; a
+command re-run with the same corpus and seed produces identical bytes,
+with any number of --jobs.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from . import ore
 from . import packing
 from .constructions import NAMED, named_graph
 from .potential import (
+    Facts,
     critical_extension,
     p_ky,
     potential,
@@ -38,8 +41,14 @@ from .potential import (
     verify_main_theorem,
     verify_ore5_bounds,
 )
-from .corpus import Corpus, resolve_dir
-from .graph_core import Graph, graph_from_graph6, graph_from_text
+from .corpus import Corpus, Entry, resolve_dir
+from .graph_core import (
+    Graph,
+    InvariantViolation,
+    graph_from_graph6,
+    graph_from_text,
+    graph_to_graph6,
+)
 from .report import Report
 
 SUITES = ("main", "ore5", "extensions", "lemma2", "discharge", "all")
@@ -92,12 +101,11 @@ def _resolve_graph(corpus: Corpus, token: str) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _lemma2_report(G: Graph, key: str) -> Report:
+def _lemma2_report(facts: Facts) -> Report:
     rep = Report()
-    recipe = ore.is_5_ore(G)
+    G, key, recipe, t = facts.graph, facts.key, facts.recipe, facts.t
     if recipe is None:
         return rep
-    t, _ = packing.t_number(G)
     if G.n > 5:
         # packing weight grows linearly along compositions: 4T >= n + 7
         rep.add(
@@ -138,14 +146,14 @@ def _lemma2_report(G: Graph, key: str) -> Report:
     return rep
 
 
-def _extension_report(G: Graph, key: str, seed: int, record_ids: list[int]) -> Report:
+def _extension_report(facts: Facts, seed: int, record_ids: list[int]) -> Report:
     rep = Report()
     for i in record_ids:
         rng = random.Random(seed * 1_000_003 + i)
-        rec = random_extension(G, rng)
+        rec = random_extension(facts.graph, rng)
         rep.add(
             "extension-shape",
-            key,
+            facts.key,
             True,
             note=(
                 f"record={i} core={rec.core_size}"
@@ -154,38 +162,54 @@ def _extension_report(G: Graph, key: str, seed: int, record_ids: list[int]) -> R
                 f" empty-classes={len(rec.empty_classes)}"
             ),
         )
-        rep.extend(verify_extension_inequalities(rec))
+        rep.extend(verify_extension_inequalities(rec, facts.key))
     return rep
 
 
 def _entry_report(
     root: str, suite: str, key: str, budget: int, seed: int, record_ids: list[int]
 ) -> tuple[str, list[str], int]:
-    """The check lines of one corpus entry and how many of them failed."""
+    """The check lines of one corpus entry and how many of them failed.
+
+    An :class:`InvariantViolation` leaves with the entry's key and graph6
+    string in its message.
+    """
     corpus = Corpus(Path(root))
-    rep = corpus.verify_entry(key)
-    G = corpus.load(key).graph
-    critical = col.is_5_critical(G)
-    if suite in ("main", "all") and critical:
-        rep.extend(verify_main_theorem(G))
-    if suite in ("ore5", "all") and critical:
-        rep.extend(verify_ore5_bounds(G, budget))
+    entry = corpus.load(key)
+    try:
+        rep = _suite_report(corpus, entry, suite, budget, seed, record_ids)
+    except InvariantViolation as exc:
+        raise InvariantViolation(
+            f"entry {key} graph6 {graph_to_graph6(entry.graph)}: {exc}"
+        ) from None
+    return key, rep.lines(), sum(not c.ok for c in rep.checks)
+
+
+def _suite_report(
+    corpus: Corpus, entry: Entry, suite: str, budget: int, seed: int, record_ids: list[int]
+) -> Report:
+    facts = Facts.of(entry.graph)
+    rep = corpus.verify_entry(entry, facts)
+    if suite in ("main", "all") and facts.critical:
+        rep.extend(verify_main_theorem(facts))
+    if suite in ("ore5", "all") and facts.critical:
+        rep.extend(verify_ore5_bounds(facts, budget))
     if suite in ("lemma2", "all"):
-        rep.extend(_lemma2_report(G, key))
+        rep.extend(_lemma2_report(facts))
     if suite in ("discharge", "all"):
-        if critical:
-            rep.extend(dis.closing_inequalities(G))
+        if facts.critical:
+            rep.extend(dis.closing_inequalities(facts))
         else:
-            ledger = dis.run_discharge(G)
+            ledger = dis.run_discharge(entry.graph)
             rep.add(
                 "conservation",
-                key,
+                entry.key,
                 sum(ledger.final84) == ledger.total84,
                 note=f"transfers={len(ledger.transfers)}",
             )
     if suite in ("extensions", "all") and record_ids:
-        rep.extend(_extension_report(G, key, seed, record_ids))
-    return key, rep.lines(), sum(not c.ok for c in rep.checks)
+        rep.extend(_extension_report(facts, seed, record_ids))
+    return rep
 
 
 def cmd_verify(args) -> int:
@@ -241,8 +265,9 @@ def cmd_gen(args) -> int:
     corpus = Corpus(resolve_dir(args.corpus))
     count = 0
     for G, recipe in ore.enumerate_5_ore(args.max_n):
-        key, added = corpus.add(G, "recipe " + ore.recipe_to_text(recipe))
-        print(f"{key} n={G.n} m={G.m} {'new' if added else 'known'}")
+        facts = Facts.of(G)
+        added = corpus.add(facts, "recipe " + ore.recipe_to_text(recipe))
+        print(f"{facts.key} n={G.n} m={G.m} {'new' if added else 'known'}")
         count += 1
     print(f"generated {count} classes up to n={args.max_n}")
     return 0
@@ -262,8 +287,9 @@ def cmd_add(args) -> int:
             )
         graphs = [(g, f"file {path.name}") for g in _graphs_from_file(path)]
     for G, provenance in graphs:
-        key, added = corpus.add(G, provenance)
-        print(f"{key} n={G.n} m={G.m} {'new' if added else 'known'}")
+        facts = Facts.of(G)
+        added = corpus.add(facts, provenance)
+        print(f"{facts.key} n={G.n} m={G.m} {'new' if added else 'known'}")
     return 0
 
 
@@ -305,7 +331,7 @@ def cmd_extend(args) -> int:
         f" empty-classes={','.join(map(str, rec.empty_classes)) or '-'}"
     )
     print("expanded " + ",".join(map(str, sorted(rec.expanded))))
-    rep = verify_extension_inequalities(rec)
+    rep = verify_extension_inequalities(rec, entry.key)
     for line in rep.lines():
         print(line)
     return 0 if rep.ok else 1
@@ -339,10 +365,11 @@ def cmd_discharge(args) -> int:
     G = _resolve_graph(corpus, args.key)
     ledger = dis.run_discharge(G)
     sys.stdout.write(dis.ledger_dump(ledger))
-    if not col.is_5_critical(G):
+    facts = Facts.of(G)
+    if not facts.critical:
         print("closing inequalities skipped: graph is not 5-critical")
         return 0
-    rep = dis.closing_inequalities(G)
+    rep = dis.closing_inequalities(facts)
     for line in rep.lines():
         print(line)
     return 0 if rep.ok else 1
@@ -421,6 +448,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolation as exc:
+        print(f"panic: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -14,26 +14,25 @@ vertices other than z follow, in ascending order).
 
 Recognition inverts the construction: search nonadjacent separating pairs
 {x, y}, assign the components of G - {x, y} to the two sides in every
-way, and recurse.  Results are memoized by canonical key, positive and
-negative alike.
+way, and recurse.  It runs on the canonical relabeling of its input, so
+the recipe it finds is a function of the isomorphism class alone; a table
+keyed by canonical key keeps each class's answer, positive or negative,
+which saves time and cannot change an answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .graph_core import (
     Graph,
+    InvariantViolation,
     bits,
     canonical_form,
     canonical_key,
-    clusters,
     connected_components,
-    delete_vertices,
     identify_vertices_with_map,
     induced_subgraph,
-    isomorphism_from_canonical,
     mask_of,
     with_edge,
 )
@@ -140,12 +139,6 @@ def ore_compose_traced(recipe: OreRecipe) -> tuple[Graph, tuple[frozenset[int], 
 
     G, prov, _ = rec(recipe, 0)
     return G, prov
-
-
-def recipe_leaf_count(recipe: OreRecipe) -> int:
-    if isinstance(recipe, Leaf):
-        return 1
-    return recipe_leaf_count(recipe.edge_side) + recipe_leaf_count(recipe.vertex_side)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +304,12 @@ def enumerate_5_ore(max_n: int):
 # Recognition
 # ---------------------------------------------------------------------------
 
-_ORE_MEMO: dict[bytes, OreRecipe | None] = {}
+_CLASSES: dict[bytes, tuple[OreRecipe | None, tuple[int, ...]]] = {}
+"""Recognition results by canonical key: the recipe found on the class's
+canonical relabeling (None for a non-member), and the canonical order of
+that recipe's materialization (empty for None).  Both are functions of the
+isomorphism class, so the table changes how long recognition takes, never
+what it returns."""
 
 
 def _nonempty_proper_unions(parts: list[frozenset[int]]):
@@ -324,8 +322,15 @@ def _nonempty_proper_unions(parts: list[frozenset[int]]):
         yield a, b
 
 
-def is_5_ore(G: Graph) -> OreRecipe | None:
+def is_5_ore(
+    G: Graph, canonical: tuple[bytes, tuple[int, ...]] | None = None
+) -> OreRecipe | None:
     """A witnessing recipe if G is 5-Ore, else None.
+
+    ``canonical`` is G's :func:`canonical_form`, when the caller already
+    holds it.  Recognition runs on the canonical relabeling of G, so the
+    recipe depends only on G's isomorphism class, never on its labeling or
+    on which graphs were recognized before.
 
     Every composite has |E| = |V(G1)| + |V(G2)| - 1 edges, which iterates
     to 4|E| = 9|V| - 5 for all 5-Ore graphs; that identity plus degree
@@ -334,22 +339,34 @@ def is_5_ore(G: Graph) -> OreRecipe | None:
     side is one union of components plus the edge xy, the vertex side is
     the rest with x and y identified back into the split vertex.
     """
-    key, _ = canonical_form(G)
-    if key in _ORE_MEMO:
-        return _ORE_MEMO[key]
-    recipe = _recognize(G, key)
-    _ORE_MEMO[key] = recipe
-    return recipe
-
-
-def _recognize(G: Graph, key: bytes) -> OreRecipe | None:
-    n, m = G.n, G.m
-    if n == 5 and m == 10:
+    if _is_k5(G):
         return Leaf()
+    return _classify(G, canonical or canonical_form(G))[0]
+
+
+def _classify(G: Graph, canonical: tuple[bytes, tuple[int, ...]]):
+    """The class-table entry of G, recognizing its class on first sight."""
+    key, order = canonical
+    if key not in _CLASSES:
+        _CLASSES[key] = _recognize(_relabel(G, order))
+    return _CLASSES[key]
+
+
+def _relabel(G: Graph, order: tuple[int, ...]) -> Graph:
+    """G with vertex ``order[i]`` renamed i."""
+    pos = [0] * G.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    return Graph(G.n, tuple(mask_of(pos[u] for u in bits(G.adj[v])) for v in order))
+
+
+def _recognize(G: Graph):
+    """The class-table entry of the class whose canonical relabeling is G."""
+    n, m = G.n, G.m
     if n < 9 or n % 4 != 1 or 4 * m != 9 * n - 5:
-        return None
+        return None, ()
     if any(G.degree(v) < 4 for v in range(G.n)):
-        return None
+        return None, ()
     for x in range(n):
         for y in range(x + 1, n):
             if G.has_edge(x, y):
@@ -367,32 +384,41 @@ def _recognize(G: Graph, key: bytes) -> OreRecipe | None:
                     continue  # split parts of N(z) must be disjoint
                 if not (G.adj[x] & bmask) or not (G.adj[y] & bmask):
                     continue
-                recipe = _try_factor(G, x, y, sorted(aset), sorted(bset))
-                if recipe is not None:
-                    return recipe
-    return None
+                found = _try_factor(G, x, y, sorted(aset), sorted(bset))
+                if found is not None:
+                    return found
+    return None, ()
+
+
+def _side(G: Graph):
+    """A recipe for one side of a split, with a map from the side's vertices
+    onto the recipe's materialization, or None if the side is not 5-Ore."""
+    if _is_k5(G):
+        return Leaf(), range(5)
+    canonical = canonical_form(G)
+    recipe, built = _classify(G, canonical)
+    if recipe is None:
+        return None
+    iso = [0] * G.n
+    for v, w in zip(canonical[1], built):
+        iso[v] = w
+    return recipe, iso
 
 
 def _try_factor(G: Graph, x: int, y: int, aside: list[int], bside: list[int]):
     edge_vertices = sorted(aside + [x, y])
     epos = {v: i for i, v in enumerate(edge_vertices)}
-    cand1 = with_edge(induced_subgraph(G, edge_vertices), epos[x], epos[y])
-    r1 = is_5_ore(cand1)
-    if r1 is None:
+    side1 = _side(with_edge(induced_subgraph(G, edge_vertices), epos[x], epos[y]))
+    if side1 is None:
         return None
     vertex_vertices = sorted(bside + [x, y])
     vpos = {v: i for i, v in enumerate(vertex_vertices)}
     sub2 = induced_subgraph(G, vertex_vertices)
     cand2, merge_map = identify_vertices_with_map(sub2, [vpos[x], vpos[y]])
-    r2 = is_5_ore(cand2)
-    if r2 is None:
+    side2 = _side(cand2)
+    if side2 is None:
         return None
-    mat1 = ore_compose(r1)
-    iso1 = isomorphism_from_canonical(cand1, mat1)
-    mat2 = ore_compose(r2)
-    iso2 = isomorphism_from_canonical(cand2, mat2)
-    if iso1 is None or iso2 is None:
-        raise AssertionError("recipe materialization is not isomorphic to its source")
+    (r1, iso1), (r2, iso2) = side1, side2
     bmask = mask_of(bside)
     part_a = sorted(iso2[merge_map[vpos[v]]] for v in bits(G.adj[x] & bmask))
     part_b = sorted(iso2[merge_map[vpos[v]]] for v in bits(G.adj[y] & bmask))
@@ -403,10 +429,20 @@ def _try_factor(G: Graph, x: int, y: int, aside: list[int], bside: list[int]):
         iso2[merge_map[vpos[x]]],
         (tuple(part_a), tuple(part_b)),
     )
-    rebuilt = ore_compose(recipe)
-    if canonical_key(rebuilt) != canonical_key(G):
-        raise AssertionError("recognized recipe does not rebuild the input graph")
-    return recipe
+    # Rebuild the recipe and check that the vertex map G -> rebuilt is an
+    # isomorphism.  G is its class's canonical relabeling, so the map is
+    # also a canonical order of the rebuilt graph.
+    rebuilt, out_of = compose_graphs(
+        ore_compose(r1), recipe.replaced_edge, ore_compose(r2), recipe.split_vertex, recipe.split
+    )
+    order = tuple(
+        iso1[epos[v]] if v in epos else out_of[iso2[merge_map[vpos[v]]]] for v in range(G.n)
+    )
+    if sorted(order) != list(range(G.n)) or rebuilt.m != G.m or not all(
+        rebuilt.has_edge(order[u], order[v]) for u, v in G.edges()
+    ):
+        raise InvariantViolation("recognized recipe does not rebuild the input graph")
+    return recipe, order
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +493,7 @@ def gems(G: Graph) -> GemReport:
 
 
 # ---------------------------------------------------------------------------
-# Ore-collapsible subsets, cluster deletion, frames
+# Ore-collapsible subsets
 # ---------------------------------------------------------------------------
 
 
@@ -496,124 +532,3 @@ def ore_collapsible_subsets(G: Graph) -> list[frozenset[int]]:
                     out.append(R)
     out.sort(key=lambda R: (len(R), sorted(R)))
     return out
-
-
-def almost_5_ore_from(G: Graph, v: int) -> tuple[Graph, frozenset[int]]:
-    """Delete one vertex of a cluster of size >= 2; survivors are special.
-
-    Returns the vertex-deleted graph (labels point back at G) and the set
-    of special vertices in the new labeling.
-    """
-    home = None
-    for c in clusters(G):
-        if v in c.vertices:
-            home = c
-            break
-    if home is None or len(home.vertices) < 2:
-        raise ValueError("vertex is not in a cluster of size at least 2")
-    H = delete_vertices(G, [v])
-    new_index = {H.label(i): i for i in range(H.n)}
-    specials = frozenset(new_index[w] for w in home.vertices if w != v)
-    return H, specials
-
-
-@dataclass(frozen=True)
-class Frame:
-    """A K4 scaffold for an almost-5-Ore graph with special vertex w.
-
-    ``corners`` are w plus its three neighbors; ``bars`` maps each corner
-    pair either to None (the pair is a plain edge of H) or to the 5-Ore
-    graph glued along that pair, given as (bar graph, split vertex,
-    split parts) in the bar's own labeling.
-    """
-
-    corners: tuple[int, ...]
-    special: int
-    bars: dict[tuple[int, int], tuple[Graph, int, tuple[tuple[int, ...], tuple[int, ...]]] | None]
-
-
-def find_frame(H: Graph, w: int) -> Frame | None:
-    """Decompose H as a K4 on w's closed neighborhood plus 5-Ore bars.
-
-    The special vertex of an almost-5-Ore graph has degree three (it lost
-    its deleted cluster mate), so anything else returns None.  Interior
-    components must each attach to exactly one corner pair, the attachment
-    neighborhoods must be disjoint, and each glued side must be 5-Ore; the
-    reconstruction is verified by recomposing and comparing canonical keys.
-    """
-    if H.degree(w) != 3:
-        return None
-    corners = tuple(sorted([w] + H.neighbors(w)))
-    cmask = mask_of(corners)
-    interior = [v for v in range(H.n) if not cmask >> v & 1]
-    attach_of: dict[tuple[int, int], frozenset[int]] = {}
-    for comp in connected_components(H, within=interior) if interior else []:
-        pmask = mask_of(comp)
-        att = tuple(sorted(c for c in corners if H.adj[c] & pmask))
-        if len(att) != 2 or att in attach_of:
-            return None
-        attach_of[att] = comp
-    bars: dict = {}
-    for i, a in enumerate(corners):
-        for b in corners[i + 1 :]:
-            pair = (a, b)
-            if pair in attach_of:
-                if H.has_edge(a, b):
-                    return None
-                comp = attach_of[pair]
-                pmask = mask_of(comp)
-                na = H.adj[a] & pmask
-                nb = H.adj[b] & pmask
-                if not na or not nb or (na & nb):
-                    return None
-                order = sorted(comp | {a, b})
-                pos = {v: i for i, v in enumerate(order)}
-                sub = induced_subgraph(H, order)
-                bar, merge = identify_vertices_with_map(sub, [pos[a], pos[b]])
-                if is_5_ore(bar) is None:
-                    return None
-                z = merge[pos[a]]
-                part_a = tuple(sorted(merge[pos[v]] for v in bits(na)))
-                part_b = tuple(sorted(merge[pos[v]] for v in bits(nb)))
-                bars[pair] = (bar, z, (part_a, part_b))
-            else:
-                if not H.has_edge(a, b):
-                    return None
-                bars[pair] = None
-    # rebuild from the scaffold and confirm we got H back
-    cur = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    cpos = {c: i for i, c in enumerate(corners)}
-    for pair, info in sorted(bars.items()):
-        if info is None:
-            continue
-        bar, z, parts = info
-        cur, _ = compose_graphs(cur, (cpos[pair[0]], cpos[pair[1]]), bar, z, parts)
-    if canonical_key(cur) != canonical_key(H):
-        raise AssertionError("frame reconstruction does not match the input graph")
-    return Frame(corners, w, bars)
-
-
-def frame_bar_location(H: Graph, frame: Frame, R) -> tuple[int, tuple[int, int]] | None:
-    """A corner v and frame pair e = (u, v) with R inside bar(e) plus v.
-
-    Evaluates the located-in-a-bar conclusion for a vertex set R of an
-    almost-5-Ore graph: returns the first (v, e) such that R is contained
-    in the interior of e's glued side together with the one corner v; the
-    other corner of e must stay outside R.  Plain pairs count with an
-    empty interior, and None means no pair works.
-    """
-    R = frozenset(R)
-    corners = frame.corners
-    cmask = mask_of(corners)
-    interior = [u for u in range(H.n) if not cmask >> u & 1]
-    comp_of_pair: dict[tuple[int, int], frozenset[int]] = {}
-    for comp in connected_components(H, within=interior) if interior else []:
-        pmask = mask_of(comp)
-        att = tuple(sorted(c for c in corners if H.adj[c] & pmask))
-        comp_of_pair[att] = comp
-    for pair in sorted(frame.bars):
-        body = comp_of_pair.get(pair, frozenset())
-        for v in pair:
-            if R <= body | {v}:
-                return v, pair
-    return None

@@ -13,9 +13,8 @@ lower bound 2|E| >= 3|V| + mic used by the discharging audit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .graph_core import Graph, bits, mask_of
+from .graph_core import Graph, InvariantViolation, bits, mask_of
 
 
 def triangles(G: Graph) -> list[tuple[int, int, int]]:
@@ -98,15 +97,15 @@ def _check_packing(G: Graph, pieces, weight: int):
     for p in pieces:
         pm = mask_of(p)
         if pm & used:
-            raise AssertionError("packing pieces overlap")
+            raise InvariantViolation("packing pieces overlap")
         used |= pm
         for i, u in enumerate(p):
             for v in p[i + 1 :]:
                 if not G.has_edge(u, v):
-                    raise AssertionError("packing piece is not a clique")
+                    raise InvariantViolation("packing piece is not a clique")
         total += {3: 1, 4: 2}[len(p)]
     if total != weight:
-        raise AssertionError("packing weight mismatch")
+        raise InvariantViolation("packing weight mismatch")
 
 
 def t_number_oracle(G: Graph) -> int:
@@ -145,7 +144,6 @@ class MicWitness:
     value: int
 
 
-@lru_cache(maxsize=1 << 12)
 def mic(G: Graph) -> tuple[int, MicWitness]:
     """Maximum total degree over independent sets, with a witness set.
 
@@ -183,7 +181,7 @@ def mic(G: Graph) -> tuple[int, MicWitness]:
     smask = mask_of(best_set)
     for v in best_set:
         if G.adj[v] & smask:
-            raise AssertionError("mic witness is not independent")
+            raise InvariantViolation("mic witness is not independent")
     if sum(weights[v] for v in best_set) != best_val:
-        raise AssertionError("mic witness value mismatch")
+        raise InvariantViolation("mic witness value mismatch")
     return best_val, witness

@@ -17,6 +17,10 @@ adds a K4 on the four class vertices, and keeps the rest of G.  For a
 5-critical subgraph W; the pair (W, core = W's class vertices) is a
 critical extension of R, and the inequalities relating the potentials of
 R, W, and the expanded set R' are what the fuzzing campaigns check.
+
+The theorem-shaped verifiers read a graph's :class:`Facts`: its corpus
+key, criticality, Ore recipe, packing number and mic, each computed once
+per graph and shared by every check that needs it.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .graph_core import (
     Graph,
     InvariantViolation,
     bits,
+    canonical_form,
     canonical_key,
     induced_subgraph,
     mask_of,
@@ -78,7 +83,11 @@ Q_GAP = Rat21(8)      # delta
 
 def short_key(G: Graph) -> str:
     """A filename-safe fingerprint of the isomorphism class."""
-    return hashlib.sha256(canonical_key(G)).hexdigest()[:16]
+    return _fingerprint(canonical_key(G))
+
+
+def _fingerprint(key: bytes) -> str:
+    return hashlib.sha256(key).hexdigest()[:16]
 
 
 def p_ky(G: Graph) -> int:
@@ -92,7 +101,10 @@ def p_ky_set(G: Graph, R) -> int:
 
 def potential(G: Graph) -> Rat21:
     """(9 + eps) n - 4 m - delta T(G), exactly."""
-    t, _ = packing.t_number(G)
+    return _refined(G, packing.t_number(G)[0])
+
+
+def _refined(G: Graph, t: int) -> Rat21:
     return Rat21(190 * G.n - 84 * G.m - 8 * t)
 
 
@@ -155,6 +167,46 @@ def phi_identify(G: Graph, R, phi: dict[int, int]) -> tuple[Graph, tuple[int, in
 
 
 @dataclass(frozen=True)
+class Facts:
+    """What the corpus and the verifiers ask of one graph, each answered once.
+
+    ``canonical`` is the graph's canonical form and ``key`` its corpus key
+    (:func:`short_key`); ``recipe`` is an Ore recipe or None, ``t`` the
+    packing number and ``mic`` the maximum independent cover number.
+    """
+
+    graph: Graph
+    canonical: tuple[bytes, tuple[int, ...]]
+    key: str
+    critical: bool
+    recipe: ore.OreRecipe | None
+    t: int
+    mic: int
+
+    @staticmethod
+    def of(G: Graph) -> "Facts":
+        canonical = canonical_form(G)
+        return Facts(
+            G,
+            canonical,
+            _fingerprint(canonical[0]),
+            col.is_5_critical(G),
+            ore.is_5_ore(G, canonical),
+            packing.t_number(G)[0],
+            packing.mic(G)[0],
+        )
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @property
+    def p(self) -> Rat21:
+        """The refined potential, from the stored packing number."""
+        return _refined(self.graph, self.t)
+
+
+@dataclass(frozen=True)
 class ExtensionRecord:
     """One critical extension: who extended, with what, and how cleanly.
 
@@ -193,12 +245,13 @@ def critical_extension(G: Graph, R, phi: dict[int, int]) -> ExtensionRecord:
     """
     R = frozenset(R)
     H, _ = phi_identify(G, R, phi)
-    if col.is_k_colorable(H, 4) is not None:
+    try:
+        W = col.extract_5_critical(H)
+    except ValueError:
         raise InvariantViolation(
             "identified graph of a proper subset is 4-colorable; "
             "the host graph cannot be 5-critical"
-        )
-    W = col.extract_5_critical(H)
+        ) from None
     core_classes = tuple(sorted(-lab for lab in W.labels if lab < 0))
     real = [v for v in range(W.n) if W.labels[v] >= 0]
     expanded = frozenset(W.labels[v] for v in real) | R
@@ -240,8 +293,9 @@ def critical_extension(G: Graph, R, phi: dict[int, int]) -> ExtensionRecord:
     )
 
 
-def verify_extension_inequalities(rec: ExtensionRecord) -> Report:
-    """Exact slack of the three extension inequalities for one record.
+def verify_extension_inequalities(rec: ExtensionRecord, key: str) -> Report:
+    """Exact slack of the three extension inequalities for one record,
+    reported under the host's corpus key ``key``.
 
     With x = core size, R' = expanded set, W = extender:
 
@@ -250,7 +304,6 @@ def verify_extension_inequalities(rec: ExtensionRecord) -> Report:
       coarse-extension:  p(R') <= p(R) + p(W) - 9 - eps + delta
     """
     G = rec.host
-    key = short_key(G)
     rep = Report()
     x = rec.core_size
     if x == 0:
@@ -302,7 +355,7 @@ def random_extension(G: Graph, rng: random.Random) -> ExtensionRecord:
 # ---------------------------------------------------------------------------
 
 
-def verify_main_theorem(G: Graph) -> Report:
+def verify_main_theorem(facts: Facts) -> Report:
     """Case analysis of the refined potential of a 5-critical graph.
 
     K5 attains exactly (105 + 5 - 16)/21 = 94/21.  Other 5-Ore graphs obey
@@ -310,15 +363,14 @@ def verify_main_theorem(G: Graph) -> Report:
     p <= 5 - 48/21.  Triangle-free graphs additionally satisfy the edge
     bound 84 m >= 190 n - 105.
     """
-    if not col.is_5_critical(G):
+    if not facts.critical:
         raise ValueError("main-theorem verifier requires a 5-critical graph")
-    key = short_key(G)
+    G, key = facts.graph, facts.key
     rep = Report()
-    p = potential(G)
-    recipe = ore.is_5_ore(G)
+    p = facts.p
     if G.n == 5:
         rep.add("main-case-k5", key, p == Rat21(94), p.num - 94)
-    elif recipe is not None:
+    elif facts.recipe is not None:
         # 5-Ore orders are 1 mod 4, so the bound is an exact Rat21
         bound = Rat21(105 + G.n) - DELTA * (2 + (G.n - 1) // 4)
         slack = bound - p
@@ -333,28 +385,28 @@ def verify_main_theorem(G: Graph) -> Report:
     return rep
 
 
-def verify_ore5_bounds(G: Graph, subset_budget: int = 1 << 18) -> Report:
+def verify_ore5_bounds(facts: Facts, subset_budget: int = 1 << 18) -> Report:
     """Potential bounds around the 5-Ore class for one 5-critical graph.
 
     Checks p_ky <= 5, and that p_ky >= 3 exactly for 5-Ore graphs.  For
     5-Ore graphs, additionally sweeps proper subsets R with |R| >= 5 (up
     to ``subset_budget`` masks, ascending) and checks that p_ky(R) < 12
-    forces R collapsible with p_ky(R) = 9.
+    forces R collapsible with p_ky(R) = 9.  The note gives how many of
+    the proper subsets with |R| >= 5 the sweep covered.
     """
-    if not col.is_5_critical(G):
+    if not facts.critical:
         raise ValueError("ore5 verifier requires a 5-critical graph")
-    key = short_key(G)
+    G, key = facts.graph, facts.key
     rep = Report()
     ky = p_ky(G)
     rep.add("ore5-ky-upper", key, ky <= 5, 21 * (5 - ky))
-    recipe = ore.is_5_ore(G)
     rep.add(
         "ore5-equivalence",
         key,
-        (ky >= 3) == (recipe is not None),
+        (ky >= 3) == (facts.recipe is not None),
         note="ky>=3-iff-5-ore",
     )
-    if recipe is None:
+    if facts.recipe is None:
         return rep
     n = G.n
     checked = 0
@@ -379,7 +431,8 @@ def verify_ore5_bounds(G: Graph, subset_budget: int = 1 << 18) -> Report:
             sound = False
             worst = R
             break
-    note = f"subsets={checked}" + (f" violation={worst}" if worst else "")
+    total = full - sum(comb(n, k) for k in range(5))
+    note = f"subsets={checked} of={total}" + (f" violation={worst}" if worst else "")
     rep.add("ore5-low-ky-collapsible", key, sound, note=note)
     return rep
 

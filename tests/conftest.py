@@ -5,7 +5,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from orelab import Corpus, enumerate_5_ore, named_graph
+from orelab import Corpus, Facts, enumerate_5_ore, named_graph
+from orelab.ore import recipe_to_text
+
+LAB_NAMED = ("c5_join_k2", "groetzsch", "k1_join_groetzsch", "mycielski_groetzsch")
 
 
 @pytest.fixture(scope="session")
@@ -33,15 +36,24 @@ def doubles(ore13):
 
 
 @pytest.fixture(scope="session")
-def lab_corpus(tmp_path_factory, ore17):
+def ore17_facts(ore17):
+    """The facts of every class in ``ore17``, in the same order."""
+    return [Facts.of(g) for g, _ in ore17]
+
+
+@pytest.fixture(scope="session")
+def lab_facts(ore17_facts):
+    """``ore17_facts`` followed by the facts of the named lab graphs."""
+    return ore17_facts + [Facts.of(named_graph(name)) for name in LAB_NAMED]
+
+
+@pytest.fixture(scope="session")
+def lab_corpus(tmp_path_factory, ore17, lab_facts):
     """A corpus holding every enumerated class plus the named graphs."""
     root = tmp_path_factory.mktemp("corpus")
     corpus = Corpus(root)
-    from orelab.ore import recipe_to_text
-
-    for g, recipe in ore17:
-        corpus.add(g, f"recipe {recipe_to_text(recipe)}")
-    for name in ("c5_join_k2", "groetzsch", "k1_join_groetzsch",
-                 "mycielski_groetzsch"):
-        corpus.add(named_graph(name), f"named {name}")
+    provenance = [f"recipe {recipe_to_text(recipe)}" for _, recipe in ore17]
+    provenance += [f"named {name}" for name in LAB_NAMED]
+    for facts, source in zip(lab_facts, provenance):
+        corpus.add(facts, source)
     return corpus

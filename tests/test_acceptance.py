@@ -14,7 +14,6 @@ from orelab import (
     critical_extension,
     induced_subgraph,
     is_5_critical,
-    is_5_ore,
     is_collapsible,
     is_k_colorable,
     named_graph,
@@ -31,7 +30,6 @@ from orelab import (
 )
 from orelab.discharge import closing_inequalities, run_discharge
 from orelab.ore import Compose, Leaf, ore_compose
-from orelab.packing import mic
 from orelab.graph_core import d4_components
 
 from helpers import random_graph
@@ -47,17 +45,17 @@ def conclude(num, slug, ok, detail=""):
     assert ok, line
 
 
-def test_criterion_01_ore_identity(ore17):
+def test_criterion_01_ore_identity(ore17_facts):
     bad = [
-        g.n
-        for g, _ in ore17
-        if p_ky(g) != 5 or not is_5_critical(g)
+        f.n
+        for f in ore17_facts
+        if p_ky(f.graph) != 5 or not f.critical
     ]
     conclude(
         1,
         "every-5-ore-to-17-has-ky-5-and-is-critical",
         not bad,
-        f"classes={len(ore17)}",
+        f"classes={len(ore17_facts)}",
     )
 
 
@@ -96,7 +94,7 @@ def test_criterion_03_composition_superadditivity(ore17):
     conclude(3, "packing-superadditive-at-every-composition-node", ok, f"nodes={nodes}")
 
 
-def test_criterion_04_packing_oracle_equivalence(lab_corpus):
+def test_criterion_04_packing_oracle_equivalence(lab_facts):
     rng = random.Random(2026)
     checked = 0
     ok = True
@@ -107,22 +105,21 @@ def test_criterion_04_packing_oracle_equivalence(lab_corpus):
         if t_number(G)[0] != t_number_oracle(G):
             ok = False
         checked += 1
-    for entry in lab_corpus.entries():
-        if entry.graph.n <= 12:
-            if t_number(entry.graph)[0] != t_number_oracle(entry.graph):
+    for facts in lab_facts:
+        if facts.n <= 12:
+            if facts.t != t_number_oracle(facts.graph):
                 ok = False
             checked += 1
     conclude(4, "solver-matches-oracle", ok, f"graphs={checked}")
 
 
-def test_criterion_05_main_theorem_cases(lab_corpus):
+def test_criterion_05_main_theorem_cases(lab_facts):
     ok = potential(complete_graph(5)) == Rat21(94)
     cases = {"k5": 1, "ore": 0, "other": 0}
-    for entry in lab_corpus.entries():
-        G = entry.graph
-        if not entry.invariants["critical5"] or G.n == 5:
+    for facts in lab_facts:
+        if not facts.critical or facts.n == 5:
             continue
-        rep = verify_main_theorem(G)
+        rep = verify_main_theorem(facts)
         head = rep.checks[0]
         ok = ok and head.ok
         if head.name == "main-case-ore":
@@ -170,7 +167,7 @@ def test_criterion_07_extension_fuzz(lab_corpus):
             key = eligible[i % len(eligible)]
             rng = random.Random(i)
             rec = random_extension(graphs[key], rng)
-            rep = verify_extension_inequalities(rec)
+            rep = verify_extension_inequalities(rec, key)
             if not rep.ok:
                 violations += 1
             slacks = " ".join(
@@ -218,37 +215,34 @@ def test_criterion_08_collapsibility_equivalence(ore17):
     )
 
 
-def test_criterion_09_counting_inequalities(lab_corpus):
+def test_criterion_09_counting_inequalities(lab_facts):
     ok = True
     runs = 0
-    for entry in lab_corpus.entries():
-        G = entry.graph
+    for facts in lab_facts:
+        G = facts.graph
         ledger = run_discharge(G)
         ok = ok and sum(ledger.final84) == ledger.total84
         runs += 1
         d4 = d4_components(G)
-        if potential(G).num > 0:
+        if facts.p.num > 0:
             ok = ok and 21 * (d4.singles + d4.pairs) < 8 * G.n
-        if not entry.invariants["critical5"]:
+        if not facts.critical:
             continue
-        mic_value = mic(G)[0]
-        ok = ok and 2 * G.m >= 3 * G.n + mic_value
-        ok = ok and mic_value >= 4 * (d4.singles + d4.pairs)
-        ok = ok and closing_inequalities(G).ok
+        ok = ok and 2 * G.m >= 3 * G.n + facts.mic
+        ok = ok and facts.mic >= 4 * (d4.singles + d4.pairs)
+        ok = ok and closing_inequalities(facts).ok
     conclude(9, "discharge-counting-closes", ok, f"graphs={runs}")
 
 
-def test_criterion_10_recognizer_consistency(lab_corpus):
+def test_criterion_10_recognizer_consistency(lab_facts):
     ok = True
     ore_count = 0
-    for entry in lab_corpus.entries():
-        G = entry.graph
-        if not entry.invariants["critical5"]:
+    for facts in lab_facts:
+        if not facts.critical:
             continue
-        recipe = is_5_ore(G)
-        if (p_ky(G) >= 3) != (recipe is not None):
+        if (p_ky(facts.graph) >= 3) != (facts.recipe is not None):
             ok = False
-        ore_count += recipe is not None
+        ore_count += facts.recipe is not None
     for name in NON_ORE_WITNESSES:
         ok = ok and p_ky(named_graph(name)) <= 2
     conclude(

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orelab
 from orelab import (
+    Corpus,
+    Facts,
     Report,
     complete_graph,
     graph_to_graph6,
@@ -10,7 +17,7 @@ from orelab import (
     named_graph,
     short_key,
 )
-from orelab import lab_cli
+from orelab import coloring, lab_cli
 from orelab.lab_cli import main
 
 
@@ -183,6 +190,40 @@ def test_verify_jobs_output_identical(small_corpus, run):
     code, parallel, _ = run(*args, "--jobs", "2")
     assert code == 0
     assert parallel == serial
+
+
+def test_verify_jobs_output_identical_in_fresh_processes(ore17, tmp_path):
+    # a forked pool inherits its parent's recognized classes, so only fresh
+    # interpreters show whether a recipe depends on which labeling came first
+    root = tmp_path / "corpus"
+    corpus = Corpus(root)
+    graphs = [g for g, _ in ore17 if g.n <= 13] + [g for g, _ in ore17 if g.n == 17][:16]
+    for g in graphs:
+        corpus.add(Facts.of(g), "test")
+    src = str(Path(orelab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    outs = []
+    for jobs in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "orelab.lab_cli", "verify", "lemma2",
+             "--corpus", str(root), "--jobs", jobs],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_panic_exits_3_naming_the_entry(small_corpus, run, monkeypatch, jobs):
+    # a walk step that leaves the coloring as it was fails the re-check
+    monkeypatch.setattr(coloring, "_recolor", lambda colors, x, b: colors)
+    code, out, err = run("verify", "main", "--corpus", str(small_corpus), "--jobs", jobs)
+    assert code == 3
+    key = Corpus(small_corpus).keys()[0]
+    graph6 = graph_to_graph6(Corpus(small_corpus).load(key).graph)
+    (line,) = err.splitlines()
+    assert line.startswith(f"panic: entry {key} graph6 {graph6}: walked coloring")
 
 
 def test_extend_block_of_double(small_corpus, run):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from orelab import Corpus, complete_graph, named_graph, short_key
+from orelab import Corpus, Facts, complete_graph, named_graph, short_key
 from orelab.corpus import compute_invariants, resolve_dir
 
 
@@ -15,7 +15,7 @@ def test_resolve_dir_precedence(tmp_path, monkeypatch):
 
 
 def test_compute_invariants_k5():
-    inv = compute_invariants(complete_graph(5))
+    inv = compute_invariants(Facts.of(complete_graph(5)))
     assert inv == {
         "n": 5,
         "m": 10,
@@ -32,10 +32,11 @@ def test_compute_invariants_k5():
 
 def test_add_is_idempotent_and_logged(tmp_path):
     corpus = Corpus(tmp_path / "c")
-    key, fresh = corpus.add(complete_graph(5), "named k5")
-    assert fresh and key == short_key(complete_graph(5))
-    key2, fresh2 = corpus.add(complete_graph(5), "named k5")
-    assert key2 == key and not fresh2
+    facts = Facts.of(complete_graph(5))
+    key = facts.key
+    assert corpus.add(facts, "named k5")
+    assert key == short_key(complete_graph(5))
+    assert not corpus.add(facts, "named k5")
     assert corpus.keys() == [key]
     assert key in corpus
     log = (tmp_path / "c" / "ledger.log").read_text()
@@ -45,9 +46,10 @@ def test_add_is_idempotent_and_logged(tmp_path):
 
 def test_entry_files_are_stable_bytes(tmp_path):
     a, b = Corpus(tmp_path / "a"), Corpus(tmp_path / "b")
-    G = named_graph("c5_join_k2")
-    key, _ = a.add(G, "named c5_join_k2")
-    b.add(G, "named c5_join_k2")
+    facts = Facts.of(named_graph("c5_join_k2"))
+    key = facts.key
+    a.add(facts, "named c5_join_k2")
+    b.add(facts, "named c5_join_k2")
     fa = (tmp_path / "a" / f"{key}.json").read_bytes()
     fb = (tmp_path / "b" / f"{key}.json").read_bytes()
     assert fa == fb
@@ -57,7 +59,9 @@ def test_entry_files_are_stable_bytes(tmp_path):
 def test_load_round_trip(tmp_path):
     corpus = Corpus(tmp_path / "c")
     G = named_graph("groetzsch")
-    key, _ = corpus.add(G, "named groetzsch")
+    facts = Facts.of(G)
+    key = facts.key
+    corpus.add(facts, "named groetzsch")
     entry = corpus.load(key)
     assert entry.graph == G
     assert entry.provenance == "named groetzsch"
@@ -69,7 +73,7 @@ def test_load_errors(tmp_path):
     corpus = Corpus(tmp_path / "c")
     with pytest.raises(KeyError, match="no corpus entry"):
         corpus.load("0" * 16)
-    corpus.add(complete_graph(5), "named k5")
+    corpus.add(Facts.of(complete_graph(5)), "named k5")
     bad = tmp_path / "c" / "deadbeefdeadbeef.json"
     bad.write_text("{not json")
     with pytest.raises(ValueError, match="corrupt"):
@@ -78,8 +82,10 @@ def test_load_errors(tmp_path):
 
 def test_verify_entry_detects_staleness(tmp_path):
     corpus = Corpus(tmp_path / "c")
-    key, _ = corpus.add(complete_graph(5), "named k5")
-    rep = corpus.verify_entry(key)
+    facts = Facts.of(complete_graph(5))
+    key = facts.key
+    corpus.add(facts, "named k5")
+    rep = corpus.verify_entry(corpus.load(key), facts)
     assert rep.ok
     assert [c.name for c in rep.checks] == ["corpus-key", "corpus-invariants"]
 
@@ -88,7 +94,7 @@ def test_verify_entry_detects_staleness(tmp_path):
     raw["invariants"]["t"] = 7
     raw["invariants"]["p_ky"] = -3
     path.write_text(json.dumps(raw, indent=1, sort_keys=True) + "\n")
-    rep = corpus.verify_entry(key)
+    rep = corpus.verify_entry(corpus.load(key), facts)
     assert not rep.ok
     by_name = {c.name: c for c in rep.checks}
     assert by_name["corpus-key"].ok
@@ -98,11 +104,13 @@ def test_verify_entry_detects_staleness(tmp_path):
 
 def test_verify_entry_detects_wrong_key(tmp_path):
     corpus = Corpus(tmp_path / "c")
-    key, _ = corpus.add(complete_graph(5), "named k5")
+    facts = Facts.of(complete_graph(5))
+    key = facts.key
+    corpus.add(facts, "named k5")
     path = tmp_path / "c" / f"{key}.json"
     moved = tmp_path / "c" / f"{'f' * 16}.json"
     path.rename(moved)
-    rep = corpus.verify_entry("f" * 16)
+    rep = corpus.verify_entry(corpus.load("f" * 16), facts)
     by_name = {c.name: c for c in rep.checks}
     assert not by_name["corpus-key"].ok
     assert by_name["corpus-key"].note == f"recomputed={key}"

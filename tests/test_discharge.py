@@ -1,4 +1,5 @@
 from orelab import (
+    Facts,
     Graph,
     closing_inequalities,
     complete_graph,
@@ -102,7 +103,7 @@ def test_closing_inequalities_on_critical_graphs(doubles):
         g for g, _ in doubles
     ]
     for G in graphs:
-        rep = closing_inequalities(G)
+        rep = closing_inequalities(Facts.of(G))
         assert rep.ok, rep.render()
         names = [c.name for c in rep.checks]
         assert names == [
@@ -115,7 +116,7 @@ def test_closing_inequalities_on_critical_graphs(doubles):
 
 
 def test_closing_inequalities_k5_values():
-    rep = closing_inequalities(complete_graph(5))
+    rep = closing_inequalities(Facts.of(complete_graph(5)))
     by_name = {c.name: c for c in rep.checks}
     assert by_name["charge-sum-identity"].note == "440/84 vs 440/84"
     # 2m - 3n - mic = 20 - 15 - 4 = 1
@@ -126,7 +127,7 @@ def test_closing_inequalities_k5_values():
 
 
 def test_closing_vacuous_row_for_negative_potential():
-    rep = closing_inequalities(named_graph("mycielski_groetzsch"))
+    rep = closing_inequalities(Facts.of(named_graph("mycielski_groetzsch")))
     assert rep.ok
     by_name = {c.name: c for c in rep.checks}
     assert by_name["positive-p-components"].note == "vacuous p=-1594/21"

@@ -1,16 +1,15 @@
+import random
+
 import pytest
 
 from orelab import (
-    almost_5_ore_from,
+    Graph,
     canonical_key,
-    clusters,
     complete_graph,
     compose_graphs,
     cycle_graph,
     enumerate_5_ore,
-    find_frame,
     four_cliques,
-    frame_bar_location,
     gems,
     is_5_ore,
     named_graph,
@@ -19,9 +18,9 @@ from orelab import (
     ore_compose_traced,
     recipe_from_text,
     recipe_to_text,
-    star_graph,
 )
 from orelab.graph_core import cluster_size_sequence
+from orelab import ore
 from orelab.ore import Compose, Leaf, k5
 
 
@@ -168,6 +167,20 @@ def test_is_5_ore_ignores_labeling(doubles):
     assert canonical_key(ore_compose(recipe)) == canonical_key(g)
 
 
+def test_is_5_ore_recipe_depends_only_on_the_class(ore13, monkeypatch):
+    # each relabeling starts from an empty class table, so a recipe found
+    # in the input's own vertex order would show up as differing text
+    for g, _ in ore13:
+        texts = set()
+        for seed in range(5):
+            perm = list(range(g.n))
+            random.Random(seed).shuffle(perm)
+            relabeled = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            monkeypatch.setattr(ore, "_CLASSES", {})
+            texts.add(recipe_to_text(is_5_ore(relabeled)))
+        assert len(texts) == 1, texts
+
+
 # --- gems --------------------------------------------------------------------
 
 
@@ -253,78 +266,3 @@ def test_ore_collapsible_subsets_satisfy_definition(doubles):
             pos = {w: i for i, w in enumerate(order)}
             filled = with_edge(induced_subgraph(g, order), pos[u], pos[v])
             assert is_5_ore(filled) is not None
-
-
-# --- almost-5-Ore graphs and frames ------------------------------------------
-
-
-def test_almost_5_ore_from_k5():
-    H, specials = almost_5_ore_from(complete_graph(5), 0)
-    assert H == complete_graph(4)
-    assert specials == frozenset(range(4))
-
-
-def test_almost_5_ore_from_double(doubles):
-    (g13, _), _ = split_kinds(doubles)
-    # {2, 3, 4} is the cluster inside the filled edge-side block
-    H, specials = almost_5_ore_from(g13, 2)
-    assert H.n == 8 and H.m == g13.m - 4
-    assert len(specials) == 2
-    assert {H.label(s) for s in specials} == {3, 4}
-    with pytest.raises(ValueError):
-        almost_5_ore_from(g13, 1)  # degree six, in no cluster
-
-
-def test_almost_5_ore_rejects_singleton_cluster(doubles):
-    (g13, _), _ = split_kinds(doubles)
-    singles = [
-        next(iter(c.vertices))
-        for c in clusters(g13)
-        if len(c.vertices) == 1
-    ]
-    assert singles
-    with pytest.raises(ValueError):
-        almost_5_ore_from(g13, singles[0])
-
-
-def test_find_frame_on_k4():
-    H, specials = almost_5_ore_from(complete_graph(5), 4)
-    w = min(specials)
-    frame = find_frame(H, w)
-    assert frame is not None
-    assert frame.corners == (0, 1, 2, 3)
-    assert all(bar is None for bar in frame.bars.values())
-
-
-def test_find_frame_with_one_bar(doubles):
-    (g13, _), _ = split_kinds(doubles)
-    H, specials = almost_5_ore_from(g13, 2)
-    w = min(specials)
-    frame = find_frame(H, w)
-    assert frame is not None
-    assert w in frame.corners
-    real_bars = {pair: bar for pair, bar in frame.bars.items() if bar is not None}
-    assert len(real_bars) == 1
-    ((pair, (bar, z, parts)),) = real_bars.items()
-    assert canonical_key(bar) == canonical_key(complete_graph(5))
-    assert is_5_ore(bar) is not None
-    assert set(parts[0]) | set(parts[1]) == set(bar.neighbors(z))
-
-
-def test_find_frame_negative_cases():
-    assert find_frame(cycle_graph(5), 0) is None  # degree two
-    assert find_frame(star_graph(3), 0) is None  # corners not a clique
-
-
-def test_frame_bar_location(doubles):
-    (g13, _), _ = split_kinds(doubles)
-    H, specials = almost_5_ore_from(g13, 2)
-    w = min(specials)
-    frame = find_frame(H, w)
-    (pair,) = [p for p, bar in frame.bars.items() if bar is not None]
-    body = frozenset(v for v in range(H.n) if v not in frame.corners)
-    assert body  # the glued side has a nonempty interior here
-    got = frame_bar_location(H, frame, body | {pair[0]})
-    assert got is not None and got[1] == pair and got[0] in pair
-    # both corners at once is no longer inside a single bar side
-    assert frame_bar_location(H, frame, body | set(pair)) is None

@@ -6,6 +6,7 @@ from orelab import (
     DELTA,
     EPS,
     KY_CORE_COST,
+    Facts,
     P_GAP,
     Q_GAP,
     InvariantViolation,
@@ -26,6 +27,7 @@ from orelab import (
     potential_set,
     random_extension,
     seeded_coloring,
+    short_key,
     structure_lemma_audit,
     verify_extension_inequalities,
     verify_main_theorem,
@@ -180,7 +182,7 @@ def test_edge_block_extension_is_total_with_tiny_core(doubles):
 
 def test_extension_inequalities_frozen_slacks(doubles):
     g, _ = one_three(doubles)
-    rep = verify_extension_inequalities(block_extension(g))
+    rep = verify_extension_inequalities(block_extension(g), short_key(g))
     assert rep.ok
     by_name = {c.name: c for c in rep.checks}
     assert by_name["ky-extension"].slack21 == 0
@@ -196,7 +198,7 @@ def test_extension_with_empty_class():
     rec = critical_extension(g, range(5), phi)
     assert rec.empty_classes == (4,)
     assert 4 not in rec.core_classes
-    assert verify_extension_inequalities(rec).ok
+    assert verify_extension_inequalities(rec, short_key(g)).ok
 
 
 def test_collapsible_subsets_extend_totally(doubles):
@@ -252,7 +254,7 @@ def test_random_extension_fuzz_never_violates(doubles):
         for _ in range(40):
             rec = random_extension(g, rng)
             assert rec.core_size >= 1
-            rep = verify_extension_inequalities(rec)
+            rep = verify_extension_inequalities(rec, short_key(g))
             assert rep.ok, rep.render()
 
 
@@ -265,7 +267,7 @@ def test_random_extension_needs_room():
 
 
 def test_main_theorem_on_k5():
-    rep = verify_main_theorem(complete_graph(5))
+    rep = verify_main_theorem(Facts.of(complete_graph(5)))
     assert rep.ok
     assert [c.name for c in rep.checks] == ["main-case-k5"]
     assert rep.checks[0].slack21 == 0
@@ -273,7 +275,7 @@ def test_main_theorem_on_k5():
 
 def test_main_theorem_on_doubles_is_tight(doubles):
     for g, _ in doubles:
-        rep = verify_main_theorem(g)
+        rep = verify_main_theorem(Facts.of(g))
         assert rep.ok
         assert [c.name for c in rep.checks] == ["main-case-ore"]
         assert rep.checks[0].slack21 == 0
@@ -285,52 +287,52 @@ def test_main_theorem_on_non_ore_witnesses():
         ("k1_join_groetzsch", 389),
         ("mycielski_groetzsch", 1651),
     ):
-        rep = verify_main_theorem(named_graph(name))
+        rep = verify_main_theorem(Facts.of(named_graph(name)))
         assert rep.ok
         assert rep.checks[0].name == "main-case-other"
         assert rep.checks[0].slack21 == slack
 
 
 def test_main_theorem_triangle_free_row():
-    rep = verify_main_theorem(named_graph("mycielski_groetzsch"))
+    rep = verify_main_theorem(Facts.of(named_graph("mycielski_groetzsch")))
     rows = {c.name: c for c in rep.checks}
     assert "triangle-free-edges" in rows
     assert rows["triangle-free-edges"].ok
     assert rows["triangle-free-edges"].note == "slack=1699/84"
-    rep2 = verify_main_theorem(named_graph("c5_join_k2"))
+    rep2 = verify_main_theorem(Facts.of(named_graph("c5_join_k2")))
     assert all(c.name != "triangle-free-edges" for c in rep2.checks)
 
 
 def test_main_theorem_rejects_non_critical():
     with pytest.raises(ValueError):
-        verify_main_theorem(named_graph("groetzsch"))
+        verify_main_theorem(Facts.of(named_graph("groetzsch")))
 
 
 def test_ore5_bounds_on_k5():
-    rep = verify_ore5_bounds(complete_graph(5))
+    rep = verify_ore5_bounds(Facts.of(complete_graph(5)))
     by_name = {c.name: c for c in rep.checks}
     assert rep.ok
     assert by_name["ore5-ky-upper"].slack21 == 0
-    assert by_name["ore5-low-ky-collapsible"].note == "subsets=0"
+    assert by_name["ore5-low-ky-collapsible"].note == "subsets=0 of=0"
 
 
 def test_ore5_bounds_sweep_on_doubles(doubles):
     for g, _ in doubles:
-        rep = verify_ore5_bounds(g)
+        rep = verify_ore5_bounds(Facts.of(g))
         by_name = {c.name: c for c in rep.checks}
         assert rep.ok
-        assert by_name["ore5-low-ky-collapsible"].note == "subsets=255"
+        assert by_name["ore5-low-ky-collapsible"].note == "subsets=255 of=255"
 
 
 def test_ore5_bounds_budget_caps_the_sweep(doubles):
     g, _ = doubles[0]
-    rep = verify_ore5_bounds(g, subset_budget=10)
+    rep = verify_ore5_bounds(Facts.of(g), subset_budget=10)
     by_name = {c.name: c for c in rep.checks}
-    assert by_name["ore5-low-ky-collapsible"].note == "subsets=10"
+    assert by_name["ore5-low-ky-collapsible"].note == "subsets=10 of=255"
 
 
 def test_ore5_bounds_on_non_ore_graph():
-    rep = verify_ore5_bounds(named_graph("c5_join_k2"))
+    rep = verify_ore5_bounds(Facts.of(named_graph("c5_join_k2")))
     assert rep.ok
     assert [c.name for c in rep.checks] == ["ore5-ky-upper", "ore5-equivalence"]
     assert rep.checks[0].slack21 == 126
