@@ -4,21 +4,21 @@ A :class:`Graph` is an immutable value: vertex ``i``'s neighborhood is an
 ``int`` bitmask, so neighborhood algebra is single-word arithmetic.  All of
 the higher machinery (exact coloring, clique packing, composition search,
 potential audits) builds on the operations here: induced subgraphs, vertex
-identification, the structure of degree-four vertices, a "smaller"
-comparison used to order graphs, and an exact canonical form used to
-deduplicate isomorphism classes.
+identification, the structure of degree-four vertices, and an exact
+canonical form used to deduplicate isomorphism classes.
 
 Canonical forms are computed by equitable partition refinement plus
 backtracking over individualization choices, minimizing the lower-triangle
-adjacency certificate.  Exactness is the contract; speed only has to be
-good enough for graphs of desk scale (n <= 24 or so).
+adjacency certificate.  The same search yields generators of the
+automorphism group, which the Ore enumeration uses to compose one site
+per orbit.  Exactness is the contract; speed only has to be good enough
+for graphs of desk scale (n <= 24 or so).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from enum import Enum
 
 MAX_VERTICES = 64
 
@@ -285,38 +285,6 @@ def clusters(G: Graph) -> list[Cluster]:
     return out
 
 
-class Ordering(Enum):
-    H_SMALLER = "H_smaller"
-    G_SMALLER = "G_smaller"
-    EQUAL_RANK = "equal_rank"
-
-
-def cluster_size_sequence(G: Graph) -> tuple[int, ...]:
-    return tuple(sorted((len(c.vertices) for c in clusters(G)), reverse=True))
-
-
-def compare_smaller(G: Graph, H: Graph) -> Ordering:
-    """Order two graphs: fewer vertices, then MORE edges, then cluster sizes.
-
-    The tie on cluster sizes compares the sequences sorted in decreasing
-    order, lexicographically, padding the shorter sequence with zeros; the
-    zero-padding convention is ours and is exercised by the tests.
-    """
-    if H.n != G.n:
-        return Ordering.H_SMALLER if H.n < G.n else Ordering.G_SMALLER
-    if H.m != G.m:
-        return Ordering.H_SMALLER if H.m > G.m else Ordering.G_SMALLER
-    sg, sh = cluster_size_sequence(G), cluster_size_sequence(H)
-    width = max(len(sg), len(sh))
-    sg = sg + (0,) * (width - len(sg))
-    sh = sh + (0,) * (width - len(sh))
-    if sh < sg:
-        return Ordering.H_SMALLER
-    if sg < sh:
-        return Ordering.G_SMALLER
-    return Ordering.EQUAL_RANK
-
-
 # ---------------------------------------------------------------------------
 # Canonical form
 # ---------------------------------------------------------------------------
@@ -381,17 +349,46 @@ def _cert_rows(adj: tuple[int, ...], perm: list[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def canonical_form(G: Graph) -> tuple[bytes, tuple[int, ...]]:
-    """Canonical key plus a witnessing vertex order.
+Canonical = tuple[bytes, tuple[int, ...], tuple[tuple[int, ...], ...]]
+"""What :func:`canonical_form` returns: key, canonical order, generators."""
 
-    Returns ``(key, order)`` where ``order[i]`` is the original vertex
-    placed at canonical position ``i``.  Keys of two graphs are equal
+
+def canonical_form(G: Graph) -> Canonical:
+    """Canonical key, a witnessing vertex order, and generators of Aut(G).
+
+    Returns ``(key, order, generators)`` where ``order[i]`` is the original
+    vertex placed at canonical position ``i``.  Keys of two graphs are equal
     exactly when the graphs are isomorphic; composing the orders of two
-    graphs with equal keys yields an explicit isomorphism.
+    graphs with equal keys yields an explicit isomorphism.  Each generator
+    is a tuple ``g`` with ``g[v]`` the image of vertex ``v``; together they
+    generate the automorphism group (an empty tuple for a rigid graph).
+
+    The search visits every terminal node whose certificate equals the
+    best one, because pruning only drops nodes strictly worse.  Each such
+    node maps the best order onto its own, an automorphism; when the best
+    node is homogeneous, the transpositions of consecutive vertices in each
+    of its cells supply the permutations the terminal nodes cannot tell
+    apart.
+    Every automorphism is one of the former times a product of the latter.
     """
     adj = G.adj
     n = G.n
-    best: list = [None, None]  # cert rows, perm
+    best: list = [None, None, None]  # cert rows, perm, generators
+
+    def record(cert, perm, cells):
+        if best[0] is None or cert < best[0]:
+            swaps = []
+            for c in cells:
+                for a, b in zip(c, c[1:]):
+                    image = list(range(n))
+                    image[a], image[b] = b, a
+                    swaps.append(tuple(image))
+            best[0], best[1], best[2] = cert, perm, swaps
+        elif cert == best[0]:
+            image = [0] * n
+            for v, w in zip(best[1], perm):
+                image[v] = w
+            best[2].append(tuple(image))
 
     def search(cells: list[list[int]]):
         cells = _refine(adj, cells)
@@ -404,14 +401,11 @@ def canonical_form(G: Graph) -> tuple[bytes, tuple[int, ...]]:
         if best[0] is not None and pref > best[0][: len(pref)]:
             return
         if len(prefix) == n:
-            if best[0] is None or pref < best[0]:
-                best[0], best[1] = pref, prefix
+            record(pref, prefix, ())
             return
         if _is_homogeneous(adj, cells):
             perm = list(itertools.chain.from_iterable(cells))
-            cert = _cert_rows(adj, perm)
-            if best[0] is None or cert < best[0]:
-                best[0], best[1] = cert, perm
+            record(_cert_rows(adj, perm), perm, cells)
             return
         idx = next(i for i, c in enumerate(cells) if len(c) > 1)
         cell = cells[idx]
@@ -420,26 +414,26 @@ def canonical_form(G: Graph) -> tuple[bytes, tuple[int, ...]]:
             search(cells[:idx] + [[v], rest] + cells[idx + 1 :])
 
     search([list(range(n))])
-    cert, perm = best
+    cert, perm, generators = best
     blob = bytearray([n])
     for i, r in enumerate(cert):
         if i:
             blob += r.to_bytes((i + 7) // 8, "big")
-    return bytes(blob), tuple(perm)
+    return bytes(blob), tuple(perm), tuple(generators)
+
+
+def check_automorphism(G: Graph, image) -> None:
+    """Raise :class:`InvariantViolation` unless ``v -> image[v]`` is an
+    automorphism of G: a permutation that maps every edge onto an edge."""
+    adj = G.adj
+    if sorted(image) != list(range(G.n)) or not all(
+        adj[image[u]] >> image[v] & 1 for u, v in G.edges()
+    ):
+        raise InvariantViolation(f"{tuple(image)} is not an automorphism")
 
 
 def canonical_key(G: Graph) -> bytes:
     return canonical_form(G)[0]
-
-
-def isomorphism_from_canonical(G: Graph, H: Graph) -> dict[int, int] | None:
-    """An explicit isomorphism G -> H if their canonical keys agree."""
-    kg, og = canonical_form(G)
-    kh, oh = canonical_form(H)
-    if kg != kh:
-        return None
-    inv = {v: i for i, v in enumerate(og)}
-    return {v: oh[inv[v]] for v in range(G.n)}
 
 
 # ---------------------------------------------------------------------------

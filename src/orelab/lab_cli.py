@@ -13,9 +13,9 @@ Subcommands:
 The corpus directory comes from --corpus, else $ORELAB_CORPUS, else
 ./corpus.  Exit codes: 0 all checks pass, 1 at least one FAIL row,
 2 usage errors, 3 an internal invariant broke (the message names the
-corpus entry and its graph6 string).  Output contains no timestamps; a
-command re-run with the same corpus and seed produces identical bytes,
-with any number of --jobs.
+graph's graph6 string, and under verify its corpus key).  Output contains
+no timestamps; a command re-run with the same corpus and seed produces
+identical bytes, with any number of --jobs.
 """
 
 from __future__ import annotations
@@ -261,13 +261,22 @@ def _entry_report_packed(task):
 # ---------------------------------------------------------------------------
 
 
+def _add_graph(corpus: Corpus, G: Graph, provenance: str) -> None:
+    """Store one graph and print its line; an :class:`InvariantViolation`
+    leaves with the graph's graph6 string in its message."""
+    try:
+        facts = Facts.of(G)
+        added = corpus.add(facts, provenance)
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"graph6 {graph_to_graph6(G)}: {exc}") from None
+    print(f"{facts.key} n={G.n} m={G.m} {'new' if added else 'known'}")
+
+
 def cmd_gen(args) -> int:
     corpus = Corpus(resolve_dir(args.corpus))
     count = 0
     for G, recipe in ore.enumerate_5_ore(args.max_n):
-        facts = Facts.of(G)
-        added = corpus.add(facts, "recipe " + ore.recipe_to_text(recipe))
-        print(f"{facts.key} n={G.n} m={G.m} {'new' if added else 'known'}")
+        _add_graph(corpus, G, "recipe " + ore.recipe_to_text(recipe))
         count += 1
     print(f"generated {count} classes up to n={args.max_n}")
     return 0
@@ -287,9 +296,7 @@ def cmd_add(args) -> int:
             )
         graphs = [(g, f"file {path.name}") for g in _graphs_from_file(path)]
     for G, provenance in graphs:
-        facts = Facts.of(G)
-        added = corpus.add(facts, provenance)
-        print(f"{facts.key} n={G.n} m={G.m} {'new' if added else 'known'}")
+        _add_graph(corpus, G, provenance)
     return 0
 
 

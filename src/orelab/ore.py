@@ -25,11 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph_core import (
+    Canonical,
     Graph,
     InvariantViolation,
     bits,
     canonical_form,
-    canonical_key,
+    check_automorphism,
     connected_components,
     identify_vertices_with_map,
     induced_subgraph,
@@ -258,46 +259,102 @@ def _composition_sites(g1: Graph, g2: Graph):
                 yield xy, z, split
 
 
+def _orbit_roots(elements, act, generators) -> dict:
+    """The orbit representative of each element under the group generated
+    by ``generators``; ``act(g, e)`` is the image of element e under g."""
+    parent = {e: e for e in elements}
+
+    def root(e):
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    for g in generators:
+        for e in elements:
+            a, b = root(e), root(act(g, e))
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return {e: root(e) for e in elements}
+
+
+def _orbit_tables(G: Graph, generators) -> tuple[dict, dict]:
+    """Orbit representatives under the automorphisms ``generators`` of G,
+    each checked before use: of every ordered edge (x, y), as an edge side,
+    and of every (z, A) with A a nonempty proper subset of N(z) given as a
+    bitmask, as a vertex side."""
+    for g in generators:
+        check_automorphism(G, g)
+    arcs = [a for u, v in G.edges() for a in ((u, v), (v, u))]
+    splits = []
+    for z in range(G.n):
+        nbrs = G.adj[z]
+        part = (nbrs - 1) & nbrs
+        while part:
+            splits.append((z, part))
+            part = (part - 1) & nbrs
+
+    def move_arc(g, arc):
+        return g[arc[0]], g[arc[1]]
+
+    def move_split(g, split):
+        return g[split[0]], mask_of(g[v] for v in bits(split[1]))
+
+    return _orbit_roots(arcs, move_arc, generators), _orbit_roots(splits, move_split, generators)
+
+
 def enumerate_5_ore(max_n: int):
     """All isomorphism classes of 5-Ore graphs on at most max_n vertices.
 
     Yields (graph, recipe) pairs, sizes ascending, canonical-key order
     within a size; each class appears once with one witnessing recipe.
     Every 5-Ore graph has n = 4k + 1 vertices, so levels run 5, 9, 13, ...
+
+    Sites that an automorphism of either side, or the swap of (x, y, A)
+    with (y, x, B), carries onto a site tried before give an isomorphic
+    composite, so only the first site of each orbit is composed.  Each
+    class is still found first at the same site as by trying every site:
+    that site is the first of its own orbit.
     """
     if max_n < 5:
         return
-    levels: dict[int, list[tuple[bytes, Graph, OreRecipe]]] = {}
     base = k5()
-    levels[5] = [(canonical_key(base), base, Leaf())]
-    seen = {levels[5][0][0]}
+    key, _, generators = canonical_form(base)
+    levels = {5: [(base, Leaf(), *_orbit_tables(base, generators))]}
+    seen = {key}
     yield base, Leaf()
-    n = 9
-    while n <= max_n:
-        found: dict[bytes, tuple[Graph, OreRecipe]] = {}
+    for n in range(9, max_n + 1, 4):
+        found: dict[bytes, tuple[Graph, OreRecipe, tuple]] = {}
         raw_seen: set[tuple[int, tuple[int, ...]]] = set()
         for n1 in sorted(levels):
             n2 = n + 1 - n1
             if n2 not in levels:
                 continue
-            for _, g1, r1 in levels[n1]:
-                for _, g2, r2 in levels[n2]:
-                    for xy, z, split in _composition_sites(g1, g2):
-                        G, _ = compose_graphs(g1, xy, g2, z, split)
+            for g1, r1, arc, _ in levels[n1]:
+                for g2, r2, _, part in levels[n2]:
+                    tried = set()
+                    for (x, y), z, split in _composition_sites(g1, g2):
+                        a, b = mask_of(split[0]), mask_of(split[1])
+                        orbit = min((arc[x, y], part[z, a]), (arc[y, x], part[z, b]))
+                        if orbit in tried:
+                            continue
+                        tried.add(orbit)
+                        G, _ = compose_graphs(g1, (x, y), g2, z, split)
                         fp = (G.n, G.adj)
                         if fp in raw_seen:
                             continue
                         raw_seen.add(fp)
-                        key = canonical_key(G)
+                        key, _, generators = canonical_form(G)
                         if key in seen or key in found:
                             continue
-                        found[key] = (G, Compose(r1, xy, r2, z, split))
-        level = [(key, G, r) for key, (G, r) in sorted(found.items())]
-        levels[n] = level
+                        found[key] = (G, Compose(r1, (x, y), r2, z, split), generators)
         seen.update(found)
-        for _, G, r in level:
+        level = [found[key] for key in sorted(found)]
+        if n + 4 <= max_n:
+            # orbit tables only for the classes that later levels compose
+            levels[n] = [(G, r, *_orbit_tables(G, gens)) for G, r, gens in level]
+        for G, r, _ in level:
             yield G, r
-        n += 4
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +380,7 @@ def _nonempty_proper_unions(parts: list[frozenset[int]]):
 
 
 def is_5_ore(
-    G: Graph, canonical: tuple[bytes, tuple[int, ...]] | None = None
+    G: Graph, canonical: Canonical | None = None
 ) -> OreRecipe | None:
     """A witnessing recipe if G is 5-Ore, else None.
 
@@ -344,9 +401,9 @@ def is_5_ore(
     return _classify(G, canonical or canonical_form(G))[0]
 
 
-def _classify(G: Graph, canonical: tuple[bytes, tuple[int, ...]]):
+def _classify(G: Graph, canonical: Canonical):
     """The class-table entry of G, recognizing its class on first sight."""
-    key, order = canonical
+    key, order, _ = canonical
     if key not in _CLASSES:
         _CLASSES[key] = _recognize(_relabel(G, order))
     return _CLASSES[key]

@@ -34,6 +34,7 @@ from . import coloring as col
 from . import ore
 from . import packing
 from .graph_core import (
+    Canonical,
     Graph,
     InvariantViolation,
     bits,
@@ -176,7 +177,7 @@ class Facts:
     """
 
     graph: Graph
-    canonical: tuple[bytes, tuple[int, ...]]
+    canonical: Canonical
     key: str
     critical: bool
     recipe: ore.OreRecipe | None

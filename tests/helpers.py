@@ -7,7 +7,8 @@ and not at the oracle.
 
 from itertools import combinations, permutations
 
-from orelab import Graph, is_k_colorable, without_edge
+from orelab import Graph, canonical_key, clusters, compose_graphs, is_k_colorable, without_edge
+from orelab.ore import Compose, Leaf, _composition_sites, k5
 
 
 def brute_colorable(G: Graph, k: int) -> bool:
@@ -109,3 +110,54 @@ def random_graph(n: int, p: float, rng) -> Graph:
         if rng.random() < p
     ]
     return Graph.from_edges(n, edges)
+
+
+def cluster_size_sequence(G: Graph) -> tuple[int, ...]:
+    """Sizes of G's degree-four clusters, largest first."""
+    return tuple(sorted((len(c.vertices) for c in clusters(G)), reverse=True))
+
+
+def enumerate_by_sites(max_n: int):
+    """``enumerate_5_ore`` without orbit pruning: every composition site is
+    composed and canonically labeled, and each class keeps the first site
+    that produced it."""
+    if max_n < 5:
+        return
+    levels = {5: [(Leaf(), k5())]}
+    seen = {canonical_key(k5())}
+    yield k5(), Leaf()
+    for n in range(9, max_n + 1, 4):
+        found = {}
+        for n1 in sorted(levels):
+            n2 = n + 1 - n1
+            if n2 not in levels:
+                continue
+            for r1, g1 in levels[n1]:
+                for r2, g2 in levels[n2]:
+                    for xy, z, split in _composition_sites(g1, g2):
+                        G, _ = compose_graphs(g1, xy, g2, z, split)
+                        key = canonical_key(G)
+                        if key not in seen and key not in found:
+                            found[key] = (Compose(r1, xy, r2, z, split), G)
+        levels[n] = [found[key] for key in sorted(found)]
+        seen.update(found)
+        for r, G in levels[n]:
+            yield G, r
+
+
+def group_order(n: int, generators) -> int:
+    """Order of the permutation group on range(n) that ``generators``
+    generate, by closing the identity under them; keep the group small."""
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        grown = []
+        for p in frontier:
+            for g in generators:
+                q = tuple(g[v] for v in p)
+                if q not in group:
+                    group.add(q)
+                    grown.append(q)
+        frontier = grown
+    return len(group)

@@ -226,6 +226,18 @@ def test_verify_panic_exits_3_naming_the_entry(small_corpus, run, monkeypatch, j
     assert line.startswith(f"panic: entry {key} graph6 {graph6}: walked coloring")
 
 
+@pytest.mark.parametrize("argv", [("gen", "--max-n", "9"), ("add", "c5_join_k2")])
+def test_store_panic_exits_3_naming_the_graph(tmp_path, run, monkeypatch, argv):
+    def broken(G):
+        raise orelab.InvariantViolation("facts broke")
+
+    monkeypatch.setattr(Facts, "of", staticmethod(broken))
+    code, out, err = run(*argv, "--corpus", str(tmp_path / "corpus"))
+    assert code == 3
+    first = complete_graph(5) if argv[0] == "gen" else named_graph("c5_join_k2")
+    assert err.splitlines() == [f"panic: graph6 {graph_to_graph6(first)}: facts broke"]
+
+
 def test_extend_block_of_double(small_corpus, run):
     from orelab import enumerate_5_ore
 

@@ -4,10 +4,8 @@ import pytest
 
 from orelab import (
     Graph,
-    Ordering,
     canonical_key,
     clusters,
-    compare_smaller,
     complete_graph,
     connected_components,
     cycle_graph,
@@ -20,15 +18,20 @@ from orelab import (
     identify_vertices,
     induced_subgraph,
     is_connected,
-    isomorphism_from_canonical,
     named_graph,
     star_graph,
     with_edge,
     without_edge,
 )
-from orelab.graph_core import cluster_size_sequence, identify_vertices_with_map
+from orelab.graph_core import (
+    InvariantViolation,
+    canonical_form,
+    check_automorphism,
+    identify_vertices_with_map,
+)
+from orelab.constructions import NAMED
 
-from helpers import brute_isomorphic, random_graph
+from helpers import brute_isomorphic, cluster_size_sequence, group_order, random_graph
 
 
 def shuffled_copy(G, rng):
@@ -175,43 +178,6 @@ def test_clusters_on_double_k5(doubles):
     assert seqs == [(3, 2, 2), (3, 3, 1, 1)]
 
 
-def test_compare_smaller_is_a_preorder():
-    K4, K5, C5 = complete_graph(4), complete_graph(5), cycle_graph(5)
-    W4 = named_graph("c5_join_k2")  # just to have a labeled pick handy
-    assert compare_smaller(K5, K4) == Ordering.H_SMALLER
-    assert compare_smaller(K4, K5) == Ordering.G_SMALLER
-    # same order: more edges is smaller
-    assert compare_smaller(C5, complete_graph(5)) == Ordering.H_SMALLER
-    assert compare_smaller(K5, K5) == Ordering.EQUAL_RANK
-    assert W4.n == 7
-
-    rng = random.Random(3)
-    pool = [random_graph(6, rng.random(), rng) for _ in range(9)]
-    for G in pool:
-        assert compare_smaller(G, G) == Ordering.EQUAL_RANK
-    for G in pool:
-        for H in pool:
-            a = compare_smaller(G, H)
-            b = compare_smaller(H, G)
-            if a == Ordering.EQUAL_RANK:
-                assert b == Ordering.EQUAL_RANK
-            else:
-                assert {a, b} == {Ordering.H_SMALLER, Ordering.G_SMALLER}
-
-
-def test_compare_smaller_cluster_tiebreak(doubles):
-    (g1, _), (g2, _) = doubles
-    a, b = cluster_size_sequence(g1), cluster_size_sequence(g2)
-    assert {a, b} == {(3, 3, 1, 1), (3, 2, 2)}
-    # same n and m; (3,3,1,1) beats (3,2,2,0) lexicographically after the
-    # zero padding, so that class ranks larger
-    big = g1 if a == (3, 3, 1, 1) else g2
-    small = g2 if big is g1 else g1
-    assert (big.n, big.m) == (small.n, small.m) == (9, 19)
-    assert compare_smaller(big, small) == Ordering.H_SMALLER
-    assert compare_smaller(small, big) == Ordering.G_SMALLER
-
-
 # --- canonical form ----------------------------------------------------------
 
 
@@ -244,16 +210,52 @@ def test_canonical_key_agrees_with_brute_isomorphism():
     assert agree_used > 20  # the sample actually hit both branches
 
 
-def test_isomorphism_from_canonical_is_explicit():
+def test_canonical_order_is_an_isomorphism_between_relabelings():
     rng = random.Random(5)
     G = named_graph("groetzsch")
     H, _ = shuffled_copy(G, rng)
-    iso = isomorphism_from_canonical(G, H)
-    assert iso is not None
+    kg, og, _ = canonical_form(G)
+    kh, oh, _ = canonical_form(H)
+    assert kg == kh
+    iso = {v: oh[i] for i, v in enumerate(og)}
     assert sorted(iso.values()) == list(range(G.n))
     for u, v in G.edges():
         assert H.has_edge(iso[u], iso[v])
-    assert isomorphism_from_canonical(G, cycle_graph(11)) is None
+
+
+def automorphism_count(G):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    g = nx.Graph()
+    g.add_nodes_from(range(G.n))
+    g.add_edges_from(G.edges())
+    return sum(1 for _ in GraphMatcher(g, g).isomorphisms_iter())
+
+
+def test_generators_generate_the_automorphism_group(ore13):
+    graphs = [g for g, _ in ore13] + [named_graph(name) for name in sorted(NAMED)]
+    graphs += [cycle_graph(7), star_graph(4), Graph.from_edges(4, [(0, 1), (2, 3)])]
+    # the smallest asymmetric trees have seven vertices
+    graphs.append(Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)]))
+    for G in graphs:
+        _, _, generators = canonical_form(G)
+        for g in generators:
+            check_automorphism(G, g)
+        assert group_order(G.n, generators) == automorphism_count(G)
+
+
+def test_check_automorphism_rejects_a_corrupted_generator():
+    G = named_graph("groetzsch")
+    g = list(canonical_form(G)[2][0])
+    check_automorphism(G, g)
+    hub = max(range(G.n), key=G.degree)
+    leaf = min(range(G.n), key=G.degree)
+    g[hub], g[leaf] = g[leaf], g[hub]
+    with pytest.raises(InvariantViolation):
+        check_automorphism(G, g)
+    with pytest.raises(InvariantViolation):
+        check_automorphism(G, [0] * G.n)
 
 
 # --- serialization -----------------------------------------------------------

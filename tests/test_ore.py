@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -19,9 +20,10 @@ from orelab import (
     recipe_from_text,
     recipe_to_text,
 )
-from orelab.graph_core import cluster_size_sequence
-from orelab import ore
+from orelab import InvariantViolation, graph_to_graph6, ore
 from orelab.ore import Compose, Leaf, k5
+
+from helpers import cluster_size_sequence, enumerate_by_sites
 
 
 def split_kinds(doubles):
@@ -138,6 +140,48 @@ def test_enumeration_prefix_stability(ore13):
     assert [canonical_key(g) for g, _ in nine] == [
         canonical_key(g) for g, _ in ore13[: len(nine)]
     ]
+
+
+ORE17_SHA256 = "dfcb3378046d22fab037bc8aa3d3b19303b0c823da543fef5e4243ad454a09c7"
+"""sha256 of the ``<graph6> <recipe text>`` lines of ``enumerate_5_ore(17)``,
+one per class in order, as written before orbit pruning."""
+
+
+def test_enumeration_to_17_is_frozen(ore17):
+    assert [sum(1 for g, _ in ore17 if g.n == n) for n in (5, 9, 13, 17)] == [1, 2, 23, 549]
+    lines = "".join(f"{graph_to_graph6(g)} {recipe_to_text(r)}\n" for g, r in ore17)
+    assert hashlib.sha256(lines.encode()).hexdigest() == ORE17_SHA256
+
+
+def test_orbit_pruning_keeps_every_first_site(ore13):
+    pruned = [(g.adj, recipe_to_text(r)) for g, r in ore13]
+    assert pruned == [(g.adj, recipe_to_text(r)) for g, r in enumerate_by_sites(13)]
+
+
+def test_orbit_pruning_composes_fewer_sites(monkeypatch):
+    calls = []
+    compose = ore.compose_graphs
+    monkeypatch.setattr(ore, "compose_graphs", lambda *a: calls.append(a) or compose(*a))
+    assert len(list(enumerate_5_ore(13))) == 26
+    # the 449 sites at n <= 13 (3 at n = 9) fall into 51 orbits (2 at n = 9)
+    assert len(calls) == 51
+
+
+def test_enumeration_checks_generators_before_use(monkeypatch):
+    canonical = ore.canonical_form
+
+    def corrupted(G):
+        key, order, generators = canonical(G)
+        # a transposition of vertices of different degrees is no automorphism
+        low = min(range(G.n), key=G.degree)
+        high = max(range(G.n), key=G.degree)
+        swap = list(range(G.n))
+        swap[low], swap[high] = high, low
+        return key, order, generators + (tuple(swap),)
+
+    monkeypatch.setattr(ore, "canonical_form", corrupted)
+    with pytest.raises(InvariantViolation, match="not an automorphism"):
+        list(enumerate_5_ore(13))
 
 
 # --- recognition -------------------------------------------------------------

@@ -33,7 +33,8 @@ from orelab import (
     verify_main_theorem,
     verify_ore5_bounds,
 )
-from orelab.graph_core import cluster_size_sequence
+
+from helpers import cluster_size_sequence
 
 
 def one_three(doubles):
