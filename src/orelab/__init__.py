@@ -5,184 +5,31 @@ and their recognition, weighted clique packings, exact potentials,
 critical extensions, collapsible subsets, and discharging arithmetic.
 All arithmetic is integer-exact; every verifier reports machine-parseable
 CHECK lines.
+
+The names exported here are the ones README.md documents; everything else
+is imported from its submodule.
 """
 
-from .coloring import (
-    CollapseReport,
-    boundary,
-    critical_complement,
-    extract_5_critical,
-    identifiable_pairs,
-    is_5_critical,
-    is_collapsible,
-    is_k_colorable,
-    seeded_coloring,
-)
-from .constructions import (
-    complete_graph,
-    cycle_graph,
-    grotzsch,
-    join,
-    mycielskian,
-    named_graph,
-    path_graph,
-    star_graph,
-    wheel,
-)
-from .corpus import Corpus, Entry, compute_invariants, resolve_dir
-from .discharge import (
-    ChargeLedger,
-    closing_inequalities,
-    initial_charge_84,
-    ledger_dump,
-    run_discharge,
-)
-from .graph_core import (
-    D4Report,
-    Graph,
-    InvariantViolation,
-    canonical_form,
-    canonical_key,
-    clusters,
-    connected_components,
-    d4_components,
-    delete_vertices,
-    graph_from_graph6,
-    graph_from_text,
-    graph_to_graph6,
-    graph_to_text,
-    identify_vertices,
-    induced_subgraph,
-    is_connected,
-    with_edge,
-    without_edge,
-)
-from .ore import (
-    Compose,
-    GemReport,
-    Leaf,
-    OreRecipe,
-    compose_graphs,
-    enumerate_5_ore,
-    gems,
-    is_5_ore,
-    ore_collapsible_subsets,
-    ore_compose,
-    ore_compose_traced,
-    recipe_from_text,
-    recipe_to_text,
-)
-from .packing import MicWitness, Packing, four_cliques, mic, t_number, t_number_oracle, triangles
-from .potential import (
-    DELTA,
-    EPS,
-    KY_CORE_COST,
-    P_GAP,
-    Q_GAP,
-    ExtensionRecord,
-    Facts,
-    Rat21,
-    critical_extension,
-    f_core,
-    p_ky,
-    p_ky_set,
-    phi_identify,
-    potential,
-    potential_set,
-    random_extension,
-    short_key,
-    structure_lemma_audit,
-    verify_extension_inequalities,
-    verify_main_theorem,
-    verify_ore5_bounds,
-)
-from .report import Check, Report
+from .constructions import named_graph
+from .graph_core import Graph, InvariantViolation, graph_from_graph6, graph_to_graph6
+from .ore import enumerate_5_ore, is_5_ore, ore_compose, recipe_to_text
+from .packing import t_number
+from .potential import Facts, Rat21, critical_extension, p_ky, potential
 
 __all__ = [
-    "ChargeLedger",
-    "Check",
-    "CollapseReport",
-    "Compose",
-    "Corpus",
-    "D4Report",
-    "DELTA",
-    "EPS",
-    "Entry",
-    "ExtensionRecord",
     "Facts",
-    "GemReport",
     "Graph",
     "InvariantViolation",
-    "KY_CORE_COST",
-    "Leaf",
-    "MicWitness",
-    "OreRecipe",
-    "P_GAP",
-    "Packing",
-    "Q_GAP",
     "Rat21",
-    "Report",
-    "boundary",
-    "canonical_form",
-    "canonical_key",
-    "closing_inequalities",
-    "clusters",
-    "complete_graph",
-    "compose_graphs",
-    "compute_invariants",
-    "connected_components",
-    "critical_complement",
     "critical_extension",
-    "cycle_graph",
-    "d4_components",
-    "delete_vertices",
     "enumerate_5_ore",
-    "extract_5_critical",
-    "f_core",
-    "four_cliques",
-    "gems",
     "graph_from_graph6",
-    "graph_from_text",
     "graph_to_graph6",
-    "graph_to_text",
-    "grotzsch",
-    "identifiable_pairs",
-    "identify_vertices",
-    "induced_subgraph",
-    "initial_charge_84",
-    "is_5_critical",
     "is_5_ore",
-    "is_collapsible",
-    "is_connected",
-    "is_k_colorable",
-    "join",
-    "ledger_dump",
-    "mic",
-    "mycielskian",
     "named_graph",
-    "ore_collapsible_subsets",
     "ore_compose",
-    "ore_compose_traced",
     "p_ky",
-    "p_ky_set",
-    "path_graph",
-    "phi_identify",
     "potential",
-    "potential_set",
-    "random_extension",
-    "recipe_from_text",
     "recipe_to_text",
-    "resolve_dir",
-    "run_discharge",
-    "seeded_coloring",
-    "short_key",
-    "star_graph",
-    "structure_lemma_audit",
     "t_number",
-    "t_number_oracle",
-    "triangles",
-    "verify_extension_inequalities",
-    "verify_main_theorem",
-    "verify_ore5_bounds",
-    "wheel",
 ]

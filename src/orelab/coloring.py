@@ -3,7 +3,7 @@
 The solver is a saturation-first backtracking search over bitmask color
 domains.  Completeness is the whole point: a ``None`` answer is a proof
 that no proper k-coloring exists, and everything downstream (criticality,
-identifiable pairs, collapsibility, critical extensions) leans on that.
+collapsibility, critical extensions) leans on that.
 
 Symmetry is broken two ways, both sound for the decision problem: a
 greedily found clique is precolored with distinct colors, and a fresh
@@ -29,8 +29,6 @@ from .graph_core import (
     InvariantViolation,
     bits,
     connected_components,
-    delete_vertices,
-    identify_vertices,
     induced_subgraph,
     mask_of,
     with_edge,
@@ -310,28 +308,6 @@ def extract_5_critical(G: Graph) -> Graph:
     return cur
 
 
-def identifiable_pairs(G: Graph, R) -> list[tuple[int, int]]:
-    """Nonadjacent pairs in R whose identification is not 4-colorable.
-
-    A pair u,v is identifiable in R when G[R] + uv has no proper
-    4-coloring, i.e. every 4-coloring of G[R] gives u and v one color.
-    R must be a proper subset of the vertices.
-    """
-    R = sorted(set(R))
-    if len(R) >= G.n:
-        raise ValueError("R must be a proper subset of the vertices")
-    sub = induced_subgraph(G, R)
-    pos = {v: i for i, v in enumerate(R)}
-    out = []
-    for i, u in enumerate(R):
-        for v in R[i + 1 :]:
-            if G.has_edge(u, v):
-                continue
-            if is_k_colorable(with_edge(sub, pos[u], pos[v]), 4) is None:
-                out.append((u, v))
-    return out
-
-
 def boundary(G: Graph, R) -> tuple[int, ...]:
     """Vertices of R with at least one neighbor outside R."""
     rmask = mask_of(R)
@@ -343,7 +319,6 @@ class CollapseReport:
     collapsible: bool
     boundary: tuple[int, ...]
     splitting_coloring: dict[int, int] | None
-    checked_pairs: tuple[tuple[int, int], ...]
 
 
 def is_collapsible(G: Graph, R) -> CollapseReport:
@@ -368,51 +343,15 @@ def is_collapsible(G: Graph, R) -> CollapseReport:
         raise ValueError("R has empty boundary")
     pos = {v: i for i, v in enumerate(R)}
     if len(bnd) == 1:
-        return CollapseReport(True, bnd, None, ())
-    checked = []
+        return CollapseReport(True, bnd, None)
     for i, u in enumerate(bnd):
         for v in bnd[i + 1 :]:
             if G.has_edge(u, v):
                 # adjacent boundary vertices always split
                 witness = {w: base[pos[w]] for w in R}
-                return CollapseReport(False, bnd, witness, tuple(checked))
+                return CollapseReport(False, bnd, witness)
             split = is_k_colorable(with_edge(sub, pos[u], pos[v]), 4)
             if split is not None:
                 witness = {w: split[pos[w]] for w in R}
-                return CollapseReport(False, bnd, witness, tuple(checked))
-            checked.append((u, v))
-    return CollapseReport(True, bnd, None, tuple(checked))
-
-
-def critical_complement(G: Graph, R) -> tuple[Graph, int]:
-    """Identify a collapsible set's boundary to one vertex, drop the rest.
-
-    The returned graph W keeps G's labels outside R; the merged special
-    vertex sits at index 0 with label -1.  For 5-critical G the complement
-    is itself 5-critical, and that is verified here.
-    """
-    rep = is_collapsible(G, R)
-    if not rep.collapsible:
-        raise ValueError("R is not collapsible")
-    R = sorted(set(R))
-    rmask = mask_of(R)
-    outside = [v for v in range(G.n) if not rmask >> v & 1]
-    attach = 0
-    for v in rep.boundary:
-        attach |= G.adj[v] & ~rmask
-    pos = {v: i + 1 for i, v in enumerate(outside)}
-    edges = []
-    for v in outside:
-        if attach >> v & 1:
-            edges.append((0, pos[v]))
-        for u in bits(G.adj[v] & ~rmask):
-            if u > v:
-                edges.append((pos[v], pos[u]))
-    labels = (-1,) + tuple(G.label(v) for v in outside)
-    W = Graph.from_edges(len(outside) + 1, edges, labels)
-    if not is_5_critical(W):
-        raise InvariantViolation(
-            "complement of a collapsible set in a 5-critical graph "
-            "must be 5-critical"
-        )
-    return W, 0
+                return CollapseReport(False, bnd, witness)
+    return CollapseReport(True, bnd, None)

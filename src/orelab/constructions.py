@@ -1,4 +1,4 @@
-"""Small graph constructors for fixtures and the command line.
+"""Graph constructors behind the command line's named graphs.
 
 The named registry holds the handful of 5-critical graphs used as
 standing examples: the wheel-like join C5 + K2, the Groetzsch graph with
@@ -21,24 +21,12 @@ def cycle_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
 
 
-def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
-
-
-def star_graph(leaves: int) -> Graph:
-    return Graph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
-
-
 def join(G: Graph, H: Graph) -> Graph:
     """Disjoint union plus all edges between the two sides."""
     edges = list(G.edges())
     edges += [(G.n + u, G.n + v) for u, v in H.edges()]
     edges += [(u, G.n + v) for u in range(G.n) for v in range(H.n)]
     return Graph.from_edges(G.n + H.n, edges)
-
-
-def wheel(rim: int) -> Graph:
-    return join(complete_graph(1), cycle_graph(rim))
 
 
 def mycielskian(G: Graph) -> Graph:

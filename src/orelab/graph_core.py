@@ -4,7 +4,7 @@ A :class:`Graph` is an immutable value: vertex ``i``'s neighborhood is an
 ``int`` bitmask, so neighborhood algebra is single-word arithmetic.  All of
 the higher machinery (exact coloring, clique packing, composition search,
 potential audits) builds on the operations here: induced subgraphs, vertex
-identification, the structure of degree-four vertices, and an exact
+identification, the components of the degree-four subgraph, and an exact
 canonical form used to deduplicate isomorphism classes.
 
 Canonical forms are computed by equitable partition refinement plus
@@ -166,26 +166,14 @@ def induced_subgraph(G: Graph, R) -> Graph:
     return Graph(len(R), tuple(rows), tuple(G.label(v) for v in R))
 
 
-def delete_vertices(G: Graph, S) -> Graph:
-    keep = sorted(set(range(G.n)) - set(S))
-    if not keep:
-        raise ValueError("cannot delete every vertex")
-    return induced_subgraph(G, keep)
-
-
-def identify_vertices(G: Graph, S) -> Graph:
+def identify_vertices(G: Graph, S) -> tuple[Graph, dict[int, int]]:
     """Merge the vertices of ``S`` into one, dropping parallel edges.
 
     Identification is only defined for pairwise nonadjacent sets (merging
     adjacent vertices would create a loop); adjacency inside ``S`` is an
     error.  The merged vertex takes the position of ``min(S)`` and keeps its
-    label.
+    label.  Also returns the map from G's vertices to the result's.
     """
-    G2, _ = identify_vertices_with_map(G, S)
-    return G2
-
-
-def identify_vertices_with_map(G: Graph, S) -> tuple[Graph, dict[int, int]]:
     S = sorted(set(S))
     if not S:
         raise ValueError("empty vertex set")
@@ -232,10 +220,6 @@ def connected_components(G: Graph, within=None) -> list[frozenset[int]]:
     return comps
 
 
-def is_connected(G: Graph) -> bool:
-    return len(connected_components(G)) == 1
-
-
 @dataclass(frozen=True)
 class D4Report:
     """Connected components of the subgraph induced by degree-four vertices.
@@ -258,31 +242,6 @@ def d4_components(G: Graph) -> D4Report:
     singles = sum(1 for c in comps if len(c) == 1)
     pairs = sum(1 for c in comps if len(c) == 2)
     return D4Report(comps, singles, pairs)
-
-
-@dataclass(frozen=True)
-class Cluster:
-    vertices: frozenset[int]
-    closed_neighborhood: frozenset[int]
-
-
-def clusters(G: Graph) -> list[Cluster]:
-    """Maximal sets of degree-four vertices sharing a closed neighborhood.
-
-    Only degree-four vertices belong to clusters; a graph without them has
-    no clusters at all.  Grouping by the closed-neighborhood bitmask makes
-    maximality automatic.
-    """
-    groups: dict[int, list[int]] = {}
-    for v in range(G.n):
-        if G.degree(v) == 4:
-            groups.setdefault(G.adj[v] | 1 << v, []).append(v)
-    out = [
-        Cluster(frozenset(vs), frozenset(bits(closed)))
-        for closed, vs in groups.items()
-    ]
-    out.sort(key=lambda c: (-len(c.vertices), min(c.vertices)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +389,6 @@ def check_automorphism(G: Graph, image) -> None:
         adj[image[u]] >> image[v] & 1 for u, v in G.edges()
     ):
         raise InvariantViolation(f"{tuple(image)} is not an automorphism")
-
-
-def canonical_key(G: Graph) -> bytes:
-    return canonical_form(G)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ Subcommands:
 The corpus directory comes from --corpus, else $ORELAB_CORPUS, else
 ./corpus.  Exit codes: 0 all checks pass, 1 at least one FAIL row,
 2 usage errors, 3 an internal invariant broke (the message names the
-graph's graph6 string, and under verify its corpus key).  Output contains
-no timestamps; a command re-run with the same corpus and seed produces
-identical bytes, with any number of --jobs.
+graph's graph6 string, and under verify and extend its corpus key).
+Output contains no timestamps; a command re-run with the same corpus and
+seed produces identical bytes, with any number of --jobs.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import argparse
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import coloring as col
@@ -48,10 +49,22 @@ from .graph_core import (
     graph_from_graph6,
     graph_from_text,
     graph_to_graph6,
+    induced_subgraph,
 )
 from .report import Report
 
 SUITES = ("main", "ore5", "extensions", "lemma2", "discharge", "all")
+
+
+@contextmanager
+def _panics_naming(G: Graph, entry: str | None = None):
+    """Let an :class:`InvariantViolation` leave with G's graph6 string in its
+    message, after the corpus key ``entry`` when there is one."""
+    try:
+        yield
+    except InvariantViolation as exc:
+        where = f"entry {entry} " if entry else ""
+        raise InvariantViolation(f"{where}graph6 {graph_to_graph6(G)}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +189,8 @@ def _entry_report(
     """
     corpus = Corpus(Path(root))
     entry = corpus.load(key)
-    try:
+    with _panics_naming(entry.graph, key):
         rep = _suite_report(corpus, entry, suite, budget, seed, record_ids)
-    except InvariantViolation as exc:
-        raise InvariantViolation(
-            f"entry {key} graph6 {graph_to_graph6(entry.graph)}: {exc}"
-        ) from None
     return key, rep.lines(), sum(not c.ok for c in rep.checks)
 
 
@@ -262,13 +271,10 @@ def _entry_report_packed(task):
 
 
 def _add_graph(corpus: Corpus, G: Graph, provenance: str) -> None:
-    """Store one graph and print its line; an :class:`InvariantViolation`
-    leaves with the graph's graph6 string in its message."""
-    try:
+    """Store one graph and print its line."""
+    with _panics_naming(G):
         facts = Facts.of(G)
         added = corpus.add(facts, provenance)
-    except InvariantViolation as exc:
-        raise InvariantViolation(f"graph6 {graph_to_graph6(G)}: {exc}") from None
     print(f"{facts.key} n={G.n} m={G.m} {'new' if added else 'known'}")
 
 
@@ -319,14 +325,13 @@ def cmd_extend(args) -> int:
         raise ValueError("--r needs at least 5 vertices")
     if len(R) >= G.n:
         raise ValueError("--r must be a proper subset of the vertices")
-    from .graph_core import induced_subgraph
-
-    sub = induced_subgraph(G, R)
-    colors = col.seeded_coloring(sub, 4, random.Random(args.seed))
-    if colors is None:
-        raise ValueError("the induced subgraph on --r is not 4-colorable")
-    phi = {v: colors[i] for i, v in enumerate(R)}
-    rec = critical_extension(G, R, phi)
+    with _panics_naming(G, entry.key):
+        colors = col.seeded_coloring(induced_subgraph(G, R), 4, random.Random(args.seed))
+        if colors is None:
+            raise ValueError("the induced subgraph on --r is not 4-colorable")
+        phi = {v: colors[i] for i, v in enumerate(R)}
+        rec = critical_extension(G, R, phi)
+        rep = verify_extension_inequalities(rec, entry.key)
     print(f"extend {args.key} r={','.join(map(str, R))} seed={args.seed}")
     print("phi " + " ".join(f"{v}:{phi[v]}" for v in R))
     print(f"identified n={rec.identified.n} m={rec.identified.m}")
@@ -338,7 +343,6 @@ def cmd_extend(args) -> int:
         f" empty-classes={','.join(map(str, rec.empty_classes)) or '-'}"
     )
     print("expanded " + ",".join(map(str, sorted(rec.expanded))))
-    rep = verify_extension_inequalities(rec, entry.key)
     for line in rep.lines():
         print(line)
     return 0 if rep.ok else 1
@@ -347,7 +351,8 @@ def cmd_extend(args) -> int:
 def cmd_t(args) -> int:
     corpus = Corpus(resolve_dir(args.corpus))
     G = _resolve_graph(corpus, args.key)
-    t, pack = packing.t_number(G)
+    with _panics_naming(G):
+        t, pack = packing.t_number(G)
     print(f"t={t}")
     for piece in pack.pieces:
         kind = "K4" if len(piece) == 4 else "K3"
@@ -358,25 +363,28 @@ def cmd_t(args) -> int:
 def cmd_potential(args) -> int:
     corpus = Corpus(resolve_dir(args.corpus))
     G = _resolve_graph(corpus, args.key)
-    t, _ = packing.t_number(G)
+    with _panics_naming(G):
+        t, _ = packing.t_number(G)
+        p = potential(G)
     print(f"n={G.n}")
     print(f"m={G.m}")
     print(f"t={t}")
     print(f"p_ky={p_ky(G)}")
-    print(f"p={potential(G)}")
+    print(f"p={p}")
     return 0
 
 
 def cmd_discharge(args) -> int:
     corpus = Corpus(resolve_dir(args.corpus))
     G = _resolve_graph(corpus, args.key)
-    ledger = dis.run_discharge(G)
+    with _panics_naming(G):
+        ledger = dis.run_discharge(G)
+        facts = Facts.of(G)
+        rep = dis.closing_inequalities(facts) if facts.critical else None
     sys.stdout.write(dis.ledger_dump(ledger))
-    facts = Facts.of(G)
-    if not facts.critical:
+    if rep is None:
         print("closing inequalities skipped: graph is not 5-critical")
         return 0
-    rep = dis.closing_inequalities(facts)
     for line in rep.lines():
         print(line)
     return 0 if rep.ok else 1

@@ -32,12 +32,11 @@ from .graph_core import (
     canonical_form,
     check_automorphism,
     connected_components,
-    identify_vertices_with_map,
+    identify_vertices,
     induced_subgraph,
     mask_of,
     with_edge,
 )
-from .packing import four_cliques
 
 
 @dataclass(frozen=True)
@@ -110,36 +109,14 @@ def compose_graphs(
 
 
 def ore_compose(recipe: OreRecipe) -> Graph:
-    return ore_compose_traced(recipe)[0]
-
-
-def ore_compose_traced(recipe: OreRecipe) -> tuple[Graph, tuple[frozenset[int], ...]]:
-    """Materialize a recipe, tracking which K5 leaves each vertex came from.
-
-    Leaves are numbered in preorder; the identified vertices x and y carry
-    the lineage of both sides they glue.
-    """
-
-    def rec(r: OreRecipe, next_leaf: int):
-        if isinstance(r, Leaf):
-            return k5(), tuple(frozenset([next_leaf]) for _ in range(5)), next_leaf + 1
-        if not isinstance(r, Compose):
-            raise TypeError(f"not a recipe node: {r!r}")
-        g1, prov1, next_leaf = rec(r.edge_side, next_leaf)
-        g2, prov2, next_leaf = rec(r.vertex_side, next_leaf)
-        G, out_of = compose_graphs(g1, r.replaced_edge, g2, r.split_vertex, r.split)
-        x, y = r.replaced_edge
-        zprov = prov2[r.split_vertex]
-        prov = list(prov1)
-        prov[x] = prov[x] | zprov
-        prov[y] = prov[y] | zprov
-        prov += [frozenset()] * (G.n - g1.n)
-        for v, out in out_of.items():
-            prov[out] = prov2[v]
-        return G, tuple(prov), next_leaf
-
-    G, prov, _ = rec(recipe, 0)
-    return G, prov
+    """Materialize a recipe in the labeling its text form refers to."""
+    if isinstance(recipe, Leaf):
+        return k5()
+    if not isinstance(recipe, Compose):
+        raise TypeError(f"not a recipe node: {recipe!r}")
+    g1 = ore_compose(recipe.edge_side)
+    g2 = ore_compose(recipe.vertex_side)
+    return compose_graphs(g1, recipe.replaced_edge, g2, recipe.split_vertex, recipe.split)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -160,68 +137,6 @@ def recipe_to_text(recipe: OreRecipe) -> str:
         f" z={recipe.split_vertex}"
         f" split={a}|{b})"
     )
-
-
-def _tokenize(text: str) -> list[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
-
-
-def recipe_from_text(text: str) -> OreRecipe:
-    tokens = _tokenize(text)
-    pos = 0
-
-    def expect(tok: str):
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != tok:
-            got = tokens[pos] if pos < len(tokens) else "end of input"
-            raise ValueError(f"recipe parse error: expected {tok!r}, got {got!r}")
-        pos += 1
-
-    def keyed(prefix: str) -> str:
-        nonlocal pos
-        if pos >= len(tokens) or not tokens[pos].startswith(prefix):
-            got = tokens[pos] if pos < len(tokens) else "end of input"
-            raise ValueError(f"recipe parse error: expected {prefix}..., got {got!r}")
-        val = tokens[pos][len(prefix):]
-        pos += 1
-        return val
-
-    def parse() -> OreRecipe:
-        nonlocal pos
-        expect("(")
-        if pos >= len(tokens):
-            raise ValueError("recipe parse error: unexpected end of input")
-        head = tokens[pos]
-        pos += 1
-        if head == "k5":
-            expect(")")
-            return Leaf()
-        if head != "compose":
-            raise ValueError(f"recipe parse error: unknown head {head!r}")
-        edge_side = parse()
-        e = keyed("e=")
-        try:
-            ex, ey = (int(t) for t in e.split("-"))
-        except ValueError:
-            raise ValueError(f"recipe parse error: bad edge {e!r}") from None
-        vertex_side = parse()
-        z = int(keyed("z="))
-        sp = keyed("split=")
-        halves = sp.split("|")
-        if len(halves) != 2 or not halves[0] or not halves[1]:
-            raise ValueError(f"recipe parse error: bad split {sp!r}")
-        try:
-            a = tuple(int(t) for t in halves[0].split(","))
-            b = tuple(int(t) for t in halves[1].split(","))
-        except ValueError:
-            raise ValueError(f"recipe parse error: bad split {sp!r}") from None
-        expect(")")
-        return Compose(edge_side, (ex, ey), vertex_side, z, (a, b))
-
-    out = parse()
-    if pos != len(tokens):
-        raise ValueError("recipe parse error: trailing tokens")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +386,7 @@ def _try_factor(G: Graph, x: int, y: int, aside: list[int], bside: list[int]):
     vertex_vertices = sorted(bside + [x, y])
     vpos = {v: i for i, v in enumerate(vertex_vertices)}
     sub2 = induced_subgraph(G, vertex_vertices)
-    cand2, merge_map = identify_vertices_with_map(sub2, [vpos[x], vpos[y]])
+    cand2, merge_map = identify_vertices(sub2, [vpos[x], vpos[y]])
     side2 = _side(cand2)
     if side2 is None:
         return None
@@ -500,92 +415,3 @@ def _try_factor(G: Graph, x: int, y: int, aside: list[int], bside: list[int]):
     ):
         raise InvariantViolation("recognized recipe does not rebuild the input graph")
     return recipe, order
-
-
-# ---------------------------------------------------------------------------
-# Gems
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GemReport:
-    diamonds: tuple[frozenset[int], ...]
-    emeralds: tuple[frozenset[int], ...]
-
-    @property
-    def ungemmed(self) -> bool:
-        return not self.diamonds and not self.emeralds
-
-
-def gems(G: Graph) -> GemReport:
-    """Diamonds and emeralds of G.
-
-    A diamond is five vertices inducing K5 minus one edge such that the
-    three vertices not on the missing edge have degree four in G.  An
-    emerald is an induced K4 whose four vertices all have degree four in
-    G.  These are the configurations whose presence the composition
-    machinery guarantees and the audits look for.
-    """
-    diamonds = []
-    for u in range(G.n):
-        for v in range(u + 1, G.n):
-            if G.has_edge(u, v):
-                continue
-            common = G.adj[u] & G.adj[v]
-            cvs = [w for w in bits(common) if G.degree(w) == 4]
-            for i, a in enumerate(cvs):
-                for j in range(i + 1, len(cvs)):
-                    b = cvs[j]
-                    if not G.has_edge(a, b):
-                        continue
-                    for c in cvs[j + 1 :]:
-                        if G.has_edge(a, c) and G.has_edge(b, c):
-                            diamonds.append(frozenset((u, v, a, b, c)))
-    emeralds = [
-        frozenset(q)
-        for q in four_cliques(G)
-        if all(G.degree(v) == 4 for v in q)
-    ]
-    return GemReport(tuple(diamonds), tuple(emeralds))
-
-
-# ---------------------------------------------------------------------------
-# Ore-collapsible subsets
-# ---------------------------------------------------------------------------
-
-
-def ore_collapsible_subsets(G: Graph) -> list[frozenset[int]]:
-    """Proper subsets whose boundary is a nonadjacent pair {u, v} with
-    G[R] + uv 5-Ore.
-
-    The boundary condition forces {u, v} to separate R from the rest, so
-    scanning nonadjacent separating pairs and unions of components of
-    G - {u, v} is exhaustive.
-    """
-    out = []
-    found = set()
-    for x in range(G.n):
-        for y in range(x + 1, G.n):
-            if G.has_edge(x, y):
-                continue
-            rest = [v for v in range(G.n) if v not in (x, y)]
-            comps = connected_components(G, within=rest)
-            if len(comps) < 2:
-                continue
-            for aset, bset in _nonempty_proper_unions(comps):
-                if len(aset) + 2 < 5:
-                    continue
-                R = frozenset(aset | {x, y})
-                if R in found:
-                    continue
-                bmask = mask_of(bset)
-                if not (G.adj[x] & bmask) or not (G.adj[y] & bmask):
-                    continue  # boundary must be exactly {x, y}
-                order = sorted(R)
-                pos = {v: i for i, v in enumerate(order)}
-                cand = with_edge(induced_subgraph(G, order), pos[x], pos[y])
-                if is_5_ore(cand) is not None:
-                    found.add(R)
-                    out.append(R)
-    out.sort(key=lambda R: (len(R), sorted(R)))
-    return out

@@ -108,36 +108,6 @@ def _check_packing(G: Graph, pieces, weight: int):
         raise InvariantViolation("packing weight mismatch")
 
 
-def t_number_oracle(G: Graph) -> int:
-    """Independent exact packing number by exhaustive recursion.
-
-    No bound, no pruning: for the lowest uncovered vertex, try every piece
-    through it and also skipping it, and take the max.  Only for n <= 14;
-    this is the reference the solver is tested against.
-    """
-    if G.n > 14:
-        raise ValueError("oracle limited to n <= 14")
-    pieces = _pieces(G)
-    by_vertex: list[list[int]] = [[] for _ in range(G.n)]
-    weights: dict[int, int] = {}
-    for pmask, w, _ in pieces:
-        weights[pmask] = max(weights.get(pmask, 0), w)
-        for v in bits(pmask):
-            by_vertex[v].append(pmask)
-
-    def rec(free_mask: int) -> int:
-        if not free_mask:
-            return 0
-        v = (free_mask & -free_mask).bit_length() - 1
-        best = rec(free_mask & ~(1 << v))
-        for pmask in by_vertex[v]:
-            if not pmask & ~free_mask:
-                best = max(best, weights[pmask] + rec(free_mask & ~pmask))
-        return best
-
-    return rec((1 << G.n) - 1)
-
-
 @dataclass(frozen=True)
 class MicWitness:
     independent_set: tuple[int, ...]

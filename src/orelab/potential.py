@@ -39,7 +39,6 @@ from .graph_core import (
     InvariantViolation,
     bits,
     canonical_form,
-    canonical_key,
     induced_subgraph,
     mask_of,
 )
@@ -79,16 +78,6 @@ class Rat21:
 EPS = Rat21(1)        # 1/21
 DELTA = Rat21(8)      # 8 * eps
 P_GAP = Rat21(48)     # 6 * delta
-Q_GAP = Rat21(8)      # delta
-
-
-def short_key(G: Graph) -> str:
-    """A filename-safe fingerprint of the isomorphism class."""
-    return _fingerprint(canonical_key(G))
-
-
-def _fingerprint(key: bytes) -> str:
-    return hashlib.sha256(key).hexdigest()[:16]
 
 
 def p_ky(G: Graph) -> int:
@@ -171,9 +160,10 @@ def phi_identify(G: Graph, R, phi: dict[int, int]) -> tuple[Graph, tuple[int, in
 class Facts:
     """What the corpus and the verifiers ask of one graph, each answered once.
 
-    ``canonical`` is the graph's canonical form and ``key`` its corpus key
-    (:func:`short_key`); ``recipe`` is an Ore recipe or None, ``t`` the
-    packing number and ``mic`` the maximum independent cover number.
+    ``canonical`` is the graph's canonical form and ``key`` its corpus key,
+    the first 16 hex digits of the sha256 of the canonical key; ``recipe``
+    is an Ore recipe or None, ``t`` the packing number and ``mic`` the
+    maximum independent cover number.
     """
 
     graph: Graph
@@ -190,7 +180,7 @@ class Facts:
         return Facts(
             G,
             canonical,
-            _fingerprint(canonical[0]),
+            hashlib.sha256(canonical[0]).hexdigest()[:16],
             col.is_5_critical(G),
             ore.is_5_ore(G, canonical),
             packing.t_number(G)[0],
@@ -436,108 +426,3 @@ def verify_ore5_bounds(facts: Facts, subset_budget: int = 1 << 18) -> Report:
     note = f"subsets={checked} of={total}" + (f" violation={worst}" if worst else "")
     rep.add("ore5-low-ky-collapsible", key, sound, note=note)
     return rep
-
-
-def structure_lemma_audit(G: Graph) -> list[tuple[str, bool, str]]:
-    """Observational truth table of minimum-counterexample predicates.
-
-    These statements are proved for hypothetical minimal counterexamples
-    only, so on real graphs they are reported, never asserted.  Rows are
-    (predicate, holds, detail).
-    """
-    from .graph_core import clusters, d4_components
-
-    rows: list[tuple[str, bool, str]] = []
-    pair = _identifiable_pair_in_proper_subset(G)
-    rows.append(
-        (
-            "no-identifiable-pair-in-proper-subset",
-            pair is None,
-            f"pair={pair}" if pair else "",
-        )
-    )
-    cl = clusters(G)
-    big = max((len(c.vertices) for c in cl), default=0)
-    rows.append(("no-cluster-size-ge-2", big < 2, f"max-cluster={big}"))
-    comps = d4_components(G).components
-    bigc = max((len(c) for c in comps), default=0)
-    rows.append(("d4-components-le-2", bigc <= 2, f"max-component={bigc}"))
-    worst = 0
-    for v in range(G.n):
-        if G.degree(v) != 5:
-            continue
-        matched = 0
-        for u in bits(G.adj[v]):
-            if G.degree(u) == 4 and any(
-                G.degree(t) == 4 for t in bits(G.adj[u])
-            ):
-                matched += 1
-        worst = max(worst, matched)
-    rows.append(("deg5-matched-deg4-le-1", worst <= 1, f"max-matched={worst}"))
-    rows.append(("no-k5-minus-e", not _has_k5_minus_e(G), ""))
-    gem = ore.gems(G)
-    rows.append(
-        (
-            "ungemmed",
-            gem.ungemmed,
-            f"diamonds={len(gem.diamonds)} emeralds={len(gem.emeralds)}",
-        )
-    )
-    rows.append(("three-connected", _is_three_connected(G), ""))
-    return rows
-
-
-def _identifiable_pair_in_proper_subset(G: Graph):
-    # Colorability is monotone under taking subgraphs, so a pair is
-    # identifiable in some proper subset iff it is identifiable in some
-    # vertex-deleted subgraph.
-    from .graph_core import delete_vertices, with_edge
-
-    for u in range(G.n):
-        for v in range(u + 1, G.n):
-            if G.has_edge(u, v):
-                continue
-            for w in range(G.n):
-                if w in (u, v):
-                    continue
-                H = delete_vertices(G, [w])
-                uu = u - (1 if w < u else 0)
-                vv = v - (1 if w < v else 0)
-                if col.is_k_colorable(with_edge(H, uu, vv), 4) is None:
-                    return (u, v, w)
-    return None
-
-
-def _has_k5_minus_e(G: Graph) -> bool:
-    # five vertices carrying at least 9 of the 10 possible edges: the two
-    # endpoints of the (possibly missing) edge plus a common-neighbor triple
-    for u in range(G.n):
-        for v in range(u + 1, G.n):
-            cand = bits(G.adj[u] & G.adj[v])
-            for i, a in enumerate(cand):
-                for j in range(i + 1, len(cand)):
-                    b = cand[j]
-                    for c in cand[j + 1 :]:
-                        inner = (
-                            G.has_edge(a, b) + G.has_edge(a, c) + G.has_edge(b, c)
-                        )
-                        if G.has_edge(u, v):
-                            if inner >= 2:
-                                return True
-                        elif inner == 3:
-                            return True
-    return False
-
-
-def _is_three_connected(G: Graph) -> bool:
-    from .graph_core import delete_vertices, is_connected
-
-    if G.n < 4:
-        return False
-    if not is_connected(G):
-        return False
-    for u in range(G.n):
-        for v in range(u + 1, G.n):
-            if not is_connected(delete_vertices(G, [u, v])):
-                return False
-    return True

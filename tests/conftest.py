@@ -5,8 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from orelab import Corpus, Facts, enumerate_5_ore, named_graph
-from orelab.ore import recipe_to_text
+from orelab import Facts, enumerate_5_ore, named_graph, recipe_to_text
+from orelab.corpus import Corpus
 
 LAB_NAMED = ("c5_join_k2", "groetzsch", "k1_join_groetzsch", "mycielski_groetzsch")
 

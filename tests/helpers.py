@@ -1,14 +1,50 @@
-"""Brute-force oracles used to cross-check the fast implementations.
+"""Brute-force oracles used to cross-check the fast implementations, and
+the reference constructions the tests compare against.
 
-Everything here is deliberately naive: small exponential sweeps with no
+The oracles are deliberately naive: small exponential sweeps with no
 pruning beyond the obvious, so that a disagreement points at the package
 and not at the oracle.
 """
 
+import hashlib
 from itertools import combinations, permutations
 
-from orelab import Graph, canonical_key, clusters, compose_graphs, is_k_colorable, without_edge
-from orelab.ore import Compose, Leaf, _composition_sites, k5
+from orelab import Graph, InvariantViolation, is_5_ore
+from orelab.coloring import is_5_critical, is_collapsible, is_k_colorable
+from orelab.constructions import complete_graph, cycle_graph, join
+from orelab.graph_core import (
+    bits,
+    canonical_form,
+    connected_components,
+    induced_subgraph,
+    mask_of,
+    with_edge,
+    without_edge,
+)
+from orelab.ore import Compose, Leaf, _composition_sites, compose_graphs, k5
+from orelab.packing import four_cliques, triangles
+
+
+def canonical_key(G: Graph) -> bytes:
+    return canonical_form(G)[0]
+
+
+def corpus_key(G: Graph) -> str:
+    """The name a corpus stores G under: the first 16 hex digits of the
+    sha256 of its canonical key."""
+    return hashlib.sha256(canonical_key(G)).hexdigest()[:16]
+
+
+def path_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def star_graph(leaves: int) -> Graph:
+    return Graph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+
+
+def wheel(rim: int) -> Graph:
+    return join(complete_graph(1), cycle_graph(rim))
 
 
 def brute_colorable(G: Graph, k: int) -> bool:
@@ -113,8 +149,104 @@ def random_graph(n: int, p: float, rng) -> Graph:
 
 
 def cluster_size_sequence(G: Graph) -> tuple[int, ...]:
-    """Sizes of G's degree-four clusters, largest first."""
-    return tuple(sorted((len(c.vertices) for c in clusters(G)), reverse=True))
+    """Sizes of G's degree-four clusters, largest first: the maximal sets of
+    degree-four vertices sharing one closed neighborhood."""
+    groups: dict[int, int] = {}
+    for v in range(G.n):
+        if G.degree(v) == 4:
+            closed = G.adj[v] | 1 << v
+            groups[closed] = groups.get(closed, 0) + 1
+    return tuple(sorted(groups.values(), reverse=True))
+
+
+def t_number_oracle(G: Graph) -> int:
+    """Exact packing number by exhaustive recursion.
+
+    No bound, no pruning: for the lowest uncovered vertex, try every piece
+    through it and also skipping it, and take the max.  Only for n <= 14.
+    """
+    if G.n > 14:
+        raise ValueError("oracle limited to n <= 14")
+    weights = {mask_of(t): 1 for t in triangles(G)}
+    weights.update((mask_of(q), 2) for q in four_cliques(G))
+    by_vertex: list[list[int]] = [[] for _ in range(G.n)]
+    for pmask in weights:
+        for v in bits(pmask):
+            by_vertex[v].append(pmask)
+
+    def rec(free_mask: int) -> int:
+        if not free_mask:
+            return 0
+        v = (free_mask & -free_mask).bit_length() - 1
+        best = rec(free_mask & ~(1 << v))
+        for pmask in by_vertex[v]:
+            if not pmask & ~free_mask:
+                best = max(best, weights[pmask] + rec(free_mask & ~pmask))
+        return best
+
+    return rec((1 << G.n) - 1)
+
+
+def ore_collapsible_subsets(G: Graph) -> list[frozenset[int]]:
+    """Proper subsets whose boundary is a nonadjacent pair {u, v} with
+    G[R] + uv 5-Ore.
+
+    The boundary condition forces {u, v} to separate R from the rest, so
+    scanning nonadjacent separating pairs and unions of components of
+    G - {u, v} is exhaustive.
+    """
+    found = set()
+    for x in range(G.n):
+        for y in range(x + 1, G.n):
+            if G.has_edge(x, y):
+                continue
+            rest = [v for v in range(G.n) if v not in (x, y)]
+            comps = connected_components(G, within=rest)
+            for pick in range(1, (1 << len(comps)) - 1):
+                aset = set().union(*(c for i, c in enumerate(comps) if pick >> i & 1))
+                bmask = mask_of(v for v in rest if v not in aset)
+                if len(aset) + 2 < 5 or not (G.adj[x] & bmask) or not (G.adj[y] & bmask):
+                    continue  # too small, or the boundary is not exactly {x, y}
+                R = frozenset(aset | {x, y})
+                order = sorted(R)
+                pos = {v: i for i, v in enumerate(order)}
+                cand = with_edge(induced_subgraph(G, order), pos[x], pos[y])
+                if R not in found and is_5_ore(cand) is not None:
+                    found.add(R)
+    return sorted(found, key=lambda R: (len(R), sorted(R)))
+
+
+def critical_complement(G: Graph, R) -> tuple[Graph, int]:
+    """Identify a collapsible set's boundary to one vertex, drop the rest.
+
+    The returned graph W keeps G's labels outside R; the merged special
+    vertex sits at index 0 with label -1.  For 5-critical G the complement
+    is itself 5-critical, and that is verified here.
+    """
+    rep = is_collapsible(G, R)
+    if not rep.collapsible:
+        raise ValueError("R is not collapsible")
+    rmask = mask_of(R)
+    outside = [v for v in range(G.n) if not rmask >> v & 1]
+    attach = 0
+    for v in rep.boundary:
+        attach |= G.adj[v] & ~rmask
+    pos = {v: i + 1 for i, v in enumerate(outside)}
+    edges = []
+    for v in outside:
+        if attach >> v & 1:
+            edges.append((0, pos[v]))
+        for u in bits(G.adj[v] & ~rmask):
+            if u > v:
+                edges.append((pos[v], pos[u]))
+    labels = (-1,) + tuple(G.label(v) for v in outside)
+    W = Graph.from_edges(len(outside) + 1, edges, labels)
+    if not is_5_critical(W):
+        raise InvariantViolation(
+            "complement of a collapsible set in a 5-critical graph "
+            "must be 5-critical"
+        )
+    return W, 0
 
 
 def enumerate_by_sites(max_n: int):

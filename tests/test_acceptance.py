@@ -10,29 +10,22 @@ import random
 
 from orelab import (
     Rat21,
-    complete_graph,
     critical_extension,
-    induced_subgraph,
-    is_5_critical,
-    is_collapsible,
-    is_k_colorable,
     named_graph,
-    ore_collapsible_subsets,
+    ore_compose,
     p_ky,
     potential,
-    random_extension,
-    seeded_coloring,
     t_number,
-    t_number_oracle,
-    triangles,
-    verify_extension_inequalities,
-    verify_main_theorem,
 )
+from orelab.coloring import is_5_critical, is_collapsible, is_k_colorable, seeded_coloring
+from orelab.constructions import complete_graph
 from orelab.discharge import closing_inequalities, run_discharge
-from orelab.ore import Compose, Leaf, ore_compose
-from orelab.graph_core import d4_components
+from orelab.graph_core import d4_components, induced_subgraph
+from orelab.ore import Compose, Leaf
+from orelab.packing import triangles
+from orelab.potential import random_extension, verify_extension_inequalities, verify_main_theorem
 
-from helpers import random_graph
+from helpers import ore_collapsible_subsets, random_graph, t_number_oracle
 
 NON_ORE_WITNESSES = ("c5_join_k2", "k1_join_groetzsch", "mycielski_groetzsch")
 

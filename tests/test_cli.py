@@ -7,18 +7,15 @@ from pathlib import Path
 import pytest
 
 import orelab
-from orelab import (
-    Corpus,
-    Facts,
-    Report,
-    complete_graph,
-    graph_to_graph6,
-    graph_to_text,
-    named_graph,
-    short_key,
-)
-from orelab import coloring, lab_cli
+from orelab import Facts, graph_to_graph6, named_graph
+from orelab import coloring, lab_cli, packing
+from orelab.constructions import complete_graph
+from orelab.corpus import Corpus
+from orelab.graph_core import graph_to_text
 from orelab.lab_cli import main
+from orelab.report import Report
+
+from helpers import corpus_key
 
 
 @pytest.fixture()
@@ -57,7 +54,7 @@ def test_add_named_and_unknown(tmp_path, run):
     root = str(tmp_path / "c")
     code, out, _ = run("add", "k5", "--corpus", root)
     assert code == 0
-    assert out.splitlines()[0] == f"{short_key(complete_graph(5))} n=5 m=10 new"
+    assert out.splitlines()[0] == f"{corpus_key(complete_graph(5))} n=5 m=10 new"
     code, out, _ = run("add", "k5", "--corpus", root)
     assert out.splitlines()[0].endswith(" known")
     code, _, err = run("add", "no_such_graph", "--corpus", root)
@@ -71,7 +68,7 @@ def test_add_text_file(tmp_path, run):
     path.write_text(graph_to_text(G))
     code, out, _ = run("add", str(path), "--corpus", str(tmp_path / "c"))
     assert code == 0
-    assert out.startswith(short_key(G))
+    assert out.startswith(corpus_key(G))
     assert "n=7 m=16 new" in out
 
 
@@ -144,7 +141,7 @@ def test_verify_all_includes_every_row_family(small_corpus, run):
 
 
 def test_verify_catches_tampered_invariants(small_corpus, run):
-    key = short_key(complete_graph(5))
+    key = corpus_key(complete_graph(5))
     path = small_corpus / f"{key}.json"
     raw = json.loads(path.read_text())
     raw["invariants"]["p_ky"] = 99
@@ -226,23 +223,45 @@ def test_verify_panic_exits_3_naming_the_entry(small_corpus, run, monkeypatch, j
     assert line.startswith(f"panic: entry {key} graph6 {graph6}: walked coloring")
 
 
-@pytest.mark.parametrize("argv", [("gen", "--max-n", "9"), ("add", "c5_join_k2")])
-def test_store_panic_exits_3_naming_the_graph(tmp_path, run, monkeypatch, argv):
-    def broken(G):
-        raise orelab.InvariantViolation("facts broke")
+C5K2_KEY = corpus_key(named_graph("c5_join_k2"))
 
-    monkeypatch.setattr(Facts, "of", staticmethod(broken))
-    code, out, err = run(*argv, "--corpus", str(tmp_path / "corpus"))
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--max-n", "9"),
+        ("add", "c5_join_k2"),
+        ("t", "c5_join_k2"),
+        ("potential", "c5_join_k2"),
+        ("discharge", "c5_join_k2"),
+        ("extend", C5K2_KEY, "--r", "0,1,2,3,4"),
+    ],
+)
+def test_store_panic_exits_3_naming_the_graph(tmp_path, run, monkeypatch, argv):
+    def broken(*args):
+        raise orelab.InvariantViolation("invariant broke")
+
+    root = str(tmp_path / "corpus")
+    where = ""
+    if argv[0] == "extend":
+        assert run("add", "c5_join_k2", "--corpus", root)[0] == 0
+        where = f"entry {C5K2_KEY} "
+        monkeypatch.setattr(lab_cli, "critical_extension", broken)
+    elif argv[0] in ("t", "potential"):
+        monkeypatch.setattr(packing, "t_number", broken)
+    else:
+        monkeypatch.setattr(Facts, "of", staticmethod(broken))
+    code, out, err = run(*argv, "--corpus", root)
     assert code == 3
     first = complete_graph(5) if argv[0] == "gen" else named_graph("c5_join_k2")
-    assert err.splitlines() == [f"panic: graph6 {graph_to_graph6(first)}: facts broke"]
+    assert err.splitlines() == [f"panic: {where}graph6 {graph_to_graph6(first)}: invariant broke"]
 
 
 def test_extend_block_of_double(small_corpus, run):
     from orelab import enumerate_5_ore
 
     nine = [g for g, _ in enumerate_5_ore(9) if g.n == 9]
-    key = short_key(nine[0])
+    key = corpus_key(nine[0])
     code, out, _ = run(
         "extend", key, "--r", "0,1,2,3,4", "--corpus", str(small_corpus)
     )
@@ -260,7 +279,7 @@ def test_extend_usage_errors(small_corpus, run):
     from orelab import enumerate_5_ore
 
     nine = [g for g, _ in enumerate_5_ore(9) if g.n == 9]
-    key = short_key(nine[0])
+    key = corpus_key(nine[0])
     cases = [
         ("0,1,2,3,4,5,6,7,8", "proper subset"),
         ("0,1,2", "at least 5"),
@@ -314,7 +333,7 @@ def test_env_var_selects_corpus(tmp_path, run, monkeypatch):
     code, _, _ = run("add", "k5", "--corpus", str(root))
     assert code == 0
     monkeypatch.setenv("ORELAB_CORPUS", str(root))
-    key = short_key(complete_graph(5))
+    key = corpus_key(complete_graph(5))
     code, out, _ = run("t", key)
     assert code == 0 and out.splitlines()[0] == "t=2"
 

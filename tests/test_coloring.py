@@ -2,33 +2,30 @@ import random
 
 import pytest
 
-from orelab import (
-    Graph,
-    InvariantViolation,
+from orelab import Graph, InvariantViolation, named_graph, ore_compose
+from orelab import coloring
+from orelab.coloring import (
     boundary,
-    canonical_key,
-    complete_graph,
-    critical_complement,
-    cycle_graph,
     extract_5_critical,
-    identifiable_pairs,
-    induced_subgraph,
     is_5_critical,
     is_collapsible,
     is_k_colorable,
-    named_graph,
-    ore_compose,
-    path_graph,
     seeded_coloring,
-    wheel,
-    with_edge,
-    without_edge,
 )
-from orelab import coloring
-from orelab.constructions import NAMED
+from orelab.constructions import NAMED, complete_graph, cycle_graph
+from orelab.graph_core import induced_subgraph, with_edge, without_edge
 from orelab.ore import Compose, Leaf
 
-from helpers import brute_colorable, critical_by_edges, extract_by_edges, random_graph
+from helpers import (
+    brute_colorable,
+    canonical_key,
+    critical_by_edges,
+    critical_complement,
+    extract_by_edges,
+    path_graph,
+    random_graph,
+    wheel,
+)
 
 
 def proper(G, colors, k):
@@ -202,30 +199,13 @@ def test_extract_preserves_existing_labels():
     assert got.labels == (9, 8, 7, 6, 5)
 
 
-# --- identifiable pairs and collapsibility -----------------------------------
+# --- collapsibility ---------------------------------------------------------
 
 
 def edge_block_of(recipe):
     """The edge-side image in a composed graph, always 0..n1-1."""
     g1 = ore_compose(recipe.edge_side)
     return list(range(g1.n))
-
-
-def test_identifiable_pairs_on_double_k5(doubles):
-    for g, recipe in doubles:
-        R = edge_block_of(recipe)
-        pairs = identifiable_pairs(g, R)
-        x, y = recipe.replaced_edge
-        assert (min(x, y), max(x, y)) in pairs
-        for u, v in pairs:
-            assert not g.has_edge(u, v)
-
-
-def test_identifiable_pairs_trivial_cases():
-    P = path_graph(6)
-    assert identifiable_pairs(P, range(5)) == []
-    with pytest.raises(ValueError):
-        identifiable_pairs(P, range(6))
 
 
 def test_boundary():
@@ -281,7 +261,6 @@ def test_single_vertex_boundary_is_collapsible_by_convention():
     G = Graph.from_edges(6, base.edges() + [(0, 5)])
     rep = is_collapsible(G, range(5))
     assert rep.collapsible and rep.boundary == (0,)
-    assert rep.checked_pairs == ()
 
 
 def test_is_collapsible_rejects_bad_subsets():

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
-from orelab import Corpus, Facts, complete_graph, named_graph, short_key
-from orelab.corpus import compute_invariants, resolve_dir
+from orelab import Facts, named_graph
+from orelab.constructions import complete_graph
+from orelab.corpus import Corpus, compute_invariants, resolve_dir
+
+from helpers import corpus_key
 
 
 def test_resolve_dir_precedence(tmp_path, monkeypatch):
@@ -35,7 +38,7 @@ def test_add_is_idempotent_and_logged(tmp_path):
     facts = Facts.of(complete_graph(5))
     key = facts.key
     assert corpus.add(facts, "named k5")
-    assert key == short_key(complete_graph(5))
+    assert key == corpus_key(complete_graph(5))
     assert not corpus.add(facts, "named k5")
     assert corpus.keys() == [key]
     assert key in corpus

@@ -1,16 +1,12 @@
-from orelab import (
-    Facts,
-    Graph,
+from orelab import Facts, Graph, named_graph, potential, t_number
+from orelab.constructions import complete_graph
+from orelab.discharge import (
+    TRANSFER_84,
     closing_inequalities,
-    complete_graph,
     initial_charge_84,
     ledger_dump,
-    named_graph,
-    potential,
     run_discharge,
-    t_number,
 )
-from orelab.discharge import TRANSFER_84
 
 
 def test_initial_charge_formula():
@@ -134,7 +130,7 @@ def test_closing_vacuous_row_for_negative_potential():
 
 
 def test_one_vertex_per_d4_component_is_independent(ore13):
-    from orelab import d4_components
+    from orelab.graph_core import d4_components
 
     for g, _ in ore13:
         comps = d4_components(g).components

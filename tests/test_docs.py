@@ -1,7 +1,12 @@
+import ast
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+import orelab
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+SRC = ROOT / "src" / "orelab"
 
 
 def test_readme_library_example_runs(capsys):
@@ -14,3 +19,52 @@ def test_readme_library_example_runs(capsys):
         "9 19 (compose (k5) e=0-1 (k5) z=0 split=1,2|3,4) 5",
     ]
     assert len(lines) == 4
+
+
+def _loads(node: ast.AST) -> set[str]:
+    """Names that ``node`` reads, by name or as an attribute."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def _defined(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_library_code_is_reached_outside_tests():
+    modules = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    statements = [(name, stmt) for name, tree in modules.items() for stmt in tree.body]
+    loads = [_loads(stmt) for _, stmt in statements]
+    unreached = [
+        f"{module}.{name}"
+        for i, (module, stmt) in enumerate(statements)
+        for name in _defined(stmt)
+        if not any(name in seen for j, seen in enumerate(loads) if j != i)
+    ]
+    unused_imports = []
+    for module, tree in modules.items():
+        used = _loads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused_imports.append(f"{module} imports {bound}")
+    readme = README.read_text(encoding="utf-8")
+    undocumented = [name for name in orelab.__all__ if not re.search(rf"\b{name}\b", readme)]
+    problems = unreached + unused_imports + [f"README lacks {name}" for name in undocumented]
+    assert not problems, "\n".join(problems)

@@ -5,25 +5,26 @@ import pytest
 
 from orelab import (
     Graph,
-    canonical_key,
-    complete_graph,
-    compose_graphs,
-    cycle_graph,
+    InvariantViolation,
     enumerate_5_ore,
-    four_cliques,
-    gems,
+    graph_to_graph6,
     is_5_ore,
     named_graph,
-    ore_collapsible_subsets,
+    ore,
     ore_compose,
-    ore_compose_traced,
-    recipe_from_text,
     recipe_to_text,
 )
-from orelab import InvariantViolation, graph_to_graph6, ore
-from orelab.ore import Compose, Leaf, k5
+from orelab.coloring import boundary
+from orelab.constructions import complete_graph, cycle_graph
+from orelab.graph_core import induced_subgraph, with_edge
+from orelab.ore import Compose, Leaf, compose_graphs, k5
 
-from helpers import cluster_size_sequence, enumerate_by_sites
+from helpers import (
+    canonical_key,
+    cluster_size_sequence,
+    enumerate_by_sites,
+    ore_collapsible_subsets,
+)
 
 
 def split_kinds(doubles):
@@ -73,15 +74,6 @@ def test_double_k5_shapes(doubles):
     assert sorted(g22.degree(v) for v in range(9)) == [4] * 7 + [5, 5]
 
 
-def test_traced_composition_lineage():
-    recipe = Compose(Leaf(), (0, 1), Leaf(), 0, ((1,), (2, 3, 4)))
-    G, prov = ore_compose_traced(recipe)
-    assert G == ore_compose(recipe)
-    assert prov[0] == frozenset({0, 1}) and prov[1] == frozenset({0, 1})
-    assert all(prov[v] == frozenset({0}) for v in (2, 3, 4))
-    assert all(prov[v] == frozenset({1}) for v in (5, 6, 7, 8))
-
-
 # --- recipe text -------------------------------------------------------------
 
 
@@ -89,28 +81,7 @@ def test_recipe_text_exact_form():
     recipe = Compose(Leaf(), (0, 1), Leaf(), 0, ((1,), (2, 3, 4)))
     text = recipe_to_text(recipe)
     assert text == "(compose (k5) e=0-1 (k5) z=0 split=1|2,3,4)"
-    assert recipe_from_text(text) == recipe
-    assert recipe_from_text("(k5)") == Leaf()
-
-
-def test_recipe_text_round_trip_nested(ore13):
-    for g, recipe in ore13:
-        back = recipe_from_text(recipe_to_text(recipe))
-        assert back == recipe
-        assert ore_compose(back) == g
-
-
-def test_recipe_parser_errors():
-    for bad in (
-        "",
-        "(k4)",
-        "(compose (k5) (k5))",
-        "(compose (k5) e=0-1 (k5) z=0 split=1|2,3,4",  # unbalanced
-        "(k5) trailing",
-        "(compose (k5) e=0:1 (k5) z=0 split=1|2,3,4)",
-    ):
-        with pytest.raises(ValueError):
-            recipe_from_text(bad)
+    assert recipe_to_text(Leaf()) == "(k5)"
 
 
 # --- enumeration -------------------------------------------------------------
@@ -225,58 +196,6 @@ def test_is_5_ore_recipe_depends_only_on_the_class(ore13, monkeypatch):
         assert len(texts) == 1, texts
 
 
-# --- gems --------------------------------------------------------------------
-
-
-def test_gems_on_k5():
-    rep = gems(complete_graph(5))
-    assert len(rep.emeralds) == 5
-    assert rep.diamonds == ()
-    assert not rep.ungemmed
-
-
-def test_gems_on_k5_minus_edge():
-    from orelab import without_edge
-
-    rep = gems(without_edge(complete_graph(5), 0, 1))
-    assert len(rep.diamonds) == 1
-    assert rep.diamonds[0] == frozenset(range(5))
-    assert rep.emeralds == ()
-
-
-def test_gems_on_doubles(doubles):
-    (g13, _), (g22, _) = split_kinds(doubles)
-    rep13 = gems(g13)
-    assert len(rep13.diamonds) == 2 and len(rep13.emeralds) == 2
-    rep22 = gems(g22)
-    assert len(rep22.diamonds) == 1 and len(rep22.emeralds) == 1
-    assert rep22.diamonds[0] == frozenset(range(5))
-
-
-def test_triangle_free_graphs_are_ungemmed():
-    assert gems(named_graph("groetzsch")).ungemmed
-    assert gems(named_graph("mycielski_groetzsch")).ungemmed
-
-
-def test_every_vertex_avoided_by_some_gem(ore13):
-    for g, _ in ore13:
-        rep = gems(g)
-        pieces = rep.diamonds + rep.emeralds
-        for v in range(g.n):
-            assert any(v not in piece for piece in pieces)
-
-
-def test_every_k4_missed_by_some_gem(ore13):
-    for g, _ in ore13:
-        if g.n == 5:
-            continue
-        rep = gems(g)
-        pieces = rep.diamonds + rep.emeralds
-        for q in four_cliques(g):
-            qs = set(q)
-            assert any(not (qs & piece) for piece in pieces)
-
-
 # --- Ore-collapsible subsets -------------------------------------------------
 
 
@@ -297,9 +216,6 @@ def test_ore_collapsible_subsets_trivial_cases():
 
 
 def test_ore_collapsible_subsets_satisfy_definition(doubles):
-    from orelab import induced_subgraph, with_edge
-    from orelab.coloring import boundary
-
     for g, _ in doubles:
         for R in ore_collapsible_subsets(g):
             bnd = boundary(g, R)

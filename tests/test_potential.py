@@ -3,38 +3,39 @@ import random
 import pytest
 
 from orelab import (
+    Facts,
+    InvariantViolation,
+    Rat21,
+    critical_extension,
+    named_graph,
+    p_ky,
+    potential,
+)
+from orelab.coloring import is_collapsible, seeded_coloring
+from orelab.constructions import complete_graph, cycle_graph
+from orelab.graph_core import induced_subgraph
+from orelab.potential import (
     DELTA,
     EPS,
     KY_CORE_COST,
-    Facts,
     P_GAP,
-    Q_GAP,
-    InvariantViolation,
-    Rat21,
-    complete_graph,
-    critical_complement,
-    critical_extension,
-    cycle_graph,
     f_core,
-    induced_subgraph,
-    is_collapsible,
-    named_graph,
-    ore_collapsible_subsets,
-    p_ky,
     p_ky_set,
     phi_identify,
-    potential,
     potential_set,
     random_extension,
-    seeded_coloring,
-    short_key,
-    structure_lemma_audit,
     verify_extension_inequalities,
     verify_main_theorem,
     verify_ore5_bounds,
 )
 
-from helpers import cluster_size_sequence
+from helpers import (
+    canonical_key,
+    cluster_size_sequence,
+    corpus_key,
+    critical_complement,
+    ore_collapsible_subsets,
+)
 
 
 def one_three(doubles):
@@ -70,7 +71,7 @@ def test_rat21_rejects_non_integer_factors():
 
 
 def test_constants():
-    assert (EPS.num, DELTA.num, P_GAP.num, Q_GAP.num) == (1, 8, 48, 8)
+    assert (EPS.num, DELTA.num, P_GAP.num) == (1, 8, 48)
 
 
 def test_f_core_values_and_range():
@@ -176,14 +177,12 @@ def test_edge_block_extension_is_total_with_tiny_core(doubles):
         # the extender reassembles the vertex side: merged class vertex
         # plus the four vertices outside the block, i.e. K5 again
         assert rec.extender.n == 5
-        from orelab import canonical_key
-
         assert canonical_key(rec.extender) == canonical_key(complete_graph(5))
 
 
 def test_extension_inequalities_frozen_slacks(doubles):
     g, _ = one_three(doubles)
-    rep = verify_extension_inequalities(block_extension(g), short_key(g))
+    rep = verify_extension_inequalities(block_extension(g), corpus_key(g))
     assert rep.ok
     by_name = {c.name: c for c in rep.checks}
     assert by_name["ky-extension"].slack21 == 0
@@ -199,7 +198,7 @@ def test_extension_with_empty_class():
     rec = critical_extension(g, range(5), phi)
     assert rec.empty_classes == (4,)
     assert 4 not in rec.core_classes
-    assert verify_extension_inequalities(rec, short_key(g)).ok
+    assert verify_extension_inequalities(rec, corpus_key(g)).ok
 
 
 def test_collapsible_subsets_extend_totally(doubles):
@@ -255,7 +254,7 @@ def test_random_extension_fuzz_never_violates(doubles):
         for _ in range(40):
             rec = random_extension(g, rng)
             assert rec.core_size >= 1
-            rep = verify_extension_inequalities(rec, short_key(g))
+            rep = verify_extension_inequalities(rec, corpus_key(g))
             assert rep.ok, rep.render()
 
 
@@ -337,45 +336,3 @@ def test_ore5_bounds_on_non_ore_graph():
     assert rep.ok
     assert [c.name for c in rep.checks] == ["ore5-ky-upper", "ore5-equivalence"]
     assert rep.checks[0].slack21 == 126
-
-
-# --- the observational audit ----------------------------------------------------
-
-
-def test_structure_audit_rows_on_k5():
-    rows = structure_lemma_audit(complete_graph(5))
-    names = [name for name, _, _ in rows]
-    assert names == [
-        "no-identifiable-pair-in-proper-subset",
-        "no-cluster-size-ge-2",
-        "d4-components-le-2",
-        "deg5-matched-deg4-le-1",
-        "no-k5-minus-e",
-        "ungemmed",
-        "three-connected",
-    ]
-    by_name = {name: ok for name, ok, _ in rows}
-    assert by_name["no-identifiable-pair-in-proper-subset"]
-    assert not by_name["no-cluster-size-ge-2"]
-    assert not by_name["d4-components-le-2"]
-    assert by_name["deg5-matched-deg4-le-1"]
-    assert not by_name["no-k5-minus-e"]
-    assert not by_name["ungemmed"]
-    assert by_name["three-connected"]
-
-
-def test_structure_audit_rows_on_c5_join_k2():
-    rows = structure_lemma_audit(named_graph("c5_join_k2"))
-    by_name = {name: ok for name, ok, _ in rows}
-    assert by_name["ungemmed"]
-    # two consecutive rim vertices, the rim vertex between their far
-    # neighbors, and both apexes span K5 minus an edge
-    assert not by_name["no-k5-minus-e"]
-    assert by_name["three-connected"]
-
-
-def test_structure_audit_double_not_three_connected(doubles):
-    g, _ = one_three(doubles)
-    by_name = {name: ok for name, ok, _ in structure_lemma_audit(g)}
-    assert not by_name["three-connected"]
-    assert not by_name["ungemmed"]
