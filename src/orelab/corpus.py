@@ -114,9 +114,6 @@ class Corpus:
         G = graph_from_text(raw["graph"])
         return Entry(key, G, raw.get("provenance", "?"), raw["invariants"])
 
-    def entries(self) -> list[Entry]:
-        return [self.load(k) for k in self.keys()]
-
     def verify_entry(self, entry: Entry, facts: Facts) -> Report:
         """Compare an entry's key and cached invariants with the fresh
         facts of its graph (staleness check)."""

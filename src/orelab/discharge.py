@@ -45,12 +45,6 @@ class ChargeLedger:
     def total84(self) -> int:
         return sum(self.initial84)
 
-    def sent_by(self, v: int) -> int:
-        return sum(1 for s, _ in self.transfers if s == v)
-
-    def received_by(self, v: int) -> int:
-        return sum(1 for _, r in self.transfers if r == v)
-
 
 def run_discharge(G: Graph) -> ChargeLedger:
     """Apply the transfer rule once and return the audited ledger."""

@@ -10,8 +10,9 @@ canonical form used to deduplicate isomorphism classes.
 Canonical forms are computed by equitable partition refinement plus
 backtracking over individualization choices, minimizing the lower-triangle
 adjacency certificate.  The same search yields generators of the
-automorphism group, which the Ore enumeration uses to compose one site
-per orbit.  Exactness is the contract; speed only has to be good enough
+automorphism group, which it uses to skip subtrees equivalent to ones
+already searched and the Ore enumeration uses to compose one site per
+orbit.  Exactness is the contract; speed only has to be good enough
 for graphs of desk scale (n <= 24 or so).
 """
 
@@ -312,6 +313,20 @@ Canonical = tuple[bytes, tuple[int, ...], tuple[tuple[int, ...], ...]]
 """What :func:`canonical_form` returns: key, canonical order, generators."""
 
 
+def _orbit(mask: int, generators) -> int:
+    """The union of the orbits of the vertices in ``mask`` under the
+    group that ``generators`` generate, as a bitmask."""
+    frontier = mask
+    while frontier:
+        grown = 0
+        for v in bits(frontier):
+            for g in generators:
+                grown |= 1 << g[v]
+        frontier = grown & ~mask
+        mask |= grown
+    return mask
+
+
 def canonical_form(G: Graph) -> Canonical:
     """Canonical key, a witnessing vertex order, and generators of Aut(G).
 
@@ -322,34 +337,39 @@ def canonical_form(G: Graph) -> Canonical:
     is a tuple ``g`` with ``g[v]`` the image of vertex ``v``; together they
     generate the automorphism group (an empty tuple for a rigid graph).
 
-    The search visits every terminal node whose certificate equals the
-    best one, because pruning only drops nodes strictly worse.  Each such
-    node maps the best order onto its own, an automorphism; when the best
-    node is homogeneous, the transpositions of consecutive vertices in each
-    of its cells supply the permutations the terminal nodes cannot tell
-    apart.
-    Every automorphism is one of the former times a product of the latter.
+    The search prunes a node whose certificate prefix is strictly worse
+    than the best, and keeps every automorphism it finds: the map from the
+    best order onto a terminal node that ties it, and, at a homogeneous
+    terminal node that becomes the best, the transpositions of consecutive
+    vertices in each of its cells.  Before descending into a child ``v``
+    of a target cell, it skips ``v`` when the found automorphisms that fix
+    the individualized vertices pointwise map an explored sibling onto
+    ``v``: that subtree is the image of one already searched, so the first
+    best terminal node, hence the key and the order, are those of the full
+    search.  Along the path to that node, each skipped or explored child
+    adds its coset of the pointwise stabilizer, so the automorphisms found
+    generate the whole group (McKay, "Practical graph isomorphism", 1981).
     """
     adj = G.adj
     n = G.n
-    best: list = [None, None, None]  # cert rows, perm, generators
+    best: list = [None, None]  # cert rows, perm
+    found: list[tuple[int, ...]] = []
 
     def record(cert, perm, cells):
         if best[0] is None or cert < best[0]:
-            swaps = []
+            best[0], best[1] = cert, perm
             for c in cells:
                 for a, b in zip(c, c[1:]):
                     image = list(range(n))
                     image[a], image[b] = b, a
-                    swaps.append(tuple(image))
-            best[0], best[1], best[2] = cert, perm, swaps
+                    found.append(tuple(image))
         elif cert == best[0]:
             image = [0] * n
             for v, w in zip(best[1], perm):
                 image[v] = w
-            best[2].append(tuple(image))
+            found.append(tuple(image))
 
-    def search(cells: list[list[int]]):
+    def search(cells: list[list[int]], path: tuple[int, ...]):
         cells = _refine(adj, cells)
         prefix: list[int] = []
         for c in cells:
@@ -368,17 +388,23 @@ def canonical_form(G: Graph) -> Canonical:
             return
         idx = next(i for i, c in enumerate(cells) if len(c) > 1)
         cell = cells[idx]
+        explored = 0
         for v in cell:
+            if explored:
+                fixing = [g for g in found if all(g[w] == w for w in path)]
+                if _orbit(explored, fixing) >> v & 1:
+                    continue
             rest = [w for w in cell if w != v]
-            search(cells[:idx] + [[v], rest] + cells[idx + 1 :])
+            search(cells[:idx] + [[v], rest] + cells[idx + 1 :], path + (v,))
+            explored |= 1 << v
 
-    search([list(range(n))])
-    cert, perm, generators = best
+    search([list(range(n))], ())
+    cert, perm = best
     blob = bytearray([n])
     for i, r in enumerate(cert):
         if i:
             blob += r.to_bytes((i + 7) // 8, "big")
-    return bytes(blob), tuple(perm), tuple(generators)
+    return bytes(blob), tuple(perm), tuple(found)
 
 
 def check_automorphism(G: Graph, image) -> None:

@@ -45,6 +45,3 @@ class Report:
 
     def lines(self) -> list[str]:
         return [c.line() for c in self.checks]
-
-    def render(self) -> str:
-        return "\n".join(self.lines())

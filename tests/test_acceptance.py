@@ -148,7 +148,7 @@ def test_criterion_06_triangle_free_witness():
 def test_criterion_07_extension_fuzz(lab_corpus):
     eligible = [
         e.key
-        for e in lab_corpus.entries()
+        for e in (lab_corpus.load(k) for k in lab_corpus.keys())
         if e.invariants["critical5"] and 6 <= e.invariants["n"] <= 13
     ]
     assert eligible

@@ -69,7 +69,7 @@ def test_load_round_trip(tmp_path):
     assert entry.graph == G
     assert entry.provenance == "named groetzsch"
     assert entry.invariants["critical5"] is False
-    assert [e.key for e in corpus.entries()] == [key]
+    assert [corpus.load(k).key for k in corpus.keys()] == [key]
 
 
 def test_load_errors(tmp_path):

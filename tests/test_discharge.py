@@ -1,3 +1,5 @@
+from collections import Counter
+
 from orelab import Facts, Graph, named_graph, potential, t_number
 from orelab.constructions import complete_graph
 from orelab.discharge import (
@@ -34,8 +36,8 @@ def test_c5_join_k2_frozen_ledger():
     assert ledger.initial84 == (88,) * 5 + (-248,) * 2
     assert ledger.final84 == (46,) * 5 + (-143,) * 2
     assert ledger.total84 == -56
-    assert all(ledger.sent_by(v) == 2 for v in range(5))
-    assert all(ledger.received_by(a) == 5 for a in (5, 6))
+    assert Counter(s for s, _ in ledger.transfers) == {v: 2 for v in range(5)}
+    assert Counter(r for _, r in ledger.transfers) == {5: 5, 6: 5}
 
 
 def test_charge_total_matches_potential_identity(doubles):
@@ -56,7 +58,7 @@ def test_isolated_degree_four_vertex_keeps_everything():
     assert G.degree(0) == 4
     assert all(G.degree(v) >= 5 for v in G.neighbors(0))
     ledger = run_discharge(G)
-    assert ledger.sent_by(0) == 0
+    assert all(s != 0 for s, _ in ledger.transfers)
     assert ledger.final84[0] == 88  # 1 + 1/21, untouched
 
 
@@ -72,9 +74,11 @@ def test_paired_degree_four_vertex_sends_three_times():
     assert G.degree(0) == G.degree(1) == 4
     assert all(G.degree(v) == 5 for v in (2, 3, 4))
     ledger = run_discharge(G)
-    assert ledger.sent_by(0) == ledger.sent_by(1) == 3
+    sent = Counter(s for s, _ in ledger.transfers)
+    received = Counter(r for _, r in ledger.transfers)
+    assert sent[0] == sent[1] == 3
     assert ledger.final84[0] == ledger.final84[1] == 88 - 3 * 21
-    assert ledger.received_by(2) == 2
+    assert received[2] == 2
 
 
 def test_ledger_dump_format():
@@ -100,7 +104,7 @@ def test_closing_inequalities_on_critical_graphs(doubles):
     ]
     for G in graphs:
         rep = closing_inequalities(Facts.of(G))
-        assert rep.ok, rep.render()
+        assert rep.ok, "\n".join(rep.lines())
         names = [c.name for c in rep.checks]
         assert names == [
             "charge-sum-identity",

@@ -53,6 +53,19 @@ def test_library_code_is_reached_outside_tests():
         for name in _defined(stmt)
         if not any(name in seen for j, seen in enumerate(loads) if j != i)
     ]
+    # a method counts as reached when code outside its own body loads its name
+    units = [
+        (f"{module}.{stmt.name}", node) if isinstance(stmt, ast.ClassDef) else (None, node)
+        for module, stmt in statements
+        for node in (stmt.body if isinstance(stmt, ast.ClassDef) else [stmt])
+    ]
+    unit_loads = [_loads(node) for _, node in units]
+    unreached += [
+        f"{owner}.{node.name}"
+        for i, (owner, node) in enumerate(units)
+        if owner and isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+        and not any(node.name in seen for j, seen in enumerate(unit_loads) if j != i)
+    ]
     unused_imports = []
     for module, tree in modules.items():
         used = _loads(tree)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -201,33 +202,62 @@ def test_canonical_key_agrees_with_brute_isomorphism():
 
 
 def test_canonical_order_is_an_isomorphism_between_relabelings():
-    rng = random.Random(5)
-    G = named_graph("groetzsch")
-    H, _ = shuffled_copy(G, rng)
-    kg, og, _ = canonical_form(G)
-    kh, oh, _ = canonical_form(H)
-    assert kg == kh
-    iso = {v: oh[i] for i, v in enumerate(og)}
-    assert sorted(iso.values()) == list(range(G.n))
-    for u, v in G.edges():
-        assert H.has_edge(iso[u], iso[v])
+    # The search visits children in label order, so a relabeled copy's
+    # order may differ from the original's by an automorphism; composed,
+    # the orders must still give an isomorphism, and the key must not move.
+    for name in ("groetzsch", "mycielski_groetzsch"):
+        G = named_graph(name)
+        kg, og, gens = canonical_form(G)
+        for seed in range(5):
+            H, perm = shuffled_copy(G, random.Random(seed))
+            kh, oh, hgens = canonical_form(H)
+            assert kg == kh
+            assert group_order(H.n, hgens) == group_order(G.n, gens)
+            # iso: G -> H is an isomorphism exactly when, followed by the
+            # inverse relabeling, it is an automorphism of G
+            iso = {v: oh[i] for i, v in enumerate(og)}
+            back = {w: v for v, w in enumerate(perm)}
+            check_automorphism(G, [back[iso[v]] for v in range(G.n)])
+
+
+ORE17_KEYS_SHA256 = "c203debe2b45d8ab7bacbd3c5d85b180accf0f79ed6b249b5a1e798009914bca"
+"""sha256 of one ``<key hex> <order, comma-separated>`` line per class of
+``enumerate_5_ore(17)``, in order, as computed before automorphism pruning.
+Corpus file names derive from these keys."""
+
+
+def test_canonical_forms_of_ore17_are_frozen(ore17):
+    lines = []
+    for g, _ in ore17:
+        key, order, _ = canonical_form(g)
+        lines.append(f"{key.hex()} {','.join(map(str, order))}\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == ORE17_KEYS_SHA256
+
+
+def test_automorphism_pruning_returns_few_generators():
+    # without automorphism pruning the search returns 23, one per leaf
+    # tying the best
+    C12 = cycle_graph(12)
+    _, _, generators = canonical_form(C12)
+    assert len(generators) <= C12.n - 1
+    assert group_order(C12.n, generators) == 24
 
 
 def automorphism_count(G):
     nx = pytest.importorskip("networkx")
-    from networkx.algorithms.isomorphism import GraphMatcher
-
     g = nx.Graph()
     g.add_nodes_from(range(G.n))
     g.add_edges_from(G.edges())
-    return sum(1 for _ in GraphMatcher(g, g).isomorphisms_iter())
+    return sum(1 for _ in nx.vf2pp_all_isomorphisms(g, g))
 
 
-def test_generators_generate_the_automorphism_group(ore13):
+def test_generators_generate_the_automorphism_group(ore13, ore17):
     graphs = [g for g, _ in ore13] + [named_graph(name) for name in sorted(NAMED)]
     graphs += [cycle_graph(7), star_graph(4), Graph.from_edges(4, [(0, 1), (2, 3)])]
     # the smallest asymmetric trees have seven vertices
     graphs.append(Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)]))
+    # n = 17 generators feed the orbit tables of the n = 21 compositions
+    graphs += random.Random(17).sample([g for g, _ in ore17 if g.n == 17], 40)
     for G in graphs:
         _, _, generators = canonical_form(G)
         for g in generators:

@@ -255,7 +255,7 @@ def test_random_extension_fuzz_never_violates(doubles):
             rec = random_extension(g, rng)
             assert rec.core_size >= 1
             rep = verify_extension_inequalities(rec, corpus_key(g))
-            assert rep.ok, rep.render()
+            assert rep.ok, "\n".join(rep.lines())
 
 
 def test_random_extension_needs_room():
