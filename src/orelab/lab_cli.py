@@ -180,7 +180,7 @@ def _extension_report(facts: Facts, seed: int, record_ids: list[int]) -> Report:
 
 
 def _entry_report(
-    root: str, suite: str, key: str, budget: int, seed: int, record_ids: list[int]
+    root: str, suite: str, key: str, seed: int, record_ids: list[int]
 ) -> tuple[str, list[str], int]:
     """The check lines of one corpus entry and how many of them failed.
 
@@ -190,19 +190,19 @@ def _entry_report(
     corpus = Corpus(Path(root))
     entry = corpus.load(key)
     with _panics_naming(entry.graph, key):
-        rep = _suite_report(corpus, entry, suite, budget, seed, record_ids)
+        rep = _suite_report(corpus, entry, suite, seed, record_ids)
     return key, rep.lines(), sum(not c.ok for c in rep.checks)
 
 
 def _suite_report(
-    corpus: Corpus, entry: Entry, suite: str, budget: int, seed: int, record_ids: list[int]
+    corpus: Corpus, entry: Entry, suite: str, seed: int, record_ids: list[int]
 ) -> Report:
     facts = Facts.of(entry.graph)
     rep = corpus.verify_entry(entry, facts)
     if suite in ("main", "all") and facts.critical:
         rep.extend(verify_main_theorem(facts))
     if suite in ("ore5", "all") and facts.critical:
-        rep.extend(verify_ore5_bounds(facts, budget))
+        rep.extend(verify_ore5_bounds(facts))
     if suite in ("lemma2", "all"):
         rep.extend(_lemma2_report(facts))
     if suite in ("discharge", "all"):
@@ -222,10 +222,12 @@ def _suite_report(
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     corpus = Corpus(resolve_dir(args.corpus))
     keys = corpus.keys()
     if not keys:
-        print(f"warning: corpus at {corpus.root} is empty; nothing to verify")
+        print(f"warning: corpus at {corpus.root} is empty; nothing to verify", file=sys.stderr)
         return 0
     record_map: dict[str, list[int]] = {k: [] for k in keys}
     if args.suite in ("extensions", "all"):
@@ -238,14 +240,12 @@ def cmd_verify(args) -> int:
             for i in range(args.records):
                 record_map[eligible[i % len(eligible)]].append(i)
         else:
-            print("warning: no corpus entry is eligible for extension records")
-    tasks = [
-        (str(corpus.root), args.suite, k, args.budget, args.seed, record_map[k])
-        for k in keys
-    ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_entry_report_packed, tasks))
+            print("warning: no corpus entry is eligible for extension records", file=sys.stderr)
+    tasks = [(str(corpus.root), args.suite, k, args.seed, record_map[k]) for k in keys]
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_entry_report, *zip(*tasks)))
     else:
         results = [_entry_report(*t) for t in tasks]
     checks = 0
@@ -259,10 +259,6 @@ def cmd_verify(args) -> int:
     print(f"SUITE {args.suite} {verdict} checks={checks} failures={failures}")
     corpus.log(f"verify {args.suite} checks={checks} failures={failures}")
     return 0 if failures == 0 else 1
-
-
-def _entry_report_packed(task):
-    return _entry_report(*task)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite over the corpus")
     p.add_argument("suite", choices=SUITES)
     add_corpus_arg(p)
-    p.add_argument("--budget", type=int, default=4096, help="subset-sweep budget")
     p.add_argument("--records", type=int, default=100, help="extension record count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")

@@ -216,6 +216,20 @@ def ore_collapsible_subsets(G: Graph) -> list[frozenset[int]]:
     return sorted(found, key=lambda R: (len(R), sorted(R)))
 
 
+def low_ky_subsets_by_masks(G: Graph) -> list[tuple[int, int]]:
+    """Every (mask, p_ky(R)) with 5 <= |R| < n and p_ky(R) < 12, by a plain
+    loop over all 2^n masks, in ascending mask order."""
+    found = []
+    for mask in range(1, (1 << G.n) - 1):
+        size = mask.bit_count()
+        if size < 5:
+            continue
+        p = 9 * size - 2 * sum((G.adj[v] & mask).bit_count() for v in bits(mask))
+        if p < 12:
+            found.append((mask, p))
+    return found
+
+
 def critical_complement(G: Graph, R) -> tuple[Graph, int]:
     """Identify a collapsible set's boundary to one vertex, drop the rest.
 

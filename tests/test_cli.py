@@ -93,9 +93,26 @@ def test_add_bad_graph6_line_reports_position(tmp_path, run):
 
 
 def test_verify_empty_corpus_warns(tmp_path, run):
-    code, out, _ = run("verify", "main", "--corpus", str(tmp_path / "nothing"))
+    code, out, err = run("verify", "main", "--corpus", str(tmp_path / "nothing"))
     assert code == 0
-    assert "empty" in out
+    assert out == ""
+    assert "empty" in err
+
+
+def test_verify_warnings_leave_stdout_to_the_check_stream(small_corpus, run):
+    code, out, err = run(
+        "verify", "extensions", "--corpus", str(small_corpus), "--max-extend-n", "5"
+    )
+    assert code == 0
+    assert err == "warning: no corpus entry is eligible for extension records\n"
+    assert out and all(line.split()[0] in ("CHECK", "SUITE") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_rejects_jobs_below_one(small_corpus, run, jobs):
+    code, out, err = run("verify", "main", "--corpus", str(small_corpus), "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
 
 def test_verify_suites_pass(small_corpus, run):

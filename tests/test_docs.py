@@ -1,8 +1,10 @@
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import orelab
+from orelab import lab_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -19,6 +21,20 @@ def test_readme_library_example_runs(capsys):
         "9 19 (compose (k5) e=0-1 (k5) z=0 split=1,2|3,4) 5",
     ]
     assert len(lines) == 4
+
+
+def test_every_cli_option_is_in_the_readme():
+    readme = README.read_text(encoding="utf-8")
+    parser = lab_cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    missing = sorted(
+        f"orelab {command} {option}"
+        for command, sub in subparsers.choices.items()
+        for action in sub._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help" and option not in readme
+    )
+    assert not missing, "\n".join(missing)
 
 
 def _loads(node: ast.AST) -> set[str]:

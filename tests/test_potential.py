@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
 from orelab import (
     Facts,
+    Graph,
     InvariantViolation,
     Rat21,
     critical_extension,
@@ -19,6 +21,7 @@ from orelab.potential import (
     EPS,
     KY_CORE_COST,
     P_GAP,
+    _low_ky_subsets,
     f_core,
     p_ky_set,
     phi_identify,
@@ -34,7 +37,9 @@ from helpers import (
     cluster_size_sequence,
     corpus_key,
     critical_complement,
+    low_ky_subsets_by_masks,
     ore_collapsible_subsets,
+    random_graph,
 )
 
 
@@ -313,22 +318,43 @@ def test_ore5_bounds_on_k5():
     by_name = {c.name: c for c in rep.checks}
     assert rep.ok
     assert by_name["ore5-ky-upper"].slack21 == 0
-    assert by_name["ore5-low-ky-collapsible"].note == "subsets=0 of=0"
+    assert by_name["ore5-low-ky-collapsible"].note == "subsets=0 of=0 low=0"
 
 
 def test_ore5_bounds_sweep_on_doubles(doubles):
-    for g, _ in doubles:
+    for (g, _), low in zip(doubles, (2, 1)):
         rep = verify_ore5_bounds(Facts.of(g))
         by_name = {c.name: c for c in rep.checks}
         assert rep.ok
-        assert by_name["ore5-low-ky-collapsible"].note == "subsets=255 of=255"
+        assert by_name["ore5-low-ky-collapsible"].note == f"subsets=255 of=255 low={low}"
 
 
-def test_ore5_bounds_budget_caps_the_sweep(doubles):
-    g, _ = doubles[0]
-    rep = verify_ore5_bounds(Facts.of(g), subset_budget=10)
-    by_name = {c.name: c for c in rep.checks}
-    assert by_name["ore5-low-ky-collapsible"].note == "subsets=10 of=255"
+def test_ore5_bounds_names_a_violating_subset():
+    # c5_join_k2 is not 5-Ore; given a recipe anyway, the sweep runs and
+    # finds R = V - {4}: p_ky(R) = 6, and the adjacent K2 pair lies on its
+    # boundary, so R is not collapsible
+    facts = dataclasses.replace(
+        Facts.of(named_graph("c5_join_k2")), recipe=Facts.of(complete_graph(5)).recipe
+    )
+    row = verify_ore5_bounds(facts).checks[-1]
+    assert row.name == "ore5-low-ky-collapsible"
+    assert not row.ok
+    assert row.note == "subsets=28 of=28 low=10 violation=0,1,2,3,5,6"
+
+
+def test_low_ky_subsets_match_the_mask_loop(ore13, ore17):
+    graphs = [g for g, _ in ore13]
+    for seed, g in enumerate(list(graphs)):
+        perm = list(range(g.n))
+        random.Random(seed).shuffle(perm)
+        graphs.append(Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+    graphs += random.Random(17).sample([g for g, _ in ore17 if g.n == 17], 2)
+    # arbitrary graphs also hold low sets with p_ky of 10 and 11
+    rng = random.Random(5)
+    for _ in range(30):
+        graphs.append(random_graph(rng.randint(6, 12), rng.choice((0.4, 0.6, 0.8)), rng))
+    for g in graphs:
+        assert sorted(_low_ky_subsets(g)) == low_ky_subsets_by_masks(g)
 
 
 def test_ore5_bounds_on_non_ore_graph():
