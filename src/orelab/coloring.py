@@ -17,6 +17,14 @@ gives u and v one color, and recoloring an endpoint x to a color b that
 exactly one neighbor w carries yields a proper coloring of G - xw.  Each
 walked coloring is re-checked proper before it certifies its edge, and
 only edges the walk never reaches are solved exactly.
+
+Extracting a 5-critical subgraph is the same edge scan with deletions
+tried in doubling batches: a batch whose deletion leaves the graph
+non-4-colorable goes whole, and a colorable one is bisected for its first
+necessary edge, so the scan deletes exactly the edges one-at-a-time
+deletion would.  It ends on the certificates it already holds, the last
+refutation and one walked or solved coloring per kept edge, rather than a
+second criticality proof.
 """
 
 from __future__ import annotations
@@ -130,13 +138,23 @@ def is_k_colorable(G: Graph, k: int) -> tuple[int, ...] | None:
 
     ``None`` is an exhaustive-search verdict, not a heuristic one.  Every
     returned coloring is re-checked for properness before leaving.
+    Isolated vertices take color 1, and a connected G is solved in place.
     """
     if k < 1:
         raise ValueError("k must be positive")
     colors = [0] * G.n
     for comp in connected_components(G):
-        sub = induced_subgraph(G, comp)
-        res = _solve_component(sub, k)
+        if len(comp) == 1:
+            (v,) = comp
+            colors[v] = 1
+            continue
+        if len(comp) == G.n:
+            res = _solve_component(G, k)
+            if res is None:
+                return None
+            colors = res
+            break
+        res = _solve_component(induced_subgraph(G, comp), k)
         if res is None:
             return None
         for i, v in enumerate(sorted(comp)):
@@ -164,19 +182,21 @@ def seeded_coloring(G: Graph, k: int, rng: random.Random) -> tuple[int, ...] | N
     order = list(range(G.n))
     rng.shuffle(order)
     color = [0] * G.n
+    cls = [0] * (k + 1)  # cls[c]: mask of the vertices colored c so far
 
     def dfs(i: int) -> bool:
         if i == len(order):
             return True
         v = order[i]
-        forbidden = {color[u] for u in bits(G.adj[v]) if color[u]}
-        cs = [c for c in range(1, k + 1) if c not in forbidden]
+        nbrs = G.adj[v]
+        cs = [c for c in range(1, k + 1) if not cls[c] & nbrs]
         rng.shuffle(cs)
         for c in cs:
-            color[v] = c
+            cls[c] |= 1 << v
             if dfs(i + 1):
+                color[v] = c
                 return True
-        color[v] = 0
+            cls[c] &= ~(1 << v)
         return False
 
     if not dfs(0):
@@ -212,7 +232,8 @@ def _certify(G: Graph, colors: tuple[int, ...], x: int, w: int) -> list[int]:
     return cls
 
 
-def _walk(G: Graph, colors: tuple[int, ...], u: int, v: int, done: list[int]):
+def _walk(G: Graph, colors: tuple[int, ...], u: int, v: int, done: list[int],
+          certs: dict | None = None):
     """Certify uv, and every edge reachable by recoloring single vertices.
 
     ``colors`` must be a proper 4-coloring of G - uv with u and v alike,
@@ -221,6 +242,8 @@ def _walk(G: Graph, colors: tuple[int, ...], u: int, v: int, done: list[int]):
     gives a proper 4-coloring of G - xw, which certifies xw in turn.  The
     walk never revisits an edge already set in ``done`` (``done[x]`` is the
     mask of x's certified neighbors) and marks every edge it certifies.
+    With ``certs`` given, each certifying coloring is kept there under its
+    edge (lower endpoint first).
     """
     adj = G.adj
     stack = [(colors, _certify(G, colors, u, v), u, v)]
@@ -228,6 +251,8 @@ def _walk(G: Graph, colors: tuple[int, ...], u: int, v: int, done: list[int]):
     done[v] |= 1 << u
     while stack:
         colors, cls, p, q = stack.pop()
+        if certs is not None:
+            certs[min(p, q), max(p, q)] = colors
         for x in (p, q):
             for b in range(1, 5):
                 hit = adj[x] & cls[b]
@@ -274,38 +299,92 @@ def is_5_critical(G: Graph) -> bool:
     return True
 
 
+def _without_edges(G: Graph, edges) -> Graph:
+    rows = list(G.adj)
+    for u, v in edges:
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+    return Graph(G.n, tuple(rows), G.labels)
+
+
 def extract_5_critical(G: Graph) -> Graph:
     """A 5-critical subgraph of a non-4-colorable graph.
 
-    Scans edges once in descending index order, deleting any edge whose
-    removal keeps the graph non-4-colorable; colorability of a subgraph is
+    The plain scan visits edges once in descending index order and deletes
+    any edge whose removal keeps the graph non-4-colorable; colorability is
     monotone under further deletion, so one pass reaches an edge-minimal
     non-4-colorable graph.  Isolated vertices are dropped at the end.  The
     result's labels point back at G's vertices.
 
-    An edge found necessary by an exact solve seeds the witness walk of
-    :func:`is_5_critical`.  A coloring of cur - f stays proper as later
-    deletions shrink cur, so every edge the walk certifies is kept without
-    a solve of its own, and the result is the one the plain scan gives.
+    The scan here gives the same graph with fewer exact solves.  It deletes
+    the next b undecided edges at once, b = 1, 2, 4, ... while the graph
+    stays non-4-colorable.  The plain scan deletes a run of edges exactly
+    when the graph minus the whole run is not 4-colorable (a prefix of a
+    deletable run is deletable, by monotonicity), so a colorable batch is
+    bisected for its first necessary edge: the edges before it go, it
+    stays, and b starts again at 1.
+
+    A necessary edge seeds the witness walk of :func:`is_5_critical`.  A
+    coloring of cur - f stays proper as later deletions shrink cur, so
+    every edge the walk certifies is kept without a solve of its own.
+
+    The scan closes on the certificates it holds instead of re-proving
+    criticality: the final graph is the last one an exhaustive search
+    refuted (G itself if nothing went), every kept edge xw has a stored
+    coloring, re-checked to be proper on the final graph minus xw, and
+    every kept vertex has degree at least 4.
     """
     if is_k_colorable(G, 4) is not None:
         raise ValueError("graph is 4-colorable; nothing to extract")
+    # cur is only ever replaced by a graph proved not 4-colorable
     cur = G if G.labels is not None else Graph(G.n, G.adj, tuple(range(G.n)))
     done = [0] * cur.n
-    for u, v in reversed(cur.edges()):
-        if done[u] >> v & 1:
-            continue
-        attempt = without_edge(cur, u, v)
+    certs: dict[tuple[int, int], tuple[int, ...]] = {}
+    edges = cur.edges()[::-1]
+    i, b = 0, 1
+    while True:
+        batch = []
+        while i < len(edges) and len(batch) < b:
+            u, v = edges[i]
+            if not done[u] >> v & 1:
+                batch.append(i)
+            i += 1
+        if not batch:
+            break
+        cut = [edges[j] for j in batch]
+        attempt = _without_edges(cur, cut)
         colors = is_k_colorable(attempt, 4)
         if colors is None:
             cur = attempt
-        else:
-            _walk(cur, colors, u, v, done)
+            b *= 2
+            continue
+        # cur minus the first lo batch edges is not 4-colorable; minus the
+        # first hi it is, by ``colors``
+        lo, hi = 0, len(batch)
+        base = cur
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            attempt = _without_edges(cur, cut[:mid])
+            found = is_k_colorable(attempt, 4)
+            if found is None:
+                lo, base = mid, attempt
+            else:
+                hi, colors = mid, found
+        cur = base
+        u, v = cut[hi - 1]
+        _walk(cur, colors, u, v, done, certs)
+        i, b = batch[hi - 1] + 1, 1
+    for u, v in cur.edges():
+        colors = certs.pop((u, v), None)
+        if colors is None:
+            raise InvariantViolation(f"extraction kept edge ({u},{v}) with no certificate")
+        _certify(cur, colors, u, v)
+    if certs:
+        raise InvariantViolation("extraction holds a certificate for a deleted edge")
     keep = [v for v in range(cur.n) if cur.degree(v) > 0]
-    cur = induced_subgraph(cur, keep)
-    if not is_5_critical(cur):
-        raise InvariantViolation("extraction failed to produce a 5-critical graph")
-    return cur
+    if any(cur.degree(v) < 4 for v in keep):
+        raise InvariantViolation("extraction kept a vertex of degree below 4")
+    return induced_subgraph(cur, keep)
 
 
 def boundary(G: Graph, R) -> tuple[int, ...]:

@@ -224,6 +224,8 @@ def _suite_report(
 def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.records < 0:
+        raise ValueError(f"--records must be at least 0, got {args.records}")
     corpus = Corpus(resolve_dir(args.corpus))
     keys = corpus.keys()
     if not keys:

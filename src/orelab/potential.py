@@ -307,8 +307,8 @@ def verify_extension_inequalities(rec: ExtensionRecord, key: str) -> Report:
     rep.add("ky-extension", key, slack_ky >= 0, 21 * slack_ky)
     p_r = potential_set(G, rec.subset)
     p_rp = potential_set(G, rec.expanded)
-    p_w = potential(W)
     t_w, _ = packing.t_number(W)
+    p_w = _refined(W, t_w)
     core_idx = [v for v in range(W.n) if W.labels[v] < 0]
     if len(core_idx) == W.n:
         raise InvariantViolation("extender contains only class vertices")

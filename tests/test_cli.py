@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -113,6 +115,12 @@ def test_verify_rejects_jobs_below_one(small_corpus, run, jobs):
     code, out, err = run("verify", "main", "--corpus", str(small_corpus), "--jobs", jobs)
     assert (code, out) == (2, "")
     assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
+def test_verify_rejects_negative_records(small_corpus, run):
+    code, out, err = run("verify", "extensions", "--corpus", str(small_corpus), "--records", "-3")
+    assert (code, out) == (2, "")
+    assert err == "error: --records must be at least 0, got -3\n"
 
 
 def test_verify_suites_pass(small_corpus, run):
@@ -359,3 +367,20 @@ def test_resolve_rejects_nonsense_token(run, tmp_path):
     code, _, err = run("t", "definitely-not-a-graph", "--corpus", str(tmp_path / "c"))
     assert code == 2
     assert "not a corpus key" in err
+
+
+EXTENSION_RECORDS_SHA256 = "a750ef71a3ee138f023ed4829f81b0e456ac68c050a92e06c652fa324e977757"
+
+
+def test_extension_records_are_frozen(ore17_facts):
+    # the CHECK lines of 30 seeded records on four n = 17 classes, picked by
+    # key, and mycielski_groetzsch; any change to a record's bytes shows here
+    pool = sorted((f for f in ore17_facts if f.graph.n == 17), key=lambda f: f.key)
+    entries = random.Random(9).sample(pool, 4) + [Facts.of(named_graph("mycielski_groetzsch"))]
+    lines = []
+    for j, facts in enumerate(entries):
+        record_ids = list(range(j, 30, len(entries)))
+        lines += lab_cli._extension_report(facts, 7, record_ids).lines()
+    assert len(lines) == 120
+    digest = hashlib.sha256("".join(l + "\n" for l in lines).encode()).hexdigest()
+    assert digest == EXTENSION_RECORDS_SHA256

@@ -13,8 +13,14 @@ from orelab.coloring import (
     seeded_coloring,
 )
 from orelab.constructions import NAMED, complete_graph, cycle_graph
-from orelab.graph_core import induced_subgraph, with_edge, without_edge
+from orelab.graph_core import (
+    connected_components,
+    induced_subgraph,
+    with_edge,
+    without_edge,
+)
 from orelab.ore import Compose, Leaf
+from orelab.potential import phi_identify
 
 from helpers import (
     brute_colorable,
@@ -73,6 +79,46 @@ def test_solver_handles_disconnected_graphs():
     colors = is_k_colorable(two_k4, 4)
     proper(two_k4, colors, 4)
     assert is_k_colorable(two_k4, 3) is None
+
+
+def disjoint_union(parts):
+    edges, off = [], 0
+    for g in parts:
+        edges += [(u + off, v + off) for u, v in g.edges()]
+        off += g.n
+    return Graph.from_edges(off, edges)
+
+
+def solve_each_component(G, k):
+    """The solver run on every component as an induced subgraph of its own."""
+    colors = [0] * G.n
+    for comp in connected_components(G):
+        res = coloring._solve_component(induced_subgraph(G, comp), k)
+        if res is None:
+            return None
+        for i, v in enumerate(sorted(comp)):
+            colors[v] = res[i]
+    return tuple(colors)
+
+
+def test_solver_on_isolated_vertices_and_several_components():
+    rng = random.Random(202)
+    shapes = set()
+    for _ in range(300):
+        parts = [random_graph(rng.choice((1, 1, 2, 3, 4, 5)), 0.3 + 0.6 * rng.random(), rng)
+                 for _ in range(rng.randint(1, 4))]
+        G = disjoint_union(parts)
+        if G.n > 10:
+            continue
+        k = rng.randint(1, 4)
+        got = is_k_colorable(G, k)
+        assert (got is not None) == brute_colorable(G, k)
+        assert got == solve_each_component(G, k)
+        if got is not None:
+            proper(G, got, k)
+        comps = connected_components(G)
+        shapes.add((len(comps) > 1, any(len(c) == 1 for c in comps), got is None))
+    assert len(shapes) >= 6
 
 
 def test_seeded_coloring_is_deterministic_and_varied():
@@ -166,16 +212,49 @@ def test_walk_solves_fewer_than_one_search_per_edge(monkeypatch):
     assert 0 < len(solves) < G.m
 
 
-def test_extract_keeps_the_plain_scan_result(doubles):
+def contains_k5(G):
+    def grow(cand, size):
+        if size == 5:
+            return True
+        while cand:
+            v = cand.bit_length() - 1
+            cand &= ~(1 << v)
+            if grow(cand & G.adj[v], size + 1):
+                return True
+        return False
+
+    return grow((1 << G.n) - 1, 0)
+
+
+def identified_graphs(hosts, per_host, rng):
+    """Seeded phi_identify graphs: a random proper subset R of each host
+    and a seeded 4-coloring of it, as in an extension record."""
+    out = []
+    for G in hosts:
+        for _ in range(per_host):
+            R = sorted(rng.sample(range(G.n), rng.randint(5, G.n - 1)))
+            colors = seeded_coloring(induced_subgraph(G, R), 4, rng)
+            out.append(phi_identify(G, R, dict(zip(R, colors)))[0])
+    return out
+
+
+def test_extract_keeps_the_plain_scan_result(doubles, ore17):
     inputs = [complete_graph(6)] + one_edge_changes(named_graph("mycielski_groetzsch"))[-3:]
     for g, _ in doubles:
         inputs += one_edge_changes(g)[g.m :]
-    for G in inputs:
+    # identified graphs as extension records build them; with a K5 inside,
+    # the scan deletes nearly every other edge in long runs
+    seventeen = [g for g, _ in ore17 if g.n == 17]
+    hosts = random.Random(5).sample(seventeen, 6) + [named_graph("mycielski_groetzsch")]
+    identified = identified_graphs(hosts, 6, random.Random(17))
+    assert 0 < sum(map(contains_k5, identified)) < len(identified)
+    for G in inputs + identified:
         want = extract_by_edges(G)
-        keep = [v for v in range(want.n) if want.degree(v) > 0]
+        want = induced_subgraph(want, [v for v in range(want.n) if want.degree(v) > 0])
         got = extract_5_critical(G)
-        assert got == induced_subgraph(want, keep)
-        assert got.labels == tuple(keep)
+        assert got == want
+        assert got.labels == want.labels
+        assert is_5_critical(got)
 
 
 def test_extract_5_critical():
@@ -197,6 +276,32 @@ def test_extract_preserves_existing_labels():
     )
     got = extract_5_critical(G)
     assert got.labels == (9, 8, 7, 6, 5)
+
+
+def test_extract_refuses_an_edge_without_certificate(monkeypatch):
+    real = coloring._walk
+
+    def forgetful(G, colors, u, v, done, certs=None):
+        real(G, colors, u, v, done, certs)
+        del certs[min(u, v), max(u, v)]
+
+    # uv stays marked done, so the scan keeps it, but its coloring is lost
+    monkeypatch.setattr(coloring, "_walk", forgetful)
+    with pytest.raises(InvariantViolation, match="no certificate"):
+        extract_5_critical(complete_graph(6))
+
+
+def test_extract_rechecks_every_certificate_on_the_final_graph(monkeypatch):
+    real = coloring._walk
+
+    def spoiled(G, colors, u, v, done, certs=None):
+        real(G, colors, u, v, done, certs)
+        key = min(u, v), max(u, v)
+        certs[key] = tuple(1 for _ in certs[key])
+
+    monkeypatch.setattr(coloring, "_walk", spoiled)
+    with pytest.raises(InvariantViolation, match="walk"):
+        extract_5_critical(complete_graph(6))
 
 
 # --- collapsibility ---------------------------------------------------------
