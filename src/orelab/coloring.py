@@ -5,11 +5,18 @@ domains.  Completeness is the whole point: a ``None`` answer is a proof
 that no proper k-coloring exists, and everything downstream (criticality,
 collapsibility, critical extensions) leans on that.
 
+Every vertex of a (k+1)-critical graph has degree at least k, so a vertex
+with fewer than k neighbors never decides k-colorability: any k-coloring
+of the rest leaves it a free color.  The solver first peels such vertices
+repeatedly, in ascending index sweeps, and searches only the k-core that
+is left; the peeled vertices then take the lowest free color in reverse
+peel order.  A graph with an empty core is colored with no search at all.
+
 Symmetry is broken two ways, both sound for the decision problem: a
-greedily found clique is precolored with distinct colors, and a fresh
-color may only be introduced as the lowest unused one.  Vertex choice is
-smallest remaining domain (equivalently largest saturation), ties to the
-lowest index, so runs are deterministic.
+greedily found clique of the core is precolored with distinct colors, and
+a fresh color may only be introduced as the lowest unused one.  Vertex
+choice is smallest remaining domain (equivalently largest saturation),
+ties to the lowest index, so runs are deterministic.
 
 Criticality needs a 4-coloring of G - e for every edge e.  Rather than one
 exact search per edge, a solved G - uv seeds a witness walk: the coloring
@@ -22,9 +29,11 @@ Extracting a 5-critical subgraph is the same edge scan with deletions
 tried in doubling batches: a batch whose deletion leaves the graph
 non-4-colorable goes whole, and a colorable one is bisected for its first
 necessary edge, so the scan deletes exactly the edges one-at-a-time
-deletion would.  It ends on the certificates it already holds, the last
-refutation and one walked or solved coloring per kept edge, rather than a
-second criticality proof.
+deletion would.  The scan works on the 4-core: every refuted graph is cut
+down to its 4-core, which holds every 5-critical subgraph, and the edges
+dropped that way are never solved.  It ends on the certificates it
+already holds, the 4-core of the last refutation and one walked or solved
+coloring per kept edge, rather than a second criticality proof.
 """
 
 from __future__ import annotations
@@ -44,121 +53,148 @@ from .graph_core import (
 )
 
 
-def _greedy_clique(g: Graph) -> list[int]:
-    # Seed at a lowest-index vertex of maximum degree, grow by maximum
-    # degree inside the common neighborhood.  Any deterministic clique works.
-    if g.n == 0:
-        return []
-    start = max(range(g.n), key=lambda v: (g.degree(v), -v))
-    clique = [start]
-    cand = g.adj[start]
-    while cand:
-        u = max(bits(cand), key=lambda v: ((g.adj[v] & cand).bit_count(), -v))
-        clique.append(u)
-        cand &= g.adj[u]
-    return clique
+def _peel(g: Graph, k: int) -> tuple[int, list[int]]:
+    """The k-core of g as a mask, and the vertices outside it in peel order.
+
+    Sweeps the vertices in ascending index order, deleting each one with
+    fewer than k neighbors left, until a sweep deletes none.  A peeled
+    vertex has fewer than k neighbors among the core and the vertices
+    peeled after it.
+    """
+    adj = g.adj
+    core = (1 << g.n) - 1
+    order: list[int] = []
+    swept = True
+    while swept:
+        swept = False
+        for v in bits(core):
+            if (adj[v] & core).bit_count() < k:
+                core ^= 1 << v
+                order.append(v)
+                swept = True
+    return core, order
 
 
 def _solve_component(g: Graph, k: int) -> list[int] | None:
-    n = g.n
-    clique = _greedy_clique(g)
-    if len(clique) > k:
-        return None
-    full = (1 << k) - 1
-    domain = [full] * n
+    """Exhaustive search on the k-core of g, then the peeled vertices
+    greedily in reverse peel order; None when the core has no k-coloring."""
+    n, adj = g.n, g.adj
+    core, peeled = _peel(g, k)
     color = [0] * n
-    uncolored = (1 << n) - 1
-
-    def assign(v: int, c: int, touched: list[int]) -> bool:
-        nonlocal uncolored
-        color[v] = c
-        uncolored &= ~(1 << v)
-        bit = 1 << (c - 1)
-        m = g.adj[v] & uncolored
-        while m:
-            low = m & -m
-            m ^= low
-            u = low.bit_length() - 1
-            if domain[u] & bit:
-                domain[u] &= ~bit
-                touched.append(u)
-                if not domain[u]:
-                    return False
-        return True
-
-    def undo(v: int, touched: list[int], c: int):
-        nonlocal uncolored
-        color[v] = 0
-        uncolored |= 1 << v
-        bit = 1 << (c - 1)
-        for u in touched:
-            domain[u] |= bit
-
-    used = 0
-    for i, v in enumerate(clique):
-        touched: list[int] = []
-        if not assign(v, i + 1, touched):
+    if core:
+        # Seed at a lowest-index vertex of maximum core degree, grow by
+        # maximum degree inside the common neighborhood.  Any deterministic
+        # clique works.
+        start = max(bits(core), key=lambda v: ((adj[v] & core).bit_count(), -v))
+        clique = [start]
+        cand = adj[start] & core
+        while cand:
+            u = max(bits(cand), key=lambda v: ((adj[v] & cand).bit_count(), -v))
+            clique.append(u)
+            cand &= adj[u]
+        if len(clique) > k:
             return None
-        used = i + 1
+        full = (1 << k) - 1
+        domain = [full] * n
+        uncolored = core
 
-    def dfs(used: int) -> bool:
-        if not uncolored:
+        def assign(v: int, c: int, touched: list[int]) -> bool:
+            nonlocal uncolored
+            color[v] = c
+            uncolored &= ~(1 << v)
+            bit = 1 << (c - 1)
+            m = adj[v] & uncolored
+            while m:
+                low = m & -m
+                m ^= low
+                u = low.bit_length() - 1
+                if domain[u] & bit:
+                    domain[u] &= ~bit
+                    touched.append(u)
+                    if not domain[u]:
+                        return False
             return True
-        best_v, best_size = -1, k + 1
-        m = uncolored
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            size = domain[v].bit_count()
-            if size == 0:
-                return False
-            if size < best_size:
-                best_v, best_size = v, size
-        cap = (1 << min(used + 1, k)) - 1
-        avail = domain[best_v] & cap
-        while avail:
-            low = avail & -avail
-            avail ^= low
-            c = low.bit_length()
-            touched: list[int] = []
-            ok = assign(best_v, c, touched)
-            if ok and dfs(max(used, c)):
-                return True
-            undo(best_v, touched, c)
-        return False
 
-    if not dfs(used):
-        return None
+        def undo(v: int, touched: list[int], c: int):
+            nonlocal uncolored
+            color[v] = 0
+            uncolored |= 1 << v
+            bit = 1 << (c - 1)
+            for u in touched:
+                domain[u] |= bit
+
+        for i, v in enumerate(clique):
+            if not assign(v, i + 1, []):
+                return None
+
+        def dfs(used: int) -> bool:
+            if not uncolored:
+                return True
+            best_v, best_size = -1, k + 1
+            m = uncolored
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                size = domain[v].bit_count()
+                if size == 0:
+                    return False
+                if size < best_size:
+                    best_v, best_size = v, size
+            cap = (1 << min(used + 1, k)) - 1
+            avail = domain[best_v] & cap
+            while avail:
+                low = avail & -avail
+                avail ^= low
+                c = low.bit_length()
+                touched: list[int] = []
+                ok = assign(best_v, c, touched)
+                if ok and dfs(max(used, c)):
+                    return True
+                undo(best_v, touched, c)
+            return False
+
+        if not dfs(len(clique)):
+            return None
+    for v in reversed(peeled):
+        taken = 0
+        for u in bits(adj[v]):
+            taken |= 1 << color[u]
+        c = 1
+        while taken >> c & 1:
+            c += 1
+        color[v] = c
     return color
 
 
 def is_k_colorable(G: Graph, k: int) -> tuple[int, ...] | None:
     """A proper k-coloring as a tuple of colors 1..k, or None.
 
-    ``None`` is an exhaustive-search verdict, not a heuristic one.  Every
-    returned coloring is re-checked for properness before leaving.
-    Isolated vertices take color 1, and a connected G is solved in place.
+    A vertex with fewer than k neighbors never decides k-colorability:
+    any k-coloring of the rest leaves it a free color.  So a graph is
+    k-colorable exactly when its k-core (what is left after repeatedly
+    deleting such vertices) is, and only the core is searched.  ``None``
+    is an exhaustive-search verdict on the core, not a heuristic one.  The
+    peeled vertices then take the lowest free color in reverse peel order,
+    and every returned coloring is re-checked for properness before
+    leaving.  A graph with at most one component of two or more vertices
+    is solved in place; isolated vertices are peeled and take color 1.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    colors = [0] * G.n
-    for comp in connected_components(G):
-        if len(comp) == 1:
-            (v,) = comp
-            colors[v] = 1
-            continue
-        if len(comp) == G.n:
-            res = _solve_component(G, k)
+    parts = [comp for comp in connected_components(G) if len(comp) > 1]
+    if len(parts) < 2:
+        colors = _solve_component(G, k)
+        if colors is None:
+            return None
+    else:
+        colors = [1] * G.n
+        for comp in parts:
+            res = _solve_component(induced_subgraph(G, comp), k)
             if res is None:
                 return None
-            colors = res
-            break
-        res = _solve_component(induced_subgraph(G, comp), k)
-        if res is None:
-            return None
-        for i, v in enumerate(sorted(comp)):
-            colors[v] = res[i]
+            for i, v in enumerate(sorted(comp)):
+                colors[v] = res[i]
     out = tuple(colors)
     _check_proper(G, out, k)
     return out
@@ -307,46 +343,67 @@ def _without_edges(G: Graph, edges) -> Graph:
     return Graph(G.n, tuple(rows), G.labels)
 
 
+def _four_core(G: Graph) -> Graph:
+    """G with every edge outside its 4-core deleted; vertices are kept."""
+    core, _ = _peel(G, 4)
+    rows = tuple(row & core if core >> v & 1 else 0 for v, row in enumerate(G.adj))
+    return Graph(G.n, rows, G.labels)
+
+
 def extract_5_critical(G: Graph) -> Graph:
     """A 5-critical subgraph of a non-4-colorable graph.
 
     The plain scan visits edges once in descending index order and deletes
     any edge whose removal keeps the graph non-4-colorable; colorability is
     monotone under further deletion, so one pass reaches an edge-minimal
-    non-4-colorable graph.  Isolated vertices are dropped at the end.  The
-    result's labels point back at G's vertices.
+    non-4-colorable graph W.  Isolated vertices are dropped at the end.
+    The result's labels point back at G's vertices.
 
-    The scan here gives the same graph with fewer exact solves.  It deletes
-    the next b undecided edges at once, b = 1, 2, 4, ... while the graph
-    stays non-4-colorable.  The plain scan deletes a run of edges exactly
-    when the graph minus the whole run is not 4-colorable (a prefix of a
-    deletable run is deletable, by monotonicity), so a colorable batch is
-    bisected for its first necessary edge: the edges before it go, it
-    stays, and b starts again at 1.
+    The scan here gives the same graph with fewer exact solves.  W has
+    minimum degree at least 4 on its non-isolated vertices, so W lies in
+    the 4-core core(X) of every graph X the plain scan passes through, and
+    X is 4-colorable exactly when core(X) is (see :func:`is_k_colorable`).
+    So the scan starts from core(G), and after every refutation cur becomes
+    the refuted graph's 4-core.  Throughout, core(X) <= cur <= X: every
+    attempt cur - B sits between core(X - B) and X - B and gets the plain
+    scan's verdict, and an edge no longer in cur is one the plain scan
+    deletes without changing that verdict, so it is skipped unsolved.
+
+    Deletions go in batches: the next b undecided edges of cur at once,
+    b = 1, 2, 4, ... while the graph stays non-4-colorable.  The plain scan
+    deletes a run of edges exactly when the graph minus the whole run is
+    not 4-colorable (a prefix of a deletable run is deletable, by
+    monotonicity), so a colorable batch is bisected for its first
+    necessary edge: the edges before it go, it stays, and b starts again
+    at 1.
 
     A necessary edge seeds the witness walk of :func:`is_5_critical`.  A
     coloring of cur - f stays proper as later deletions shrink cur, so
     every edge the walk certifies is kept without a solve of its own.
 
     The scan closes on the certificates it holds instead of re-proving
-    criticality: the final graph is the last one an exhaustive search
-    refuted (G itself if nothing went), every kept edge xw has a stored
-    coloring, re-checked to be proper on the final graph minus xw, and
-    every kept vertex has degree at least 4.
+    criticality: the final graph is the 4-core of the last graph an
+    exhaustive search refuted (of G, if nothing went), so it is not
+    4-colorable and every kept vertex has degree at least 4, which is
+    checked; and every kept edge xw has a stored coloring, re-checked to be
+    proper on the final graph minus xw.
     """
     if is_k_colorable(G, 4) is not None:
         raise ValueError("graph is 4-colorable; nothing to extract")
-    # cur is only ever replaced by a graph proved not 4-colorable
-    cur = G if G.labels is not None else Graph(G.n, G.adj, tuple(range(G.n)))
+    # cur is only ever replaced by the 4-core of a graph proved not
+    # 4-colorable
+    if G.labels is None:
+        G = Graph(G.n, G.adj, tuple(range(G.n)))
+    cur = _four_core(G)
     done = [0] * cur.n
     certs: dict[tuple[int, int], tuple[int, ...]] = {}
-    edges = cur.edges()[::-1]
+    edges = G.edges()[::-1]
     i, b = 0, 1
     while True:
         batch = []
         while i < len(edges) and len(batch) < b:
             u, v = edges[i]
-            if not done[u] >> v & 1:
+            if (cur.adj[u] & ~done[u]) >> v & 1:
                 batch.append(i)
             i += 1
         if not batch:
@@ -355,7 +412,7 @@ def extract_5_critical(G: Graph) -> Graph:
         attempt = _without_edges(cur, cut)
         colors = is_k_colorable(attempt, 4)
         if colors is None:
-            cur = attempt
+            cur = _four_core(attempt)
             b *= 2
             continue
         # cur minus the first lo batch edges is not 4-colorable; minus the
@@ -367,7 +424,7 @@ def extract_5_critical(G: Graph) -> Graph:
             attempt = _without_edges(cur, cut[:mid])
             found = is_k_colorable(attempt, 4)
             if found is None:
-                lo, base = mid, attempt
+                lo, base = mid, _four_core(attempt)
             else:
                 hi, colors = mid, found
         cur = base

@@ -86,7 +86,9 @@ def p_ky(G: Graph) -> int:
 
 
 def p_ky_set(G: Graph, R) -> int:
-    return p_ky(induced_subgraph(G, R))
+    """p_ky(G[R]) from masks: 9|R| - 4e(R), with 2e(R) the degree sum in R."""
+    rmask = mask_of(R)
+    return 9 * rmask.bit_count() - 2 * sum((G.adj[v] & rmask).bit_count() for v in bits(rmask))
 
 
 def potential(G: Graph) -> Rat21:

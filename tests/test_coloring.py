@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -119,6 +120,74 @@ def test_solver_on_isolated_vertices_and_several_components():
         comps = connected_components(G)
         shapes.add((len(comps) > 1, any(len(c) == 1 for c in comps), got is None))
     assert len(shapes) >= 6
+
+
+def with_low_degree_vertices(n, rng):
+    """A seeded random graph on a few vertices, grown to n by vertices that
+    each join one to three earlier ones: pendant trees and other vertices
+    the peel may remove."""
+    start = rng.randint(1, min(n, 6))
+    edges = random_graph(start, 0.3 + 0.7 * rng.random(), rng).edges()
+    for v in range(start, n):
+        edges += [(u, v) for u in rng.sample(range(v), min(v, rng.randint(1, 3)))]
+    return Graph.from_edges(n, edges)
+
+
+def test_solver_agrees_with_brute_force_around_the_peel():
+    rng = random.Random(303)
+    verdicts = set()
+    for _ in range(400):
+        G = with_low_degree_vertices(rng.randint(2, 10), rng)
+        k = rng.randint(1, 4)
+        got = is_k_colorable(G, k)
+        assert (got is not None) == brute_colorable(G, k)
+        if got is not None:
+            proper(G, got, k)
+        verdicts.add((k, got is None))
+    assert len(verdicts) == 8
+
+
+def search_nodes(run):
+    """run() and the number of backtracking nodes it opened in the solver."""
+    nodes = 0
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        code = frame.f_code
+        if event == "call" and code.co_name == "dfs" and code.co_filename == coloring.__file__:
+            nodes += 1
+
+    sys.setprofile(profile)
+    try:
+        out = run()
+    finally:
+        sys.setprofile(None)
+    return out, nodes
+
+
+def test_a_degenerate_graph_is_colored_without_search():
+    # K5 - e with a pendant path: every subgraph has a vertex of degree < 4
+    G = Graph.from_edges(8, without_edge(complete_graph(5), 0, 1).edges()
+                         + [(4, 5), (5, 6), (6, 7)])
+    colors, nodes = search_nodes(lambda: is_k_colorable(G, 4))
+    proper(G, colors, 4)
+    assert nodes == 0
+    # the wheel's 3-core is all of it, and its rim needs the search
+    assert search_nodes(lambda: is_k_colorable(wheel(5), 3))[1] > 0
+
+
+def test_a_wrong_peel_is_caught(monkeypatch):
+    real = coloring._peel
+
+    def wrong(g, k):
+        core, order = real(g, k)
+        return core & ~1, order + [0]
+
+    # K5 is its own 4-core; with vertex 0 peeled, the search colors the
+    # other four, and 0 is left no color
+    monkeypatch.setattr(coloring, "_peel", wrong)
+    with pytest.raises(InvariantViolation):
+        is_k_colorable(complete_graph(5), 4)
 
 
 def test_seeded_coloring_is_deterministic_and_varied():
@@ -268,6 +337,27 @@ def test_extract_5_critical():
 
     with pytest.raises(ValueError):
         extract_5_critical(cycle_graph(5))
+
+
+def test_extract_drops_a_pendant_tree_without_solving_it(monkeypatch):
+    rng = random.Random(30)
+    root = rng.randrange(5)
+    tree = [(rng.choice([root, *range(5, v)]), v) for v in range(5, 35)]
+    G = Graph.from_edges(35, complete_graph(5).edges() + tree)
+    real = coloring.is_k_colorable
+    calls = []
+
+    def counted(g, k):
+        calls.append(g)
+        return real(g, k)
+
+    monkeypatch.setattr(coloring, "is_k_colorable", counted)
+    got = extract_5_critical(G)
+    assert got == complete_graph(5)
+    assert got.labels == (0, 1, 2, 3, 4)
+    # one refutation of G, and one coloring of K5 - e whose walk certifies
+    # the other nine edges
+    assert len(calls) <= 2
 
 
 def test_extract_preserves_existing_labels():
