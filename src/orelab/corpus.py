@@ -102,17 +102,24 @@ class Corpus:
         self.log(f"add {key} n={inv['n']} m={inv['m']} {provenance}")
         return True
 
-    def load(self, key: str) -> Entry:
+    def _read(self, key: str) -> dict:
         path = self._path(key)
         try:
             with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
+                return json.load(fh)
         except FileNotFoundError:
             raise KeyError(f"no corpus entry {key} under {self.root}") from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: corrupt entry: {exc}") from None
+
+    def load(self, key: str) -> Entry:
+        raw = self._read(key)
         G = graph_from_text(raw["graph"])
         return Entry(key, G, raw.get("provenance", "?"), raw["invariants"])
+
+    def invariants(self, key: str) -> dict:
+        """The cached invariants of an entry, without building its graph."""
+        return self._read(key)["invariants"]
 
     def verify_entry(self, entry: Entry, facts: Facts) -> Report:
         """Compare an entry's key and cached invariants with the fresh

@@ -4,8 +4,9 @@ A :class:`Graph` is an immutable value: vertex ``i``'s neighborhood is an
 ``int`` bitmask, so neighborhood algebra is single-word arithmetic.  All of
 the higher machinery (exact coloring, clique packing, composition search,
 potential audits) builds on the operations here: induced subgraphs, vertex
-identification, the components of the degree-four subgraph, and an exact
-canonical form used to deduplicate isomorphism classes.
+identification, the 2-cuts that Ore compositions glue along, the
+components of the degree-four subgraph, and an exact canonical form used
+to deduplicate isomorphism classes.
 
 Canonical forms are computed by equitable partition refinement plus
 backtracking over individualization choices, minimizing the lower-triangle
@@ -219,6 +220,77 @@ def connected_components(G: Graph, within=None) -> list[frozenset[int]]:
         comps.append(frozenset(bits(comp)))
         todo &= ~comp
     return comps
+
+
+def two_cuts(G: Graph):
+    """Every 2-cut of G with the components it leaves.
+
+    A 2-cut is a pair {x, y}, adjacent or not, whose removal leaves at
+    least two components.  Yields ``(x, y, parts)`` with x < y, pairs in
+    ascending order, and ``parts`` the components of G - {x, y} as
+    bitmasks ordered by their least vertex.
+
+    One depth-first search of G - x per x finds the cut vertices of
+    G - x: a child subtree whose lowpoint does not reach above y is cut
+    off from the rest by removing y.  So the components of G - {x, y} are
+    the components of G - x that miss y, the subtrees cut off below y,
+    and what is left of y's own component, when anything is.
+    """
+    n, adj = G.n, G.adj
+    full = (1 << n) - 1
+    if all(row | 1 << v == full for v, row in enumerate(adj)):
+        return  # a complete graph has no 2-cut
+    for x in range(n - 1):
+        alive = full & ~(1 << x)
+        disc = [-1] * n
+        low = [0] * n
+        below = [0] * n  # the vertex's DFS subtree, itself included
+        cut_off: dict[int, list[int]] = {}
+        clock = 0
+
+        def visit(v: int):
+            nonlocal clock
+            disc[v] = reach = clock
+            clock += 1
+            subtree = 1 << v
+            todo = adj[v] & alive
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                u = bit.bit_length() - 1
+                if disc[u] < 0:
+                    visit(u)
+                    subtree |= below[u]
+                    if low[u] >= disc[v]:
+                        cut_off.setdefault(v, []).append(below[u])
+                    elif low[u] < reach:
+                        reach = low[u]
+                elif disc[u] < reach:
+                    reach = disc[u]
+            low[v], below[v] = reach, subtree
+
+        comps = []
+        for root in bits(alive):
+            if disc[root] < 0:
+                visit(root)
+                comps.append(below[root])
+        # visit refers to itself; dropping the name frees the search now
+        # instead of at the next garbage collection
+        del visit
+        for y in range(x + 1, n):
+            pieces = cut_off.get(y, [])
+            if len(comps) == 1 and not pieces:
+                continue  # G - {x, y} is connected, or empty
+            home = next(c for c in comps if c >> y & 1)
+            parts = [c for c in comps if c != home] + pieces
+            rest = home & ~(1 << y)
+            for c in pieces:
+                rest &= ~c
+            if rest:
+                parts.append(rest)
+            if len(parts) > 1:
+                parts.sort(key=lambda c: c & -c)
+                yield x, y, tuple(parts)
 
 
 @dataclass(frozen=True)

@@ -235,7 +235,7 @@ def cmd_verify(args) -> int:
     if args.suite in ("extensions", "all"):
         eligible = []
         for k in keys:
-            inv = corpus.load(k).invariants
+            inv = corpus.invariants(k)
             if inv.get("critical5") and 6 <= inv.get("n", 0) <= args.max_extend_n:
                 eligible.append(k)
         if eligible:

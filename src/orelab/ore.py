@@ -12,9 +12,10 @@ s-expression whose indices refer to the deterministic labeling each side
 gets when materialized (edge side keeps its vertex numbers; vertex-side
 vertices other than z follow, in ascending order).
 
-Recognition inverts the construction: search nonadjacent separating pairs
-{x, y}, assign the components of G - {x, y} to the two sides in every
-way, and recurse.  It runs on the canonical relabeling of its input, so
+Recognition inverts the construction: scan the 2-cuts {x, y} of G
+(:func:`~orelab.graph_core.two_cuts`, one depth-first search per x),
+skip adjacent pairs, assign the components of G - {x, y} to the two sides
+in every way, and recurse.  It runs on the canonical relabeling of its input, so
 the recipe it finds is a function of the isomorphism class alone; a table
 keyed by canonical key keeps each class's answer, positive or negative,
 which saves time and cannot change an answer.
@@ -31,10 +32,10 @@ from .graph_core import (
     bits,
     canonical_form,
     check_automorphism,
-    connected_components,
     identify_vertices,
     induced_subgraph,
     mask_of,
+    two_cuts,
     with_edge,
 )
 
@@ -284,13 +285,17 @@ isomorphism class, so the table changes how long recognition takes, never
 what it returns."""
 
 
-def _nonempty_proper_unions(parts: list[frozenset[int]]):
+def _nonempty_proper_unions(parts: tuple[int, ...]):
+    """Every split of the component masks ``parts`` into two nonempty
+    unions, as (A, B) masks."""
     c = len(parts)
     for pick in range(1, (1 << c) - 1):
-        a: set[int] = set()
-        b: set[int] = set()
+        a = b = 0
         for i, p in enumerate(parts):
-            (a if pick >> i & 1 else b).update(p)
+            if pick >> i & 1:
+                a |= p
+            else:
+                b |= p
         yield a, b
 
 
@@ -339,26 +344,20 @@ def _recognize(G: Graph):
         return None, ()
     if any(G.degree(v) < 4 for v in range(G.n)):
         return None, ()
-    for x in range(n):
-        for y in range(x + 1, n):
-            if G.has_edge(x, y):
+    for x, y, parts in two_cuts(G):
+        if G.has_edge(x, y):
+            continue
+        common = G.adj[x] & G.adj[y]
+        for amask, bmask in _nonempty_proper_unions(parts):
+            if amask.bit_count() < 3 or bmask.bit_count() < 4:
                 continue
-            rest = [v for v in range(n) if v not in (x, y)]
-            comps = connected_components(G, within=rest)
-            if len(comps) < 2:
+            if common & bmask:
+                continue  # split parts of N(z) must be disjoint
+            if not (G.adj[x] & bmask) or not (G.adj[y] & bmask):
                 continue
-            common = G.adj[x] & G.adj[y]
-            for aset, bset in _nonempty_proper_unions(comps):
-                if len(aset) < 3 or len(bset) < 4:
-                    continue
-                bmask = mask_of(bset)
-                if common & bmask:
-                    continue  # split parts of N(z) must be disjoint
-                if not (G.adj[x] & bmask) or not (G.adj[y] & bmask):
-                    continue
-                found = _try_factor(G, x, y, sorted(aset), sorted(bset))
-                if found is not None:
-                    return found
+            found = _try_factor(G, x, y, amask, bmask)
+            if found is not None:
+                return found
     return None, ()
 
 
@@ -377,13 +376,14 @@ def _side(G: Graph):
     return recipe, iso
 
 
-def _try_factor(G: Graph, x: int, y: int, aside: list[int], bside: list[int]):
-    edge_vertices = sorted(aside + [x, y])
+def _try_factor(G: Graph, x: int, y: int, amask: int, bmask: int):
+    ends = 1 << x | 1 << y
+    edge_vertices = bits(amask | ends)
     epos = {v: i for i, v in enumerate(edge_vertices)}
     side1 = _side(with_edge(induced_subgraph(G, edge_vertices), epos[x], epos[y]))
     if side1 is None:
         return None
-    vertex_vertices = sorted(bside + [x, y])
+    vertex_vertices = bits(bmask | ends)
     vpos = {v: i for i, v in enumerate(vertex_vertices)}
     sub2 = induced_subgraph(G, vertex_vertices)
     cand2, merge_map = identify_vertices(sub2, [vpos[x], vpos[y]])
@@ -391,7 +391,6 @@ def _try_factor(G: Graph, x: int, y: int, aside: list[int], bside: list[int]):
     if side2 is None:
         return None
     (r1, iso1), (r2, iso2) = side1, side2
-    bmask = mask_of(bside)
     part_a = sorted(iso2[merge_map[vpos[v]]] for v in bits(G.adj[x] & bmask))
     part_b = sorted(iso2[merge_map[vpos[v]]] for v in bits(G.adj[y] & bmask))
     recipe = Compose(

@@ -148,6 +148,20 @@ def random_graph(n: int, p: float, rng) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def glued_pair(rng):
+    """Two seeded random graphs that share the vertices 0 and 1, which may
+    be adjacent: {0, 1} separates the two unless one is only 0 and 1."""
+    a, b = rng.randint(2, 7), rng.randint(2, 7)
+    left = random_graph(a, 0.2 + 0.7 * rng.random(), rng)
+    right = random_graph(b, 0.2 + 0.7 * rng.random(), rng)
+
+    def shift(v):
+        return v if v < 2 else v + a - 2
+
+    edges = set(left.edges()) | {(shift(u), shift(v)) for u, v in right.edges()}
+    return Graph.from_edges(a + b - 2, sorted(edges))
+
+
 def cluster_size_sequence(G: Graph) -> tuple[int, ...]:
     """Sizes of G's degree-four clusters, largest first: the maximal sets of
     degree-four vertices sharing one closed neighborhood."""
@@ -187,6 +201,16 @@ def t_number_oracle(G: Graph) -> int:
     return rec((1 << G.n) - 1)
 
 
+def two_cuts_by_pairs(G: Graph):
+    """``two_cuts`` by one component scan of G - {x, y} per vertex pair."""
+    for x in range(G.n):
+        for y in range(x + 1, G.n):
+            rest = [v for v in range(G.n) if v not in (x, y)]
+            comps = connected_components(G, within=rest)
+            if len(comps) > 1:
+                yield x, y, tuple(mask_of(c) for c in comps)
+
+
 def ore_collapsible_subsets(G: Graph) -> list[frozenset[int]]:
     """Proper subsets whose boundary is a nonadjacent pair {u, v} with
     G[R] + uv 5-Ore.
@@ -196,23 +220,21 @@ def ore_collapsible_subsets(G: Graph) -> list[frozenset[int]]:
     G - {u, v} is exhaustive.
     """
     found = set()
-    for x in range(G.n):
-        for y in range(x + 1, G.n):
-            if G.has_edge(x, y):
-                continue
-            rest = [v for v in range(G.n) if v not in (x, y)]
-            comps = connected_components(G, within=rest)
-            for pick in range(1, (1 << len(comps)) - 1):
-                aset = set().union(*(c for i, c in enumerate(comps) if pick >> i & 1))
-                bmask = mask_of(v for v in rest if v not in aset)
-                if len(aset) + 2 < 5 or not (G.adj[x] & bmask) or not (G.adj[y] & bmask):
-                    continue  # too small, or the boundary is not exactly {x, y}
-                R = frozenset(aset | {x, y})
-                order = sorted(R)
-                pos = {v: i for i, v in enumerate(order)}
-                cand = with_edge(induced_subgraph(G, order), pos[x], pos[y])
-                if R not in found and is_5_ore(cand) is not None:
-                    found.add(R)
+    for x, y, comps in two_cuts_by_pairs(G):
+        if G.has_edge(x, y):
+            continue
+        rest = ((1 << G.n) - 1) & ~(1 << x | 1 << y)
+        for pick in range(1, (1 << len(comps)) - 1):
+            amask = sum(c for i, c in enumerate(comps) if pick >> i & 1)
+            bmask = rest & ~amask
+            if amask.bit_count() + 2 < 5 or not (G.adj[x] & bmask) or not (G.adj[y] & bmask):
+                continue  # too small, or the boundary is not exactly {x, y}
+            R = frozenset(bits(amask) + [x, y])
+            order = sorted(R)
+            pos = {v: i for i, v in enumerate(order)}
+            cand = with_edge(induced_subgraph(G, order), pos[x], pos[y])
+            if R not in found and is_5_ore(cand) is not None:
+                found.add(R)
     return sorted(found, key=lambda R: (len(R), sorted(R)))
 
 

@@ -20,7 +20,7 @@ from orelab.graph_core import (
     with_edge,
     without_edge,
 )
-from orelab.ore import Compose, Leaf
+from orelab.ore import Compose, Leaf, compose_graphs
 from orelab.potential import phi_identify
 
 from helpers import (
@@ -29,6 +29,7 @@ from helpers import (
     critical_by_edges,
     critical_complement,
     extract_by_edges,
+    glued_pair,
     path_graph,
     random_graph,
     wheel,
@@ -238,16 +239,47 @@ def one_edge_changes(G):
     return out
 
 
-def test_is_5_critical_agrees_with_per_edge_oracle(ore13):
+def split_inputs(ore13):
+    """The n <= 13 classes, the named graphs, 400 seeded random graphs (half
+    of them two graphs glued at two vertices), and every one-edge deletion
+    and addition of the n <= 13 classes."""
     classes = [g for g, _ in ore13]
-    assert len(classes) == 26
+    rng = random.Random(505)
     graphs = classes + [named_graph(name) for name in sorted(NAMED)]
+    for i in range(400):
+        graphs.append(glued_pair(rng) if i % 2 else
+                      random_graph(rng.randint(1, 12), 0.3 + 0.6 * rng.random(), rng))
     for g in classes:
-        if g.n <= 9:
-            graphs += one_edge_changes(g)
+        graphs += one_edge_changes(g)
+    return graphs
+
+
+def checked_splits(monkeypatch) -> list[bool]:
+    """Make every coloring that ``coloring._split`` returns pass ``proper``
+    here as well; the list gets one ``is None`` verdict per split."""
+    real = coloring._split
+    verdicts = []
+
+    def checked(G, k, cut):
+        colors = real(G, k, cut)
+        if colors is not None:
+            proper(G, colors, k)
+        verdicts.append(colors is None)
+        return colors
+
+    monkeypatch.setattr(coloring, "_split", checked)
+    return verdicts
+
+
+def test_is_5_critical_agrees_with_per_edge_oracle(ore13, monkeypatch):
+    assert len(ore13) == 26
+    graphs = split_inputs(ore13)
+    splits = checked_splits(monkeypatch)
     verdicts = [is_5_critical(g) for g in graphs]
     assert verdicts == [critical_by_edges(g) for g in graphs]
     assert 0 < verdicts.count(False) < len(verdicts)
+    # proofs and G - e solves both went through a split
+    assert True in splits and False in splits
 
 
 def test_walk_checks_every_walked_coloring(monkeypatch):
@@ -392,6 +424,71 @@ def test_extract_rechecks_every_certificate_on_the_final_graph(monkeypatch):
     monkeypatch.setattr(coloring, "_walk", spoiled)
     with pytest.raises(InvariantViolation, match="walk"):
         extract_5_critical(complete_graph(6))
+
+
+# --- 2-separations -----------------------------------------------------------
+
+
+def test_split_verdicts_equal_the_plain_solver(ore13, monkeypatch):
+    graphs = split_inputs(ore13)
+    splits = checked_splits(monkeypatch)
+    for G in graphs:
+        for k in (3, 4):
+            got = coloring._by_cuts(G, k)
+            assert (got is None) == (is_k_colorable(G, k) is None)
+            if got is not None:
+                proper(G, got, k)
+    assert True in splits and False in splits
+
+
+def test_a_spoiled_glue_is_caught(doubles, monkeypatch):
+    # every color of the second side goes to 1, so one of its edges clashes
+    monkeypatch.setattr(coloring, "_glue_permutation", lambda k, moves: [0] + [1] * k)
+    with pytest.raises(InvariantViolation, match="improper"):
+        is_5_critical(doubles[0][0])
+
+
+def counted_leaves(monkeypatch) -> list[Graph]:
+    """Record every graph that the 2-cut recursion hands to is_k_colorable."""
+    real = coloring.is_k_colorable
+    leaves = []
+
+    def counted(g, k):
+        leaves.append(g)
+        return real(g, k)
+
+    monkeypatch.setattr(coloring, "is_k_colorable", counted)
+    return leaves
+
+
+def test_the_n17_proofs_end_in_their_k5_blocks(ore17, monkeypatch):
+    seventeen = [g for g, _ in ore17 if g.n == 17]
+    assert len(seventeen) == 549
+    leaves = counted_leaves(monkeypatch)
+    verdicts, nodes = search_nodes(lambda: [coloring._by_cuts(g, 4) for g in seventeen])
+    assert verdicts == [None] * 549
+    # four leaves per proof, the graph's four K5 blocks, each refuted by its
+    # clique without a search node; the plain solver opens 300,905 search
+    # nodes on these graphs
+    assert len(leaves) == 4 * 549
+    assert all(g == complete_graph(5) for g in leaves)
+    assert nodes == 0
+
+
+def test_the_composite_of_two_mycielski_groetzsch_graphs_is_critical(monkeypatch):
+    M = named_graph("mycielski_groetzsch")
+    nbrs = M.neighbors(0)
+    G, _ = compose_graphs(M, M.edges()[0], M, 0, (tuple(nbrs[:1]), tuple(nbrs[1:])))
+    assert (G.n, G.m) == (45, 141)
+    assert not any(G.adj[u] & G.adj[v] for u, v in G.edges())
+    leaves = counted_leaves(monkeypatch)
+    # the plain search took minutes on this proof; split at the composition
+    # pair, it refutes the two copies and colors the edge side with x and y
+    # identified
+    assert coloring._by_cuts(G, 4) is None
+    assert len(leaves) == 3
+    assert is_5_critical(G)
+    assert len(leaves) <= 120
 
 
 # --- collapsibility ---------------------------------------------------------

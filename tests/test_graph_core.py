@@ -14,6 +14,7 @@ from orelab.graph_core import (
     graph_to_text,
     identify_vertices,
     induced_subgraph,
+    two_cuts,
     with_edge,
     without_edge,
 )
@@ -22,9 +23,11 @@ from helpers import (
     brute_isomorphic,
     canonical_key,
     cluster_size_sequence,
+    glued_pair,
     group_order,
     random_graph,
     star_graph,
+    two_cuts_by_pairs,
 )
 
 
@@ -140,6 +143,46 @@ def test_components_and_connectivity():
         frozenset({2}),
         frozenset({3, 4}),
     ]
+
+
+# --- 2-cuts -------------------------------------------------------------------
+
+
+def test_two_cuts_of_a_cycle():
+    # removing two vertices of C6 leaves two paths unless they are adjacent
+    got = list(two_cuts(cycle_graph(6)))
+    assert [(x, y) for x, y, _ in got] == [
+        (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 5)
+    ]
+    assert got[0] == (0, 2, (0b000010, 0b111000))
+    assert got[1] == (0, 3, (0b000110, 0b110000))
+    assert list(two_cuts(complete_graph(5))) == []
+    assert list(two_cuts(Graph.from_edges(2, []))) == []
+
+
+def test_two_cuts_match_the_pair_loop_on_the_ore_classes(ore17):
+    cuts = 0
+    for G, _ in ore17:
+        got = list(two_cuts(G))
+        assert got == list(two_cuts_by_pairs(G))
+        cuts += len(got)
+    assert cuts > len(ore17)
+
+
+def test_two_cuts_match_the_pair_loop_on_named_and_random_graphs():
+    rng = random.Random(404)
+    graphs = [named_graph(name) for name in sorted(NAMED)]
+    graphs += [random_graph(rng.randint(1, 12), rng.random(), rng) for _ in range(300)]
+    graphs += [glued_pair(rng) for _ in range(300)]
+    shapes = set()
+    for G in graphs:
+        got = list(two_cuts(G))
+        assert got == list(two_cuts_by_pairs(G))
+        connected = len(connected_components(G)) == 1
+        shapes.update((connected, G.has_edge(x, y), len(parts) > 2) for x, y, parts in got)
+    # disconnected graphs, adjacent cut pairs and cuts into three or more
+    # parts all occur
+    assert len(shapes) == 8
 
 
 # --- degree-four structure ---------------------------------------------------
