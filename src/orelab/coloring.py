@@ -45,6 +45,10 @@ down to its 4-core, which holds every 5-critical subgraph, and the edges
 dropped that way are never solved.  It ends on the certificates it
 already holds, the 4-core of the last refutation and one walked or solved
 coloring per kept edge, rather than a second criticality proof.
+
+Seeded colorings (:func:`seeded_coloring`) come from the same search: the
+exact search's coloring of a seeded relabeling of G, with the colors
+renamed by a seeded permutation.  The search above is the only one here.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from .graph_core import (
     connected_components,
     induced_subgraph,
     mask_of,
+    relabel,
     two_cuts,
     with_edge,
     without_edge,
@@ -317,33 +322,22 @@ def _check_proper(G: Graph, colors: tuple[int, ...], k: int):
 
 
 def seeded_coloring(G: Graph, k: int, rng: random.Random) -> tuple[int, ...] | None:
-    """Some proper k-coloring, chosen by a seeded shuffle of the search.
+    """Some proper k-coloring, chosen by a seeded relabeling of G.
 
-    Used to sample varied colorings for extension fuzzing; same rng state,
-    same answer.  Complete: returns None only when no coloring exists.
+    The exact search colors G with its vertices shuffled by ``rng``, and
+    the colors are renamed by an ``rng``-drawn permutation of 1..k.  Used
+    to sample varied colorings for extension records; same rng state, same
+    answer.  Complete: returns None only when no coloring exists.
     """
     order = list(range(G.n))
     rng.shuffle(order)
-    color = [0] * G.n
-    cls = [0] * (k + 1)  # cls[c]: mask of the vertices colored c so far
-
-    def dfs(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        nbrs = G.adj[v]
-        cs = [c for c in range(1, k + 1) if not cls[c] & nbrs]
-        rng.shuffle(cs)
-        for c in cs:
-            cls[c] |= 1 << v
-            if dfs(i + 1):
-                color[v] = c
-                return True
-            cls[c] &= ~(1 << v)
-        return False
-
-    if not dfs(0):
+    solved = is_k_colorable(relabel(G, order), k)
+    if solved is None:
         return None
+    names = rng.sample(range(1, k + 1), k)
+    color = [0] * G.n
+    for v, c in zip(order, solved):
+        color[v] = names[c - 1]
     out = tuple(color)
     _check_proper(G, out, k)
     return out

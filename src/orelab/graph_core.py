@@ -168,6 +168,15 @@ def induced_subgraph(G: Graph, R) -> Graph:
     return Graph(len(R), tuple(rows), tuple(G.label(v) for v in R))
 
 
+def relabel(G: Graph, order) -> Graph:
+    """G with vertex ``order[i]`` renamed i; ``order`` lists every vertex
+    once.  Labels are dropped."""
+    pos = [0] * G.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    return Graph(G.n, tuple(mask_of(pos[u] for u in bits(G.adj[v])) for v in order))
+
+
 def identify_vertices(G: Graph, S) -> tuple[Graph, dict[int, int]]:
     """Merge the vertices of ``S`` into one, dropping parallel edges.
 

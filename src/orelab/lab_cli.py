@@ -24,7 +24,7 @@ import argparse
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from . import coloring as col
@@ -245,18 +245,19 @@ def cmd_verify(args) -> int:
             print("warning: no corpus entry is eligible for extension records", file=sys.stderr)
     tasks = [(str(corpus.root), args.suite, k, args.seed, record_map[k]) for k in keys]
     workers = min(args.jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_entry_report, *zip(*tasks)))
-    else:
-        results = [_entry_report(*t) for t in tasks]
     checks = 0
     failures = 0
-    for _, lines, failed in results:
-        for line in lines:
-            print(line)
-        checks += len(lines)
-        failures += failed
+    # each entry's lines are printed as its result arrives, in key order, so
+    # no entry's lines stay held until the last one is done
+    with ExitStack() as stack:
+        mapper = map
+        if workers > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for _, lines, failed in mapper(_entry_report, *zip(*tasks)):
+            for line in lines:
+                print(line)
+            checks += len(lines)
+            failures += failed
     verdict = "PASS" if failures == 0 else "FAIL"
     print(f"SUITE {args.suite} {verdict} checks={checks} failures={failures}")
     corpus.log(f"verify {args.suite} checks={checks} failures={failures}")

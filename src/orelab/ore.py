@@ -35,6 +35,7 @@ from .graph_core import (
     identify_vertices,
     induced_subgraph,
     mask_of,
+    relabel,
     two_cuts,
     with_edge,
 )
@@ -325,16 +326,8 @@ def _classify(G: Graph, canonical: Canonical):
     """The class-table entry of G, recognizing its class on first sight."""
     key, order, _ = canonical
     if key not in _CLASSES:
-        _CLASSES[key] = _recognize(_relabel(G, order))
+        _CLASSES[key] = _recognize(relabel(G, order))
     return _CLASSES[key]
-
-
-def _relabel(G: Graph, order: tuple[int, ...]) -> Graph:
-    """G with vertex ``order[i]`` renamed i."""
-    pos = [0] * G.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    return Graph(G.n, tuple(mask_of(pos[u] for u in bits(G.adj[v])) for v in order))
 
 
 def _recognize(G: Graph):

@@ -238,14 +238,30 @@ def test_verify_jobs_output_identical_in_fresh_processes(ore17, tmp_path):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_panic_exits_3_naming_the_entry(small_corpus, run, monkeypatch, jobs):
-    # a walk step that leaves the coloring as it was fails the re-check
-    monkeypatch.setattr(coloring, "_recolor", lambda colors, x, b: colors)
+    code, clean, _ = run("verify", "main", "--corpus", str(small_corpus))
+    assert code == 0
+    corpus = Corpus(small_corpus)
+    keys = corpus.keys()
+    graphs = [corpus.load(k).graph for k in keys]
+    # a walk step that leaves a 9-vertex coloring as it was fails the
+    # re-check, so the first 9-vertex entry panics and the ones before it pass
+    real = coloring._recolor
+
+    def recolor(colors, x, b):
+        return colors if len(colors) == 9 else real(colors, x, b)
+
+    monkeypatch.setattr(coloring, "_recolor", recolor)
+    first = next(i for i, g in enumerate(graphs) if g.n == 9)
     code, out, err = run("verify", "main", "--corpus", str(small_corpus), "--jobs", jobs)
     assert code == 3
-    key = Corpus(small_corpus).keys()[0]
-    graph6 = graph_to_graph6(Corpus(small_corpus).load(key).graph)
     (line,) = err.splitlines()
-    assert line.startswith(f"panic: entry {key} graph6 {graph6}: walked coloring")
+    graph6 = graph_to_graph6(graphs[first])
+    assert line.startswith(f"panic: entry {keys[first]} graph6 {graph6}: walked coloring")
+    # the earlier entries' lines were printed as they finished; no SUITE line
+    earlier = [l for l in clean.splitlines() if l.split()[2] in keys[:first]]
+    assert earlier
+    assert out.splitlines() == earlier
+    assert not any(l.startswith("SUITE") for l in out.splitlines())
 
 
 C5K2_KEY = corpus_key(named_graph("c5_join_k2"))
@@ -369,7 +385,7 @@ def test_resolve_rejects_nonsense_token(run, tmp_path):
     assert "not a corpus key" in err
 
 
-EXTENSION_RECORDS_SHA256 = "a750ef71a3ee138f023ed4829f81b0e456ac68c050a92e06c652fa324e977757"
+EXTENSION_RECORDS_SHA256 = "513e7bc9c7abfe5303480e7a423a034ac2d81d44479e7abefab0f236a7415a88"
 
 
 def test_extension_records_are_frozen(ore17_facts):
