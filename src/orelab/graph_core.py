@@ -10,11 +10,13 @@ to deduplicate isomorphism classes.
 
 Canonical forms are computed by equitable partition refinement plus
 backtracking over individualization choices, minimizing the lower-triangle
-adjacency certificate.  The same search yields generators of the
-automorphism group, which it uses to skip subtrees equivalent to ones
-already searched and the Ore enumeration uses to compose one site per
-orbit.  Exactness is the contract; speed only has to be good enough
-for graphs of desk scale (n <= 24 or so).
+adjacency certificate.  Each refinement pass counts neighbors only into the
+cells that the pass before it split, and each node of the search extends
+its parent's certificate rows instead of recomputing them.  The same search
+yields generators of the automorphism group, which it uses to skip
+subtrees equivalent to ones already searched and the Ore enumeration uses
+to compose one site per orbit.  Exactness is the contract; speed only has
+to be good enough for graphs of desk scale (n <= 24 or so).
 """
 
 from __future__ import annotations
@@ -331,61 +333,80 @@ def d4_components(G: Graph) -> D4Report:
 # ---------------------------------------------------------------------------
 
 
-def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+def _refine(
+    adj: tuple[int, ...], cells: list[list[int]], splitters: list[list[int]] | None = None
+) -> list[list[int]]:
     """Equitable refinement of an ordered partition, deterministically.
 
     Cells split by the vector of neighbor counts into every current cell;
     sub-cells are ordered by that vector, so the refined partition depends
     only on the input partition and the graph, never on list order quirks.
+
+    After a pass, two vertices of one cell agree on their counts into each
+    cell of the partition before it, so only the cells that pass split can
+    tell them apart, and the last piece of each split cell is implied by
+    its other pieces.  Those pieces are contiguous and sorted, so a pass
+    counts only into the pieces other than the last of each cell the
+    previous pass split: the same split in the same order, for less work.
+    The first pass counts into ``splitters``, every input cell by default.
+    A caller whose input is an equitable partition with one cell split
+    into ``[v]`` and the rest passes ``[[v]]``.
     """
-    while True:
-        masks = [mask_of(c) for c in cells]
+    if splitters is None:
+        splitters = cells
+    while splitters:
+        masks = [mask_of(c) for c in splitters]
+        single = masks[0] if len(masks) == 1 else None
         new_cells: list[list[int]] = []
-        changed = False
+        splitters = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            by_sig: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                sig = tuple((adj[v] & m).bit_count() for m in masks)
-                by_sig.setdefault(sig, []).append(v)
-            if len(by_sig) > 1:
-                changed = True
-            for sig in sorted(by_sig):
-                new_cells.append(by_sig[sig])
+            by_sig: dict[object, list[int]] = {}
+            if single is not None:
+                for v in cell:
+                    by_sig.setdefault((adj[v] & single).bit_count(), []).append(v)
+            else:
+                for v in cell:
+                    sig = tuple([(adj[v] & m).bit_count() for m in masks])
+                    by_sig.setdefault(sig, []).append(v)
+            pieces = [by_sig[sig] for sig in sorted(by_sig)]
+            new_cells += pieces
+            splitters += pieces[:-1]
         cells = new_cells
-        if not changed:
-            return cells
+    return cells
 
 
 def _is_homogeneous(adj: tuple[int, ...], cells: list[list[int]]) -> bool:
     # For an equitable partition, per-cell neighbor counts are uniform, so a
     # single representative per cell decides complete-or-empty structure.
+    # Singletons are homogeneous with everything.
+    cells = [c for c in cells if len(c) > 1]
     masks = [mask_of(c) for c in cells]
     for i, c in enumerate(cells):
-        if len(c) == 1:
-            continue
-        v = c[0]
-        k = (adj[v] & masks[i]).bit_count()
-        if k not in (0, len(c) - 1):
+        row = adj[c[0]]
+        if (row & masks[i]).bit_count() not in (0, len(c) - 1):
             return False
         for j, d in enumerate(cells):
-            if i == j or len(d) == 1:
-                continue
-            k = (adj[v] & masks[j]).bit_count()
-            if k not in (0, len(d)):
+            if i != j and (row & masks[j]).bit_count() not in (0, len(d)):
                 return False
     return True
 
 
-def _cert_rows(adj: tuple[int, ...], perm: list[int]) -> tuple[int, ...]:
-    rows = []
-    for i, v in enumerate(perm):
+def _cert_rows(
+    adj: tuple[int, ...], perm: list[int], done: tuple[int, ...] = ()
+) -> tuple[int, ...]:
+    """Certificate rows of ``perm``: row i holds the adjacency of
+    ``perm[i]`` to ``perm[:i]``.  Row i depends only on ``perm[:i + 1]``,
+    so ``done``, the rows of a prefix of ``perm``, is extended, not
+    recomputed."""
+    rows = list(done)
+    for i in range(len(done), len(perm)):
         r = 0
-        row = adj[v]
-        for j in range(i):
-            r = (r << 1) | (row >> perm[j] & 1)
+        row = adj[perm[i]]
+        for w in perm[:i]:
+            r = (r << 1) | (row >> w & 1)
         rows.append(r)
     return tuple(rows)
 
@@ -450,14 +471,20 @@ def canonical_form(G: Graph) -> Canonical:
                 image[v] = w
             found.append(tuple(image))
 
-    def search(cells: list[list[int]], path: tuple[int, ...]):
-        cells = _refine(adj, cells)
+    def search(
+        cells: list[list[int]],
+        path: tuple[int, ...],
+        splitters: list[list[int]] | None,
+        done: tuple[int, ...],
+    ):
+        cells = _refine(adj, cells, splitters)
         prefix: list[int] = []
         for c in cells:
             if len(c) != 1:
                 break
             prefix.append(c[0])
-        pref = _cert_rows(adj, prefix)
+        # the singleton prefix extends the parent's, whose rows are done
+        pref = _cert_rows(adj, prefix, done)
         if best[0] is not None and pref > best[0][: len(pref)]:
             return
         if len(prefix) == n:
@@ -465,7 +492,7 @@ def canonical_form(G: Graph) -> Canonical:
             return
         if _is_homogeneous(adj, cells):
             perm = list(itertools.chain.from_iterable(cells))
-            record(_cert_rows(adj, perm), perm, cells)
+            record(_cert_rows(adj, perm, pref), perm, cells)
             return
         idx = next(i for i, c in enumerate(cells) if len(c) > 1)
         cell = cells[idx]
@@ -476,10 +503,10 @@ def canonical_form(G: Graph) -> Canonical:
                 if _orbit(explored, fixing) >> v & 1:
                     continue
             rest = [w for w in cell if w != v]
-            search(cells[:idx] + [[v], rest] + cells[idx + 1 :], path + (v,))
+            search(cells[:idx] + [[v], rest] + cells[idx + 1 :], path + (v,), [[v]], pref)
             explored |= 1 << v
 
-    search([list(range(n))], ())
+    search([list(range(n))], (), None, ())
     cert, perm = best
     blob = bytearray([n])
     for i, r in enumerate(cert):

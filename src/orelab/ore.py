@@ -98,16 +98,23 @@ def compose_graphs(
     sa, sb = set(part_a), set(part_b)
     if sa & sb or sa | sb != nz:
         raise ValueError("split must partition the split vertex's neighborhood")
-    others = [v for v in range(g2.n) if v != z]
-    out_of = {v: g1.n + i for i, v in enumerate(others)}
-    edges = [e for e in g1.edges() if e != (min(x, y), max(x, y))]
-    edges += [(min(x, out_of[a]), max(x, out_of[a])) for a in part_a]
-    edges += [(min(y, out_of[b]), max(y, out_of[b])) for b in part_b]
-    for u, v in g2.edges():
-        if z in (u, v):
-            continue
-        edges.append((min(out_of[u], out_of[v]), max(out_of[u], out_of[v])))
-    return Graph.from_edges(g1.n + g2.n - 1, sorted(edges)), out_of
+    n1 = g1.n
+    out_of = {v: n1 + v - (v > z) for v in range(g2.n) if v != z}
+    rows = list(g1.adj)
+    rows[x] &= ~(1 << y)
+    rows[y] &= ~(1 << x)
+    # a vertex-side row loses bit z, its higher bits move down one place,
+    # and the whole row moves up past the edge side's vertices
+    below = (1 << z) - 1
+    for v in range(g2.n):
+        if v != z:
+            row = g2.adj[v]
+            rows.append(((row & below) | (row >> (z + 1) << z)) << n1)
+    for end, part in ((x, part_a), (y, part_b)):
+        for a in part:
+            rows[end] |= 1 << out_of[a]
+            rows[out_of[a]] |= 1 << end
+    return Graph(n1 + g2.n - 1, tuple(rows)), out_of
 
 
 def ore_compose(recipe: OreRecipe) -> Graph:

@@ -329,3 +329,51 @@ def group_order(n: int, generators) -> int:
                     grown.append(q)
         frontier = grown
     return len(group)
+
+
+def refine_full(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+    """Equitable refinement that counts into every cell on every pass: the
+    reference for ``graph_core._refine``."""
+    while True:
+        masks = [mask_of(c) for c in cells]
+        new_cells: list[list[int]] = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            by_sig: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                sig = tuple((adj[v] & m).bit_count() for m in masks)
+                by_sig.setdefault(sig, []).append(v)
+            if len(by_sig) > 1:
+                changed = True
+            for sig in sorted(by_sig):
+                new_cells.append(by_sig[sig])
+        cells = new_cells
+        if not changed:
+            return cells
+
+
+def compose_by_edges(
+    g1: Graph,
+    replaced_edge: tuple[int, int],
+    g2: Graph,
+    split_vertex: int,
+    split: tuple[tuple[int, ...], tuple[int, ...]],
+) -> tuple[Graph, dict[int, int]]:
+    """``ore.compose_graphs`` built from an edge list, on a valid site: the
+    reference for the row-shifting build."""
+    x, y = replaced_edge
+    z = split_vertex
+    part_a, part_b = split
+    others = [v for v in range(g2.n) if v != z]
+    out_of = {v: g1.n + i for i, v in enumerate(others)}
+    edges = [e for e in g1.edges() if e != (min(x, y), max(x, y))]
+    edges += [(min(x, out_of[a]), max(x, out_of[a])) for a in part_a]
+    edges += [(min(y, out_of[b]), max(y, out_of[b])) for b in part_b]
+    for u, v in g2.edges():
+        if z in (u, v):
+            continue
+        edges.append((min(out_of[u], out_of[v]), max(out_of[u], out_of[v])))
+    return Graph.from_edges(g1.n + g2.n - 1, sorted(edges)), out_of

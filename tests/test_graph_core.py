@@ -6,6 +6,7 @@ import pytest
 from orelab import Graph, InvariantViolation, graph_from_graph6, graph_to_graph6, named_graph
 from orelab.constructions import NAMED, complete_graph, cycle_graph
 from orelab.graph_core import (
+    _refine,
     canonical_form,
     check_automorphism,
     connected_components,
@@ -26,6 +27,7 @@ from helpers import (
     glued_pair,
     group_order,
     random_graph,
+    refine_full,
     star_graph,
     two_cuts_by_pairs,
 )
@@ -269,6 +271,12 @@ ORE17_KEYS_SHA256 = "c203debe2b45d8ab7bacbd3c5d85b180accf0f79ed6b249b5a1e7980099
 Corpus file names derive from these keys."""
 
 
+REFINE_AND_BOUND = 126_702
+"""Row-and-mask ANDs that ``canonical_form`` makes over the classes of
+``enumerate_5_ore(17)``, pinned from the refinement that counts only into
+freshly split cells; counting into every cell on every pass made 472,902."""
+
+
 def test_canonical_forms_of_ore17_are_frozen(ore17):
     lines = []
     for g, _ in ore17:
@@ -319,6 +327,58 @@ def test_check_automorphism_rejects_a_corrupted_generator():
         check_automorphism(G, g)
     with pytest.raises(InvariantViolation):
         check_automorphism(G, [0] * G.n)
+
+
+def test_refine_matches_full_refinement_on_random_partitions():
+    rng = random.Random(29)
+    split = 0
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        G = random_graph(n, rng.random(), rng)
+        order = list(range(n))
+        rng.shuffle(order)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        cells = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        want = refine_full(G.adj, [list(c) for c in cells])
+        assert _refine(G.adj, [list(c) for c in cells]) == want
+        split += len(want) > len(cells)
+    assert split > 100  # most samples refine at least once
+
+
+def test_refine_of_an_individualized_vertex_matches_full_refinement(ore13):
+    # the canonical search refines each child from its parent's equitable
+    # partition with one cell split into [v] and the rest, passing [[v]]
+    graphs = [g for g, _ in ore13]
+    graphs += [named_graph(name) for name in sorted(NAMED) if name != "k5"]
+    children = 0
+    for G in graphs:
+        cells = refine_full(G.adj, [list(range(G.n))])
+        for i, cell in enumerate(cells):
+            for v in cell if len(cell) > 1 else ():
+                child = cells[:i] + [[v], [w for w in cell if w != v]] + cells[i + 1 :]
+                assert _refine(G.adj, child, [[v]]) == refine_full(G.adj, child)
+                children += 1
+    assert children > 300
+
+
+def test_canonical_refinement_work_is_bounded(ore17):
+    # every refinement count and homogeneity test ANDs an adjacency row
+    # with a mask; wrapping the rows counts them without a counter in src/
+    calls = [0]
+
+    class Row(int):
+        def __and__(self, other):
+            calls[0] += 1
+            return int.__and__(self, other)
+
+    total = 0
+    for g, _ in ore17:
+        wrapped = Graph(g.n, tuple(Row(r) for r in g.adj))
+        before = calls[0]
+        result = canonical_form(wrapped)
+        total += calls[0] - before
+        assert result == canonical_form(g)
+    assert total <= REFINE_AND_BOUND
 
 
 # --- serialization -----------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 
 import pytest
@@ -17,11 +18,12 @@ from orelab import (
 from orelab.coloring import boundary
 from orelab.constructions import complete_graph, cycle_graph
 from orelab.graph_core import induced_subgraph, with_edge
-from orelab.ore import Compose, Leaf, compose_graphs, k5
+from orelab.ore import Compose, Leaf, _composition_sites, compose_graphs, k5
 
 from helpers import (
     canonical_key,
     cluster_size_sequence,
+    compose_by_edges,
     enumerate_by_sites,
     ore_collapsible_subsets,
 )
@@ -62,6 +64,35 @@ def test_compose_graphs_rejects_bad_sites():
         compose_graphs(k5(), (0, 1), k5(), 0, ((1,), (2, 3)))
     with pytest.raises(ValueError, match="out of range"):
         compose_graphs(k5(), (0, 1), k5(), 9, ((1,), (2, 3, 4)))
+
+
+def test_compose_graphs_matches_the_edge_list_build(ore13):
+    by_n = {n: [g for g, _ in ore13 if g.n == n] for n in (5, 9, 13)}
+    sites = []
+    for n1, n2 in ((5, 9), (9, 5), (9, 9)):
+        for g1 in by_n[n1]:
+            for g2 in by_n[n2]:
+                sites += [(g1, xy, g2, z, split) for xy, z, split in _composition_sites(g1, g2)]
+    rng = random.Random(13)
+    every = [g for g, _ in ore13]
+    for _ in range(500):
+        g1, g2 = rng.choice(by_n[13]), rng.choice(every)
+        if rng.random() < 0.5:
+            g1, g2 = g2, g1
+        x, y = rng.choice(g1.edges())
+        if rng.random() < 0.5:
+            x, y = y, x
+        z = rng.randrange(g2.n)
+        nbrs = g2.neighbors(z)
+        pick = rng.randrange(1, (1 << len(nbrs)) - 1)
+        split = tuple(tuple(v for i, v in enumerate(nbrs) if (pick >> i & 1) == side)
+                      for side in (1, 0))
+        sites.append((g1, (x, y), g2, z, split))
+    assert len(sites) > 1000
+    for site in sites:
+        G, out_of = compose_graphs(*site)
+        H, out_of_h = compose_by_edges(*site)
+        assert (G, G.labels, out_of) == (H, H.labels, out_of_h)
 
 
 def test_double_k5_shapes(doubles):
@@ -122,6 +153,19 @@ def test_enumeration_to_17_is_frozen(ore17):
     assert [sum(1 for g, _ in ore17 if g.n == n) for n in (5, 9, 13, 17)] == [1, 2, 23, 549]
     lines = "".join(f"{graph_to_graph6(g)} {recipe_to_text(r)}\n" for g, r in ore17)
     assert hashlib.sha256(lines.encode()).hexdigest() == ORE17_SHA256
+
+
+ORE21_SHA256 = "24ea728cc921d0c4d1edb692e6e1d3c6e88ad7108ee29873ee7e876bcf78ca11"
+"""The same digest for ``enumerate_5_ore(21)``, written by the unpruned
+``enumerate_by_sites`` and the orbit-pruned generator alike."""
+
+
+@pytest.mark.skipif(os.environ.get("ORELAB_N21") != "1", reason="set ORELAB_N21=1 (about a minute)")
+def test_enumeration_to_21_is_frozen():
+    classes = list(enumerate_5_ore(21))
+    assert (len(classes), sum(1 for g, _ in classes if g.n == 21)) == (21_603, 21_028)
+    lines = "".join(f"{graph_to_graph6(g)} {recipe_to_text(r)}\n" for g, r in classes)
+    assert hashlib.sha256(lines.encode()).hexdigest() == ORE21_SHA256
 
 
 def test_orbit_pruning_keeps_every_first_site(ore13):
