@@ -61,6 +61,7 @@ from .graph_core import (
     InvariantViolation,
     bits,
     connected_components,
+    cut_side,
     induced_subgraph,
     mask_of,
     relabel,
@@ -252,9 +253,10 @@ def _split(G: Graph, k: int, cut) -> tuple[int, ...] | None:
     x, y and the first part, side B is x, y and the other parts.  G is
     k-colorable exactly when A + xy and B + xy are (x and y different) or,
     if xy is not an edge, A/xy and B/xy are (x and y identified).  Each
-    side goes through :func:`_by_cuts`, the smaller first, and a side with
-    no k-coloring settles its case.  The second side's colors are permuted
-    to match the first's on x and y, and the glued coloring is checked.
+    side, built by :func:`~orelab.graph_core.cut_side`, goes through
+    :func:`_by_cuts`, the smaller first, and a side with no k-coloring
+    settles its case.  The second side's colors are permuted to match the
+    first's on x and y, and the glued coloring is checked.
     """
     x, y, parts = cut
     ends = 1 << x | 1 << y
@@ -267,7 +269,7 @@ def _split(G: Graph, k: int, cut) -> tuple[int, ...] | None:
             continue
         solved = []
         for mask in sides:
-            side, at = _side(G, mask, x, y, alike)
+            side, at = cut_side(G, mask, x, y, alike)
             colors = _by_cuts(side, k)
             if colors is None:
                 break
@@ -284,24 +286,6 @@ def _split(G: Graph, k: int, cut) -> tuple[int, ...] | None:
             _check_proper(G, out, k)
             return out
     return None
-
-
-def _side(G: Graph, mask: int, x: int, y: int, alike: bool) -> tuple[Graph, dict[int, int]]:
-    """G[mask] with y identified into x when ``alike``, else with the edge
-    xy added if it is missing; and the map from mask's vertices to the
-    side's, which keeps their order."""
-    keep = mask & ~(1 << y) if alike else mask
-    at = {v: i for i, v in enumerate(bits(keep))}
-    if alike:
-        at[y] = at[x]
-    rows = [0] * keep.bit_count()
-    for v in bits(mask):
-        for u in bits(G.adj[v] & mask):
-            rows[at[v]] |= 1 << at[u]
-    if not alike:
-        rows[at[x]] |= 1 << at[y]
-        rows[at[y]] |= 1 << at[x]
-    return Graph(len(rows), tuple(rows)), at
 
 
 def _glue_permutation(k: int, moves: dict[int, int]) -> list[int]:

@@ -3,8 +3,8 @@
 A :class:`Graph` is an immutable value: vertex ``i``'s neighborhood is an
 ``int`` bitmask, so neighborhood algebra is single-word arithmetic.  All of
 the higher machinery (exact coloring, clique packing, composition search,
-potential audits) builds on the operations here: induced subgraphs, vertex
-identification, the 2-cuts that Ore compositions glue along, the
+potential audits) builds on the operations here: induced subgraphs, the
+sides of a 2-cut, the 2-cuts that Ore compositions glue along, the
 components of the degree-four subgraph, and an exact canonical form used
 to deduplicate isomorphism classes.
 
@@ -179,40 +179,23 @@ def relabel(G: Graph, order) -> Graph:
     return Graph(G.n, tuple(mask_of(pos[u] for u in bits(G.adj[v])) for v in order))
 
 
-def identify_vertices(G: Graph, S) -> tuple[Graph, dict[int, int]]:
-    """Merge the vertices of ``S`` into one, dropping parallel edges.
-
-    Identification is only defined for pairwise nonadjacent sets (merging
-    adjacent vertices would create a loop); adjacency inside ``S`` is an
-    error.  The merged vertex takes the position of ``min(S)`` and keeps its
-    label.  Also returns the map from G's vertices to the result's.
-    """
-    S = sorted(set(S))
-    if not S:
-        raise ValueError("empty vertex set")
-    if S[0] < 0 or S[-1] >= G.n:
-        raise ValueError("vertex set not contained in the graph")
-    smask = mask_of(S)
-    for v in S:
-        if G.adj[v] & smask:
-            raise ValueError("identifying adjacent vertices")
-    target = S[0]
-    keep = [v for v in range(G.n) if v == target or not smask >> v & 1]
-    pos = {v: i for i, v in enumerate(keep)}
-    merged = 0
-    for v in S:
-        merged |= G.adj[v]
-    merged &= ~smask
-    rows = [0] * len(keep)
-    for v in keep:
-        row = merged if v == target else G.adj[v]
-        for u in bits(row):
-            new_u = pos[target] if smask >> u & 1 else pos[u]
-            if new_u != pos[v]:
-                rows[pos[v]] |= 1 << new_u
-                rows[new_u] |= 1 << pos[v]
-    mapping = {v: pos[target] if smask >> v & 1 else pos[v] for v in range(G.n)}
-    return Graph(len(keep), tuple(rows), tuple(G.label(v) for v in keep)), mapping
+def cut_side(G: Graph, mask: int, x: int, y: int, alike: bool) -> tuple[Graph, dict[int, int]]:
+    """One side of the 2-cut {x, y}: G[mask] with y identified into x when
+    ``alike``, else with the edge xy added if it is missing; and the map
+    from mask's vertices to the side's, which keeps their order.  ``mask``
+    holds x and y; identifying adjacent x and y is a loop, a ValueError."""
+    keep = mask & ~(1 << y) if alike else mask
+    at = {v: i for i, v in enumerate(bits(keep))}
+    if alike:
+        at[y] = at[x]
+    rows = [0] * keep.bit_count()
+    for v in bits(mask):
+        for u in bits(G.adj[v] & mask):
+            rows[at[v]] |= 1 << at[u]
+    if not alike:
+        rows[at[x]] |= 1 << at[y]
+        rows[at[y]] |= 1 << at[x]
+    return Graph(len(rows), tuple(rows)), at
 
 
 def connected_components(G: Graph, within=None) -> list[frozenset[int]]:

@@ -127,22 +127,20 @@ def _lemma2_report(facts: Facts) -> Report:
             4 * t >= G.n + 7,
             note=f"4t={4 * t} need={G.n + 7}",
         )
-    nodes: list[tuple[int, ore.Compose]] = []
-
-    def walk(r: ore.OreRecipe):
+    nodes: list[ore.Compose] = []
+    stack = [recipe]
+    while stack:
+        r = stack.pop()
         if isinstance(r, ore.Compose):
-            nodes.append((len(nodes), r))
-            walk(r.edge_side)
-            walk(r.vertex_side)
-
-    walk(recipe)
-    for idx, node in nodes:
-        g = ore.ore_compose(node)
-        g1 = ore.ore_compose(node.edge_side)
-        g2 = ore.ore_compose(node.vertex_side)
-        tg, _ = packing.t_number(g)
-        t1, _ = packing.t_number(g1)
-        t2, _ = packing.t_number(g2)
+            nodes.append(r)
+            stack += (r.vertex_side, r.edge_side)
+    # one t per recipe node; the sides of every node are nodes or Leaf()
+    t_of = {
+        node: packing.t_number(ore.ore_compose(node))[0]
+        for node in [ore.Leaf(), *reversed(nodes)]
+    }
+    for idx, node in enumerate(nodes):
+        tg, t1, t2 = t_of[node], t_of[node.edge_side], t_of[node.vertex_side]
         rep.add(
             "compose-superadditive",
             key,

@@ -15,7 +15,9 @@ vertices other than z follow, in ascending order).
 Recognition inverts the construction: scan the 2-cuts {x, y} of G
 (:func:`~orelab.graph_core.two_cuts`, one depth-first search per x),
 skip adjacent pairs, assign the components of G - {x, y} to the two sides
-in every way, and recurse.  It runs on the canonical relabeling of its input, so
+in every way, build each side with :func:`~orelab.graph_core.cut_side`
+(the edge side with xy added, the vertex side with y identified into x),
+and recurse.  It runs on the canonical relabeling of its input, so
 the recipe it finds is a function of the isomorphism class alone; a table
 keyed by canonical key keeps each class's answer, positive or negative,
 which saves time and cannot change an answer.
@@ -32,12 +34,10 @@ from .graph_core import (
     bits,
     canonical_form,
     check_automorphism,
-    identify_vertices,
-    induced_subgraph,
+    cut_side,
     mask_of,
     relabel,
     two_cuts,
-    with_edge,
 )
 
 
@@ -378,26 +378,22 @@ def _side(G: Graph):
 
 def _try_factor(G: Graph, x: int, y: int, amask: int, bmask: int):
     ends = 1 << x | 1 << y
-    edge_vertices = bits(amask | ends)
-    epos = {v: i for i, v in enumerate(edge_vertices)}
-    side1 = _side(with_edge(induced_subgraph(G, edge_vertices), epos[x], epos[y]))
+    edge, epos = cut_side(G, amask | ends, x, y, False)
+    side1 = _side(edge)
     if side1 is None:
         return None
-    vertex_vertices = bits(bmask | ends)
-    vpos = {v: i for i, v in enumerate(vertex_vertices)}
-    sub2 = induced_subgraph(G, vertex_vertices)
-    cand2, merge_map = identify_vertices(sub2, [vpos[x], vpos[y]])
-    side2 = _side(cand2)
+    vertex, vpos = cut_side(G, bmask | ends, x, y, True)
+    side2 = _side(vertex)
     if side2 is None:
         return None
     (r1, iso1), (r2, iso2) = side1, side2
-    part_a = sorted(iso2[merge_map[vpos[v]]] for v in bits(G.adj[x] & bmask))
-    part_b = sorted(iso2[merge_map[vpos[v]]] for v in bits(G.adj[y] & bmask))
+    part_a = sorted(iso2[vpos[v]] for v in bits(G.adj[x] & bmask))
+    part_b = sorted(iso2[vpos[v]] for v in bits(G.adj[y] & bmask))
     recipe = Compose(
         r1,
         (iso1[epos[x]], iso1[epos[y]]),
         r2,
-        iso2[merge_map[vpos[x]]],
+        iso2[vpos[x]],
         (tuple(part_a), tuple(part_b)),
     )
     # Rebuild the recipe and check that the vertex map G -> rebuilt is an
@@ -407,7 +403,7 @@ def _try_factor(G: Graph, x: int, y: int, amask: int, bmask: int):
         ore_compose(r1), recipe.replaced_edge, ore_compose(r2), recipe.split_vertex, recipe.split
     )
     order = tuple(
-        iso1[epos[v]] if v in epos else out_of[iso2[merge_map[vpos[v]]]] for v in range(G.n)
+        iso1[epos[v]] if v in epos else out_of[iso2[vpos[v]]] for v in range(G.n)
     )
     if sorted(order) != list(range(G.n)) or rebuilt.m != G.m or not all(
         rebuilt.has_edge(order[u], order[v]) for u, v in G.edges()

@@ -224,10 +224,6 @@ class ExtensionRecord:
     def core_size(self) -> int:
         return len(self.core_classes)
 
-    @property
-    def total(self) -> bool:
-        return self.complete and self.spanning
-
 
 def critical_extension(G: Graph, R, phi: dict[int, int]) -> ExtensionRecord:
     """Extract a critical extension of R along phi.

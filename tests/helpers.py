@@ -377,3 +377,40 @@ def compose_by_edges(
             continue
         edges.append((min(out_of[u], out_of[v]), max(out_of[u], out_of[v])))
     return Graph.from_edges(g1.n + g2.n - 1, sorted(edges)), out_of
+
+
+def identify_vertices(G: Graph, S) -> tuple[Graph, dict[int, int]]:
+    """Merge the vertices of ``S`` into one, dropping parallel edges: the
+    reference for ``graph_core.cut_side`` with x and y alike.
+
+    Identification is only defined for pairwise nonadjacent sets (merging
+    adjacent vertices would create a loop); adjacency inside ``S`` is an
+    error.  The merged vertex takes the position of ``min(S)`` and keeps its
+    label.  Also returns the map from G's vertices to the result's.
+    """
+    S = sorted(set(S))
+    if not S:
+        raise ValueError("empty vertex set")
+    if S[0] < 0 or S[-1] >= G.n:
+        raise ValueError("vertex set not contained in the graph")
+    smask = mask_of(S)
+    for v in S:
+        if G.adj[v] & smask:
+            raise ValueError("identifying adjacent vertices")
+    target = S[0]
+    keep = [v for v in range(G.n) if v == target or not smask >> v & 1]
+    pos = {v: i for i, v in enumerate(keep)}
+    merged = 0
+    for v in S:
+        merged |= G.adj[v]
+    merged &= ~smask
+    rows = [0] * len(keep)
+    for v in keep:
+        row = merged if v == target else G.adj[v]
+        for u in bits(row):
+            new_u = pos[target] if smask >> u & 1 else pos[u]
+            if new_u != pos[v]:
+                rows[pos[v]] |= 1 << new_u
+                rows[new_u] |= 1 << pos[v]
+    mapping = {v: pos[target] if smask >> v & 1 else pos[v] for v in range(G.n)}
+    return Graph(len(keep), tuple(rows), tuple(G.label(v) for v in keep)), mapping

@@ -196,7 +196,7 @@ def test_criterion_08_collapsibility_equivalence(ore17):
             )
             phi = {v: colors[i] for i, v in enumerate(R)}
             rec = critical_extension(g, R, phi)
-            ok = ok and rec.total and rec.core_size == 1
+            ok = ok and rec.complete and rec.spanning and rec.core_size == 1
             extensions += 1
         for S in ore_collapsible_subsets(g):
             ok = ok and is_collapsible(g, sorted(S)).collapsible

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import orelab
-from orelab import Facts, graph_to_graph6, named_graph
+from orelab import Facts, graph_to_graph6, named_graph, recipe_to_text
 from orelab import coloring, lab_cli, packing
 from orelab.constructions import complete_graph
 from orelab.corpus import Corpus
@@ -400,3 +400,36 @@ def test_extension_records_are_frozen(ore17_facts):
     assert len(lines) == 120
     digest = hashlib.sha256("".join(l + "\n" for l in lines).encode()).hexdigest()
     assert digest == EXTENSION_RECORDS_SHA256
+
+
+RECIPES_SHA256 = "cbf33ab4343830abf8ee90e72c806ef70f034aee81ec61368b07032afb38507d"
+"""sha256 of the ``<key> <recipe text or ->`` lines of ``lab_facts``."""
+LEMMA2_ROWS_SHA256 = "5476d39d190b5158ac1095864189e8ed08b7a812b4281a73fdbdcde697cceaa3"
+"""sha256 of the ``lemma2`` CHECK lines of ``lab_facts``."""
+
+
+def test_recipes_and_lemma2_rows_are_frozen(lab_facts):
+    recipes = "".join(
+        f"{f.key} {recipe_to_text(f.recipe) if f.recipe else '-'}\n" for f in lab_facts
+    )
+    assert hashlib.sha256(recipes.encode()).hexdigest() == RECIPES_SHA256
+    lines = [line for f in lab_facts for line in lab_cli._lemma2_report(f).lines()]
+    assert len(lines) == 3360
+    digest = hashlib.sha256("".join(l + "\n" for l in lines).encode()).hexdigest()
+    assert digest == LEMMA2_ROWS_SHA256
+
+
+def test_lemma2_computes_one_t_per_recipe_node(ore17_facts, monkeypatch):
+    # an n = 17 recipe has three composition nodes; K5 takes one more call
+    calls = 0
+    t_number = packing.t_number
+
+    def counted(G):
+        nonlocal calls
+        calls += 1
+        return t_number(G)
+
+    monkeypatch.setattr(packing, "t_number", counted)
+    reports = [lab_cli._lemma2_report(f) for f in ore17_facts if f.graph.n == 17]
+    assert len(reports) == 549
+    assert calls <= 549 * 4

@@ -48,6 +48,15 @@ def _loads(node: ast.AST) -> set[str]:
     return out
 
 
+def _attributes(node: ast.AST) -> set[str]:
+    """Names that ``node`` reads as an attribute."""
+    return {
+        sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+
+
 def _defined(stmt: ast.stmt) -> list[str]:
     if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
         return [stmt.name]
@@ -69,13 +78,14 @@ def test_library_code_is_reached_outside_tests():
         for name in _defined(stmt)
         if not any(name in seen for j, seen in enumerate(loads) if j != i)
     ]
-    # a method counts as reached when code outside its own body loads its name
+    # a method counts as reached when code outside its own body loads it as
+    # an attribute; a local variable of the same name does not reach it
     units = [
         (f"{module}.{stmt.name}", node) if isinstance(stmt, ast.ClassDef) else (None, node)
         for module, stmt in statements
         for node in (stmt.body if isinstance(stmt, ast.ClassDef) else [stmt])
     ]
-    unit_loads = [_loads(node) for _, node in units]
+    unit_loads = [_attributes(node) for _, node in units]
     unreached += [
         f"{owner}.{node.name}"
         for i, (owner, node) in enumerate(units)

@@ -7,13 +7,14 @@ from orelab import Graph, InvariantViolation, graph_from_graph6, graph_to_graph6
 from orelab.constructions import NAMED, complete_graph, cycle_graph
 from orelab.graph_core import (
     _refine,
+    bits,
     canonical_form,
     check_automorphism,
     connected_components,
     d4_components,
     graph_from_text,
     graph_to_text,
-    identify_vertices,
+    cut_side,
     induced_subgraph,
     two_cuts,
     with_edge,
@@ -26,6 +27,7 @@ from helpers import (
     cluster_size_sequence,
     glued_pair,
     group_order,
+    identify_vertices,
     random_graph,
     refine_full,
     star_graph,
@@ -106,33 +108,65 @@ def test_delete_vertices():
         induced_subgraph(G, [])  # deleting every vertex
 
 
+def _identified(G: Graph, x: int, y: int) -> tuple[Graph, dict[int, int]]:
+    """G with y identified into x, as the vertex side of the whole of G."""
+    return cut_side(G, (1 << G.n) - 1, x, y, True)
+
+
 def test_identify_pair_on_cycle():
     C4 = cycle_graph(4)
-    H, _ = identify_vertices(C4, [0, 2])
+    H, _ = _identified(C4, 0, 2)
     assert H.n == 3 and H.m == 2
     assert sorted(H.degree(v) for v in range(3)) == [1, 1, 2]
 
 
 def test_identify_rejects_adjacent():
     with pytest.raises(ValueError):
-        identify_vertices(cycle_graph(4), [0, 1])
+        _identified(cycle_graph(4), 0, 1)
 
 
 def test_identify_drops_parallel_edges():
     G = without_edge(complete_graph(5), 0, 1)
-    H, _ = identify_vertices(G, [0, 1])
+    H, _ = _identified(G, 0, 1)
     assert H == complete_graph(4)
 
 
 def test_identify_map_covers_all_vertices():
     G = without_edge(complete_graph(6), 1, 4)
-    H, mapping = identify_vertices(G, [1, 4])
+    H, mapping = _identified(G, 1, 4)
     assert mapping[1] == mapping[4]
     assert set(mapping) == set(range(6))
     assert set(mapping.values()) == set(range(H.n))
     for u, v in G.edges():
         if mapping[u] != mapping[v]:
             assert H.has_edge(mapping[u], mapping[v])
+
+
+def test_cut_side_matches_the_induced_subgraph_build(ore13):
+    # every union of the parts of every nonadjacent 2-cut, with x and y
+    graphs = [g for g, _ in ore13]
+    graphs += [named_graph(name) for name in sorted(NAMED) if name != "k5"]
+    sides = 0
+    for G in graphs:
+        for x, y, parts in two_cuts(G):
+            if G.has_edge(x, y):
+                continue
+            for pick in range(1, 1 << len(parts)):
+                mask = 1 << x | 1 << y
+                for i, part in enumerate(parts):
+                    if pick >> i & 1:
+                        mask |= part
+                vertices = bits(mask)
+                sub = induced_subgraph(G, vertices)
+                pos = {v: i for i, v in enumerate(vertices)}
+                merged, merge_map = identify_vertices(sub, [pos[x], pos[y]])
+                assert cut_side(G, mask, x, y, True) == (
+                    merged,
+                    {v: merge_map[i] for v, i in pos.items()},
+                )
+                assert cut_side(G, mask, x, y, False) == (with_edge(sub, pos[x], pos[y]), pos)
+                sides += 1
+    assert sides == 195
 
 
 def test_components_and_connectivity():

@@ -176,7 +176,7 @@ def test_edge_block_extension_is_total_with_tiny_core(doubles):
     for g, _ in doubles:
         rec = block_extension(g)
         assert rec.core_size == 1
-        assert rec.complete and rec.spanning and rec.total
+        assert rec.complete and rec.spanning
         assert rec.empty_classes == ()
         assert rec.expanded == g.vertex_set()
         # the extender reassembles the vertex side: merged class vertex
@@ -217,7 +217,7 @@ def test_collapsible_subsets_extend_totally(doubles):
                 )
                 phi = {v: colors[i] for i, v in enumerate(order)}
                 rec = critical_extension(g, order, phi)
-                assert rec.total and rec.core_size == 1
+                assert rec.complete and rec.spanning and rec.core_size == 1
 
 
 def test_splitting_colorings_break_totality(doubles):
@@ -231,7 +231,7 @@ def test_splitting_colorings_break_totality(doubles):
         hit = True
         phi = rep.splitting_coloring
         rec = critical_extension(g, range(6), phi)
-        assert not (rec.total and rec.core_size == 1)
+        assert not (rec.complete and rec.spanning and rec.core_size == 1)
     assert hit
 
 
