@@ -480,9 +480,13 @@ def canonical_form(G: Graph) -> Canonical:
         idx = next(i for i, c in enumerate(cells) if len(c) > 1)
         cell = cells[idx]
         explored = 0
+        # found only grows, so filter just the generators new since the last look
+        fixing: list[tuple[int, ...]] = []
+        seen = 0
         for v in cell:
             if explored:
-                fixing = [g for g in found if all(g[w] == w for w in path)]
+                fixing += [g for g in found[seen:] if all(g[w] == w for w in path)]
+                seen = len(found)
                 if _orbit(explored, fixing) >> v & 1:
                     continue
             rest = [w for w in cell if w != v]

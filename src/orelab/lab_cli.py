@@ -134,11 +134,13 @@ def _lemma2_report(facts: Facts) -> Report:
         if isinstance(r, ore.Compose):
             nodes.append(r)
             stack += (r.vertex_side, r.edge_side)
-    # one t per recipe node; the sides of every node are nodes or Leaf()
+    # one t per recipe node below the root, which builds a copy of G; the
+    # sides of every node are nodes or Leaf()
     t_of = {
         node: packing.t_number(ore.ore_compose(node))[0]
-        for node in [ore.Leaf(), *reversed(nodes)]
+        for node in [ore.Leaf(), *reversed(nodes[1:])]
     }
+    t_of[recipe] = t
     for idx, node in enumerate(nodes):
         tg, t1, t2 = t_of[node], t_of[node.edge_side], t_of[node.vertex_side]
         rep.add(

@@ -3,8 +3,16 @@
 The packing number maximizes, over families of vertex-disjoint triangles
 (weight 1) and K4s (weight 2), the total weight.  Solved exactly by branch
 and bound: branch on the lowest-index uncovered vertex, try every piece
-containing it, then try skipping it.  The admissible bound uses the best
-possible rate of 2 per 4 fresh vertices, plus 1 when exactly 3 remain.
+containing it, then try skipping it.  Every other piece through that
+vertex holds a lower vertex, already covered or skipped, so the pieces
+are listed once, each under its lowest vertex, in lexicographic order.
+The admissible bound uses the best possible rate of 2 per 4 fresh
+vertices, plus 1 when exactly 3 remain, and counts only vertices that lie
+in some piece: the search starts from those, never from one that no
+piece can cover.  A bound that never undercuts a subtree's best weight
+prunes only subtrees without a strict improvement, so the incumbent
+changes at the same nodes as in the search from every vertex, and the
+witness is the same.
 
 ``mic`` maximizes the degree sum over independent sets; it feeds the edge
 lower bound 2|E| >= 3|V| + mic used by the discharging audit.
@@ -28,26 +36,10 @@ def triangles(G: Graph) -> list[tuple[int, int, int]]:
     return out
 
 
-def four_cliques(G: Graph) -> list[tuple[int, int, int, int]]:
-    out = []
-    for u, v, w in triangles(G):
-        common = G.adj[u] & G.adj[v] & G.adj[w] >> (w + 1) << (w + 1)
-        for x in bits(common):
-            out.append((u, v, w, x))
-    return out
-
-
 @dataclass(frozen=True)
 class Packing:
     pieces: tuple[tuple[int, ...], ...]
     weight: int
-
-
-def _pieces(G: Graph) -> list[tuple[int, int, tuple[int, ...]]]:
-    ps = [(mask_of(t), 1, t) for t in triangles(G)]
-    ps += [(mask_of(q), 2, q) for q in four_cliques(G)]
-    ps.sort(key=lambda p: p[2])
-    return ps
 
 
 def t_number(G: Graph) -> tuple[int, Packing]:
@@ -56,39 +48,45 @@ def t_number(G: Graph) -> tuple[int, Packing]:
     Deterministic: pieces are tried in lexicographic order and only strict
     improvements replace the incumbent, so the witness is reproducible.
     """
-    pieces = _pieces(G)
-    by_vertex: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(G.n)]
-    for p in pieces:
-        for v in bits(p[0]):
-            by_vertex[v].append(p)
-    best_w = 0
-    best_pieces: tuple = ()
-
-    def bound(free: int) -> int:
-        return 2 * (free // 4) + (1 if free % 4 == 3 else 0)
-
-    def rec(free_mask: int, cur_w: int, chosen: list[tuple[int, ...]]):
-        nonlocal best_w, best_pieces
-        if cur_w > best_w:
-            best_w = cur_w
-            best_pieces = tuple(chosen)
-        free = free_mask.bit_count()
-        if cur_w + bound(free) <= best_w:
-            return
-        if not free_mask:
-            return
-        v = (free_mask & -free_mask).bit_length() - 1
-        for pmask, w, verts in by_vertex[v]:
-            if pmask & ~free_mask:
-                continue
-            chosen.append(verts)
-            rec(free_mask & ~pmask, cur_w + w, chosen)
-            chosen.pop()
-        rec(free_mask & ~(1 << v), cur_w, chosen)
-
-    rec((1 << G.n) - 1, 0, [])
+    n, adj = G.n, G.adj
+    # by_low[u]: the pieces whose lowest vertex is u, as (mask, weight,
+    # vertices); a K4 follows the triangle it extends, so each list is
+    # in lexicographic order
+    by_low: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(n)]
+    cover = 0
+    for u in range(n):
+        for v in bits(adj[u] >> (u + 1) << (u + 1)):
+            uv = adj[u] & adj[v] >> (v + 1) << (v + 1)
+            for w in bits(uv):
+                tri = 1 << u | 1 << v | 1 << w
+                by_low[u].append((tri, 1, (u, v, w)))
+                cover |= tri
+                for x in bits(uv & adj[w] >> (w + 1) << (w + 1)):
+                    by_low[u].append((tri | 1 << x, 2, (u, v, w, x)))
+    best: list = [0, ()]
+    _pack(cover, 0, [], by_low, best)
+    best_w, best_pieces = best
     _check_packing(G, best_pieces, best_w)
     return best_w, Packing(best_pieces, best_w)
+
+
+def _pack(free: int, cur: int, chosen: list, by_low: list, best: list) -> None:
+    """The search below one node: ``free`` holds the uncovered vertices
+    that still lie in some piece, ``best`` the incumbent [weight, pieces]."""
+    if cur > best[0]:
+        best[0], best[1] = cur, tuple(chosen)
+    size = free.bit_count()
+    # at best 2 per 4 fresh vertices, plus 1 when exactly 3 remain
+    if cur + 2 * (size // 4) + (size % 4 == 3) <= best[0]:
+        return
+    low = free & -free
+    for pmask, w, verts in by_low[low.bit_length() - 1]:
+        if pmask & ~free:
+            continue
+        chosen.append(verts)
+        _pack(free & ~pmask, cur + w, chosen, by_low, best)
+        chosen.pop()
+    _pack(free & ~low, cur, chosen, by_low, best)
 
 
 def _check_packing(G: Graph, pieces, weight: int):

@@ -374,30 +374,61 @@ def verify_main_theorem(facts: Facts) -> Report:
     return rep
 
 
-def _low_ky_subsets(G: Graph):
+def _low_ky_subsets(G: Graph) -> list[tuple[int, int]]:
     """Every R with 5 <= |R| < n and p_ky(R) < 12, as (mask, p_ky(R)).
 
-    Branch and bound deciding vertices 0..n-1 in order, each in, then out.
-    With C chosen and U undecided, every completion S = C + A has p_ky(S)
-    >= p_ky(C) + sum over v in U of min(0, 9 - 4|N(v)&C| - 2|N(v)&U|), as
-    e(A) <= 1/2 sum over v in A of |N(v)&U|; a bound of 12 prunes.
+    Branch and bound deciding vertices 0..n-1 in order, each in, then out;
+    the list is in the order the search reaches the sets.  With C chosen
+    and U undecided, every completion S = C + A has p_ky(S) >= p_ky(C) +
+    sum over v in U of min(0, s(v)), where s(v) = 9 - 4|N(v)&C| - 2|N(v)&U|,
+    as e(A) <= 1/2 sum over v in A of |N(v)&U|; a bound of 12 prunes.  The
+    search keeps s and the sum incrementally: deciding vertex i changes s
+    only at i's later neighbours, by -2 when i goes in and +2 when it goes
+    out, and as N(i)&U holds exactly those, p_ky(C + i) = p_ky(C) + s(i) +
+    2 deg+(i).
     """
-    n, adj = G.n, G.adj
+    n = G.n
+    later = [bits(G.adj[i] >> (i + 1) << (i + 1)) for i in range(n)]
+    s = [9 - 2 * G.degree(v) for v in range(n)]
+    out: list[tuple[int, int]] = []
+    _grow_low_ky(0, 0, 0, sum(min(0, x) for x in s), n, later, s, out)
+    return out
 
-    def grow(i: int, chosen: int, p: int):
-        undecided = ((1 << n) - 1) >> i << i
-        if p + sum(
-            min(0, 9 - 4 * (adj[v] & chosen).bit_count() - 2 * (adj[v] & undecided).bit_count())
-            for v in bits(undecided)
-        ) >= 12:
-            return
-        if i < n:
-            yield from grow(i + 1, chosen | 1 << i, p + 9 - 4 * (adj[i] & chosen).bit_count())
-            yield from grow(i + 1, chosen, p)
-        elif 5 <= chosen.bit_count() < n:
-            yield chosen, p
 
-    return grow(0, 0, 0)
+def _grow_low_ky(
+    i: int, chosen: int, p: int, low: int, n: int, later: list, s: list, out: list
+) -> None:
+    """Decide vertex i at a node that the bound keeps (the root always is):
+    ``p`` is p_ky of ``chosen``, ``low`` the sum over vertices i.. of
+    min(0, s)."""
+    if i == n:
+        if 5 <= chosen.bit_count() < n:
+            out.append((chosen, p))
+        return
+    si = s[i]
+    ups = later[i]
+    low -= min(0, si)
+    # s is odd, so a step of 2 moves min(0, s) by 2 below 0, by 1 between
+    # -1 and 1, and not at all above 0
+    low_in = low
+    for v in ups:
+        x = s[v]
+        s[v] = x - 2
+        if x < 3:
+            low_in -= 1 if x == 1 else 2
+    p_in = p + si + 2 * len(ups)
+    if p_in + low_in < 12:
+        _grow_low_ky(i + 1, chosen | 1 << i, p_in, low_in, n, later, s, out)
+    low_out = low
+    for v in ups:
+        x = s[v] + 2
+        s[v] = x + 2
+        if x < 0:
+            low_out += 1 if x == -1 else 2
+    if p + low_out < 12:
+        _grow_low_ky(i + 1, chosen, p, low_out, n, later, s, out)
+    for v in ups:
+        s[v] -= 2
 
 
 def verify_ore5_bounds(facts: Facts) -> Report:

@@ -22,7 +22,7 @@ from orelab.graph_core import (
     without_edge,
 )
 from orelab.ore import Compose, Leaf, _composition_sites, compose_graphs, k5
-from orelab.packing import four_cliques, triangles
+from orelab.packing import Packing, triangles
 
 
 def canonical_key(G: Graph) -> bytes:
@@ -173,6 +173,56 @@ def cluster_size_sequence(G: Graph) -> tuple[int, ...]:
     return tuple(sorted(groups.values(), reverse=True))
 
 
+def four_cliques(G: Graph) -> list[tuple[int, int, int, int]]:
+    """Every K4 as an ascending 4-tuple, in lexicographic order."""
+    out = []
+    for u, v, w in triangles(G):
+        common = G.adj[u] & G.adj[v] & G.adj[w] >> (w + 1) << (w + 1)
+        for x in bits(common):
+            out.append((u, v, w, x))
+    return out
+
+
+def t_number_reference(G: Graph) -> tuple[int, Packing]:
+    """The packing search of ``t_number`` as first written: every piece
+    listed under each of its vertices, and the search started from every
+    vertex.  Same branching order and tie rule, so the same witness."""
+    pieces = [(mask_of(t), 1, t) for t in triangles(G)]
+    pieces += [(mask_of(q), 2, q) for q in four_cliques(G)]
+    pieces.sort(key=lambda p: p[2])
+    by_vertex: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(G.n)]
+    for p in pieces:
+        for v in bits(p[0]):
+            by_vertex[v].append(p)
+    best_w = 0
+    best_pieces: tuple = ()
+
+    def bound(free: int) -> int:
+        return 2 * (free // 4) + (1 if free % 4 == 3 else 0)
+
+    def rec(free_mask: int, cur_w: int, chosen: list[tuple[int, ...]]):
+        nonlocal best_w, best_pieces
+        if cur_w > best_w:
+            best_w = cur_w
+            best_pieces = tuple(chosen)
+        free = free_mask.bit_count()
+        if cur_w + bound(free) <= best_w:
+            return
+        if not free_mask:
+            return
+        v = (free_mask & -free_mask).bit_length() - 1
+        for pmask, w, verts in by_vertex[v]:
+            if pmask & ~free_mask:
+                continue
+            chosen.append(verts)
+            rec(free_mask & ~pmask, cur_w + w, chosen)
+            chosen.pop()
+        rec(free_mask & ~(1 << v), cur_w, chosen)
+
+    rec((1 << G.n) - 1, 0, [])
+    return best_w, Packing(best_pieces, best_w)
+
+
 def t_number_oracle(G: Graph) -> int:
     """Exact packing number by exhaustive recursion.
 
@@ -250,6 +300,28 @@ def low_ky_subsets_by_masks(G: Graph) -> list[tuple[int, int]]:
         if p < 12:
             found.append((mask, p))
     return found
+
+
+def low_ky_subsets_reference(G: Graph):
+    """The p_ky < 12 sweep of ``potential._low_ky_subsets`` as first
+    written: a generator that sums the bound over every undecided vertex
+    at every node.  Yields the same (mask, p_ky) pairs in the same order."""
+    n, adj = G.n, G.adj
+
+    def grow(i: int, chosen: int, p: int):
+        undecided = ((1 << n) - 1) >> i << i
+        if p + sum(
+            min(0, 9 - 4 * (adj[v] & chosen).bit_count() - 2 * (adj[v] & undecided).bit_count())
+            for v in bits(undecided)
+        ) >= 12:
+            return
+        if i < n:
+            yield from grow(i + 1, chosen | 1 << i, p + 9 - 4 * (adj[i] & chosen).bit_count())
+            yield from grow(i + 1, chosen, p)
+        elif 5 <= chosen.bit_count() < n:
+            yield chosen, p
+
+    return grow(0, 0, 0)
 
 
 def critical_complement(G: Graph, R) -> tuple[Graph, int]:

@@ -2,12 +2,19 @@ import random
 
 import pytest
 
-from orelab import Graph, named_graph, t_number
-from orelab.constructions import complete_graph, cycle_graph
+from orelab import Graph, named_graph, packing, t_number
+from orelab.constructions import NAMED, complete_graph, cycle_graph
 from orelab.graph_core import induced_subgraph, without_edge
-from orelab.packing import four_cliques, mic, triangles
+from orelab.packing import mic, triangles
+from orelab.potential import random_extension, verify_extension_inequalities
 
-from helpers import brute_mic, random_graph, t_number_oracle
+from helpers import (
+    brute_mic,
+    four_cliques,
+    random_graph,
+    t_number_oracle,
+    t_number_reference,
+)
 
 
 def check_packing(G, pack):
@@ -103,6 +110,35 @@ def test_t_number_matches_oracle_on_random_graphs():
         t, pack = t_number(G)
         assert t == t_number_oracle(G)
         check_packing(G, pack)
+
+
+def test_t_number_matches_the_reference_search(ore13):
+    # same packing number and same witness, piece for piece
+    graphs = [g for g, _ in ore13] + [named_graph(name) for name in NAMED]
+    rng = random.Random(15)
+    graphs += [random_graph(rng.randint(1, 14), rng.random(), rng) for _ in range(500)]
+    for G in graphs:
+        assert t_number(G) == t_number_reference(G)
+
+
+def test_t_number_matches_the_reference_on_extension_subgraphs(ore17, monkeypatch):
+    # every graph whose packing number a seeded extension record asks for
+    hosts = random.Random(15).sample([g for g, _ in ore17 if g.n == 17], 4)
+    hosts.append(named_graph("mycielski_groetzsch"))
+    asked = []
+    t_number_fast = packing.t_number
+
+    def recorded(G):
+        asked.append(G)
+        return t_number_fast(G)
+
+    monkeypatch.setattr(packing, "t_number", recorded)
+    for i in range(200):
+        rec = random_extension(hosts[i % len(hosts)], random.Random(7 * 1_000_003 + i))
+        verify_extension_inequalities(rec, "host")
+    assert len(asked) >= 800
+    for G in asked:
+        assert t_number_fast(G) == t_number_reference(G)
 
 
 def test_oracle_refuses_large_graphs():

@@ -38,6 +38,7 @@ from helpers import (
     corpus_key,
     critical_complement,
     low_ky_subsets_by_masks,
+    low_ky_subsets_reference,
     ore_collapsible_subsets,
     random_graph,
 )
@@ -355,6 +356,38 @@ def test_low_ky_subsets_match_the_mask_loop(ore13, ore17):
         graphs.append(random_graph(rng.randint(6, 12), rng.choice((0.4, 0.6, 0.8)), rng))
     for g in graphs:
         assert sorted(_low_ky_subsets(g)) == low_ky_subsets_by_masks(g)
+
+
+def test_low_ky_subsets_keep_the_reference_order(ore17):
+    # verify_ore5_bounds names the first violating set in this order
+    for g, _ in ore17:
+        assert _low_ky_subsets(g) == list(low_ky_subsets_reference(g))
+
+
+def test_low_ky_sweep_work_is_bounded(ore13):
+    # the sweep keeps its bound incrementally, so it reads each adjacency
+    # row's degree once and never masks a row; summing the bound afresh at
+    # every node masks two rows per undecided vertex (74,883 over these
+    # classes)
+    calls = [0]
+
+    class Row(int):
+        def __and__(self, other):
+            calls[0] += 1
+            return int.__and__(self, other)
+
+        def bit_count(self):
+            calls[0] += 1
+            return int.bit_count(self)
+
+    total = 0
+    for g, _ in ore13:
+        wrapped = Graph(g.n, tuple(Row(r) for r in g.adj))
+        before = calls[0]
+        low = sorted(_low_ky_subsets(wrapped))
+        total += calls[0] - before
+        assert low == low_ky_subsets_by_masks(g)
+    assert total <= sum(g.n for g, _ in ore13)
 
 
 def test_ore5_bounds_on_non_ore_graph():
