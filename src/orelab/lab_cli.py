@@ -11,9 +11,11 @@ Subcommands:
   discharge  charge ledger and closing inequalities for one graph
 
 The corpus directory comes from --corpus, else $ORELAB_CORPUS, else
-./corpus.  Exit codes: 0 all checks pass, 1 at least one FAIL row,
-2 usage errors, 3 an internal invariant broke (the message names the
-graph's graph6 string, and under verify and extend its corpus key).
+./corpus.  Exit codes: 0 all checks pass, 1 at least one FAIL row
+(verify and extend then name each failing entry's key and graph6 string
+on stderr), 2 usage errors, 3 an internal invariant broke (the message
+names the graph's graph6 string, and under verify and extend its corpus
+key).
 Output contains no timestamps; a command re-run with the same corpus and
 seed produces identical bytes, with any number of --jobs.
 """
@@ -181,8 +183,9 @@ def _extension_report(facts: Facts, seed: int, record_ids: list[int]) -> Report:
 
 def _entry_report(
     root: str, suite: str, key: str, seed: int, record_ids: list[int]
-) -> tuple[str, list[str], int]:
-    """The check lines of one corpus entry and how many of them failed.
+) -> tuple[str, list[str], int, str | None]:
+    """The key and check lines of one corpus entry, how many of them
+    failed, and the entry's graph6 string when any did.
 
     An :class:`InvariantViolation` leaves with the entry's key and graph6
     string in its message.
@@ -191,7 +194,8 @@ def _entry_report(
     entry = corpus.load(key)
     with _panics_naming(entry.graph, key):
         rep = _suite_report(corpus, entry, suite, seed, record_ids)
-    return key, rep.lines(), sum(not c.ok for c in rep.checks)
+    failed = sum(not c.ok for c in rep.checks)
+    return key, rep.lines(), failed, graph_to_graph6(entry.graph) if failed else None
 
 
 def _suite_report(
@@ -253,9 +257,11 @@ def cmd_verify(args) -> int:
         mapper = map
         if workers > 1:
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        for _, lines, failed in mapper(_entry_report, *zip(*tasks)):
+        for key, lines, failed, g6 in mapper(_entry_report, *zip(*tasks)):
             for line in lines:
                 print(line)
+            if failed:
+                print(f"fail: entry {key} graph6 {g6}", file=sys.stderr)
             checks += len(lines)
             failures += failed
     verdict = "PASS" if failures == 0 else "FAIL"
@@ -344,6 +350,8 @@ def cmd_extend(args) -> int:
     print("expanded " + ",".join(map(str, sorted(rec.expanded))))
     for line in rep.lines():
         print(line)
+    if not rep.ok:
+        print(f"fail: entry {entry.key} graph6 {graph_to_graph6(G)}", file=sys.stderr)
     return 0 if rep.ok else 1
 
 

@@ -153,36 +153,6 @@ def recipe_to_text(recipe: OreRecipe) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _ordered_splits(g2: Graph, z: int):
-    """All ordered (A, B) bipartitions of N(z) into nonempty parts.
-
-    For a K5 vertex side every split of a given first-part size is
-    equivalent under automorphisms fixing z, so three representatives
-    cover everything; the general case walks all proper submasks.  Ordered
-    parts matter: the edge side need not admit an automorphism swapping
-    the replaced edge's endpoints.
-    """
-    nbrs = g2.neighbors(z)
-    if _is_k5(g2):
-        for size in (1, 2, 3):
-            yield tuple(nbrs[:size]), tuple(nbrs[size:])
-        return
-    d = len(nbrs)
-    for pick in range(1, (1 << d) - 1):
-        a = tuple(nbrs[i] for i in range(d) if pick >> i & 1)
-        b = tuple(nbrs[i] for i in range(d) if not pick >> i & 1)
-        yield a, b
-
-
-def _composition_sites(g1: Graph, g2: Graph):
-    edge_list = [(0, 1)] if _is_k5(g1) else g1.edges()
-    z_list = [0] if _is_k5(g2) else list(range(g2.n))
-    for xy in edge_list:
-        for z in z_list:
-            for split in _ordered_splits(g2, z):
-                yield xy, z, split
-
-
 def _orbit_roots(elements, act, generators) -> dict:
     """The orbit representative of each element under the group generated
     by ``generators``; ``act(g, e)`` is the image of element e under g."""
@@ -202,11 +172,16 @@ def _orbit_roots(elements, act, generators) -> dict:
     return {e: root(e) for e in elements}
 
 
-def _orbit_tables(G: Graph, generators) -> tuple[dict, dict]:
-    """Orbit representatives under the automorphisms ``generators`` of G,
-    each checked before use: of every ordered edge (x, y), as an edge side,
-    and of every (z, A) with A a nonempty proper subset of N(z) given as a
-    bitmask, as a vertex side."""
+def _orbit_tables(G: Graph, generators) -> tuple[list, dict, list]:
+    """The composition sites of G up to the automorphisms ``generators``,
+    each checked before use.
+
+    Returns the edges (x, y, flips), x < y, that come first in edge order
+    within their orbit of unordered edges, where ``flips`` says that some
+    automorphism maps (x, y) to (y, x); the orbit representative of every
+    (z, A) with A a nonempty proper subset of N(z) given as a bitmask; and
+    the (z, A) that are the least element of their own orbit, ascending.
+    """
     for g in generators:
         check_automorphism(G, g)
     arcs = [a for u, v in G.edges() for a in ((u, v), (v, u))]
@@ -224,7 +199,15 @@ def _orbit_tables(G: Graph, generators) -> tuple[dict, dict]:
     def move_split(g, split):
         return g[split[0]], mask_of(g[v] for v in bits(split[1]))
 
-    return _orbit_roots(arcs, move_arc, generators), _orbit_roots(splits, move_split, generators)
+    arc = _orbit_roots(arcs, move_arc, generators)
+    part = _orbit_roots(splits, move_split, generators)
+    # an unordered edge orbit's least arc is its first edge in edge order
+    edges = [
+        (x, y, arc[x, y] == arc[y, x])
+        for x, y in G.edges()
+        if min(arc[x, y], arc[y, x]) == (x, y)
+    ]
+    return edges, part, sorted(s for s in splits if part[s] == s)
 
 
 def enumerate_5_ore(max_n: int):
@@ -235,10 +218,15 @@ def enumerate_5_ore(max_n: int):
     Every 5-Ore graph has n = 4k + 1 vertices, so levels run 5, 9, 13, ...
 
     Sites that an automorphism of either side, or the swap of (x, y, A)
-    with (y, x, B), carries onto a site tried before give an isomorphic
-    composite, so only the first site of each orbit is composed.  Each
-    class is still found first at the same site as by trying every site:
-    that site is the first of its own orbit.
+    with (y, x, B), carries onto each other give isomorphic composites, so
+    one site per orbit is composed: the first edge x < y of its orbit of
+    unordered edges, and the least (z, A) of its orbit, or of the orbit of
+    (z, B) when an automorphism reverses xy and that orbit's least element
+    is smaller.  Two kept sites never share an orbit, and the first site
+    of every orbit in the walk over every edge, vertex and ordered split is
+    kept, so the kept sites are exactly those first sites, in the same
+    order: each class is found first at the same site as by composing
+    every site.
     """
     if max_n < 5:
         return
@@ -254,24 +242,23 @@ def enumerate_5_ore(max_n: int):
             n2 = n + 1 - n1
             if n2 not in levels:
                 continue
-            for g1, r1, arc, _ in levels[n1]:
-                for g2, r2, _, part in levels[n2]:
-                    tried = set()
-                    for (x, y), z, split in _composition_sites(g1, g2):
-                        a, b = mask_of(split[0]), mask_of(split[1])
-                        orbit = min((arc[x, y], part[z, a]), (arc[y, x], part[z, b]))
-                        if orbit in tried:
-                            continue
-                        tried.add(orbit)
-                        G, _ = compose_graphs(g1, (x, y), g2, z, split)
-                        fp = (G.n, G.adj)
-                        if fp in raw_seen:
-                            continue
-                        raw_seen.add(fp)
-                        key, _, generators = canonical_form(G)
-                        if key in seen or key in found:
-                            continue
-                        found[key] = (G, Compose(r1, (x, y), r2, z, split), generators)
+            for g1, r1, edges, _, _ in levels[n1]:
+                for g2, r2, _, part, splits in levels[n2]:
+                    for x, y, flips in edges:
+                        for z, a in splits:
+                            b = g2.adj[z] & ~a
+                            if flips and part[z, b] < (z, a):
+                                continue  # the swapped site's orbit comes first
+                            split = (tuple(bits(a)), tuple(bits(b)))
+                            G, _ = compose_graphs(g1, (x, y), g2, z, split)
+                            fp = (G.n, G.adj)
+                            if fp in raw_seen:
+                                continue
+                            raw_seen.add(fp)
+                            key, _, generators = canonical_form(G)
+                            if key in seen or key in found:
+                                continue
+                            found[key] = (G, Compose(r1, (x, y), r2, z, split), generators)
         seen.update(found)
         level = [found[key] for key in sorted(found)]
         if n + 4 <= max_n:

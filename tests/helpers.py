@@ -21,7 +21,7 @@ from orelab.graph_core import (
     with_edge,
     without_edge,
 )
-from orelab.ore import Compose, Leaf, _composition_sites, compose_graphs, k5
+from orelab.ore import Compose, Leaf, _is_k5, compose_graphs, k5
 from orelab.packing import Packing, triangles
 
 
@@ -357,6 +357,39 @@ def critical_complement(G: Graph, R) -> tuple[Graph, int]:
     return W, 0
 
 
+def _ordered_splits(g2: Graph, z: int):
+    """All ordered (A, B) bipartitions of N(z) into nonempty parts.
+
+    For a K5 vertex side every split of a given first-part size is
+    equivalent under automorphisms fixing z, so three representatives
+    cover everything; the general case walks all proper submasks.  Ordered
+    parts matter: the edge side need not admit an automorphism swapping
+    the replaced edge's endpoints.
+    """
+    nbrs = g2.neighbors(z)
+    if _is_k5(g2):
+        for size in (1, 2, 3):
+            yield tuple(nbrs[:size]), tuple(nbrs[size:])
+        return
+    d = len(nbrs)
+    for pick in range(1, (1 << d) - 1):
+        a = tuple(nbrs[i] for i in range(d) if pick >> i & 1)
+        b = tuple(nbrs[i] for i in range(d) if not pick >> i & 1)
+        yield a, b
+
+
+def composition_sites(g1: Graph, g2: Graph):
+    """Every composition site (xy, z, split) of the pair, in the order
+    ``enumerate_5_ore`` once walked them: each edge x < y, each z, each
+    ordered split, with one edge, one z and three splits on a K5 side."""
+    edge_list = [(0, 1)] if _is_k5(g1) else g1.edges()
+    z_list = [0] if _is_k5(g2) else list(range(g2.n))
+    for xy in edge_list:
+        for z in z_list:
+            for split in _ordered_splits(g2, z):
+                yield xy, z, split
+
+
 def enumerate_by_sites(max_n: int):
     """``enumerate_5_ore`` without orbit pruning: every composition site is
     composed and canonically labeled, and each class keeps the first site
@@ -374,7 +407,7 @@ def enumerate_by_sites(max_n: int):
                 continue
             for r1, g1 in levels[n1]:
                 for r2, g2 in levels[n2]:
-                    for xy, z, split in _composition_sites(g1, g2):
+                    for xy, z, split in composition_sites(g1, g2):
                         G, _ = compose_graphs(g1, xy, g2, z, split)
                         key = canonical_key(G)
                         if key not in seen and key not in found:
@@ -385,9 +418,10 @@ def enumerate_by_sites(max_n: int):
             yield G, r
 
 
-def group_order(n: int, generators) -> int:
-    """Order of the permutation group on range(n) that ``generators``
-    generate, by closing the identity under them; keep the group small."""
+def group_closure(n: int, generators) -> set[tuple[int, ...]]:
+    """Every element of the permutation group on range(n) that
+    ``generators`` generate, by closing the identity under them; keep the
+    group small."""
     identity = tuple(range(n))
     group = {identity}
     frontier = [identity]
@@ -400,7 +434,73 @@ def group_order(n: int, generators) -> int:
                     group.add(q)
                     grown.append(q)
         frontier = grown
-    return len(group)
+    return group
+
+
+def group_order(n: int, generators) -> int:
+    """Order of the permutation group on range(n) that ``generators``
+    generate."""
+    return len(group_closure(n, generators))
+
+
+def _least_in_orbits(elements, act, group) -> dict:
+    """The least element of each element's orbit under every element of
+    ``group``, computed once per orbit."""
+    least = {}
+    for e in elements:
+        if e not in least:
+            orbit = {act(g, e) for g in group}
+            low = min(orbit)
+            least.update(dict.fromkeys(orbit, low))
+    return least
+
+
+def first_sites_by_orbits(classes, max_n: int):
+    """The composition sites ``enumerate_5_ore(max_n)`` composes, as
+    ``compose_graphs`` argument tuples in order, given the classes up to
+    max_n - 4 in its order.
+
+    Walks every edge x < y of the edge side, every z and every ordered
+    split of N(z), with no K5 shortcut, and keeps each site whose orbit
+    under both sides' full automorphism groups (closed from their
+    ``canonical_form`` generators) and the swap of (x, y, A) with
+    (y, x, B) has not come up before.
+    """
+    by_n, tables = {}, {}
+    for G, _ in classes:
+        by_n.setdefault(G.n, []).append(G)
+        group = group_closure(G.n, canonical_form(G)[2])
+        arcs = [a for u, v in G.edges() for a in ((u, v), (v, u))]
+        arc = _least_in_orbits(arcs, lambda g, a: (g[a[0]], g[a[1]]), group)
+        splits = []
+        for z in range(G.n):
+            nbrs = G.neighbors(z)
+            d = len(nbrs)
+            for pick in range(1, (1 << d) - 1):
+                a = tuple(nbrs[i] for i in range(d) if pick >> i & 1)
+                b = tuple(nbrs[i] for i in range(d) if not pick >> i & 1)
+                splits.append((z, a, b))
+        part = _least_in_orbits(
+            [(z, a) for z, a, _ in splits],
+            lambda g, s: (g[s[0]], tuple(sorted(g[v] for v in s[1]))),
+            group,
+        )
+        tables[id(G)] = arc, [(z, a, b, part[z, a], part[z, b]) for z, a, b in splits]
+    for n in range(9, max_n + 1, 4):
+        for n1 in sorted(by_n):
+            n2 = n + 1 - n1
+            if n2 not in by_n:
+                continue
+            for g1 in by_n[n1]:
+                arc = tables[id(g1)][0]
+                for g2 in by_n[n2]:
+                    tried = set()
+                    for x, y in g1.edges():
+                        for z, a, b, low_a, low_b in tables[id(g2)][1]:
+                            orbit = min((arc[x, y], low_a), (arc[y, x], low_b))
+                            if orbit not in tried:
+                                tried.add(orbit)
+                                yield g1, (x, y), g2, z, (a, b)
 
 
 def refine_full(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:

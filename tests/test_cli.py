@@ -171,10 +171,11 @@ def test_verify_catches_tampered_invariants(small_corpus, run):
     raw = json.loads(path.read_text())
     raw["invariants"]["p_ky"] = 99
     path.write_text(json.dumps(raw, indent=1, sort_keys=True) + "\n")
-    code, out, _ = run("verify", "main", "--corpus", str(small_corpus))
+    code, out, err = run("verify", "main", "--corpus", str(small_corpus))
     assert code == 1
     assert f"CHECK corpus-invariants {key} FAIL note=stale=p_ky" in out
     assert out.strip().splitlines()[-1].startswith("SUITE main FAIL")
+    assert err == f"fail: entry {key} graph6 {graph_to_graph6(complete_graph(5))}\n"
 
 
 def test_verify_counts_failures_from_verdicts_not_text(small_corpus, run, monkeypatch):
@@ -314,6 +315,21 @@ def test_extend_block_of_double(small_corpus, run):
     assert any("core-classes=" in l and "complete=yes spanning=yes" in l for l in lines)
     assert any(l == "expanded 0,1,2,3,4,5,6,7,8" for l in lines)
     assert sum(1 for l in lines if l.startswith("CHECK")) == 3
+
+
+def test_extend_names_a_failing_entry(small_corpus, run, monkeypatch):
+    def failing(rec, key):
+        rep = Report()
+        rep.add("forced", key, False)
+        return rep
+
+    monkeypatch.setattr(lab_cli, "verify_extension_inequalities", failing)
+    G = named_graph("c5_join_k2")
+    key = corpus_key(G)
+    code, out, err = run("extend", key, "--r", "0,1,2,3,4", "--corpus", str(small_corpus))
+    assert code == 1
+    assert out.splitlines()[-1] == f"CHECK forced {key} FAIL"
+    assert err == f"fail: entry {key} graph6 {graph_to_graph6(G)}\n"
 
 
 def test_extend_usage_errors(small_corpus, run):

@@ -17,14 +17,16 @@ from orelab import (
 )
 from orelab.coloring import boundary
 from orelab.constructions import complete_graph, cycle_graph
-from orelab.graph_core import induced_subgraph, with_edge
-from orelab.ore import Compose, Leaf, _composition_sites, compose_graphs, k5
+from orelab.graph_core import canonical_form, induced_subgraph, with_edge
+from orelab.ore import Compose, Leaf, _orbit_tables, compose_graphs, k5
 
 from helpers import (
     canonical_key,
     cluster_size_sequence,
     compose_by_edges,
+    composition_sites,
     enumerate_by_sites,
+    first_sites_by_orbits,
     ore_collapsible_subsets,
 )
 
@@ -72,7 +74,7 @@ def test_compose_graphs_matches_the_edge_list_build(ore13):
     for n1, n2 in ((5, 9), (9, 5), (9, 9)):
         for g1 in by_n[n1]:
             for g2 in by_n[n2]:
-                sites += [(g1, xy, g2, z, split) for xy, z, split in _composition_sites(g1, g2)]
+                sites += [(g1, xy, g2, z, split) for xy, z, split in composition_sites(g1, g2)]
     rng = random.Random(13)
     every = [g for g, _ in ore13]
     for _ in range(500):
@@ -160,7 +162,7 @@ ORE21_SHA256 = "24ea728cc921d0c4d1edb692e6e1d3c6e88ad7108ee29873ee7e876bcf78ca11
 ``enumerate_by_sites`` and the orbit-pruned generator alike."""
 
 
-@pytest.mark.skipif(os.environ.get("ORELAB_N21") != "1", reason="set ORELAB_N21=1 (about a minute)")
+@pytest.mark.skipif(os.environ.get("ORELAB_N21") != "1", reason="set ORELAB_N21=1 (about 45 s)")
 def test_enumeration_to_21_is_frozen():
     classes = list(enumerate_5_ore(21))
     assert (len(classes), sum(1 for g, _ in classes if g.n == 21)) == (21_603, 21_028)
@@ -178,8 +180,27 @@ def test_orbit_pruning_composes_fewer_sites(monkeypatch):
     compose = ore.compose_graphs
     monkeypatch.setattr(ore, "compose_graphs", lambda *a: calls.append(a) or compose(*a))
     assert len(list(enumerate_5_ore(13))) == 26
-    # the 449 sites at n <= 13 (3 at n = 9) fall into 51 orbits (2 at n = 9)
+    # the walk visits 81 sites at n <= 13 (3 at n = 9) and composes one per
+    # orbit, 51 (2 at n = 9), of the 6,680 sites that every edge, vertex and
+    # ordered split give (700 at n = 9)
     assert len(calls) == 51
+
+
+def test_orbit_walk_composes_the_first_site_of_every_orbit(ore13, monkeypatch):
+    calls = []
+    compose = ore.compose_graphs
+    monkeypatch.setattr(ore, "compose_graphs", lambda *a: calls.append(a) or compose(*a))
+    assert len(list(enumerate_5_ore(17))) == 575
+    expected = list(first_sites_by_orbits(ore13, 17))
+    assert len(calls) == len(expected) == 1950
+    assert calls == expected
+
+
+def test_k5_orbit_table_keeps_the_three_k5_splits():
+    edges, part, splits = _orbit_tables(k5(), canonical_form(k5())[2])
+    assert edges == [(0, 1, True)]
+    assert splits == [(0, 0b10), (0, 0b110), (0, 0b1110)]
+    assert len(part) == 5 * 14 and set(part.values()) == set(splits)
 
 
 def test_enumeration_checks_generators_before_use(monkeypatch):
