@@ -54,7 +54,6 @@ renamed by a seeded permutation.  The search above is the only one here.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .graph_core import (
     Graph,
@@ -434,24 +433,24 @@ def _without_edges(G: Graph, edges) -> Graph:
     for u, v in edges:
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-    return Graph(G.n, tuple(rows), G.labels)
+    return Graph(G.n, tuple(rows))
 
 
 def _four_core(G: Graph) -> Graph:
     """G with every edge outside its 4-core deleted; vertices are kept."""
     core, _ = _peel(G, 4)
     rows = tuple(row & core if core >> v & 1 else 0 for v, row in enumerate(G.adj))
-    return Graph(G.n, rows, G.labels)
+    return Graph(G.n, rows)
 
 
-def extract_5_critical(G: Graph) -> Graph:
-    """A 5-critical subgraph of a non-4-colorable graph.
+def extract_5_critical(G: Graph) -> tuple[Graph, tuple[int, ...]]:
+    """A 5-critical subgraph W of a non-4-colorable graph, and ``kept``.
 
     The plain scan visits edges once in descending index order and deletes
     any edge whose removal keeps the graph non-4-colorable; colorability is
     monotone under further deletion, so one pass reaches an edge-minimal
-    non-4-colorable graph W.  Isolated vertices are dropped at the end.
-    The result's labels point back at G's vertices.
+    non-4-colorable graph.  Isolated vertices are dropped at the end, and
+    W is induced on the rest: ``kept[i]`` is W's vertex i in G, ascending.
 
     The scan here gives the same graph with fewer exact solves.  W has
     minimum degree at least 4 on its non-isolated vertices, so W lies in
@@ -486,8 +485,6 @@ def extract_5_critical(G: Graph) -> Graph:
         raise ValueError("graph is 4-colorable; nothing to extract")
     # cur is only ever replaced by the 4-core of a graph proved not
     # 4-colorable
-    if G.labels is None:
-        G = Graph(G.n, G.adj, tuple(range(G.n)))
     cur = _four_core(G)
     done = [0] * cur.n
     certs: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -532,10 +529,10 @@ def extract_5_critical(G: Graph) -> Graph:
         _certify(cur, colors, u, v)
     if certs:
         raise InvariantViolation("extraction holds a certificate for a deleted edge")
-    keep = [v for v in range(cur.n) if cur.degree(v) > 0]
-    if any(cur.degree(v) < 4 for v in keep):
+    kept = tuple(v for v in range(cur.n) if cur.degree(v) > 0)
+    if any(cur.degree(v) < 4 for v in kept):
         raise InvariantViolation("extraction kept a vertex of degree below 4")
-    return induced_subgraph(cur, keep)
+    return induced_subgraph(cur, kept), kept
 
 
 def boundary(G: Graph, R) -> tuple[int, ...]:
@@ -544,22 +541,14 @@ def boundary(G: Graph, R) -> tuple[int, ...]:
     return tuple(v for v in sorted(set(R)) if G.adj[v] & ~rmask)
 
 
-@dataclass(frozen=True)
-class CollapseReport:
-    collapsible: bool
-    boundary: tuple[int, ...]
-    splitting_coloring: dict[int, int] | None
-
-
-def is_collapsible(G: Graph, R) -> CollapseReport:
+def is_collapsible(G: Graph, R) -> bool:
     """Does every 4-coloring of G[R] color the boundary monochromatically?
 
     Equivalent formulation, and the one actually checked: the boundary is
-    independent and every boundary pair is identifiable in R.  A negative
-    answer carries a witness coloring splitting some boundary pair; a
-    single-vertex boundary is collapsible by convention.  Each pair test,
-    G[R] plus the pair's edge, is solved through its 2-cuts
-    (:func:`_by_cuts`).
+    independent and every boundary pair is identifiable in R; a single-vertex
+    boundary is collapsible by convention.  Each pair test, G[R] plus the
+    pair's edge, is solved through its 2-cuts (:func:`_by_cuts`), which
+    checks any coloring that splits the pair proper.
     """
     R = sorted(set(R))
     if len(R) < 5:
@@ -567,23 +556,15 @@ def is_collapsible(G: Graph, R) -> CollapseReport:
     if len(R) >= G.n:
         raise ValueError("R must be a proper subset of the vertices")
     sub = induced_subgraph(G, R)
-    base = is_k_colorable(sub, 4)
-    if base is None:
+    if is_k_colorable(sub, 4) is None:
         raise ValueError("G[R] must be 4-colorable")
     bnd = boundary(G, R)
     if not bnd:
         raise ValueError("R has empty boundary")
     pos = {v: i for i, v in enumerate(R)}
-    if len(bnd) == 1:
-        return CollapseReport(True, bnd, None)
-    for i, u in enumerate(bnd):
-        for v in bnd[i + 1 :]:
-            if G.has_edge(u, v):
-                # adjacent boundary vertices always split
-                witness = {w: base[pos[w]] for w in R}
-                return CollapseReport(False, bnd, witness)
-            split = _by_cuts(with_edge(sub, pos[u], pos[v]), 4)
-            if split is not None:
-                witness = {w: split[pos[w]] for w in R}
-                return CollapseReport(False, bnd, witness)
-    return CollapseReport(True, bnd, None)
+    # adjacent boundary vertices always split
+    return not any(
+        G.has_edge(u, v) or _by_cuts(with_edge(sub, pos[u], pos[v]), 4) is not None
+        for i, u in enumerate(bnd)
+        for v in bnd[i + 1 :]
+    )

@@ -53,7 +53,6 @@ class Entry:
 
     key: str
     graph: Graph
-    provenance: str
     invariants: dict
 
 
@@ -102,24 +101,31 @@ class Corpus:
         self.log(f"add {key} n={inv['n']} m={inv['m']} {provenance}")
         return True
 
-    def _read(self, key: str) -> dict:
+    def _read(self, key: str, *fields: str) -> list:
+        """The named fields of an entry; a corrupt one raises a ValueError."""
         path = self._path(key)
         try:
             with open(path, encoding="utf-8") as fh:
-                return json.load(fh)
+                raw = json.load(fh)
+            return [raw[name] for name in fields]
         except FileNotFoundError:
             raise KeyError(f"no corpus entry {key} under {self.root}") from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: corrupt entry: {exc}") from None
+        except (KeyError, TypeError):
+            name = next(f for f in fields if not isinstance(raw, dict) or f not in raw)
+            raise ValueError(f"{path}: corrupt entry: no {name!r} field") from None
 
     def load(self, key: str) -> Entry:
-        raw = self._read(key)
-        G = graph_from_text(raw["graph"])
-        return Entry(key, G, raw.get("provenance", "?"), raw["invariants"])
+        text, invariants = self._read(key, "graph", "invariants")
+        try:
+            return Entry(key, graph_from_text(text), invariants)
+        except (AttributeError, ValueError) as exc:
+            raise ValueError(f"{self._path(key)}: corrupt entry: {exc}") from None
 
     def invariants(self, key: str) -> dict:
         """The cached invariants of an entry, without building its graph."""
-        return self._read(key)["invariants"]
+        return self._read(key, "invariants")[0]
 
     def verify_entry(self, entry: Entry, facts: Facts) -> Report:
         """Compare an entry's key and cached invariants with the fresh

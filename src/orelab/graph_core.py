@@ -22,7 +22,7 @@ to be good enough for graphs of desk scale (n <= 24 or so).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MAX_VERTICES = 64
 
@@ -56,17 +56,17 @@ def bits(mask: int) -> list[int]:
 class Graph:
     """Simple undirected graph; ``adj[v]`` is the neighbor bitmask of ``v``.
 
-    ``labels`` carries optional provenance (original vertex ids of a parent
-    graph, or synthetic markers); it is ignored by equality and hashing, so
-    two graphs with the same structure compare equal regardless of history.
+    A graph is its adjacency alone.  Builders whose callers need to know
+    where each vertex came from return a vertex map beside the graph
+    (:func:`cut_side`, ``compose_graphs``, ``extract_5_critical``,
+    ``phi_identify``).
     """
 
     n: int
     adj: tuple[int, ...]
-    labels: tuple | None = field(default=None, compare=False)
 
     @staticmethod
-    def from_edges(n: int, edges, labels=None) -> "Graph":
+    def from_edges(n: int, edges) -> "Graph":
         if not 1 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
         rows = [0] * n
@@ -82,7 +82,7 @@ class Graph:
             seen.add(key)
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return Graph(n, tuple(rows), tuple(labels) if labels is not None else None)
+        return Graph(n, tuple(rows))
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_VERTICES:
@@ -98,8 +98,6 @@ class Graph:
             for u in bits(row):
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("labels length differs from vertex count")
 
     @property
     def m(self) -> int:
@@ -122,9 +120,6 @@ class Graph:
                 out.append((u, u + 1 + off))
         return out
 
-    def label(self, v: int):
-        return self.labels[v] if self.labels is not None else v
-
     def vertex_set(self) -> frozenset:
         return frozenset(range(self.n))
 
@@ -137,7 +132,7 @@ def with_edge(G: Graph, u: int, v: int) -> Graph:
     rows = list(G.adj)
     rows[u] |= 1 << v
     rows[v] |= 1 << u
-    return Graph(G.n, tuple(rows), G.labels)
+    return Graph(G.n, tuple(rows))
 
 
 def without_edge(G: Graph, u: int, v: int) -> Graph:
@@ -146,15 +141,14 @@ def without_edge(G: Graph, u: int, v: int) -> Graph:
     rows = list(G.adj)
     rows[u] &= ~(1 << v)
     rows[v] &= ~(1 << u)
-    return Graph(G.n, tuple(rows), G.labels)
+    return Graph(G.n, tuple(rows))
 
 
 def induced_subgraph(G: Graph, R) -> Graph:
     """The subgraph induced on vertex set ``R``.
 
-    Vertices are renumbered compactly in ascending order of their old index;
-    the result's ``labels`` carry the original labels so callers can map
-    back.
+    Vertices are renumbered compactly in ascending order of their old
+    index, so vertex i of the result is the i-th smallest vertex of ``R``.
     """
     R = sorted(set(R))
     if not R:
@@ -167,12 +161,12 @@ def induced_subgraph(G: Graph, R) -> Graph:
     for v in R:
         for u in bits(G.adj[v] & rmask):
             rows[pos[v]] |= 1 << pos[u]
-    return Graph(len(R), tuple(rows), tuple(G.label(v) for v in R))
+    return Graph(len(R), tuple(rows))
 
 
 def relabel(G: Graph, order) -> Graph:
     """G with vertex ``order[i]`` renamed i; ``order`` lists every vertex
-    once.  Labels are dropped."""
+    once."""
     pos = [0] * G.n
     for i, v in enumerate(order):
         pos[v] = i

@@ -359,9 +359,9 @@ def cmd_t(args) -> int:
     corpus = Corpus(resolve_dir(args.corpus))
     G = _resolve_graph(corpus, args.key)
     with _panics_naming(G):
-        t, pack = packing.t_number(G)
+        t, pieces = packing.t_number(G)
     print(f"t={t}")
-    for piece in pack.pieces:
+    for piece in pieces:
         kind = "K4" if len(piece) == 4 else "K3"
         print(f"piece {kind} " + " ".join(map(str, piece)))
     return 0

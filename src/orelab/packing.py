@@ -20,8 +20,6 @@ lower bound 2|E| >= 3|V| + mic used by the discharging audit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph_core import Graph, InvariantViolation, bits, mask_of
 
 
@@ -36,14 +34,9 @@ def triangles(G: Graph) -> list[tuple[int, int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class Packing:
-    pieces: tuple[tuple[int, ...], ...]
-    weight: int
-
-
-def t_number(G: Graph) -> tuple[int, Packing]:
-    """Exact packing number with a witnessing family.
+def t_number(G: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Exact packing number and a checked witness: disjoint triangles and
+    K4s, each an ascending vertex tuple, whose weights sum to it.
 
     Deterministic: pieces are tried in lexicographic order and only strict
     improvements replace the incumbent, so the witness is reproducible.
@@ -67,7 +60,7 @@ def t_number(G: Graph) -> tuple[int, Packing]:
     _pack(cover, 0, [], by_low, best)
     best_w, best_pieces = best
     _check_packing(G, best_pieces, best_w)
-    return best_w, Packing(best_pieces, best_w)
+    return best_w, best_pieces
 
 
 def _pack(free: int, cur: int, chosen: list, by_low: list, best: list) -> None:
@@ -106,14 +99,9 @@ def _check_packing(G: Graph, pieces, weight: int):
         raise InvariantViolation("packing weight mismatch")
 
 
-@dataclass(frozen=True)
-class MicWitness:
-    independent_set: tuple[int, ...]
-    value: int
-
-
-def mic(G: Graph) -> tuple[int, MicWitness]:
-    """Maximum total degree over independent sets, with a witness set.
+def mic(G: Graph) -> tuple[int, tuple[int, ...]]:
+    """Maximum total degree over independent sets, and a checked witness:
+    an independent set, ascending, whose degrees sum to it.
 
     Branch and bound over the vertex bitmask: pick the heaviest available
     vertex, take it or leave it, prune when the remaining weight cannot
@@ -145,11 +133,10 @@ def mic(G: Graph) -> tuple[int, MicWitness]:
                 return
 
     rec(0, (1 << G.n) - 1, 0, [])
-    witness = MicWitness(best_set, best_val)
     smask = mask_of(best_set)
     for v in best_set:
         if G.adj[v] & smask:
             raise InvariantViolation("mic witness is not independent")
     if sum(weights[v] for v in best_set) != best_val:
         raise InvariantViolation("mic witness value mismatch")
-    return best_val, witness
+    return best_val, best_set

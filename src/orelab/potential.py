@@ -34,7 +34,6 @@ from . import coloring as col
 from . import ore
 from . import packing
 from .graph_core import (
-    Canonical,
     Graph,
     InvariantViolation,
     bits,
@@ -114,19 +113,20 @@ def f_core(x: int) -> Rat21:
 KY_CORE_COST = {1: 9, 2: 14, 3: 15, 4: 12}
 
 
-def phi_identify(G: Graph, R, phi: dict[int, int]) -> tuple[Graph, tuple[int, int, int, int]]:
+def phi_identify(G: Graph, R, phi: dict[int, int]) -> tuple[Graph, tuple[int, ...]]:
     """Contract phi's color classes over R and add a K4 on them.
 
-    The class vertices occupy indices 0..3 (labels -1..-4); the remaining
-    vertices of G follow in ascending order, labeled with their original
-    ids.  All four class vertices are materialized even when a class is
-    empty; an empty class yields a degree-3 vertex seeing only the K4 and
-    can never participate in a 5-critical subgraph.
+    Returns H and ``names``, what each vertex of H is in G: color c's class
+    vertex is vertex c - 1, named -c, and G's vertices outside R follow in
+    ascending order, named by themselves.  All four class vertices are
+    materialized even when a class is empty; an empty class yields a
+    degree-3 vertex seeing only the K4 and can never participate in a
+    5-critical subgraph.
     """
     R = sorted(set(R))
     if len(R) < 5:
         raise ValueError("R must have at least 5 vertices")
-    if len(R) >= G.n:
+    if len(R) >= G.n or R[0] < 0 or R[-1] >= G.n:
         raise ValueError("R must be a proper subset of the vertices")
     if set(phi) != set(R):
         raise ValueError("phi must color exactly the vertices of R")
@@ -136,40 +136,31 @@ def phi_identify(G: Graph, R, phi: dict[int, int]) -> tuple[Graph, tuple[int, in
         for u in bits(G.adj[v]):
             if u in phi and phi[u] == phi[v]:
                 raise ValueError(f"phi is not proper on G[R]: edge ({u},{v})")
-    class_mask = [0, 0, 0, 0]
-    for v in R:
-        class_mask[phi[v] - 1] |= 1 << v
-    outside = [v for v in range(G.n) if v not in phi]
-    pos = {v: 4 + i for i, v in enumerate(outside)}
-    edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    for v in outside:
-        for i in range(4):
-            if G.adj[v] & class_mask[i]:
-                edges.append((i, pos[v]))
+    outside = tuple(v for v in range(G.n) if v not in phi)
+    # R onto its class vertices, the rest after them; phi is proper, so no loop
+    at = [0] * G.n
+    for v, c in phi.items():
+        at[v] = c - 1
+    for i, v in enumerate(outside):
+        at[v] = 4 + i
+    rows = [0b1111 & ~(1 << i) for i in range(4)] + [0] * len(outside)
+    for v in range(G.n):
         for u in bits(G.adj[v]):
-            if u in pos and u > v:
-                edges.append((pos[v], pos[u]))
-    # labels refer back to the host: -1..-4 for the class vertices, the
-    # host vertex index for everything kept
-    labels = (-1, -2, -3, -4) + tuple(outside)
-    H = Graph.from_edges(4 + len(outside), sorted(edges), labels)
-    if H.n != G.n - len(R) + 4:
-        raise InvariantViolation("identified graph has the wrong order")
-    return H, (0, 1, 2, 3)
+            rows[at[v]] |= 1 << at[u]
+    return Graph(len(rows), tuple(rows)), (-1, -2, -3, -4) + outside
 
 
 @dataclass(frozen=True)
 class Facts:
     """What the corpus and the verifiers ask of one graph, each answered once.
 
-    ``canonical`` is the graph's canonical form and ``key`` its corpus key,
-    the first 16 hex digits of the sha256 of the canonical key; ``recipe``
-    is an Ore recipe or None, ``t`` the packing number and ``mic`` the
-    maximum independent cover number.
+    ``key`` is the graph's corpus key, the first 16 hex digits of the
+    sha256 of its canonical key; ``recipe`` is an Ore recipe or None, found
+    from the same canonical form; ``t`` is the packing number and ``mic``
+    the maximum independent cover number.
     """
 
     graph: Graph
-    canonical: Canonical
     key: str
     critical: bool
     recipe: ore.OreRecipe | None
@@ -181,7 +172,6 @@ class Facts:
         canonical = canonical_form(G)
         return Facts(
             G,
-            canonical,
             hashlib.sha256(canonical[0]).hexdigest()[:16],
             col.is_5_critical(G),
             ore.is_5_ore(G, canonical),
@@ -203,17 +193,17 @@ class Facts:
 class ExtensionRecord:
     """One critical extension: who extended, with what, and how cleanly.
 
-    ``extender`` is a 5-critical subgraph of the identified graph; its
-    labels are the identified graph's labels (-1..-4 for class vertices,
-    original ids otherwise).  ``core_classes`` lists the colors whose
-    class vertices survived into the extender.
+    ``extender`` is a 5-critical subgraph of the identified graph, and
+    ``labels[i]`` is what its vertex i is in the host: -c for color c's
+    class vertex, the host vertex itself otherwise.  ``core_classes``
+    lists the colors whose class vertices survived into the extender.
     """
 
     host: Graph
     subset: frozenset[int]
-    phi: tuple[tuple[int, int], ...]
     identified: Graph
     extender: Graph
+    labels: tuple[int, ...]
     core_classes: tuple[int, ...]
     expanded: frozenset[int]
     complete: bool
@@ -233,26 +223,27 @@ def critical_extension(G: Graph, R, phi: dict[int, int]) -> ExtensionRecord:
     raises :class:`InvariantViolation` rather than returning.
     """
     R = frozenset(R)
-    H, _ = phi_identify(G, R, phi)
+    H, names = phi_identify(G, R, phi)
     try:
-        W = col.extract_5_critical(H)
+        W, kept = col.extract_5_critical(H)
     except ValueError:
         raise InvariantViolation(
             "identified graph of a proper subset is 4-colorable; "
             "the host graph cannot be 5-critical"
         ) from None
-    core_classes = tuple(sorted(-lab for lab in W.labels if lab < 0))
-    real = [v for v in range(W.n) if W.labels[v] >= 0]
-    expanded = frozenset(W.labels[v] for v in real) | R
+    labels = tuple(names[v] for v in kept)
+    core_classes = tuple(sorted(-lab for lab in labels if lab < 0))
+    real = [v for v in range(W.n) if labels[v] >= 0]
+    expanded = frozenset(labels[v] for v in real) | R
     class_mask = [0, 0, 0, 0]
     for v, c in phi.items():
         class_mask[c - 1] |= 1 << v
     empty = tuple(i + 1 for i in range(4) if not class_mask[i])
-    core_pos = {-W.labels[v]: v for v in range(W.n) if W.labels[v] < 0}
+    core_pos = {-labels[v]: v for v in range(W.n) if labels[v] < 0}
     complete = True
     # a kept vertex must spend one extender-core edge per host neighbor in R
     for v in real:
-        orig = W.labels[v]
+        orig = labels[v]
         in_r = (G.adj[orig] & mask_of(R)).bit_count()
         in_core = sum(1 for c in core_classes if W.has_edge(v, core_pos[c]))
         if in_r > in_core:
@@ -260,7 +251,7 @@ def critical_extension(G: Graph, R, phi: dict[int, int]) -> ExtensionRecord:
     # no host edge between kept vertices may be dropped by the extender
     for i, v in enumerate(real):
         for u in real[i + 1 :]:
-            if G.has_edge(W.labels[v], W.labels[u]) and not W.has_edge(v, u):
+            if G.has_edge(labels[v], labels[u]) and not W.has_edge(v, u):
                 complete = False
     # the surviving class vertices must form a clique in the extender
     for i, c in enumerate(core_classes):
@@ -271,9 +262,9 @@ def critical_extension(G: Graph, R, phi: dict[int, int]) -> ExtensionRecord:
     return ExtensionRecord(
         host=G,
         subset=R,
-        phi=tuple(sorted(phi.items())),
         identified=H,
         extender=W,
+        labels=labels,
         core_classes=core_classes,
         expanded=expanded,
         complete=complete,
@@ -307,10 +298,10 @@ def verify_extension_inequalities(rec: ExtensionRecord, key: str) -> Report:
     p_rp = potential_set(G, rec.expanded)
     t_w, _ = packing.t_number(W)
     p_w = _refined(W, t_w)
-    core_idx = [v for v in range(W.n) if W.labels[v] < 0]
-    if len(core_idx) == W.n:
+    real = [v for v in range(W.n) if rec.labels[v] >= 0]
+    if not real:
         raise InvariantViolation("extender contains only class vertices")
-    w_minus_core = induced_subgraph(W, [v for v in range(W.n) if W.labels[v] >= 0])
+    w_minus_core = induced_subgraph(W, real)
     t_wc, _ = packing.t_number(w_minus_core)
     rhs = p_r + p_w - f_core(x) + DELTA * (t_w - t_wc)
     slack_ref = rhs - p_rp
@@ -451,9 +442,7 @@ def verify_ore5_bounds(facts: Facts) -> Report:
     if not is_ore:
         return rep
     low = [(bits(mask), p) for mask, p in _low_ky_subsets(G)]
-    worst = next(
-        (R for R, p in low if p != 9 or not col.is_collapsible(G, R).collapsible), None
-    )
+    worst = next((R for R, p in low if p != 9 or not col.is_collapsible(G, R)), None)
     total = (1 << G.n) - 1 - sum(comb(G.n, k) for k in range(5))
     note = f"subsets={total} of={total} low={len(low)}"
     if worst is not None:

@@ -10,7 +10,7 @@ import hashlib
 from itertools import combinations, permutations
 
 from orelab import Graph, InvariantViolation, is_5_ore
-from orelab.coloring import is_5_critical, is_collapsible, is_k_colorable
+from orelab.coloring import boundary, is_5_critical, is_collapsible, is_k_colorable
 from orelab.constructions import complete_graph, cycle_graph, join
 from orelab.graph_core import (
     bits,
@@ -22,7 +22,7 @@ from orelab.graph_core import (
     without_edge,
 )
 from orelab.ore import Compose, Leaf, _is_k5, compose_graphs, k5
-from orelab.packing import Packing, triangles
+from orelab.packing import triangles
 
 
 def canonical_key(G: Graph) -> bytes:
@@ -183,7 +183,7 @@ def four_cliques(G: Graph) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def t_number_reference(G: Graph) -> tuple[int, Packing]:
+def t_number_reference(G: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The packing search of ``t_number`` as first written: every piece
     listed under each of its vertices, and the search started from every
     vertex.  Same branching order and tie rule, so the same witness."""
@@ -220,7 +220,7 @@ def t_number_reference(G: Graph) -> tuple[int, Packing]:
         rec(free_mask & ~(1 << v), cur_w, chosen)
 
     rec((1 << G.n) - 1, 0, [])
-    return best_w, Packing(best_pieces, best_w)
+    return best_w, best_pieces
 
 
 def t_number_oracle(G: Graph) -> int:
@@ -324,20 +324,20 @@ def low_ky_subsets_reference(G: Graph):
     return grow(0, 0, 0)
 
 
-def critical_complement(G: Graph, R) -> tuple[Graph, int]:
+def critical_complement(G: Graph, R) -> tuple[Graph, tuple[int, ...]]:
     """Identify a collapsible set's boundary to one vertex, drop the rest.
 
-    The returned graph W keeps G's labels outside R; the merged special
-    vertex sits at index 0 with label -1.  For 5-critical G the complement
-    is itself 5-critical, and that is verified here.
+    Returns W and ``names``, what each vertex of W is in G: the merged
+    special vertex sits at index 0, named -1, and G's vertices outside R
+    follow in ascending order, each named by itself.  For 5-critical G the
+    complement is itself 5-critical, and that is verified here.
     """
-    rep = is_collapsible(G, R)
-    if not rep.collapsible:
+    if not is_collapsible(G, R):
         raise ValueError("R is not collapsible")
     rmask = mask_of(R)
-    outside = [v for v in range(G.n) if not rmask >> v & 1]
+    outside = tuple(v for v in range(G.n) if not rmask >> v & 1)
     attach = 0
-    for v in rep.boundary:
+    for v in boundary(G, R):
         attach |= G.adj[v] & ~rmask
     pos = {v: i + 1 for i, v in enumerate(outside)}
     edges = []
@@ -347,14 +347,30 @@ def critical_complement(G: Graph, R) -> tuple[Graph, int]:
         for u in bits(G.adj[v] & ~rmask):
             if u > v:
                 edges.append((pos[v], pos[u]))
-    labels = (-1,) + tuple(G.label(v) for v in outside)
-    W = Graph.from_edges(len(outside) + 1, edges, labels)
+    W = Graph.from_edges(len(outside) + 1, edges)
     if not is_5_critical(W):
         raise InvariantViolation(
             "complement of a collapsible set in a 5-critical graph "
             "must be 5-critical"
         )
-    return W, 0
+    return W, (-1,) + outside
+
+
+def splitting_coloring(G: Graph, R) -> dict[int, int] | None:
+    """A 4-coloring of G[R] that gives two boundary vertices of R different
+    colors, as a dict over R, or None when there is none: for the first
+    boundary pair u, v that some coloring splits, a coloring of G[R] when
+    u and v are adjacent, else one of G[R] plus uv."""
+    R = sorted(set(R))
+    sub = induced_subgraph(G, R)
+    bnd = boundary(G, R)
+    for i, u in enumerate(bnd):
+        for v in bnd[i + 1 :]:
+            a, b = R.index(u), R.index(v)
+            colors = is_k_colorable(sub if sub.has_edge(a, b) else with_edge(sub, a, b), 4)
+            if colors is not None:
+                return dict(zip(R, colors))
+    return None
 
 
 def _ordered_splits(g2: Graph, z: int):
@@ -557,8 +573,8 @@ def identify_vertices(G: Graph, S) -> tuple[Graph, dict[int, int]]:
 
     Identification is only defined for pairwise nonadjacent sets (merging
     adjacent vertices would create a loop); adjacency inside ``S`` is an
-    error.  The merged vertex takes the position of ``min(S)`` and keeps its
-    label.  Also returns the map from G's vertices to the result's.
+    error.  The merged vertex takes the position of ``min(S)``.  Also returns
+    the map from G's vertices to the result's.
     """
     S = sorted(set(S))
     if not S:
@@ -585,4 +601,4 @@ def identify_vertices(G: Graph, S) -> tuple[Graph, dict[int, int]]:
                 rows[pos[v]] |= 1 << new_u
                 rows[new_u] |= 1 << pos[v]
     mapping = {v: pos[target] if smask >> v & 1 else pos[v] for v in range(G.n)}
-    return Graph(len(keep), tuple(rows), tuple(G.label(v) for v in keep)), mapping
+    return Graph(len(keep), tuple(rows)), mapping

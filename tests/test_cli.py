@@ -178,6 +178,31 @@ def test_verify_catches_tampered_invariants(small_corpus, run):
     assert err == f"fail: entry {key} graph6 {graph_to_graph6(complete_graph(5))}\n"
 
 
+K5_KEY = corpus_key(complete_graph(5))
+
+
+@pytest.mark.parametrize(
+    "field, text, argv, why",
+    [
+        ("graph", None, ["verify", "main"], "no 'graph' field"),
+        ("invariants", None, ["verify", "extensions"], "no 'invariants' field"),
+        ("graph", "5 10\n0 1\n", ["verify", "main"], "declared 10 edges, found 1"),
+        ("graph", "5 10\n0 1\n", ["t", K5_KEY], "declared 10 edges, found 1"),
+    ],
+)
+def test_a_corrupt_entry_names_its_file(small_corpus, run, field, text, argv, why):
+    path = small_corpus / f"{K5_KEY}.json"
+    raw = json.loads(path.read_text())
+    if text is None:
+        del raw[field]
+    else:
+        raw[field] = text
+    path.write_text(json.dumps(raw, indent=1, sort_keys=True) + "\n")
+    code, _, err = run(*argv, "--corpus", str(small_corpus))
+    assert code == 2
+    assert err == f"error: {path}: corrupt entry: {why}\n"
+
+
 def test_verify_counts_failures_from_verdicts_not_text(small_corpus, run, monkeypatch):
     def noted(G):
         rep = Report()

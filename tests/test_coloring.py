@@ -21,7 +21,7 @@ from orelab.graph_core import (
     without_edge,
 )
 from orelab.ore import Compose, Leaf, compose_graphs
-from orelab.potential import phi_identify
+from orelab.potential import critical_extension, phi_identify
 
 from helpers import (
     brute_colorable,
@@ -32,6 +32,7 @@ from helpers import (
     glued_pair,
     path_graph,
     random_graph,
+    splitting_coloring,
     wheel,
 )
 
@@ -356,16 +357,23 @@ def contains_k5(G):
     return grow((1 << G.n) - 1, 0)
 
 
-def identified_graphs(hosts, per_host, rng):
-    """Seeded phi_identify graphs: a random proper subset R of each host
-    and a seeded 4-coloring of it, as in an extension record."""
+def identifications(hosts, per_host, rng):
+    """Seeded phi_identify inputs, as in an extension record: a random
+    proper subset R of each host and a seeded 4-coloring phi of it, as
+    (host, R, phi) triples."""
     out = []
     for G in hosts:
         for _ in range(per_host):
             R = sorted(rng.sample(range(G.n), rng.randint(5, G.n - 1)))
             colors = seeded_coloring(induced_subgraph(G, R), 4, rng)
-            out.append(phi_identify(G, R, dict(zip(R, colors)))[0])
+            out.append((G, R, dict(zip(R, colors))))
     return out
+
+
+def extension_hosts(ore17):
+    """Six seeded n = 17 classes and mycielski_groetzsch."""
+    seventeen = [g for g, _ in ore17 if g.n == 17]
+    return random.Random(5).sample(seventeen, 6) + [named_graph("mycielski_groetzsch")]
 
 
 def test_extract_keeps_the_plain_scan_result(doubles, ore17):
@@ -374,27 +382,40 @@ def test_extract_keeps_the_plain_scan_result(doubles, ore17):
         inputs += one_edge_changes(g)[g.m :]
     # identified graphs as extension records build them; with a K5 inside,
     # the scan deletes nearly every other edge in long runs
-    seventeen = [g for g, _ in ore17 if g.n == 17]
-    hosts = random.Random(5).sample(seventeen, 6) + [named_graph("mycielski_groetzsch")]
-    identified = identified_graphs(hosts, 6, random.Random(17))
+    triples = identifications(extension_hosts(ore17), 6, random.Random(17))
+    identified = [phi_identify(*triple)[0] for triple in triples]
     assert 0 < sum(map(contains_k5, identified)) < len(identified)
     for G in inputs + identified:
-        want = extract_by_edges(G)
-        want = induced_subgraph(want, [v for v in range(want.n) if want.degree(v) > 0])
+        scanned = extract_by_edges(G)
+        kept = tuple(v for v in range(scanned.n) if scanned.degree(v) > 0)
         got = extract_5_critical(G)
-        assert got == want
-        assert got.labels == want.labels
-        assert is_5_critical(got)
+        assert got == (induced_subgraph(scanned, kept), kept)
+        assert is_5_critical(got[0])
+
+
+def test_identification_and_extraction_name_their_vertices(ore17):
+    # the vertex maps of phi_identify and extract_5_critical, and the
+    # extension record's labels composed from them
+    triples = identifications(extension_hosts(ore17), 6, random.Random(17))
+    for G, R, phi in triples:
+        H, names = phi_identify(G, R, phi)
+        assert names[:4] == (-1, -2, -3, -4)
+        assert list(names[4:]) == sorted(names[4:]) and not set(names[4:]) & set(R)
+        assert induced_subgraph(H, range(4, H.n)) == induced_subgraph(G, names[4:])
+        W, kept = extract_5_critical(H)
+        assert all(a < b for a, b in zip(kept, kept[1:]))
+        assert all(H.has_edge(kept[u], kept[v]) for u, v in W.edges())
+        rec = critical_extension(G, R, phi)
+        assert rec.extender == W
+        assert rec.labels == tuple(names[v] for v in kept)
 
 
 def test_extract_5_critical():
-    got = extract_5_critical(complete_graph(6))
+    got, _ = extract_5_critical(complete_graph(6))
     assert canonical_key(got) == canonical_key(complete_graph(5))
 
     G = Graph.from_edges(7, complete_graph(5).edges() + [(0, 5), (5, 6)])
-    got = extract_5_critical(G)
-    assert got == complete_graph(5)
-    assert got.labels == (0, 1, 2, 3, 4)
+    assert extract_5_critical(G) == (complete_graph(5), (0, 1, 2, 3, 4))
 
     with pytest.raises(ValueError):
         extract_5_critical(cycle_graph(5))
@@ -413,20 +434,10 @@ def test_extract_drops_a_pendant_tree_without_solving_it(monkeypatch):
         return real(g, k)
 
     monkeypatch.setattr(coloring, "is_k_colorable", counted)
-    got = extract_5_critical(G)
-    assert got == complete_graph(5)
-    assert got.labels == (0, 1, 2, 3, 4)
+    assert extract_5_critical(G) == (complete_graph(5), (0, 1, 2, 3, 4))
     # one refutation of G, and one coloring of K5 - e whose walk certifies
     # the other nine edges
     assert len(calls) <= 2
-
-
-def test_extract_preserves_existing_labels():
-    G = Graph.from_edges(
-        6, complete_graph(5).edges() + [(2, 5)], labels=(9, 8, 7, 6, 5, 4)
-    )
-    got = extract_5_critical(G)
-    assert got.labels == (9, 8, 7, 6, 5)
 
 
 def test_extract_refuses_an_edge_without_certificate(monkeypatch):
@@ -539,28 +550,26 @@ def test_boundary():
 def test_edge_block_is_collapsible(doubles):
     for g, recipe in doubles:
         R = edge_block_of(recipe)
-        rep = is_collapsible(g, R)
-        assert rep.collapsible
+        assert is_collapsible(g, R)
         x, y = recipe.replaced_edge
-        assert rep.boundary == (min(x, y), max(x, y))
-        assert rep.splitting_coloring is None
+        assert boundary(g, R) == (min(x, y), max(x, y))
+        assert splitting_coloring(g, R) is None
 
 
 def test_adjacent_boundary_pair_splits(doubles):
     g = doubles[0][0]
     # drop one vertex of the edge block: the rest has adjacent boundary
-    rep = is_collapsible(g, [1, 2, 3, 4, 5])
-    assert not rep.collapsible
-    assert rep.splitting_coloring is not None
+    assert not is_collapsible(g, [1, 2, 3, 4, 5])
+    assert splitting_coloring(g, [1, 2, 3, 4, 5]) is not None
 
 
 def test_splitting_witness_is_a_proper_splitting(doubles):
     for g, recipe in doubles:
         R = list(range(6))  # one vertex past the edge block
-        rep = is_collapsible(g, R)
-        if rep.collapsible:
+        w = splitting_coloring(g, R)
+        assert (w is None) == is_collapsible(g, R)
+        if w is None:
             continue
-        w = rep.splitting_coloring
         assert set(w) == set(R)
         for u in R:
             for v in R:
@@ -568,20 +577,17 @@ def test_splitting_witness_is_a_proper_splitting(doubles):
                     assert w[u] != w[v]
         assert any(
             w[u] != w[v]
-            for i, u in enumerate(rep.boundary)
-            for v in rep.boundary[i + 1 :]
+            for i, u in enumerate(boundary(g, R))
+            for v in boundary(g, R)[i + 1 :]
         )
     # at least one of the two classes must produce a splitting here
-    assert any(
-        not is_collapsible(g, list(range(6))).collapsible for g, _ in doubles
-    )
+    assert any(not is_collapsible(g, list(range(6))) for g, _ in doubles)
 
 
 def test_single_vertex_boundary_is_collapsible_by_convention():
     base = without_edge(complete_graph(5), 0, 1)
     G = Graph.from_edges(6, base.edges() + [(0, 5)])
-    rep = is_collapsible(G, range(5))
-    assert rep.collapsible and rep.boundary == (0,)
+    assert is_collapsible(G, range(5)) and boundary(G, range(5)) == (0,)
 
 
 def test_is_collapsible_rejects_bad_subsets():
@@ -605,11 +611,10 @@ def test_is_collapsible_rejects_bad_subsets():
 
 def test_critical_complement_of_edge_block_is_k5(doubles):
     for g, recipe in doubles:
-        W, special = critical_complement(g, edge_block_of(recipe))
-        assert special == 0
+        W, names = critical_complement(g, edge_block_of(recipe))
+        assert names[0] == -1
         assert canonical_key(W) == canonical_key(complete_graph(5))
-        assert W.label(0) == -1
-        assert set(W.labels[1:]) == set(range(5, g.n))
+        assert set(names[1:]) == set(range(5, g.n))
 
 
 def test_critical_complement_of_chain_block(doubles):
@@ -625,7 +630,7 @@ def test_critical_complement_of_chain_block(doubles):
 
 def test_critical_complement_rejects_non_collapsible(doubles):
     g = doubles[0][0]
-    if not is_collapsible(g, range(6)).collapsible:
+    if not is_collapsible(g, range(6)):
         with pytest.raises(ValueError):
             critical_complement(g, range(6))
 

@@ -67,7 +67,8 @@ def test_load_round_trip(tmp_path):
     corpus.add(facts, "named groetzsch")
     entry = corpus.load(key)
     assert entry.graph == G
-    assert entry.provenance == "named groetzsch"
+    stored = json.loads((tmp_path / "c" / f"{key}.json").read_text(encoding="utf-8"))
+    assert stored["provenance"] == "named groetzsch"
     assert entry.invariants["critical5"] is False
     assert [corpus.load(k).key for k in corpus.keys()] == [key]
 

@@ -64,6 +64,16 @@ def _defined(stmt: ast.stmt) -> list[str]:
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
+def _member(node: ast.stmt) -> str | None:
+    """The name a class-body statement defines as a method or an annotated
+    field, if it is one of those."""
+    if isinstance(node, ast.FunctionDef):
+        return node.name
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return node.target.id
+    return None
+
+
 def test_library_code_is_reached_outside_tests():
     modules = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
@@ -78,8 +88,10 @@ def test_library_code_is_reached_outside_tests():
         for name in _defined(stmt)
         if not any(name in seen for j, seen in enumerate(loads) if j != i)
     ]
-    # a method counts as reached when code outside its own body loads it as
-    # an attribute; a local variable of the same name does not reach it
+    # a method or an annotated field counts as reached when code outside its
+    # own body loads it as an attribute (a field through ``self.`` in a
+    # method of its class, too); a local variable of the same name does not
+    # reach it
     units = [
         (f"{module}.{stmt.name}", node) if isinstance(stmt, ast.ClassDef) else (None, node)
         for module, stmt in statements
@@ -87,10 +99,10 @@ def test_library_code_is_reached_outside_tests():
     ]
     unit_loads = [_attributes(node) for _, node in units]
     unreached += [
-        f"{owner}.{node.name}"
+        f"{owner}.{name}"
         for i, (owner, node) in enumerate(units)
-        if owner and isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
-        and not any(node.name in seen for j, seen in enumerate(unit_loads) if j != i)
+        if owner and (name := _member(node)) and not name.startswith("__")
+        and not any(name in seen for j, seen in enumerate(unit_loads) if j != i)
     ]
     unused_imports = []
     for module, tree in modules.items():

@@ -88,13 +88,14 @@ def test_with_without_edge():
         with_edge(C5, 3, 3)
 
 
-def test_induced_subgraph_labels_point_home():
+def test_induced_subgraph_keeps_vertex_order():
     G = complete_graph(5)
     H = induced_subgraph(G, [4, 1, 3])
     assert H.n == 3 and H.m == 3
-    assert H.labels == (1, 3, 4)
-    HH = induced_subgraph(H, [0, 2])
-    assert HH.labels == (1, 4)
+    # vertex i of the result is the i-th smallest vertex of the set
+    P = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    assert induced_subgraph(P, [4, 1, 3]) == Graph.from_edges(3, [(1, 2)])
+    assert induced_subgraph(P, [0, 2, 1]) == Graph.from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         induced_subgraph(G, [])
     with pytest.raises(ValueError):

@@ -94,7 +94,7 @@ def test_compose_graphs_matches_the_edge_list_build(ore13):
     for site in sites:
         G, out_of = compose_graphs(*site)
         H, out_of_h = compose_by_edges(*site)
-        assert (G, G.labels, out_of) == (H, H.labels, out_of_h)
+        assert (G, out_of) == (H, out_of_h)
 
 
 def test_double_k5_shapes(doubles):

@@ -41,6 +41,7 @@ from helpers import (
     low_ky_subsets_reference,
     ore_collapsible_subsets,
     random_graph,
+    splitting_coloring,
 )
 
 
@@ -125,11 +126,9 @@ def test_phi_identify_shape(doubles):
     R = list(range(5))
     colors = seeded_coloring(induced_subgraph(g, R), 4, random.Random(0))
     phi = {v: colors[i] for i, v in enumerate(R)}
-    H, classes = phi_identify(g, R, phi)
-    assert classes == (0, 1, 2, 3)
+    H, names = phi_identify(g, R, phi)
     assert H.n == g.n - len(R) + 4
-    assert H.labels[:4] == (-1, -2, -3, -4)
-    assert H.labels[4:] == (5, 6, 7, 8)
+    assert names == (-1, -2, -3, -4, 5, 6, 7, 8)
     # identifying the filled block forces its boundary pair together
     assert phi[0] == phi[1]
     for i in range(4):
@@ -146,6 +145,8 @@ def test_phi_identify_rejects_bad_input(doubles):
         phi_identify(g, range(4), {v: 1 for v in range(4)})
     with pytest.raises(ValueError, match="proper subset"):
         phi_identify(g, range(g.n), {v: 1 for v in range(g.n)})
+    with pytest.raises(ValueError, match="proper subset"):
+        phi_identify(g, good_r[1:] + [g.n], {v: 1 for v in good_r[1:] + [g.n]})
     with pytest.raises(ValueError, match="exactly"):
         phi_identify(g, good_r, {v: phi[v] for v in good_r[:-1]})
     with pytest.raises(ValueError, match="outside 1..4"):
@@ -226,11 +227,10 @@ def test_splitting_colorings_break_totality(doubles):
     # to a total extension with a single-class core
     hit = False
     for g, _ in doubles:
-        rep = is_collapsible(g, range(6))
-        if rep.collapsible:
+        if is_collapsible(g, range(6)):
             continue
         hit = True
-        phi = rep.splitting_coloring
+        phi = splitting_coloring(g, range(6))
         rec = critical_extension(g, range(6), phi)
         assert not (rec.complete and rec.spanning and rec.core_size == 1)
     assert hit
