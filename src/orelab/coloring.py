@@ -224,17 +224,15 @@ def is_k_colorable(G: Graph, k: int) -> tuple[int, ...] | None:
 
 def _by_cuts(G: Graph, k: int) -> tuple[int, ...] | None:
     """:func:`is_k_colorable`'s verdict, reached through the 2-cuts of G's
-    k-core.  A core with no 2-cut is a leaf, solved by is_k_colorable; an
-    empty core needs no solve.  The peeled vertices are colored as in
-    :func:`_solve_component`."""
+    k-core: split at a 2-cut (:func:`_split`), or at a leaf solved by
+    is_k_colorable; an empty core needs no solve.  The peeled vertices are
+    then colored as in :func:`_solve_component`, and the whole is checked."""
     core, peeled = _peel(G, k)
     color = [0] * G.n
     if core:
         inner = G if core == (1 << G.n) - 1 else induced_subgraph(G, bits(core))
         cut = next(two_cuts(inner), None)
-        if cut is None:
-            return is_k_colorable(G, k)
-        colors = _split(inner, k, cut)
+        colors = is_k_colorable(inner, k) if cut is None else _split(inner, k, cut)
         if colors is None:
             return None
         for v, c in zip(bits(core), colors):
@@ -393,7 +391,7 @@ def is_5_critical(G: Graph) -> bool:
     sits inside G - e, and a subgraph missing only vertices misses an
     isolated vertex.  Vertices of degree 1..3 cannot occur in a 5-critical
     graph (their removal plus greedy extension would 4-color G), so the
-    degree prefilter below is a sound fast path.
+    degree prefilter below is sound; it rejects every graph with n <= 4.
 
     Once G is proved not 4-colorable, G - e is solved exactly only for
     edges not yet certified; each solution seeds a witness walk
@@ -406,8 +404,6 @@ def is_5_critical(G: Graph) -> bool:
     first one (:func:`_split`): G is its own 4-core, and a 2-cut of G
     separates G - e as well.
     """
-    if G.n < 5:
-        return False
     if any(G.degree(v) < 4 for v in range(G.n)):
         return False
     cut = next(two_cuts(G), None)

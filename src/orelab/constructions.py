@@ -1,9 +1,9 @@
 """Graph constructors behind the command line's named graphs.
 
-The named registry holds the handful of 5-critical graphs used as
-standing examples: the wheel-like join C5 + K2, the Groetzsch graph with
-an apex, and the Mycielskian of the Groetzsch graph (the smallest
-triangle-free 5-critical graph here, 23 vertices).
+The named registry holds standing examples: the 5-critical K5, C5 + K2,
+the Groetzsch graph with an apex and the Mycielskian of the Groetzsch
+graph (the smallest triangle-free one here, 23 vertices), and the
+4-critical Groetzsch graph.  K5 is also every Ore recipe's leaf.
 """
 
 from __future__ import annotations

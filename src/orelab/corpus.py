@@ -102,12 +102,13 @@ class Corpus:
         return True
 
     def _read(self, key: str, *fields: str) -> list:
-        """The named fields of an entry; a corrupt one raises a ValueError."""
+        """An entry's named fields, then its invariants (an object); ValueError if corrupt."""
         path = self._path(key)
+        fields += ("invariants",)
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-            return [raw[name] for name in fields]
+            values = [raw[name] for name in fields]
         except FileNotFoundError:
             raise KeyError(f"no corpus entry {key} under {self.root}") from None
         except json.JSONDecodeError as exc:
@@ -115,9 +116,12 @@ class Corpus:
         except (KeyError, TypeError):
             name = next(f for f in fields if not isinstance(raw, dict) or f not in raw)
             raise ValueError(f"{path}: corrupt entry: no {name!r} field") from None
+        if not isinstance(values[-1], dict):
+            raise ValueError(f"{path}: corrupt entry: 'invariants' is not an object")
+        return values
 
     def load(self, key: str) -> Entry:
-        text, invariants = self._read(key, "graph", "invariants")
+        text, invariants = self._read(key, "graph")
         try:
             return Entry(key, graph_from_text(text), invariants)
         except (AttributeError, ValueError) as exc:
@@ -125,7 +129,7 @@ class Corpus:
 
     def invariants(self, key: str) -> dict:
         """The cached invariants of an entry, without building its graph."""
-        return self._read(key, "invariants")[0]
+        return self._read(key)[0]
 
     def verify_entry(self, entry: Entry, facts: Facts) -> Report:
         """Compare an entry's key and cached invariants with the fresh

@@ -67,19 +67,17 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
+        """Each edge listed once; ``__post_init__`` rejects a loop.  n is
+        checked first, as the rows are allocated from it, and each endpoint
+        before it indexes a row, where a negative index would wrap silently."""
         if not 1 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
         rows = [0] * n
-        seen = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
+            if rows[u] >> v & 1:
                 raise ValueError(f"duplicate edge ({u},{v})")
-            seen.add(key)
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return Graph(n, tuple(rows))
@@ -125,8 +123,6 @@ class Graph:
 
 
 def with_edge(G: Graph, u: int, v: int) -> Graph:
-    if u == v:
-        raise ValueError("loop")
     if G.has_edge(u, v):
         raise ValueError(f"edge ({u},{v}) already present")
     rows = list(G.adj)

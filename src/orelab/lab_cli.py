@@ -331,6 +331,8 @@ def cmd_extend(args) -> int:
     if len(R) >= G.n:
         raise ValueError("--r must be a proper subset of the vertices")
     with _panics_naming(G, entry.key):
+        if not col.is_5_critical(G):
+            raise ValueError(f"entry {entry.key} is not 5-critical, so it has no extension")
         colors = col.seeded_coloring(induced_subgraph(G, R), 4, random.Random(args.seed))
         if colors is None:
             raise ValueError("the induced subgraph on --r is not 4-colorable")
@@ -467,7 +469,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = exc.args[0] if isinstance(exc, KeyError) else exc  # str() would quote it
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
         print(f"panic: {exc}", file=sys.stderr)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .constructions import complete_graph
 from .graph_core import (
     Canonical,
     Graph,
@@ -66,10 +67,6 @@ class Compose:
 
 
 OreRecipe = Leaf | Compose
-
-
-def k5() -> Graph:
-    return Graph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
 
 
 def _is_k5(G: Graph) -> bool:
@@ -120,7 +117,7 @@ def compose_graphs(
 def ore_compose(recipe: OreRecipe) -> Graph:
     """Materialize a recipe in the labeling its text form refers to."""
     if isinstance(recipe, Leaf):
-        return k5()
+        return complete_graph(5)
     if not isinstance(recipe, Compose):
         raise TypeError(f"not a recipe node: {recipe!r}")
     g1 = ore_compose(recipe.edge_side)
@@ -230,7 +227,7 @@ def enumerate_5_ore(max_n: int):
     """
     if max_n < 5:
         return
-    base = k5()
+    base = complete_graph(5)
     key, _, generators = canonical_form(base)
     levels = {5: [(base, Leaf(), *_orbit_tables(base, generators))]}
     seen = {key}

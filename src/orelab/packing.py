@@ -23,17 +23,6 @@ from __future__ import annotations
 from .graph_core import Graph, InvariantViolation, bits, mask_of
 
 
-def triangles(G: Graph) -> list[tuple[int, int, int]]:
-    out = []
-    for u in range(G.n):
-        above_u = G.adj[u] >> (u + 1) << (u + 1)
-        for v in bits(above_u):
-            common = G.adj[u] & G.adj[v] >> (v + 1) << (v + 1)
-            for w in bits(common):
-                out.append((u, v, w))
-    return out
-
-
 def t_number(G: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Exact packing number and a checked witness: disjoint triangles and
     K4s, each an ascending vertex tuple, whose weights sum to it.

@@ -340,8 +340,8 @@ def verify_main_theorem(facts: Facts) -> Report:
 
     K5 attains exactly (105 + 5 - 16)/21 = 94/21.  Other 5-Ore graphs obey
     p <= 5 + n eps - (2 + (n-1)/4) delta.  Everything else falls to
-    p <= 5 - 48/21.  Triangle-free graphs additionally satisfy the edge
-    bound 84 m >= 190 n - 105.
+    p <= 5 - 48/21.  Triangle-free graphs, those with t = 0 (one triangle
+    is a packing of weight 1), also satisfy 84 m >= 190 n - 105.
     """
     if not facts.critical:
         raise ValueError("main-theorem verifier requires a 5-critical graph")
@@ -359,7 +359,7 @@ def verify_main_theorem(facts: Facts) -> Report:
         bound = Rat21.whole(5) - P_GAP
         slack = bound - p
         rep.add("main-case-other", key, slack.num >= 0, slack.num)
-    if not packing.triangles(G):
+    if facts.t == 0:
         slack84 = 84 * G.m - (190 * G.n - 105)
         rep.add("triangle-free-edges", key, slack84 >= 0, note=f"slack={slack84}/84")
     return rep

@@ -21,8 +21,7 @@ from orelab.graph_core import (
     with_edge,
     without_edge,
 )
-from orelab.ore import Compose, Leaf, _is_k5, compose_graphs, k5
-from orelab.packing import triangles
+from orelab.ore import Compose, Leaf, _is_k5, compose_graphs
 
 
 def canonical_key(G: Graph) -> bytes:
@@ -171,6 +170,17 @@ def cluster_size_sequence(G: Graph) -> tuple[int, ...]:
             closed = G.adj[v] | 1 << v
             groups[closed] = groups.get(closed, 0) + 1
     return tuple(sorted(groups.values(), reverse=True))
+
+
+def triangles(G: Graph) -> list[tuple[int, int, int]]:
+    out = []
+    for u in range(G.n):
+        above_u = G.adj[u] >> (u + 1) << (u + 1)
+        for v in bits(above_u):
+            common = G.adj[u] & G.adj[v] >> (v + 1) << (v + 1)
+            for w in bits(common):
+                out.append((u, v, w))
+    return out
 
 
 def four_cliques(G: Graph) -> list[tuple[int, int, int, int]]:
@@ -412,9 +422,9 @@ def enumerate_by_sites(max_n: int):
     that produced it."""
     if max_n < 5:
         return
-    levels = {5: [(Leaf(), k5())]}
-    seen = {canonical_key(k5())}
-    yield k5(), Leaf()
+    levels = {5: [(Leaf(), complete_graph(5))]}
+    seen = {canonical_key(complete_graph(5))}
+    yield complete_graph(5), Leaf()
     for n in range(9, max_n + 1, 4):
         found = {}
         for n1 in sorted(levels):

@@ -22,10 +22,9 @@ from orelab.constructions import complete_graph
 from orelab.discharge import closing_inequalities, run_discharge
 from orelab.graph_core import d4_components, induced_subgraph
 from orelab.ore import Compose, Leaf
-from orelab.packing import triangles
 from orelab.potential import random_extension, verify_extension_inequalities, verify_main_theorem
 
-from helpers import ore_collapsible_subsets, random_graph, t_number_oracle
+from helpers import ore_collapsible_subsets, random_graph, t_number_oracle, triangles
 
 NON_ORE_WITNESSES = ("c5_join_k2", "k1_join_groetzsch", "mycielski_groetzsch")
 

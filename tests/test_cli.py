@@ -188,6 +188,8 @@ K5_KEY = corpus_key(complete_graph(5))
         ("invariants", None, ["verify", "extensions"], "no 'invariants' field"),
         ("graph", "5 10\n0 1\n", ["verify", "main"], "declared 10 edges, found 1"),
         ("graph", "5 10\n0 1\n", ["t", K5_KEY], "declared 10 edges, found 1"),
+        ("invariants", [1], ["verify", "main"], "'invariants' is not an object"),
+        ("invariants", [1], ["verify", "extensions"], "'invariants' is not an object"),
     ],
 )
 def test_a_corrupt_entry_names_its_file(small_corpus, run, field, text, argv, why):
@@ -378,7 +380,16 @@ def test_extend_usage_errors(small_corpus, run):
         "extend", "0" * 16, "--r", "0,1,2,3,4", "--corpus", str(small_corpus)
     )
     assert code == 2
-    assert "no corpus entry" in err
+    assert err == f"error: no corpus entry {'0' * 16} under {small_corpus}\n"
+
+
+def test_extend_rejects_a_host_that_is_not_5_critical(small_corpus, run):
+    code, out, _ = run("add", "groetzsch", "--corpus", str(small_corpus))
+    assert code == 0
+    key = out.split()[0]
+    code, out, err = run("extend", key, "--r", "0,1,2,3,4", "--corpus", str(small_corpus))
+    assert (code, out) == (2, "")
+    assert err == f"error: entry {key} is not 5-critical, so it has no extension\n"
 
 
 def test_t_command(run, tmp_path):

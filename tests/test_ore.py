@@ -18,7 +18,7 @@ from orelab import (
 from orelab.coloring import boundary
 from orelab.constructions import complete_graph, cycle_graph
 from orelab.graph_core import canonical_form, induced_subgraph, with_edge
-from orelab.ore import Compose, Leaf, _orbit_tables, compose_graphs, k5
+from orelab.ore import Compose, Leaf, _orbit_tables, compose_graphs
 
 from helpers import (
     canonical_key,
@@ -41,13 +41,13 @@ def split_kinds(doubles):
 
 
 def test_compose_graphs_counts_and_mapping():
-    G, out_of = compose_graphs(k5(), (0, 1), k5(), 0, ((1,), (2, 3, 4)))
+    G, out_of = compose_graphs(complete_graph(5), (0, 1), complete_graph(5), 0, ((1,), (2, 3, 4)))
     assert G.n == 9 and G.m == 19
     assert not G.has_edge(0, 1)
     assert sorted(out_of) == [1, 2, 3, 4]
     assert sorted(out_of.values()) == [5, 6, 7, 8]
     # vertex-side edges away from z survive under the mapping
-    for u, v in k5().edges():
+    for u, v in complete_graph(5).edges():
         if 0 in (u, v):
             continue
         assert G.has_edge(out_of[u], out_of[v])
@@ -57,15 +57,15 @@ def test_compose_graphs_counts_and_mapping():
 
 def test_compose_graphs_rejects_bad_sites():
     with pytest.raises(ValueError, match="not an edge"):
-        compose_graphs(cycle_graph(5), (0, 2), k5(), 0, ((1,), (2, 3, 4)))
+        compose_graphs(cycle_graph(5), (0, 2), complete_graph(5), 0, ((1,), (2, 3, 4)))
     with pytest.raises(ValueError, match="nonempty"):
-        compose_graphs(k5(), (0, 1), k5(), 0, ((), (1, 2, 3, 4)))
+        compose_graphs(complete_graph(5), (0, 1), complete_graph(5), 0, ((), (1, 2, 3, 4)))
     with pytest.raises(ValueError, match="partition"):
-        compose_graphs(k5(), (0, 1), k5(), 0, ((1, 2), (2, 3, 4)))
+        compose_graphs(complete_graph(5), (0, 1), complete_graph(5), 0, ((1, 2), (2, 3, 4)))
     with pytest.raises(ValueError, match="partition"):
-        compose_graphs(k5(), (0, 1), k5(), 0, ((1,), (2, 3)))
+        compose_graphs(complete_graph(5), (0, 1), complete_graph(5), 0, ((1,), (2, 3)))
     with pytest.raises(ValueError, match="out of range"):
-        compose_graphs(k5(), (0, 1), k5(), 9, ((1,), (2, 3, 4)))
+        compose_graphs(complete_graph(5), (0, 1), complete_graph(5), 9, ((1,), (2, 3, 4)))
 
 
 def test_compose_graphs_matches_the_edge_list_build(ore13):
@@ -197,7 +197,7 @@ def test_orbit_walk_composes_the_first_site_of_every_orbit(ore13, monkeypatch):
 
 
 def test_k5_orbit_table_keeps_the_three_k5_splits():
-    edges, part, splits = _orbit_tables(k5(), canonical_form(k5())[2])
+    edges, part, splits = _orbit_tables(complete_graph(5), canonical_form(complete_graph(5))[2])
     assert edges == [(0, 1, True)]
     assert splits == [(0, 0b10), (0, 0b110), (0, 0b1110)]
     assert len(part) == 5 * 14 and set(part.values()) == set(splits)

@@ -5,7 +5,7 @@ import pytest
 from orelab import Graph, named_graph, packing, t_number
 from orelab.constructions import NAMED, complete_graph, cycle_graph
 from orelab.graph_core import induced_subgraph, without_edge
-from orelab.packing import mic, triangles
+from orelab.packing import mic
 from orelab.potential import random_extension, verify_extension_inequalities
 
 from helpers import (
@@ -14,6 +14,7 @@ from helpers import (
     random_graph,
     t_number_oracle,
     t_number_reference,
+    triangles,
 )
 
 
@@ -64,6 +65,19 @@ def test_listings_agree_with_definitions():
 
 
 # --- the packing number ------------------------------------------------------
+
+
+def test_t_is_zero_exactly_on_triangle_free_graphs(ore13):
+    """verify_main_theorem reads triangle-freeness from t == 0."""
+    rng = random.Random(18)
+    sparse = [random_graph(rng.randint(4, 16), rng.uniform(0.05, 0.3), rng) for _ in range(300)]
+    graphs = [g for g, _ in ore13] + [named_graph(name) for name in sorted(NAMED)] + sparse
+    for G in graphs:
+        assert (t_number(G)[0] == 0) == (triangles(G) == [])
+    for name in ("groetzsch", "mycielski_groetzsch"):
+        assert triangles(named_graph(name)) == []
+    assert 0 < sum(triangles(G) == [] for G in sparse) < len(sparse)
+
 
 
 def test_t_number_known_values(doubles):
