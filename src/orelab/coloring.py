@@ -58,6 +58,7 @@ import random
 from .graph_core import (
     Graph,
     InvariantViolation,
+    _trusted,
     bits,
     connected_components,
     cut_side,
@@ -65,8 +66,7 @@ from .graph_core import (
     mask_of,
     relabel,
     two_cuts,
-    with_edge,
-    without_edge,
+    without_edges,
 )
 
 
@@ -417,26 +417,17 @@ def is_5_critical(G: Graph) -> bool:
     for u, v in G.edges():
         if done[u] >> v & 1:
             continue
-        colors = solve(without_edge(G, u, v))
+        colors = solve(without_edges(G, [(u, v)]))
         if colors is None:
             return False
         _walk(G, colors, u, v, done)
     return True
 
 
-def _without_edges(G: Graph, edges) -> Graph:
-    rows = list(G.adj)
-    for u, v in edges:
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-    return Graph(G.n, tuple(rows))
-
-
 def _four_core(G: Graph) -> Graph:
     """G with every edge outside its 4-core deleted; vertices are kept."""
     core, _ = _peel(G, 4)
-    rows = tuple(row & core if core >> v & 1 else 0 for v, row in enumerate(G.adj))
-    return Graph(G.n, rows)
+    return _trusted(G.n, [row & core if core >> v & 1 else 0 for v, row in enumerate(G.adj)])
 
 
 def extract_5_critical(G: Graph) -> tuple[Graph, tuple[int, ...]]:
@@ -496,7 +487,7 @@ def extract_5_critical(G: Graph) -> tuple[Graph, tuple[int, ...]]:
         if not batch:
             break
         cut = [edges[j] for j in batch]
-        attempt = _without_edges(cur, cut)
+        attempt = without_edges(cur, cut)
         colors = is_k_colorable(attempt, 4)
         if colors is None:
             cur = _four_core(attempt)
@@ -508,7 +499,7 @@ def extract_5_critical(G: Graph) -> tuple[Graph, tuple[int, ...]]:
         base = cur
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            attempt = _without_edges(cur, cut[:mid])
+            attempt = without_edges(cur, cut[:mid])
             found = is_k_colorable(attempt, 4)
             if found is None:
                 lo, base = mid, _four_core(attempt)
@@ -543,24 +534,24 @@ def is_collapsible(G: Graph, R) -> bool:
     Equivalent formulation, and the one actually checked: the boundary is
     independent and every boundary pair is identifiable in R; a single-vertex
     boundary is collapsible by convention.  Each pair test, G[R] plus the
-    pair's edge, is solved through its 2-cuts (:func:`_by_cuts`), which
-    checks any coloring that splits the pair proper.
+    pair's edge (built by :func:`~orelab.graph_core.cut_side`), is solved
+    through its 2-cuts (:func:`_by_cuts`), which checks any coloring that
+    splits the pair proper.
     """
     R = sorted(set(R))
     if len(R) < 5:
         raise ValueError("R must have at least 5 vertices")
     if len(R) >= G.n:
         raise ValueError("R must be a proper subset of the vertices")
-    sub = induced_subgraph(G, R)
-    if is_k_colorable(sub, 4) is None:
+    if is_k_colorable(induced_subgraph(G, R), 4) is None:
         raise ValueError("G[R] must be 4-colorable")
     bnd = boundary(G, R)
     if not bnd:
         raise ValueError("R has empty boundary")
-    pos = {v: i for i, v in enumerate(R)}
+    rmask = mask_of(R)
     # adjacent boundary vertices always split
     return not any(
-        G.has_edge(u, v) or _by_cuts(with_edge(sub, pos[u], pos[v]), 4) is not None
+        G.has_edge(u, v) or _by_cuts(cut_side(G, rmask, u, v, False)[0], 4) is not None
         for i, u in enumerate(bnd)
         for v in bnd[i + 1 :]
     )

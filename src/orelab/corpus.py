@@ -128,8 +128,12 @@ class Corpus:
             raise ValueError(f"{self._path(key)}: corrupt entry: {exc}") from None
 
     def invariants(self, key: str) -> dict:
-        """The cached invariants of an entry, without building its graph."""
-        return self._read(key)[0]
+        """The cached invariants of an entry, without building its graph;
+        ValueError if they hold an ``"n"`` that is not an integer."""
+        invariants = self._read(key)[0]
+        if not isinstance(invariants.get("n", 0), int):
+            raise ValueError(f"{self._path(key)}: corrupt entry: 'n' is not an integer")
+        return invariants
 
     def verify_entry(self, entry: Entry, facts: Facts) -> Report:
         """Compare an entry's key and cached invariants with the fresh

@@ -8,6 +8,11 @@ sides of a 2-cut, the 2-cuts that Ore compositions glue along, the
 components of the degree-four subgraph, and an exact canonical form used
 to deduplicate isomorphism classes.
 
+Structure is checked where outside data enters, by ``Graph(n, adj)``,
+which ``Graph.from_edges``, the codecs and the constructions call.  A graph
+derived from one the library holds is well formed by construction, so it
+is built unchecked, by :func:`_trusted` or the row builder :func:`_image`.
+
 Canonical forms are computed by equitable partition refinement plus
 backtracking over individualization choices, minimizing the lower-triangle
 adjacency certificate.  Each refinement pass counts neighbors only into the
@@ -122,22 +127,34 @@ class Graph:
         return frozenset(range(self.n))
 
 
-def with_edge(G: Graph, u: int, v: int) -> Graph:
-    if G.has_edge(u, v):
-        raise ValueError(f"edge ({u},{v}) already present")
-    rows = list(G.adj)
-    rows[u] |= 1 << v
-    rows[v] |= 1 << u
-    return Graph(G.n, tuple(rows))
+def _trusted(n: int, rows) -> Graph:
+    """``Graph(n, rows)`` without the structure check, for derived rows."""
+    G = object.__new__(Graph)
+    object.__setattr__(G, "n", n)
+    object.__setattr__(G, "adj", tuple(rows))
+    return G
 
 
-def without_edge(G: Graph, u: int, v: int) -> Graph:
-    if not G.has_edge(u, v):
-        raise ValueError(f"edge ({u},{v}) not present")
+def _image(G: Graph, mask: int, at, rows: list[int]) -> Graph:
+    """The graph on ``rows`` plus each edge vu of G[mask] as the edge
+    at[v]at[u]; ``at`` must send no edge of G[mask] onto a loop."""
+    for v in bits(mask):
+        row = 0
+        for u in bits(G.adj[v] & mask):
+            row |= 1 << at[u]
+        rows[at[v]] |= row
+    return _trusted(len(rows), rows)
+
+
+def without_edges(G: Graph, edges) -> Graph:
+    """G minus ``edges``, each an edge of G listed once."""
     rows = list(G.adj)
-    rows[u] &= ~(1 << v)
-    rows[v] &= ~(1 << u)
-    return Graph(G.n, tuple(rows))
+    for u, v in edges:
+        if not rows[u] >> v & 1:
+            raise ValueError(f"edge ({u},{v}) not present")
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+    return _trusted(G.n, rows)
 
 
 def induced_subgraph(G: Graph, R) -> Graph:
@@ -151,41 +168,31 @@ def induced_subgraph(G: Graph, R) -> Graph:
         raise ValueError("empty vertex set")
     if R[0] < 0 or R[-1] >= G.n:
         raise ValueError("vertex set not contained in the graph")
-    pos = {v: i for i, v in enumerate(R)}
-    rows = [0] * len(R)
-    rmask = mask_of(R)
-    for v in R:
-        for u in bits(G.adj[v] & rmask):
-            rows[pos[v]] |= 1 << pos[u]
-    return Graph(len(R), tuple(rows))
+    return _image(G, mask_of(R), {v: i for i, v in enumerate(R)}, [0] * len(R))
 
 
 def relabel(G: Graph, order) -> Graph:
     """G with vertex ``order[i]`` renamed i; ``order`` lists every vertex
     once."""
-    pos = [0] * G.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    return Graph(G.n, tuple(mask_of(pos[u] for u in bits(G.adj[v])) for v in order))
+    return _image(G, (1 << G.n) - 1, {v: i for i, v in enumerate(order)}, [0] * G.n)
 
 
 def cut_side(G: Graph, mask: int, x: int, y: int, alike: bool) -> tuple[Graph, dict[int, int]]:
     """One side of the 2-cut {x, y}: G[mask] with y identified into x when
     ``alike``, else with the edge xy added if it is missing; and the map
     from mask's vertices to the side's, which keeps their order.  ``mask``
-    holds x and y; identifying adjacent x and y is a loop, a ValueError."""
+    holds x and y; identifying adjacent x and y is a ValueError."""
+    if alike and G.has_edge(x, y):
+        raise ValueError(f"cannot identify adjacent vertices {x} and {y}")
     keep = mask & ~(1 << y) if alike else mask
     at = {v: i for i, v in enumerate(bits(keep))}
+    rows = [0] * keep.bit_count()
     if alike:
         at[y] = at[x]
-    rows = [0] * keep.bit_count()
-    for v in bits(mask):
-        for u in bits(G.adj[v] & mask):
-            rows[at[v]] |= 1 << at[u]
-    if not alike:
+    else:
         rows[at[x]] |= 1 << at[y]
         rows[at[y]] |= 1 << at[x]
-    return Graph(len(rows), tuple(rows)), at
+    return _image(G, mask, at, rows), at
 
 
 def connected_components(G: Graph, within=None) -> list[frozenset[int]]:

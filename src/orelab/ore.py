@@ -29,9 +29,11 @@ from dataclasses import dataclass
 
 from .constructions import complete_graph
 from .graph_core import (
+    MAX_VERTICES,
     Canonical,
     Graph,
     InvariantViolation,
+    _trusted,
     bits,
     canonical_form,
     check_automorphism,
@@ -96,6 +98,8 @@ def compose_graphs(
     if sa & sb or sa | sb != nz:
         raise ValueError("split must partition the split vertex's neighborhood")
     n1 = g1.n
+    if n1 + g2.n - 1 > MAX_VERTICES:
+        raise ValueError(f"a composite of {n1 + g2.n - 1} vertices exceeds {MAX_VERTICES}")
     out_of = {v: n1 + v - (v > z) for v in range(g2.n) if v != z}
     rows = list(g1.adj)
     rows[x] &= ~(1 << y)
@@ -111,7 +115,7 @@ def compose_graphs(
         for a in part:
             rows[end] |= 1 << out_of[a]
             rows[out_of[a]] |= 1 << end
-    return Graph(n1 + g2.n - 1, tuple(rows)), out_of
+    return _trusted(len(rows), rows), out_of
 
 
 def ore_compose(recipe: OreRecipe) -> Graph:

@@ -36,6 +36,7 @@ from . import packing
 from .graph_core import (
     Graph,
     InvariantViolation,
+    _image,
     bits,
     canonical_form,
     induced_subgraph,
@@ -138,16 +139,9 @@ def phi_identify(G: Graph, R, phi: dict[int, int]) -> tuple[Graph, tuple[int, ..
                 raise ValueError(f"phi is not proper on G[R]: edge ({u},{v})")
     outside = tuple(v for v in range(G.n) if v not in phi)
     # R onto its class vertices, the rest after them; phi is proper, so no loop
-    at = [0] * G.n
-    for v, c in phi.items():
-        at[v] = c - 1
-    for i, v in enumerate(outside):
-        at[v] = 4 + i
+    at = {v: c - 1 for v, c in phi.items()} | {v: 4 + i for i, v in enumerate(outside)}
     rows = [0b1111 & ~(1 << i) for i in range(4)] + [0] * len(outside)
-    for v in range(G.n):
-        for u in bits(G.adj[v]):
-            rows[at[v]] |= 1 << at[u]
-    return Graph(len(rows), tuple(rows)), (-1, -2, -3, -4) + outside
+    return _image(G, (1 << G.n) - 1, at, rows), (-1, -2, -3, -4) + outside
 
 
 @dataclass(frozen=True)

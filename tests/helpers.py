@@ -18,14 +18,22 @@ from orelab.graph_core import (
     connected_components,
     induced_subgraph,
     mask_of,
-    with_edge,
-    without_edge,
+    without_edges,
 )
 from orelab.ore import Compose, Leaf, _is_k5, compose_graphs
 
 
 def canonical_key(G: Graph) -> bytes:
     return canonical_form(G)[0]
+
+
+def with_edge(G: Graph, u: int, v: int) -> Graph:
+    if G.has_edge(u, v):
+        raise ValueError(f"edge ({u},{v}) already present")
+    rows = list(G.adj)
+    rows[u] |= 1 << v
+    rows[v] |= 1 << u
+    return Graph(G.n, tuple(rows))
 
 
 def corpus_key(G: Graph) -> str:
@@ -71,7 +79,7 @@ def critical_by_edges(G: Graph) -> bool:
     if is_k_colorable(G, 4) is not None:
         return False
     return all(
-        is_k_colorable(without_edge(G, u, v), 4) is not None for u, v in G.edges()
+        is_k_colorable(without_edges(G, [(u, v)]), 4) is not None for u, v in G.edges()
     )
 
 
@@ -80,7 +88,7 @@ def extract_by_edges(G: Graph) -> Graph:
     before isolated vertices are dropped."""
     cur = G
     for u, v in reversed(G.edges()):
-        attempt = without_edge(cur, u, v)
+        attempt = without_edges(cur, [(u, v)])
         if is_k_colorable(attempt, 4) is None:
             cur = attempt
     return cur

@@ -190,6 +190,10 @@ K5_KEY = corpus_key(complete_graph(5))
         ("graph", "5 10\n0 1\n", ["t", K5_KEY], "declared 10 edges, found 1"),
         ("invariants", [1], ["verify", "main"], "'invariants' is not an object"),
         ("invariants", [1], ["verify", "extensions"], "'invariants' is not an object"),
+        ("invariants", {"critical5": True, "n": "five"}, ["verify", "extensions"],
+         "'n' is not an integer"),
+        ("invariants", {"critical5": True, "n": "five"}, ["verify", "all"],
+         "'n' is not an integer"),
     ],
 )
 def test_a_corrupt_entry_names_its_file(small_corpus, run, field, text, argv, why):

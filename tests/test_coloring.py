@@ -17,8 +17,7 @@ from orelab.constructions import NAMED, complete_graph, cycle_graph
 from orelab.graph_core import (
     connected_components,
     induced_subgraph,
-    with_edge,
-    without_edge,
+    without_edges,
 )
 from orelab.ore import Compose, Leaf, compose_graphs
 from orelab.potential import critical_extension, phi_identify
@@ -34,6 +33,7 @@ from helpers import (
     random_graph,
     splitting_coloring,
     wheel,
+    with_edge,
 )
 
 
@@ -64,7 +64,7 @@ def test_solver_agrees_with_brute_force():
 
 def test_solver_known_answers():
     assert is_k_colorable(complete_graph(5), 4) is None
-    assert is_k_colorable(without_edge(complete_graph(5), 0, 1), 4) is not None
+    assert is_k_colorable(without_edges(complete_graph(5), [(0, 1)]), 4) is not None
     assert is_k_colorable(cycle_graph(5), 2) is None
     assert is_k_colorable(cycle_graph(5), 3) is not None
     gro = named_graph("groetzsch")
@@ -169,7 +169,7 @@ def search_nodes(run):
 
 def test_a_degenerate_graph_is_colored_without_search():
     # K5 - e with a pendant path: every subgraph has a vertex of degree < 4
-    G = Graph.from_edges(8, without_edge(complete_graph(5), 0, 1).edges()
+    G = Graph.from_edges(8, without_edges(complete_graph(5), [(0, 1)]).edges()
                          + [(4, 5), (5, 6), (6, 7)])
     colors, nodes = search_nodes(lambda: is_k_colorable(G, 4))
     proper(G, colors, 4)
@@ -261,7 +261,7 @@ def test_k5_plus_pendant_is_not_critical():
 
 def one_edge_changes(G):
     """G with each edge deleted, then G with each non-edge added."""
-    out = [without_edge(G, u, v) for u, v in G.edges()]
+    out = [without_edges(G, [(u, v)]) for u, v in G.edges()]
     for u in range(G.n):
         for v in range(u + 1, G.n):
             if not G.has_edge(u, v):
@@ -585,7 +585,7 @@ def test_splitting_witness_is_a_proper_splitting(doubles):
 
 
 def test_single_vertex_boundary_is_collapsible_by_convention():
-    base = without_edge(complete_graph(5), 0, 1)
+    base = without_edges(complete_graph(5), [(0, 1)])
     G = Graph.from_edges(6, base.edges() + [(0, 5)])
     assert is_collapsible(G, range(5)) and boundary(G, range(5)) == (0,)
 

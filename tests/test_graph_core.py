@@ -1,9 +1,11 @@
 import hashlib
 import random
+from collections import defaultdict
 
 import pytest
 
 from orelab import Graph, InvariantViolation, graph_from_graph6, graph_to_graph6, named_graph
+from orelab.coloring import _four_core, extract_5_critical, is_k_colorable
 from orelab.constructions import NAMED, complete_graph, cycle_graph
 from orelab.graph_core import (
     _refine,
@@ -16,10 +18,12 @@ from orelab.graph_core import (
     graph_to_text,
     cut_side,
     induced_subgraph,
+    relabel,
     two_cuts,
-    with_edge,
-    without_edge,
+    without_edges,
 )
+from orelab.ore import compose_graphs
+from orelab.potential import phi_identify
 
 from helpers import (
     brute_isomorphic,
@@ -32,6 +36,7 @@ from helpers import (
     refine_full,
     star_graph,
     two_cuts_by_pairs,
+    with_edge,
 )
 
 
@@ -79,11 +84,11 @@ def test_with_without_edge():
     C5 = cycle_graph(5)
     G = with_edge(C5, 0, 2)
     assert G.m == 6 and G.has_edge(0, 2)
-    assert without_edge(G, 0, 2) == C5
+    assert without_edges(G, [(0, 2)]) == C5
     with pytest.raises(ValueError):
         with_edge(C5, 0, 1)
     with pytest.raises(ValueError):
-        without_edge(C5, 0, 2)
+        without_edges(C5, [(0, 2)])
     with pytest.raises(ValueError):
         with_edge(C5, 3, 3)
 
@@ -127,13 +132,13 @@ def test_identify_rejects_adjacent():
 
 
 def test_identify_drops_parallel_edges():
-    G = without_edge(complete_graph(5), 0, 1)
+    G = without_edges(complete_graph(5), [(0, 1)])
     H, _ = _identified(G, 0, 1)
     assert H == complete_graph(4)
 
 
 def test_identify_map_covers_all_vertices():
-    G = without_edge(complete_graph(6), 1, 4)
+    G = without_edges(complete_graph(6), [(1, 4)])
     H, mapping = _identified(G, 1, 4)
     assert mapping[1] == mapping[4]
     assert set(mapping) == set(range(6))
@@ -168,6 +173,64 @@ def test_cut_side_matches_the_induced_subgraph_build(ore13):
                 assert cut_side(G, mask, x, y, False) == (with_edge(sub, pos[x], pos[y]), pos)
                 sides += 1
     assert sides == 195
+
+
+def test_every_derived_graph_passes_the_full_check(ore13):
+    # derived graphs skip Graph's structure check, so each builder's output
+    # on the n <= 13 classes, the named graphs and all their 2-cut sides
+    # must be a graph that the check accepts
+    graphs = [g for g, _ in ore13] + [named_graph(name) for name in sorted(NAMED)]
+    built: dict[str, list[Graph]] = defaultdict(list)
+    for G in graphs:
+        for x, y, parts in two_cuts(G):
+            for pick in range(1, 1 << len(parts)):
+                mask = 1 << x | 1 << y
+                for i, part in enumerate(parts):
+                    if pick >> i & 1:
+                        mask |= part
+                built["cut_side"].append(cut_side(G, mask, x, y, False)[0])
+                if not G.has_edge(x, y):
+                    built["cut_side alike"].append(cut_side(G, mask, x, y, True)[0])
+    inputs = graphs + built["cut_side"] + built["cut_side alike"]
+    k5 = complete_graph(5)
+    rng = random.Random(19)
+    for G in inputs:
+        order = list(range(G.n))
+        rng.shuffle(order)
+        built["relabel"].append(relabel(G, order))
+        edges = G.edges()
+        built["without_edges"].append(without_edges(G, edges[::2]))
+        for v in range(G.n):
+            built["induced_subgraph"].append(induced_subgraph(G, order[: v + 1]))
+        for e in edges:
+            built["without_edges"].append(without_edges(G, [e]))
+            built["_four_core"].append(_four_core(built["without_edges"][-1]))
+        built["compose_graphs"].append(compose_graphs(G, edges[0], k5, 0, ((1,), (2, 3, 4)))[0])
+        z = max(range(G.n), key=G.degree)
+        if G.degree(z) > 1:
+            nz = G.neighbors(z)
+            built["compose_graphs"].append(compose_graphs(k5, (0, 1), G, z, (nz[:1], nz[1:]))[0])
+        R = range(1, G.n)
+        colors = is_k_colorable(induced_subgraph(G, R), 4) if G.n > 5 else None
+        if colors is not None:
+            H = phi_identify(G, R, dict(zip(R, colors)))[0]
+            built["phi_identify"].append(H)
+            if is_k_colorable(H, 4) is None:
+                built["extract_5_critical"].append(extract_5_critical(H)[0])
+        if is_k_colorable(G, 4) is None:
+            built["extract_5_critical"].append(extract_5_critical(G)[0])
+    for G in graphs:
+        missing = [(u, v) for u in range(G.n) for v in range(u) if not G.has_edge(u, v)]
+        # K5 has no missing edge, and the Groetzsch graph plus one is 4-colorable
+        if missing and is_k_colorable(H := with_edge(G, *missing[0]), 4) is None:
+            built["extract_5_critical"].append(extract_5_critical(H)[0])
+    assert sorted(built) == [
+        "_four_core", "compose_graphs", "cut_side", "cut_side alike", "extract_5_critical",
+        "induced_subgraph", "phi_identify", "relabel", "without_edges",
+    ]
+    for name, outputs in built.items():
+        for H in outputs:
+            assert Graph(H.n, H.adj) == H, name
 
 
 def test_components_and_connectivity():
@@ -272,7 +335,7 @@ def test_canonical_key_agrees_with_brute_isomorphism():
             if rng.random() < 0.4 and G.m and G.m < n * (n - 1) // 2:
                 # knock one edge over to get a near-miss pair
                 u, v = H.edges()[rng.randrange(H.m)]
-                H = without_edge(H, u, v)
+                H = without_edges(H, [(u, v)])
         else:
             H = random_graph(n, rng.random(), rng)
         same_key = canonical_key(G) == canonical_key(H)

@@ -17,7 +17,7 @@ from orelab import (
 )
 from orelab.coloring import boundary
 from orelab.constructions import complete_graph, cycle_graph
-from orelab.graph_core import canonical_form, induced_subgraph, with_edge
+from orelab.graph_core import canonical_form, induced_subgraph
 from orelab.ore import Compose, Leaf, _orbit_tables, compose_graphs
 
 from helpers import (
@@ -28,6 +28,7 @@ from helpers import (
     enumerate_by_sites,
     first_sites_by_orbits,
     ore_collapsible_subsets,
+    with_edge,
 )
 
 
@@ -66,6 +67,9 @@ def test_compose_graphs_rejects_bad_sites():
         compose_graphs(complete_graph(5), (0, 1), complete_graph(5), 0, ((1,), (2, 3)))
     with pytest.raises(ValueError, match="out of range"):
         compose_graphs(complete_graph(5), (0, 1), complete_graph(5), 9, ((1,), (2, 3, 4)))
+    # 61 + 5 - 1 vertices, more than a Graph may have
+    with pytest.raises(ValueError, match="65 vertices exceeds 64"):
+        compose_graphs(complete_graph(61), (0, 1), complete_graph(5), 0, ((1,), (2, 3, 4)))
 
 
 def test_compose_graphs_matches_the_edge_list_build(ore13):

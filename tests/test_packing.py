@@ -4,7 +4,7 @@ import pytest
 
 from orelab import Graph, named_graph, packing, t_number
 from orelab.constructions import NAMED, complete_graph, cycle_graph
-from orelab.graph_core import induced_subgraph, without_edge
+from orelab.graph_core import induced_subgraph, without_edges
 from orelab.packing import mic
 from orelab.potential import random_extension, verify_extension_inequalities
 
@@ -85,7 +85,7 @@ def test_t_number_known_values(doubles):
         (complete_graph(3), 1),
         (complete_graph(4), 2),
         (complete_graph(5), 2),
-        (without_edge(complete_graph(5), 0, 1), 2),
+        (without_edges(complete_graph(5), [(0, 1)]), 2),
         (complete_graph(7), 3),
         (cycle_graph(5), 0),
         (named_graph("groetzsch"), 0),
@@ -168,7 +168,7 @@ def test_t_number_edge_monotone():
         if G.m == 0:
             continue
         u, v = G.edges()[rng.randrange(G.m)]
-        t2, _ = t_number(without_edge(G, u, v))
+        t2, _ = t_number(without_edges(G, [(u, v)]))
         assert t - 1 <= t2 <= t
 
 
