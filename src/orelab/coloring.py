@@ -7,10 +7,10 @@ collapsibility, critical extensions) leans on that.
 
 Every vertex of a (k+1)-critical graph has degree at least k, so a vertex
 with fewer than k neighbors never decides k-colorability: any k-coloring
-of the rest leaves it a free color.  The solver first peels such vertices
-repeatedly, in ascending index sweeps, and searches only the k-core that
-is left; the peeled vertices then take the lowest free color in reverse
-peel order.  A graph with an empty core is colored with no search at all.
+of the rest leaves it a free color.  The solver peels such vertices in
+ascending index sweeps, searches what is left (the k-core) in place, one
+component of G at a time, and gives the peeled vertices the lowest free
+color in reverse peel order; an empty core needs no search at all.
 
 Symmetry is broken two ways, both sound for the decision problem: a
 greedily found clique of the core is precolored with distinct colors, and
@@ -92,155 +92,151 @@ def _peel(g: Graph, k: int) -> tuple[int, list[int]]:
     return core, order
 
 
-def _solve_component(g: Graph, k: int) -> list[int] | None:
-    """Exhaustive search on the k-core of g, then the peeled vertices
-    greedily in reverse peel order; None when the core has no k-coloring."""
+def _search(g: Graph, k: int, mask: int, color: list[int]) -> bool:
+    """Exhaustive search for a k-coloring of g[mask], written into ``color``
+    in place; False when there is none.  It reads g's rows masked to
+    ``mask``, so it makes the choices a search on a copy of g[mask] would."""
     n, adj = g.n, g.adj
-    core, peeled = _peel(g, k)
-    color = [0] * n
-    if core:
-        # Seed at a lowest-index vertex of maximum core degree, grow by
-        # maximum degree inside the common neighborhood.  Any deterministic
-        # clique works.
-        start = max(bits(core), key=lambda v: ((adj[v] & core).bit_count(), -v))
-        clique = [start]
-        cand = adj[start] & core
-        while cand:
-            u = max(bits(cand), key=lambda v: ((adj[v] & cand).bit_count(), -v))
-            clique.append(u)
-            cand &= adj[u]
-        if len(clique) > k:
-            return None
-        full = (1 << k) - 1
-        domain = [full] * n
-        uncolored = core
+    # Seed at a lowest-index vertex of maximum core degree, grow by
+    # maximum degree inside the common neighborhood.  Any deterministic
+    # clique works.
+    start = max(bits(mask), key=lambda v: ((adj[v] & mask).bit_count(), -v))
+    clique = [start]
+    cand = adj[start] & mask
+    while cand:
+        u = max(bits(cand), key=lambda v: ((adj[v] & cand).bit_count(), -v))
+        clique.append(u)
+        cand &= adj[u]
+    if len(clique) > k:
+        return False
+    full = (1 << k) - 1
+    domain = [full] * n
+    uncolored = mask
 
-        def assign(v: int, c: int, touched: list[int]) -> bool:
-            nonlocal uncolored
-            color[v] = c
-            uncolored &= ~(1 << v)
-            bit = 1 << (c - 1)
-            m = adj[v] & uncolored
-            while m:
-                low = m & -m
-                m ^= low
-                u = low.bit_length() - 1
-                if domain[u] & bit:
-                    domain[u] &= ~bit
-                    touched.append(u)
-                    if not domain[u]:
-                        return False
-            return True
-
-        def undo(v: int, touched: list[int], c: int):
-            nonlocal uncolored
-            color[v] = 0
-            uncolored |= 1 << v
-            bit = 1 << (c - 1)
-            for u in touched:
-                domain[u] |= bit
-
-        for i, v in enumerate(clique):
-            if not assign(v, i + 1, []):
-                return None
-
-        def dfs(used: int) -> bool:
-            if not uncolored:
-                return True
-            best_v, best_size = -1, k + 1
-            m = uncolored
-            while m:
-                low = m & -m
-                m ^= low
-                v = low.bit_length() - 1
-                size = domain[v].bit_count()
-                if size == 0:
+    def assign(v: int, c: int, touched: list[int]) -> bool:
+        nonlocal uncolored
+        color[v] = c
+        uncolored &= ~(1 << v)
+        bit = 1 << (c - 1)
+        m = adj[v] & uncolored
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            if domain[u] & bit:
+                domain[u] &= ~bit
+                touched.append(u)
+                if not domain[u]:
                     return False
-                if size < best_size:
-                    best_v, best_size = v, size
-            cap = (1 << min(used + 1, k)) - 1
-            avail = domain[best_v] & cap
-            while avail:
-                low = avail & -avail
-                avail ^= low
-                c = low.bit_length()
-                touched: list[int] = []
-                ok = assign(best_v, c, touched)
-                if ok and dfs(max(used, c)):
-                    return True
-                undo(best_v, touched, c)
+        return True
+
+    def undo(v: int, touched: list[int], c: int):
+        nonlocal uncolored
+        color[v] = 0
+        uncolored |= 1 << v
+        bit = 1 << (c - 1)
+        for u in touched:
+            domain[u] |= bit
+
+    for i, v in enumerate(clique):
+        if not assign(v, i + 1, []):
             return False
 
-        if not dfs(len(clique)):
-            return None
-    _color_peeled(adj, color, peeled)
-    return color
+    def dfs(used: int) -> bool:
+        if not uncolored:
+            return True
+        best_v, best_size = -1, k + 1
+        m = uncolored
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            size = domain[v].bit_count()
+            if size == 0:
+                return False
+            if size < best_size:
+                best_v, best_size = v, size
+        cap = (1 << min(used + 1, k)) - 1
+        avail = domain[best_v] & cap
+        while avail:
+            low = avail & -avail
+            avail ^= low
+            c = low.bit_length()
+            touched: list[int] = []
+            ok = assign(best_v, c, touched)
+            if ok and dfs(max(used, c)):
+                return True
+            undo(best_v, touched, c)
+        return False
+
+    return dfs(len(clique))
 
 
-def _color_peeled(adj, color: list[int], peeled: list[int]):
-    """Give the peeled vertices the lowest free color, in reverse peel order."""
+def _peel_solve_check(G: Graph, k: int, solve) -> tuple[int, ...] | None:
+    """A k-coloring of G, or None: peel G once, color its k-core by
+    ``solve(G, k, core, color)`` (False when it has none), give the peeled
+    vertices the lowest free color in reverse peel order, check the whole."""
+    core, peeled = _peel(G, k)
+    color = [0] * G.n
+    if core and not solve(G, k, core, color):
+        return None
     for v in reversed(peeled):
         taken = 0
-        for u in bits(adj[v]):
+        for u in bits(G.adj[v]):
             taken |= 1 << color[u]
         c = 1
         while taken >> c & 1:
             c += 1
         color[v] = c
+    out = tuple(color)
+    _check_proper(G, out, k)
+    return out
 
 
 def is_k_colorable(G: Graph, k: int) -> tuple[int, ...] | None:
     """A proper k-coloring as a tuple of colors 1..k, or None.
 
-    A vertex with fewer than k neighbors never decides k-colorability:
-    any k-coloring of the rest leaves it a free color.  So a graph is
-    k-colorable exactly when its k-core (what is left after repeatedly
-    deleting such vertices) is, and only the core is searched.  ``None``
-    is an exhaustive-search verdict on the core, not a heuristic one.  The
-    peeled vertices then take the lowest free color in reverse peel order,
-    and every returned coloring is re-checked for properness before
-    leaving.  A graph with at most one component of two or more vertices
-    is solved in place; isolated vertices are peeled and take color 1.
+    G is k-colorable exactly when its k-core (what is left after repeatedly
+    deleting vertices with fewer than k neighbors) is, and only the core is
+    searched, in place, one component of G at a time.  ``None`` is an
+    exhaustive-search verdict on the core, not a heuristic one.  The peeled
+    vertices then take the lowest free color in reverse peel order, and
+    every returned coloring is re-checked for properness before leaving.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    parts = [comp for comp in connected_components(G) if len(comp) > 1]
-    if len(parts) < 2:
-        colors = _solve_component(G, k)
-        if colors is None:
-            return None
-    else:
-        colors = [1] * G.n
-        for comp in parts:
-            res = _solve_component(induced_subgraph(G, comp), k)
-            if res is None:
-                return None
-            for i, v in enumerate(sorted(comp)):
-                colors[v] = res[i]
-    out = tuple(colors)
-    _check_proper(G, out, k)
-    return out
+    return _peel_solve_check(G, k, _search_components)
+
+
+def _search_components(G: Graph, k: int, core: int, color: list[int]) -> bool:
+    """:func:`_search` on the core's part in each component of G, which G's
+    peel leaves as a peel of that component alone would."""
+    for comp in connected_components(G):
+        part = core & mask_of(comp)
+        if part and not _search(G, k, part, color):
+            return False
+    return True
 
 
 def _by_cuts(G: Graph, k: int) -> tuple[int, ...] | None:
     """:func:`is_k_colorable`'s verdict, reached through the 2-cuts of G's
-    k-core: split at a 2-cut (:func:`_split`), or at a leaf solved by
-    is_k_colorable; an empty core needs no solve.  The peeled vertices are
-    then colored as in :func:`_solve_component`, and the whole is checked."""
-    core, peeled = _peel(G, k)
-    color = [0] * G.n
-    if core:
-        inner = G if core == (1 << G.n) - 1 else induced_subgraph(G, bits(core))
-        cut = next(two_cuts(inner), None)
-        colors = is_k_colorable(inner, k) if cut is None else _split(inner, k, cut)
-        if colors is None:
-            return None
-        for v, c in zip(bits(core), colors):
-            color[v] = c
-    _color_peeled(G.adj, color, peeled)
-    out = tuple(color)
-    _check_proper(G, out, k)
-    return out
+    k-core (:func:`_cut_or_search`)."""
+    return _peel_solve_check(G, k, _cut_or_search)
+
+
+def _cut_or_search(G: Graph, k: int, core: int, color: list[int]) -> bool:
+    """Split the core at its first 2-cut (:func:`_split`), or search it in
+    place when it has none.  A core with no 2-cut is connected."""
+    inner = G if core == (1 << G.n) - 1 else induced_subgraph(G, bits(core))
+    cut = next(two_cuts(inner), None)
+    if cut is None:
+        return _search(G, k, core, color)
+    colors = _split(inner, k, cut)
+    if colors is None:
+        return False
+    for v, c in zip(bits(core), colors):
+        color[v] = c
+    return True
 
 
 def _split(G: Graph, k: int, cut) -> tuple[int, ...] | None:

@@ -220,7 +220,8 @@ def _suite_report(
                 sum(ledger.final84) == ledger.total84,
                 note=f"transfers={len(ledger.transfers)}",
             )
-    if suite in ("extensions", "all") and record_ids:
+    # records follow the stored critical5 flag, which may be stale
+    if suite in ("extensions", "all") and record_ids and facts.critical:
         rep.extend(_extension_report(facts, seed, record_ids))
     return rep
 

@@ -70,6 +70,9 @@ class Compose:
 
 OreRecipe = Leaf | Compose
 
+# every Leaf materializes as this one graph, built and checked once
+_K5 = complete_graph(5)
+
 
 def _is_k5(G: Graph) -> bool:
     return G.n == 5 and G.m == 10
@@ -121,7 +124,7 @@ def compose_graphs(
 def ore_compose(recipe: OreRecipe) -> Graph:
     """Materialize a recipe in the labeling its text form refers to."""
     if isinstance(recipe, Leaf):
-        return complete_graph(5)
+        return _K5
     if not isinstance(recipe, Compose):
         raise TypeError(f"not a recipe node: {recipe!r}")
     g1 = ore_compose(recipe.edge_side)
@@ -231,11 +234,10 @@ def enumerate_5_ore(max_n: int):
     """
     if max_n < 5:
         return
-    base = complete_graph(5)
-    key, _, generators = canonical_form(base)
-    levels = {5: [(base, Leaf(), *_orbit_tables(base, generators))]}
+    key, _, generators = canonical_form(_K5)
+    levels = {5: [(_K5, Leaf(), *_orbit_tables(_K5, generators))]}
     seen = {key}
-    yield base, Leaf()
+    yield _K5, Leaf()
     for n in range(9, max_n + 1, 4):
         found: dict[bytes, tuple[Graph, OreRecipe, tuple]] = {}
         raw_seen: set[tuple[int, tuple[int, ...]]] = set()

@@ -72,6 +72,125 @@ def brute_colorable(G: Graph, k: int) -> bool:
     return go(0)
 
 
+def solve_component_reference(g: Graph, k: int) -> list[int] | None:
+    """The exact search as it stood before components were searched in
+    place, copied from the package: peel g to its k-core, search the core,
+    and give the peeled vertices the lowest free color in reverse peel
+    order."""
+    n, adj = g.n, g.adj
+    core = (1 << n) - 1
+    peeled: list[int] = []
+    swept = True
+    while swept:
+        swept = False
+        for v in bits(core):
+            if (adj[v] & core).bit_count() < k:
+                core ^= 1 << v
+                peeled.append(v)
+                swept = True
+    color = [0] * n
+    if core:
+        start = max(bits(core), key=lambda v: ((adj[v] & core).bit_count(), -v))
+        clique = [start]
+        cand = adj[start] & core
+        while cand:
+            u = max(bits(cand), key=lambda v: ((adj[v] & cand).bit_count(), -v))
+            clique.append(u)
+            cand &= adj[u]
+        if len(clique) > k:
+            return None
+        full = (1 << k) - 1
+        domain = [full] * n
+        uncolored = core
+
+        def assign(v: int, c: int, touched: list[int]) -> bool:
+            nonlocal uncolored
+            color[v] = c
+            uncolored &= ~(1 << v)
+            bit = 1 << (c - 1)
+            m = adj[v] & uncolored
+            while m:
+                low = m & -m
+                m ^= low
+                u = low.bit_length() - 1
+                if domain[u] & bit:
+                    domain[u] &= ~bit
+                    touched.append(u)
+                    if not domain[u]:
+                        return False
+            return True
+
+        def undo(v: int, touched: list[int], c: int):
+            nonlocal uncolored
+            color[v] = 0
+            uncolored |= 1 << v
+            bit = 1 << (c - 1)
+            for u in touched:
+                domain[u] |= bit
+
+        for i, v in enumerate(clique):
+            if not assign(v, i + 1, []):
+                return None
+
+        def dfs(used: int) -> bool:
+            if not uncolored:
+                return True
+            best_v, best_size = -1, k + 1
+            m = uncolored
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                size = domain[v].bit_count()
+                if size == 0:
+                    return False
+                if size < best_size:
+                    best_v, best_size = v, size
+            cap = (1 << min(used + 1, k)) - 1
+            avail = domain[best_v] & cap
+            while avail:
+                low = avail & -avail
+                avail ^= low
+                c = low.bit_length()
+                touched: list[int] = []
+                ok = assign(best_v, c, touched)
+                if ok and dfs(max(used, c)):
+                    return True
+                undo(best_v, touched, c)
+            return False
+
+        if not dfs(len(clique)):
+            return None
+    for v in reversed(peeled):
+        taken = 0
+        for u in bits(adj[v]):
+            taken |= 1 << color[u]
+        c = 1
+        while taken >> c & 1:
+            c += 1
+        color[v] = c
+    return color
+
+
+def k_coloring_reference(G: Graph, k: int) -> tuple[int, ...] | None:
+    """``is_k_colorable`` as it stood before components were searched in
+    place: a graph with at most one component of two or more vertices is
+    solved whole, and otherwise each such component is copied out and
+    solved on its own, with every other vertex colored 1."""
+    parts = [comp for comp in connected_components(G) if len(comp) > 1]
+    if len(parts) < 2:
+        colors = solve_component_reference(G, k)
+        return None if colors is None else tuple(colors)
+    colors = [1] * G.n
+    for comp in parts:
+        res = solve_component_reference(induced_subgraph(G, comp), k)
+        if res is None:
+            return None
+        for i, v in enumerate(sorted(comp)):
+            colors[v] = res[i]
+    return tuple(colors)
+
+
 def critical_by_edges(G: Graph) -> bool:
     """5-criticality with one exact 4-coloring search per edge of G."""
     if G.n < 5 or any(G.degree(v) < 4 for v in range(G.n)):

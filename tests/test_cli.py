@@ -165,17 +165,29 @@ def test_verify_all_includes_every_row_family(small_corpus, run):
     } <= names
 
 
-def test_verify_catches_tampered_invariants(small_corpus, run):
-    key = corpus_key(complete_graph(5))
+@pytest.mark.parametrize(
+    "name, field, value, argv",
+    [
+        ("k5", "p_ky", 99, ["main"]),
+        # a graph that is not 5-critical, flagged as one, would be handed
+        # extension records
+        ("groetzsch", "critical5", True, ["extensions", "--records", "6"]),
+        ("groetzsch", "critical5", True, ["all", "--records", "6"]),
+    ],
+)
+def test_verify_catches_tampered_invariants(small_corpus, run, name, field, value, argv):
+    G = named_graph(name)
+    assert run("add", name, "--corpus", str(small_corpus))[0] == 0
+    key = corpus_key(G)
     path = small_corpus / f"{key}.json"
     raw = json.loads(path.read_text())
-    raw["invariants"]["p_ky"] = 99
+    raw["invariants"][field] = value
     path.write_text(json.dumps(raw, indent=1, sort_keys=True) + "\n")
-    code, out, err = run("verify", "main", "--corpus", str(small_corpus))
+    code, out, err = run("verify", *argv, "--corpus", str(small_corpus))
     assert code == 1
-    assert f"CHECK corpus-invariants {key} FAIL note=stale=p_ky" in out
-    assert out.strip().splitlines()[-1].startswith("SUITE main FAIL")
-    assert err == f"fail: entry {key} graph6 {graph_to_graph6(complete_graph(5))}\n"
+    assert f"CHECK corpus-invariants {key} FAIL note=stale={field}" in out
+    assert out.strip().splitlines()[-1].startswith(f"SUITE {argv[0]} FAIL")
+    assert err == f"fail: entry {key} graph6 {graph_to_graph6(G)}\n"
 
 
 K5_KEY = corpus_key(complete_graph(5))

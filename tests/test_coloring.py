@@ -15,8 +15,11 @@ from orelab.coloring import (
 )
 from orelab.constructions import NAMED, complete_graph, cycle_graph
 from orelab.graph_core import (
+    bits,
     connected_components,
     induced_subgraph,
+    mask_of,
+    relabel,
     without_edges,
 )
 from orelab.ore import Compose, Leaf, compose_graphs
@@ -29,6 +32,7 @@ from helpers import (
     critical_complement,
     extract_by_edges,
     glued_pair,
+    k_coloring_reference,
     path_graph,
     random_graph,
     splitting_coloring,
@@ -93,10 +97,11 @@ def disjoint_union(parts):
 
 
 def solve_each_component(G, k):
-    """The solver run on every component as an induced subgraph of its own."""
+    """The search run on the k-core of every component, each copied out as a
+    graph of its own."""
     colors = [0] * G.n
     for comp in connected_components(G):
-        res = coloring._solve_component(induced_subgraph(G, comp), k)
+        res = coloring._peel_solve_check(induced_subgraph(G, comp), k, coloring._search)
         if res is None:
             return None
         for i, v in enumerate(sorted(comp)):
@@ -122,6 +127,86 @@ def test_solver_on_isolated_vertices_and_several_components():
         comps = connected_components(G)
         shapes.add((len(comps) > 1, any(len(c) == 1 for c in comps), got is None))
     assert len(shapes) >= 6
+
+
+# k-cores that are k-colorable, for k = 2, 3 and 4, so a chain of them has
+# a core that the peel may cut apart and that the search colors
+OCTAHEDRON = Graph.from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if v - u != 3])
+CORE_BLOCKS = (cycle_graph(6), complete_graph(4), wheel(4), wheel(6), OCTAHEDRON)
+
+
+def block(rng):
+    """A colorable core or a seeded random graph, its vertices shuffled."""
+    g = (rng.choice(CORE_BLOCKS) if rng.random() < 0.7 else
+         random_graph(rng.randint(2, 7), 0.4 + 0.6 * rng.random(), rng))
+    return relabel(g, rng.sample(range(g.n), g.n))
+
+
+def chained(rng):
+    """Two or three blocks joined in a chain by paths of one to three edges,
+    beside up to two isolated vertices and sometimes one more block: the
+    peel may cut a connected graph's core apart, and several components
+    may keep a core."""
+    edges, ends, n = [], [], 0
+    for _ in range(rng.randint(2, 3)):
+        g = block(rng)
+        edges += [(u + n, v + n) for u, v in g.edges()]
+        ends.append(n + rng.randrange(g.n))
+        n += g.n
+    for a, b in zip(ends, ends[1:]):
+        path = [a] + list(range(n, n + rng.randint(0, 2))) + [b]
+        n += len(path) - 2
+        edges += list(zip(path, path[1:]))
+    if rng.random() < 0.5:
+        extra = block(rng)
+        edges += [(u + n, v + n) for u, v in extra.edges()]
+        n += extra.n
+    return Graph.from_edges(n + rng.randint(0, 2), edges)
+
+
+def seeded_by_reference(G, k, rng):
+    """``seeded_coloring`` with the reference search in place of the
+    package's."""
+    order = list(range(G.n))
+    rng.shuffle(order)
+    solved = k_coloring_reference(relabel(G, order), k)
+    if solved is None:
+        return None
+    names = rng.sample(range(1, k + 1), k)
+    color = [0] * G.n
+    for v, c in zip(order, solved):
+        color[v] = names[c - 1]
+    return tuple(color)
+
+
+def test_witnesses_equal_the_reference_search(ore17):
+    rng = random.Random(404)
+    shapes = set()
+    for _ in range(400):
+        G = chained(rng)
+        k = rng.randint(1, 4)
+        got = is_k_colorable(G, k)
+        assert got == k_coloring_reference(G, k)
+        comps = connected_components(G)
+        core, _ = coloring._peel(G, k)
+        cored = [c for c in comps if core & mask_of(c)]
+        split = len(cored) == 1 and len(connected_components(G, within=bits(core))) > 1
+        shapes.add((k, got is None, split, len(cored) > 1, any(len(c) == 1 for c in comps)))
+    verdicts = {(k, none) for k, none, *_ in shapes}
+    assert verdicts == {(1, True)} | {(k, none) for k in (2, 3, 4) for none in (False, True)}
+    # (k, None?, a connected graph's core cut apart, several components
+    # keep a core, isolated vertices)
+    assert {(3, False, True, False, True), (4, False, True, False, True),
+            (3, False, False, True, False), (4, False, False, True, True),
+            (4, True, True, False, False), (3, True, False, True, True)} <= shapes
+    # seeded colorings of induced subgraphs of the n = 17 classes
+    seventeen = [g for g, _ in ore17 if g.n == 17]
+    pick = random.Random(17)
+    for s in range(200):
+        R = sorted(pick.sample(range(17), pick.randint(5, 16)))
+        H, k = induced_subgraph(pick.choice(seventeen), R), 3 + s % 2
+        want = seeded_by_reference(H, k, random.Random(s))
+        assert seeded_coloring(H, k, random.Random(s)) == want
 
 
 def with_low_degree_vertices(n, rng):
@@ -331,14 +416,14 @@ def test_walk_checks_every_walked_coloring(monkeypatch):
 def test_walk_solves_fewer_than_one_search_per_edge(monkeypatch):
     G = named_graph("mycielski_groetzsch")
     assert G.m == 71
-    real = coloring._solve_component
+    real = coloring._search
     solves = []
 
-    def counted(g, k):
-        solves.append(g.n)
-        return real(g, k)
+    def counted(g, k, mask, color):
+        solves.append(mask.bit_count())
+        return real(g, k, mask, color)
 
-    monkeypatch.setattr(coloring, "_solve_component", counted)
+    monkeypatch.setattr(coloring, "_search", counted)
     assert is_5_critical(G)
     assert 0 < len(solves) < G.m
 
@@ -489,15 +574,15 @@ def test_a_spoiled_glue_is_caught(doubles, monkeypatch):
 
 
 def counted_leaves(monkeypatch) -> list[Graph]:
-    """Record every graph that the 2-cut recursion hands to is_k_colorable."""
-    real = coloring.is_k_colorable
+    """Record every core that the search is run on, as a graph of its own."""
+    real = coloring._search
     leaves = []
 
-    def counted(g, k):
-        leaves.append(g)
-        return real(g, k)
+    def counted(g, k, mask, color):
+        leaves.append(induced_subgraph(g, bits(mask)))
+        return real(g, k, mask, color)
 
-    monkeypatch.setattr(coloring, "is_k_colorable", counted)
+    monkeypatch.setattr(coloring, "_search", counted)
     return leaves
 
 

@@ -165,13 +165,49 @@ def _uses(node: ast.AST, owner: str, out: list[tuple[str, str, bool]]) -> None:
         _uses(child, owner, out)
 
 
-def test_graphs_skip_the_structure_check_only_in_listed_builders():
+def _all_uses() -> list[tuple[str, str, bool]]:
+    """``_uses`` over every module of the package."""
     uses: list[tuple[str, str, bool]] = []
     for module, tree in _modules().items():
         _uses(tree, module, uses)
+    return uses
+
+
+def test_graphs_skip_the_structure_check_only_in_listed_builders():
+    uses = _all_uses()
     for name, allowed in UNCHECKED_BUILDERS.items():
         assert {owner for owner, used, _ in uses if used == name} == allowed, name
     # outside data enters through Graph(...) itself, which from_edges calls
     assert {owner for owner, used, called in uses if used == "Graph" and called} == {
         "graph_core.Graph.from_edges"
     }
+
+
+# Every exact coloring takes one path: coloring._peel_solve_check peels once,
+# hands the k-core to a solve step, colors the peeled vertices and checks the
+# whole once; the solve steps are the only callers of the search.  These are
+# the only functions that may peel, search or check a solver's coloring, so a
+# second solve path must be added here on purpose.
+SOLVE_PATH = {
+    "_peel": {"coloring._peel_solve_check", "coloring._four_core"},
+    "_search": {"coloring._search_components", "coloring._cut_or_search"},
+    "_check_proper": {
+        "coloring._peel_solve_check",
+        "coloring._split",
+        "coloring.seeded_coloring",
+    },
+}
+
+
+def test_exact_colorings_take_one_solve_path():
+    uses = _all_uses()
+    for name, allowed in SOLVE_PATH.items():
+        assert {owner for owner, used, _ in uses if used == name} == allowed, name
+    # the 2-cut recursion reaches the search through its own solve step,
+    # never through is_k_colorable
+    recursion = ("coloring._by_cuts", "coloring._cut_or_search", "coloring._split")
+    assert not [
+        owner
+        for owner, used, _ in uses
+        if used == "is_k_colorable" and owner.startswith(recursion)
+    ]
