@@ -180,14 +180,19 @@ def _peel_solve_check(G: Graph, k: int, solve) -> tuple[int, ...] | None:
     color = [0] * G.n
     if core and not solve(G, k, core, color):
         return None
-    for v in reversed(peeled):
-        taken = 0
-        for u in bits(G.adj[v]):
-            taken |= 1 << color[u]
-        c = 1
-        while taken >> c & 1:
-            c += 1
-        color[v] = c
+    if peeled:
+        adj = G.adj
+        # color-class masks, with room for a color k + 1, which only a wrong
+        # peel gives and the check below refuses
+        classes = [0] * (k + 2)
+        for v, c in enumerate(color):
+            classes[c] |= 1 << v
+        for v in reversed(peeled):
+            c = 1
+            while c <= k and classes[c] & adj[v]:
+                c += 1
+            color[v] = c
+            classes[c] |= 1 << v
     out = tuple(color)
     _check_proper(G, out, k)
     return out
@@ -290,12 +295,15 @@ def _glue_permutation(k: int, moves: dict[int, int]) -> list[int]:
 
 
 def _check_proper(G: Graph, colors: tuple[int, ...], k: int):
-    for v in range(G.n):
-        if not 1 <= colors[v] <= k:
+    classes = [0] * (k + 1)
+    for v, c in enumerate(colors):
+        if not 1 <= c <= k:
             raise InvariantViolation("solver produced an out-of-range color")
-        for u in bits(G.adj[v]):
-            if colors[u] == colors[v]:
-                raise InvariantViolation("solver produced an improper coloring")
+        classes[c] |= 1 << v
+    adj = G.adj
+    for v, c in enumerate(colors):
+        if adj[v] & classes[c]:
+            raise InvariantViolation("solver produced an improper coloring")
 
 
 def seeded_coloring(G: Graph, k: int, rng: random.Random) -> tuple[int, ...] | None:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
@@ -163,6 +162,7 @@ def _lemma2_report(facts: Facts) -> Report:
 
 def _extension_report(facts: Facts, seed: int, record_ids: list[int]) -> Report:
     rep = Report()
+    table = packing.piece_table(facts.graph)
     for i in record_ids:
         rng = random.Random(seed * 1_000_003 + i)
         rec = random_extension(facts.graph, rng)
@@ -177,7 +177,7 @@ def _extension_report(facts: Facts, seed: int, record_ids: list[int]) -> Report:
                 f" empty-classes={len(rec.empty_classes)}"
             ),
         )
-        rep.extend(verify_extension_inequalities(rec, facts.key))
+        rep.extend(verify_extension_inequalities(rec, facts.key, table))
     return rep
 
 
@@ -257,6 +257,9 @@ def cmd_verify(args) -> int:
     with ExitStack() as stack:
         mapper = map
         if workers > 1:
+            # imported here, so a run without a pool never loads one
+            from concurrent.futures import ProcessPoolExecutor
+
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         for key, lines, failed, g6 in mapper(_entry_report, *zip(*tasks)):
             for line in lines:
@@ -339,7 +342,7 @@ def cmd_extend(args) -> int:
             raise ValueError("the induced subgraph on --r is not 4-colorable")
         phi = {v: colors[i] for i, v in enumerate(R)}
         rec = critical_extension(G, R, phi)
-        rep = verify_extension_inequalities(rec, entry.key)
+        rep = verify_extension_inequalities(rec, entry.key, packing.piece_table(G))
     print(f"extend {args.key} r={','.join(map(str, R))} seed={args.seed}")
     print("phi " + " ".join(f"{v}:{phi[v]}" for v in R))
     print(f"identified n={rec.identified.n} m={rec.identified.m}")

@@ -14,42 +14,82 @@ prunes only subtrees without a strict improvement, so the incumbent
 changes at the same nodes as in the search from every vertex, and the
 witness is the same.
 
+The pieces are listed once per graph, in a piece table
+(:func:`piece_table`), and :func:`best_packing` searches the graph induced
+on any vertex mask from that table.  The pieces of G[S] are exactly the
+pieces of G inside S, and relabeling S in ascending order keeps their
+lexicographic order.  The search skips a piece that leaves S as it skips
+one that meets a covered vertex, and starts from the vertices of S that
+lie in a piece inside S, so it visits the nodes a search on a copy of
+G[S] would: the same value, and the same witness in G's labels.  So an
+extension record prices its subsets of a host, or of its extender, from
+that graph's one table.
+
 ``mic`` maximizes the degree sum over independent sets; it feeds the edge
 lower bound 2|E| >= 3|V| + mic used by the discharging audit.
 """
 
 from __future__ import annotations
 
-from .graph_core import Graph, InvariantViolation, bits, mask_of
+from .graph_core import Graph, InvariantViolation, mask_of
 
 
-def t_number(G: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Exact packing number and a checked witness: disjoint triangles and
-    K4s, each an ascending vertex tuple, whose weights sum to it.
+def piece_table(G: Graph) -> list[list[tuple[int, int, tuple[int, ...]]]]:
+    """G's triangles and K4s, each as (mask, weight, ascending vertices),
+    listed under their lowest vertex; a K4 follows the triangle it extends,
+    so each list is in lexicographic order."""
+    adj = G.adj
+    by_low: list[list[tuple[int, int, tuple[int, ...]]]] = []
+    for u in range(G.n):
+        row: list[tuple[int, int, tuple[int, ...]]] = []
+        # each walk consumes its mask upward, so what is left of it after
+        # taking a vertex is the part above that vertex
+        later = adj[u] >> (u + 1) << (u + 1)
+        while later:
+            vbit = later & -later
+            later ^= vbit
+            v = vbit.bit_length() - 1
+            common = later & adj[v]
+            while common:
+                wbit = common & -common
+                common ^= wbit
+                w = wbit.bit_length() - 1
+                tri = 1 << u | vbit | wbit
+                row.append((tri, 1, (u, v, w)))
+                fourth = common & adj[w]
+                while fourth:
+                    xbit = fourth & -fourth
+                    fourth ^= xbit
+                    row.append((tri | xbit, 2, (u, v, w, xbit.bit_length() - 1)))
+        by_low.append(row)
+    return by_low
+
+
+def best_packing(
+    G: Graph, table: list, mask: int
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Exact packing number of G[mask] and a checked witness in G's labels,
+    searched over G's ``table`` from :func:`piece_table`.
 
     Deterministic: pieces are tried in lexicographic order and only strict
     improvements replace the incumbent, so the witness is reproducible.
     """
-    n, adj = G.n, G.adj
-    # by_low[u]: the pieces whose lowest vertex is u, as (mask, weight,
-    # vertices); a K4 follows the triangle it extends, so each list is
-    # in lexicographic order
-    by_low: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(n)]
     cover = 0
-    for u in range(n):
-        for v in bits(adj[u] >> (u + 1) << (u + 1)):
-            uv = adj[u] & adj[v] >> (v + 1) << (v + 1)
-            for w in bits(uv):
-                tri = 1 << u | 1 << v | 1 << w
-                by_low[u].append((tri, 1, (u, v, w)))
-                cover |= tri
-                for x in bits(uv & adj[w] >> (w + 1) << (w + 1)):
-                    by_low[u].append((tri | 1 << x, 2, (u, v, w, x)))
+    for row in table:
+        for pmask, _, _ in row:
+            if not pmask & ~mask:
+                cover |= pmask
     best: list = [0, ()]
-    _pack(cover, 0, [], by_low, best)
+    _pack(cover, 0, [], table, best)
     best_w, best_pieces = best
-    _check_packing(G, best_pieces, best_w)
+    _check_packing(G, best_pieces, best_w, mask)
     return best_w, best_pieces
+
+
+def t_number(G: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Exact packing number and a checked witness: disjoint triangles and
+    K4s, each an ascending vertex tuple, whose weights sum to it."""
+    return best_packing(G, piece_table(G), (1 << G.n) - 1)
 
 
 def _pack(free: int, cur: int, chosen: list, by_low: list, best: list) -> None:
@@ -71,13 +111,15 @@ def _pack(free: int, cur: int, chosen: list, by_low: list, best: list) -> None:
     _pack(free & ~low, cur, chosen, by_low, best)
 
 
-def _check_packing(G: Graph, pieces, weight: int):
+def _check_packing(G: Graph, pieces, weight: int, mask: int):
     used = 0
     total = 0
     for p in pieces:
         pm = mask_of(p)
         if pm & used:
             raise InvariantViolation("packing pieces overlap")
+        if pm & ~mask:
+            raise InvariantViolation("packing piece leaves the vertex set")
         used |= pm
         for i, u in enumerate(p):
             for v in p[i + 1 :]:

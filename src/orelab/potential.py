@@ -100,8 +100,12 @@ def _refined(G: Graph, t: int) -> Rat21:
     return Rat21(190 * G.n - 84 * G.m - 8 * t)
 
 
-def potential_set(G: Graph, R) -> Rat21:
-    return potential(induced_subgraph(G, R))
+def potentials_inside(G: Graph, table: list, R) -> tuple[int, Rat21]:
+    """p_ky(G[R]) and p(G[R]) for a vertex set R, with t(G[R]) searched over
+    G's piece ``table``: p = 21 p_ky + |R| - 8 t."""
+    ky = p_ky_set(G, R)
+    t, _ = packing.best_packing(G, table, mask_of(R))
+    return ky, Rat21(21 * ky + len(R) - 8 * t)
 
 
 def f_core(x: int) -> Rat21:
@@ -267,9 +271,10 @@ def critical_extension(G: Graph, R, phi: dict[int, int]) -> ExtensionRecord:
     )
 
 
-def verify_extension_inequalities(rec: ExtensionRecord, key: str) -> Report:
+def verify_extension_inequalities(rec: ExtensionRecord, key: str, table: list) -> Report:
     """Exact slack of the three extension inequalities for one record,
-    reported under the host's corpus key ``key``.
+    reported under the host's corpus key ``key``; ``table`` is the host's
+    piece table, shared by every record of that host.
 
     With x = core size, R' = expanded set, W = extender:
 
@@ -283,20 +288,18 @@ def verify_extension_inequalities(rec: ExtensionRecord, key: str) -> Report:
     if x == 0:
         raise InvariantViolation("extension with empty core")
     W = rec.extender
-    ky_r = p_ky_set(G, rec.subset)
-    ky_rp = p_ky_set(G, rec.expanded)
+    ky_r, p_r = potentials_inside(G, table, rec.subset)
+    ky_rp, p_rp = potentials_inside(G, table, rec.expanded)
     ky_w = p_ky(W)
     slack_ky = (ky_r + ky_w - KY_CORE_COST[x]) - ky_rp
     rep.add("ky-extension", key, slack_ky >= 0, 21 * slack_ky)
-    p_r = potential_set(G, rec.subset)
-    p_rp = potential_set(G, rec.expanded)
-    t_w, _ = packing.t_number(W)
-    p_w = _refined(W, t_w)
-    real = [v for v in range(W.n) if rec.labels[v] >= 0]
+    real = mask_of(v for v in range(W.n) if rec.labels[v] >= 0)
     if not real:
         raise InvariantViolation("extender contains only class vertices")
-    w_minus_core = induced_subgraph(W, real)
-    t_wc, _ = packing.t_number(w_minus_core)
+    w_table = packing.piece_table(W)
+    t_w, _ = packing.best_packing(W, w_table, (1 << W.n) - 1)
+    p_w = _refined(W, t_w)
+    t_wc, _ = packing.best_packing(W, w_table, real)
     rhs = p_r + p_w - f_core(x) + DELTA * (t_w - t_wc)
     slack_ref = rhs - p_rp
     rep.add("refined-extension", key, slack_ref.num >= 0, slack_ref.num)

@@ -22,6 +22,7 @@ from orelab.constructions import complete_graph
 from orelab.discharge import closing_inequalities, run_discharge
 from orelab.graph_core import d4_components, induced_subgraph
 from orelab.ore import Compose, Leaf
+from orelab.packing import piece_table
 from orelab.potential import random_extension, verify_extension_inequalities, verify_main_theorem
 
 from helpers import ore_collapsible_subsets, random_graph, t_number_oracle, triangles
@@ -152,6 +153,7 @@ def test_criterion_07_extension_fuzz(lab_corpus):
     ]
     assert eligible
     graphs = {k: lab_corpus.load(k).graph for k in eligible}
+    tables = {k: piece_table(g) for k, g in graphs.items()}
     log_path = lab_corpus.root / "extension_slacks.log"
     violations = 0
     with open(log_path, "w", encoding="utf-8") as fh:
@@ -159,7 +161,7 @@ def test_criterion_07_extension_fuzz(lab_corpus):
             key = eligible[i % len(eligible)]
             rng = random.Random(i)
             rec = random_extension(graphs[key], rng)
-            rep = verify_extension_inequalities(rec, key)
+            rep = verify_extension_inequalities(rec, key, tables[key])
             if not rep.ok:
                 violations += 1
             slacks = " ".join(

@@ -280,6 +280,21 @@ def test_verify_jobs_output_identical_in_fresh_processes(ore17, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    # only verify --jobs above 1 starts a pool, and only then imports one
+    src = str(Path(orelab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, orelab.lab_cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_panic_exits_3_naming_the_entry(small_corpus, run, monkeypatch, jobs):
     code, clean, _ = run("verify", "main", "--corpus", str(small_corpus))
@@ -361,7 +376,7 @@ def test_extend_block_of_double(small_corpus, run):
 
 
 def test_extend_names_a_failing_entry(small_corpus, run, monkeypatch):
-    def failing(rec, key):
+    def failing(rec, key, table):
         rep = Report()
         rep.add("forced", key, False)
         return rep

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from orelab import Graph, named_graph, packing, t_number
+from orelab import Graph, InvariantViolation, named_graph, packing, t_number
 from orelab.constructions import NAMED, complete_graph, cycle_graph
-from orelab.graph_core import induced_subgraph, without_edges
+from orelab.graph_core import bits, induced_subgraph, without_edges
 from orelab.packing import mic
 from orelab.potential import random_extension, verify_extension_inequalities
 
@@ -135,24 +135,58 @@ def test_t_number_matches_the_reference_search(ore13):
         assert t_number(G) == t_number_reference(G)
 
 
+def mapped(kept, packed):
+    """A packing of G[kept] in G's labels, where ``kept[i]`` is G[kept]'s vertex i."""
+    t, pieces = packed
+    return t, tuple(tuple(kept[v] for v in piece) for piece in pieces)
+
+
 def test_t_number_matches_the_reference_on_extension_subgraphs(ore17, monkeypatch):
-    # every graph whose packing number a seeded extension record asks for
+    # every vertex set whose packing number a seeded extension record asks for
     hosts = random.Random(15).sample([g for g, _ in ore17 if g.n == 17], 4)
     hosts.append(named_graph("mycielski_groetzsch"))
+    tables = [packing.piece_table(g) for g in hosts]
     asked = []
-    t_number_fast = packing.t_number
+    best_packing = packing.best_packing
 
-    def recorded(G):
-        asked.append(G)
-        return t_number_fast(G)
+    def recorded(G, table, mask):
+        asked.append((G, mask))
+        return best_packing(G, table, mask)
 
-    monkeypatch.setattr(packing, "t_number", recorded)
+    monkeypatch.setattr(packing, "best_packing", recorded)
     for i in range(200):
         rec = random_extension(hosts[i % len(hosts)], random.Random(7 * 1_000_003 + i))
-        verify_extension_inequalities(rec, "host")
+        verify_extension_inequalities(rec, "host", tables[i % len(hosts)])
     assert len(asked) >= 800
-    for G in asked:
-        assert t_number_fast(G) == t_number_reference(G)
+    for G, mask in asked:
+        kept = bits(mask)
+        want = mapped(kept, t_number_reference(induced_subgraph(G, kept)))
+        assert best_packing(G, packing.piece_table(G), mask) == want
+
+
+def test_packing_inside_a_mask_is_the_induced_subgraphs(ore17):
+    # same value, and the same witness in G's labels, as on a copy of G[mask]
+    rng = random.Random(21)
+    graphs = [g for g, _ in ore17] + [named_graph(name) for name in sorted(NAMED)]
+    graphs += [random_graph(rng.randint(1, 16), rng.random(), rng) for _ in range(300)]
+    for G in graphs:
+        table = packing.piece_table(G)
+        full = (1 << G.n) - 1
+        assert packing.best_packing(G, table, 0) == (0, ())
+        for mask in [full] + [rng.getrandbits(G.n) or full for _ in range(3)]:
+            kept = bits(mask)
+            want = mapped(kept, t_number(induced_subgraph(G, kept)))
+            assert packing.best_packing(G, table, mask) == want
+
+
+def test_a_packing_that_leaves_the_mask_is_caught(monkeypatch):
+    # a search that picks (0, 1, 2) of K4 while the mask leaves out vertex 2
+    def escaping(free, cur, chosen, by_low, best):
+        best[0], best[1] = 1, ((0, 1, 2),)
+
+    monkeypatch.setattr(packing, "_pack", escaping)
+    with pytest.raises(InvariantViolation):
+        packing.best_packing(complete_graph(4), packing.piece_table(complete_graph(4)), 0b1011)
 
 
 def test_oracle_refuses_large_graphs():

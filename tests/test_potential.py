@@ -16,6 +16,7 @@ from orelab import (
 from orelab.coloring import is_collapsible, seeded_coloring
 from orelab.constructions import complete_graph, cycle_graph
 from orelab.graph_core import induced_subgraph
+from orelab.packing import piece_table
 from orelab.potential import (
     DELTA,
     EPS,
@@ -25,7 +26,7 @@ from orelab.potential import (
     f_core,
     p_ky_set,
     phi_identify,
-    potential_set,
+    potentials_inside,
     random_extension,
     verify_extension_inequalities,
     verify_main_theorem,
@@ -115,7 +116,7 @@ def test_set_potentials_match_induced_subgraph(doubles):
     for R in ([0, 1, 2, 3, 4], [1, 3, 5, 7, 8], list(range(6))):
         sub = induced_subgraph(g, R)
         assert p_ky_set(g, R) == p_ky(sub)
-        assert potential_set(g, R) == potential(sub)
+        assert potentials_inside(g, piece_table(g), R) == (p_ky(sub), potential(sub))
 
 
 # --- identification -----------------------------------------------------------
@@ -189,7 +190,7 @@ def test_edge_block_extension_is_total_with_tiny_core(doubles):
 
 def test_extension_inequalities_frozen_slacks(doubles):
     g, _ = one_three(doubles)
-    rep = verify_extension_inequalities(block_extension(g), corpus_key(g))
+    rep = verify_extension_inequalities(block_extension(g), corpus_key(g), piece_table(g))
     assert rep.ok
     by_name = {c.name: c for c in rep.checks}
     assert by_name["ky-extension"].slack21 == 0
@@ -205,7 +206,7 @@ def test_extension_with_empty_class():
     rec = critical_extension(g, range(5), phi)
     assert rec.empty_classes == (4,)
     assert 4 not in rec.core_classes
-    assert verify_extension_inequalities(rec, corpus_key(g)).ok
+    assert verify_extension_inequalities(rec, corpus_key(g), piece_table(g)).ok
 
 
 def test_collapsible_subsets_extend_totally(doubles):
@@ -243,13 +244,13 @@ def test_complement_potential_bound(doubles):
     for g, _ in doubles:
         for R in ore_collapsible_subsets(g):
             W, _ = critical_complement(g, R)
-            lhs = potential_set(g, R)
+            _, lhs = potentials_inside(g, piece_table(g), R)
             rhs = potential(g) - potential(W) + gap
             assert lhs >= rhs
     g, _ = one_three(doubles)
     R = frozenset(range(5))
     W, _ = critical_complement(g, R)
-    assert potential_set(g, R) == Rat21(178)
+    assert potentials_inside(g, piece_table(g), R)[1] == Rat21(178)
     assert potential(g) - potential(W) + gap == Rat21(170)
 
 
@@ -260,7 +261,7 @@ def test_random_extension_fuzz_never_violates(doubles):
         for _ in range(40):
             rec = random_extension(g, rng)
             assert rec.core_size >= 1
-            rep = verify_extension_inequalities(rec, corpus_key(g))
+            rep = verify_extension_inequalities(rec, corpus_key(g), piece_table(g))
             assert rep.ok, "\n".join(rep.lines())
 
 
