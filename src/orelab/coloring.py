@@ -217,7 +217,7 @@ def _search_components(G: Graph, k: int, core: int, color: list[int]) -> bool:
     """:func:`_search` on the core's part in each component of G, which G's
     peel leaves as a peel of that component alone would."""
     for comp in connected_components(G):
-        part = core & mask_of(comp)
+        part = core & comp
         if part and not _search(G, k, part, color):
             return False
     return True
@@ -232,7 +232,7 @@ def _by_cuts(G: Graph, k: int) -> tuple[int, ...] | None:
 def _cut_or_search(G: Graph, k: int, core: int, color: list[int]) -> bool:
     """Split the core at its first 2-cut (:func:`_split`), or search it in
     place when it has none.  A core with no 2-cut is connected."""
-    inner = G if core == (1 << G.n) - 1 else induced_subgraph(G, bits(core))
+    inner = G if core == (1 << G.n) - 1 else induced_subgraph(G, core)
     cut = next(two_cuts(inner), None)
     if cut is None:
         return _search(G, k, core, color)
@@ -523,16 +523,15 @@ def extract_5_critical(G: Graph) -> tuple[Graph, tuple[int, ...]]:
     kept = tuple(v for v in range(cur.n) if cur.degree(v) > 0)
     if any(cur.degree(v) < 4 for v in kept):
         raise InvariantViolation("extraction kept a vertex of degree below 4")
-    return induced_subgraph(cur, kept), kept
+    return induced_subgraph(cur, mask_of(kept)), kept
 
 
-def boundary(G: Graph, R) -> tuple[int, ...]:
-    """Vertices of R with at least one neighbor outside R."""
-    rmask = mask_of(R)
-    return tuple(v for v in sorted(set(R)) if G.adj[v] & ~rmask)
+def boundary(G: Graph, R: int) -> int:
+    """The vertices of the mask R with at least one neighbor outside R."""
+    return mask_of(v for v in bits(R) if G.adj[v] & ~R)
 
 
-def is_collapsible(G: Graph, R) -> bool:
+def is_collapsible(G: Graph, R: int) -> bool:
     """Does every 4-coloring of G[R] color the boundary monochromatically?
 
     Equivalent formulation, and the one actually checked: the boundary is
@@ -542,20 +541,18 @@ def is_collapsible(G: Graph, R) -> bool:
     through its 2-cuts (:func:`_by_cuts`), which checks any coloring that
     splits the pair proper.
     """
-    R = sorted(set(R))
-    if len(R) < 5:
+    if R.bit_count() < 5:
         raise ValueError("R must have at least 5 vertices")
-    if len(R) >= G.n:
+    if R.bit_count() >= G.n:
         raise ValueError("R must be a proper subset of the vertices")
     if is_k_colorable(induced_subgraph(G, R), 4) is None:
         raise ValueError("G[R] must be 4-colorable")
-    bnd = boundary(G, R)
+    bnd = bits(boundary(G, R))
     if not bnd:
         raise ValueError("R has empty boundary")
-    rmask = mask_of(R)
     # adjacent boundary vertices always split
     return not any(
-        G.has_edge(u, v) or _by_cuts(cut_side(G, rmask, u, v, False)[0], 4) is not None
+        G.has_edge(u, v) or _by_cuts(cut_side(G, R, u, v, False)[0], 4) is not None
         for i, u in enumerate(bnd)
         for v in bnd[i + 1 :]
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_core import Graph, InvariantViolation, bits, d4_components, mask_of
+from .graph_core import Graph, InvariantViolation, bits, d4_components
 from .potential import Facts
 from .report import Report
 
@@ -51,8 +51,8 @@ def run_discharge(G: Graph) -> ChargeLedger:
     initial = tuple(initial_charge_84(G.degree(v)) for v in range(G.n))
     senders = 0
     for comp in d4_components(G).components:
-        if len(comp) >= 2:
-            senders |= mask_of(comp)
+        if comp.bit_count() >= 2:
+            senders |= comp
     transfers = []
     for v in bits(senders):
         for u in bits(G.adj[v]):
@@ -82,6 +82,17 @@ def ledger_dump(ledger: ChargeLedger) -> str:
     return "\n".join(lines) + "\n"
 
 
+def add_conservation(rep: Report, key: str, ledger: ChargeLedger) -> None:
+    """Add the ``conservation`` row of ``ledger`` to ``rep``: the final
+    column adds to the initial one."""
+    rep.add(
+        "conservation",
+        key,
+        sum(ledger.final84) == ledger.total84,
+        note=f"transfers={len(ledger.transfers)}",
+    )
+
+
 def closing_inequalities(facts: Facts) -> Report:
     """The inequalities that close the counting argument, exactly.
 
@@ -103,12 +114,7 @@ def closing_inequalities(facts: Facts) -> Report:
     lhs = ledger.total84
     rhs = 4 * p.num + 32 * facts.t
     rep.add("charge-sum-identity", key, lhs == rhs, note=f"{lhs}/84 vs {rhs}/84")
-    rep.add(
-        "conservation",
-        key,
-        sum(ledger.final84) == ledger.total84,
-        note=f"transfers={len(ledger.transfers)}",
-    )
+    add_conservation(rep, key, ledger)
     slack_edges = 2 * G.m - 3 * G.n - facts.mic
     rep.add("edges-vs-mic", key, slack_edges >= 0, 21 * slack_edges)
     d4 = d4_components(G)

@@ -1,12 +1,14 @@
 """Small simple graphs on at most 64 vertices, with bitset adjacency.
 
 A :class:`Graph` is an immutable value: vertex ``i``'s neighborhood is an
-``int`` bitmask, so neighborhood algebra is single-word arithmetic.  All of
-the higher machinery (exact coloring, clique packing, composition search,
-potential audits) builds on the operations here: induced subgraphs, the
-sides of a 2-cut, the 2-cuts that Ore compositions glue along, the
-components of the degree-four subgraph, and an exact canonical form used
-to deduplicate isomorphism classes.
+``int`` bitmask, so neighborhood algebra is single-word arithmetic.  Every
+vertex set a function takes or returns is such a mask too, bit v for
+vertex v; :func:`bits` lists one in ascending order.  All of the higher
+machinery (exact coloring, clique packing, composition search, potential
+audits) builds on the operations here: induced subgraphs, the sides of a
+2-cut, the 2-cuts that Ore compositions glue along, the components of the
+degree-four subgraph, and an exact canonical form used to deduplicate
+isomorphism classes.
 
 Structure is checked where outside data enters, by ``Graph(n, adj)``,
 which ``Graph.from_edges``, the codecs and the constructions call.  A graph
@@ -112,9 +114,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def neighbors(self, v: int) -> list[int]:
-        return bits(self.adj[v])
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for u in range(self.n):
@@ -122,9 +121,6 @@ class Graph:
             for off in bits(row):
                 out.append((u, u + 1 + off))
         return out
-
-    def vertex_set(self) -> frozenset:
-        return frozenset(range(self.n))
 
 
 def _trusted(n: int, rows) -> Graph:
@@ -157,18 +153,17 @@ def without_edges(G: Graph, edges) -> Graph:
     return _trusted(G.n, rows)
 
 
-def induced_subgraph(G: Graph, R) -> Graph:
-    """The subgraph induced on vertex set ``R``.
+def induced_subgraph(G: Graph, mask: int) -> Graph:
+    """The subgraph induced on the vertices of ``mask``.
 
     Vertices are renumbered compactly in ascending order of their old
-    index, so vertex i of the result is the i-th smallest vertex of ``R``.
+    index, so vertex i of the result is the i-th lowest bit of ``mask``.
     """
-    R = sorted(set(R))
-    if not R:
+    if not mask:
         raise ValueError("empty vertex set")
-    if R[0] < 0 or R[-1] >= G.n:
+    if mask < 0 or mask >> G.n:
         raise ValueError("vertex set not contained in the graph")
-    return _image(G, mask_of(R), {v: i for i, v in enumerate(R)}, [0] * len(R))
+    return _image(G, mask, {v: i for i, v in enumerate(bits(mask))}, [0] * mask.bit_count())
 
 
 def relabel(G: Graph, order) -> Graph:
@@ -195,20 +190,20 @@ def cut_side(G: Graph, mask: int, x: int, y: int, alike: bool) -> tuple[Graph, d
     return _image(G, mask, at, rows), at
 
 
-def connected_components(G: Graph, within=None) -> list[frozenset[int]]:
-    todo = mask_of(within) if within is not None else (1 << G.n) - 1
+def connected_components(G: Graph, within: int | None = None) -> list[int]:
+    """The components of G[within], every vertex by default, as masks
+    ordered by their lowest vertex."""
+    todo = (1 << G.n) - 1 if within is None else within
     comps = []
     while todo:
-        start = todo & -todo
-        comp = start
-        frontier = start
+        comp = frontier = todo & -todo
         while frontier:
             grow = 0
             for v in bits(frontier):
                 grow |= G.adj[v]
             frontier = grow & todo & ~comp
             comp |= frontier
-        comps.append(frozenset(bits(comp)))
+        comps.append(comp)
         todo &= ~comp
     return comps
 
@@ -286,27 +281,25 @@ def two_cuts(G: Graph):
 
 @dataclass(frozen=True)
 class D4Report:
-    """Connected components of the subgraph induced by degree-four vertices.
+    """Connected components of the subgraph induced by degree-four vertices,
+    as masks sorted by size, then by lowest vertex.
 
     ``singles`` and ``pairs`` count the components of size one and two; the
     discharging arithmetic consumes exactly those two numbers.
     """
 
-    components: tuple[frozenset[int], ...]
+    components: tuple[int, ...]
     singles: int
     pairs: int
 
 
 def d4_components(G: Graph) -> D4Report:
-    d4 = [v for v in range(G.n) if G.degree(v) == 4]
-    if not d4:
-        return D4Report((), 0, 0)
+    d4 = mask_of(v for v in range(G.n) if G.degree(v) == 4)
     comps = connected_components(G, within=d4)
-    comps = tuple(sorted(comps, key=lambda c: (len(c), min(c))))
-    singles = sum(1 for c in comps if len(c) == 1)
-    pairs = sum(1 for c in comps if len(c) == 2)
+    comps = tuple(sorted(comps, key=lambda c: (c.bit_count(), c & -c)))
+    singles = sum(1 for c in comps if c.bit_count() == 1)
+    pairs = sum(1 for c in comps if c.bit_count() == 2)
     return D4Report(comps, singles, pairs)
-
 
 # ---------------------------------------------------------------------------
 # Canonical form

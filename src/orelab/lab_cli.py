@@ -47,10 +47,12 @@ from .corpus import Corpus, Entry, resolve_dir
 from .graph_core import (
     Graph,
     InvariantViolation,
+    bits,
     graph_from_graph6,
     graph_from_text,
     graph_to_graph6,
     induced_subgraph,
+    mask_of,
 )
 from .report import Report
 
@@ -93,21 +95,28 @@ def _graphs_from_file(path: Path) -> list[Graph]:
     return graphs
 
 
-def _resolve_graph(corpus: Corpus, token: str) -> Graph:
-    if token in corpus:
-        return corpus.load(token).graph
+def _named_or_file(token: str, tried: str = "") -> list[tuple[Graph, str]]:
+    """The graphs ``token`` names, each with its provenance: a named
+    construction, or every graph in a file.  Anything else is a ValueError
+    that lists the names, after ``tried``, the sources looked at first."""
     if token in NAMED:
-        return named_graph(token)
+        return [(named_graph(token), f"named {token}")]
     path = Path(token)
     if path.is_file():
-        graphs = _graphs_from_file(path)
-        if len(graphs) != 1:
-            raise ValueError(f"{path}: expected exactly one graph, found {len(graphs)}")
-        return graphs[0]
+        return [(g, f"file {path.name}") for g in _graphs_from_file(path)]
     known = ", ".join(sorted(NAMED))
-    raise ValueError(
-        f"{token!r} is not a corpus key, a named construction ({known}), or a file"
-    )
+    raise ValueError(f"{token!r} is not {tried}a named construction ({known}) or a file")
+
+
+def _resolve_graph(corpus: Corpus, token: str) -> Graph:
+    """The one graph ``token`` names: a corpus key, else a named
+    construction or a file."""
+    if token in corpus:
+        return corpus.load(token).graph
+    graphs = _named_or_file(token, "a corpus key, ")
+    if len(graphs) != 1:
+        raise ValueError(f"{Path(token)}: expected exactly one graph, found {len(graphs)}")
+    return graphs[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +222,7 @@ def _suite_report(
         if facts.critical:
             rep.extend(dis.closing_inequalities(facts))
         else:
-            ledger = dis.run_discharge(entry.graph)
-            rep.add(
-                "conservation",
-                entry.key,
-                sum(ledger.final84) == ledger.total84,
-                note=f"transfers={len(ledger.transfers)}",
-            )
+            dis.add_conservation(rep, entry.key, dis.run_discharge(entry.graph))
     # records follow the stored critical5 flag, which may be stale
     if suite in ("extensions", "all") and record_ids and facts.critical:
         rep.extend(_extension_report(facts, seed, record_ids))
@@ -299,18 +302,7 @@ def cmd_gen(args) -> int:
 
 def cmd_add(args) -> int:
     corpus = Corpus(resolve_dir(args.corpus))
-    if args.source in NAMED:
-        graphs = [(named_graph(args.source), f"named {args.source}")]
-    else:
-        path = Path(args.source)
-        if not path.is_file():
-            known = ", ".join(sorted(NAMED))
-            raise ValueError(
-                f"{args.source!r} is neither a named construction ({known}) "
-                "nor a readable file"
-            )
-        graphs = [(g, f"file {path.name}") for g in _graphs_from_file(path)]
-    for G, provenance in graphs:
+    for G, provenance in _named_or_file(args.source):
         _add_graph(corpus, G, provenance)
     return 0
 
@@ -337,11 +329,11 @@ def cmd_extend(args) -> int:
     with _panics_naming(G, entry.key):
         if not col.is_5_critical(G):
             raise ValueError(f"entry {entry.key} is not 5-critical, so it has no extension")
-        colors = col.seeded_coloring(induced_subgraph(G, R), 4, random.Random(args.seed))
+        colors = col.seeded_coloring(induced_subgraph(G, mask_of(R)), 4, random.Random(args.seed))
         if colors is None:
             raise ValueError("the induced subgraph on --r is not 4-colorable")
-        phi = {v: colors[i] for i, v in enumerate(R)}
-        rec = critical_extension(G, R, phi)
+        phi = dict(zip(R, colors))
+        rec = critical_extension(G, phi)
         rep = verify_extension_inequalities(rec, entry.key, packing.piece_table(G))
     print(f"extend {args.key} r={','.join(map(str, R))} seed={args.seed}")
     print("phi " + " ".join(f"{v}:{phi[v]}" for v in R))
@@ -353,7 +345,7 @@ def cmd_extend(args) -> int:
         f" spanning={'yes' if rec.spanning else 'no'}"
         f" empty-classes={','.join(map(str, rec.empty_classes)) or '-'}"
     )
-    print("expanded " + ",".join(map(str, sorted(rec.expanded))))
+    print("expanded " + ",".join(map(str, bits(rec.expanded))))
     for line in rep.lines():
         print(line)
     if not rep.ok:

@@ -96,9 +96,8 @@ def compose_graphs(
     part_a, part_b = tuple(split[0]), tuple(split[1])
     if not part_a or not part_b:
         raise ValueError("both sides of the neighbor split must be nonempty")
-    nz = set(g2.neighbors(z))
-    sa, sb = set(part_a), set(part_b)
-    if sa & sb or sa | sb != nz:
+    a, b = mask_of(part_a), mask_of(part_b)
+    if a & b or a | b != g2.adj[z]:
         raise ValueError("split must partition the split vertex's neighborhood")
     n1 = g1.n
     if n1 + g2.n - 1 > MAX_VERTICES:

@@ -10,13 +10,14 @@ Every constant in sight is an integer multiple of 1/21, so values are
 carried as plain integer numerators over a fixed denominator of 21
 (:class:`Rat21`); there is no floating point anywhere.
 
-The identification construction takes a proper subset R and a proper
-4-coloring phi of G[R], contracts each color class to a single vertex,
-adds a K4 on the four class vertices, and keeps the rest of G.  For a
-5-critical G the identified graph is never 4-colorable, so it contains a
-5-critical subgraph W; the pair (W, core = W's class vertices) is a
-critical extension of R, and the inequalities relating the potentials of
-R, W, and the expanded set R' are what the fuzzing campaigns check.
+The identification construction takes a proper 4-coloring phi of G[R]
+for a proper subset R, which it reads from phi's keys, contracts each
+color class to a single vertex, adds a K4 on the four class vertices, and
+keeps the rest of G.  For a 5-critical G the identified graph is never
+4-colorable, so it contains a 5-critical subgraph W; the pair (W, core =
+W's class vertices) is a critical extension of R, and the inequalities
+relating the potentials of R, W, and the expanded set R' are what the
+fuzzing campaigns check.
 
 The theorem-shaped verifiers read a graph's :class:`Facts`: its corpus
 key, criticality, Ore recipe, packing number and mic, each computed once
@@ -85,10 +86,10 @@ def p_ky(G: Graph) -> int:
     return 9 * G.n - 4 * G.m
 
 
-def p_ky_set(G: Graph, R) -> int:
-    """p_ky(G[R]) from masks: 9|R| - 4e(R), with 2e(R) the degree sum in R."""
-    rmask = mask_of(R)
-    return 9 * rmask.bit_count() - 2 * sum((G.adj[v] & rmask).bit_count() for v in bits(rmask))
+def p_ky_set(G: Graph, R: int) -> int:
+    """p_ky(G[R]) for the mask R: 9|R| - 4e(R), with 2e(R) the degree sum
+    in R."""
+    return 9 * R.bit_count() - 2 * sum((G.adj[v] & R).bit_count() for v in bits(R))
 
 
 def potential(G: Graph) -> Rat21:
@@ -100,12 +101,12 @@ def _refined(G: Graph, t: int) -> Rat21:
     return Rat21(190 * G.n - 84 * G.m - 8 * t)
 
 
-def potentials_inside(G: Graph, table: list, R) -> tuple[int, Rat21]:
-    """p_ky(G[R]) and p(G[R]) for a vertex set R, with t(G[R]) searched over
+def potentials_inside(G: Graph, table: list, R: int) -> tuple[int, Rat21]:
+    """p_ky(G[R]) and p(G[R]) for the mask R, with t(G[R]) searched over
     G's piece ``table``: p = 21 p_ky + |R| - 8 t."""
     ky = p_ky_set(G, R)
-    t, _ = packing.best_packing(G, table, mask_of(R))
-    return ky, Rat21(21 * ky + len(R) - 8 * t)
+    t, _ = packing.best_packing(G, table, R)
+    return ky, Rat21(21 * ky + R.bit_count() - 8 * t)
 
 
 def f_core(x: int) -> Rat21:
@@ -118,8 +119,9 @@ def f_core(x: int) -> Rat21:
 KY_CORE_COST = {1: 9, 2: 14, 3: 15, 4: 12}
 
 
-def phi_identify(G: Graph, R, phi: dict[int, int]) -> tuple[Graph, tuple[int, ...]]:
-    """Contract phi's color classes over R and add a K4 on them.
+def phi_identify(G: Graph, phi: dict[int, int]) -> tuple[Graph, tuple[int, ...]]:
+    """Contract the color classes of phi, a 4-coloring of G[R] for R the
+    keys of phi, and add a K4 on them.
 
     Returns H and ``names``, what each vertex of H is in G: color c's class
     vertex is vertex c - 1, named -c, and G's vertices outside R follow in
@@ -128,20 +130,18 @@ def phi_identify(G: Graph, R, phi: dict[int, int]) -> tuple[Graph, tuple[int, ..
     degree-3 vertex seeing only the K4 and can never participate in a
     5-critical subgraph.
     """
-    R = sorted(set(R))
-    if len(R) < 5:
+    if len(phi) < 5:
         raise ValueError("R must have at least 5 vertices")
-    if len(R) >= G.n or R[0] < 0 or R[-1] >= G.n:
+    if len(phi) >= G.n or min(phi) < 0 or max(phi) >= G.n:
         raise ValueError("R must be a proper subset of the vertices")
-    if set(phi) != set(R):
-        raise ValueError("phi must color exactly the vertices of R")
-    for v in R:
+    R = mask_of(phi)
+    for v in bits(R):
         if phi[v] not in (1, 2, 3, 4):
             raise ValueError(f"color {phi[v]} of vertex {v} outside 1..4")
-        for u in bits(G.adj[v]):
-            if u in phi and phi[u] == phi[v]:
+        for u in bits(G.adj[v] & R):
+            if phi[u] == phi[v]:
                 raise ValueError(f"phi is not proper on G[R]: edge ({u},{v})")
-    outside = tuple(v for v in range(G.n) if v not in phi)
+    outside = tuple(bits(((1 << G.n) - 1) & ~R))
     # R onto its class vertices, the rest after them; phi is proper, so no loop
     at = {v: c - 1 for v, c in phi.items()} | {v: 4 + i for i, v in enumerate(outside)}
     rows = [0b1111 & ~(1 << i) for i in range(4)] + [0] * len(outside)
@@ -195,15 +195,16 @@ class ExtensionRecord:
     ``labels[i]`` is what its vertex i is in the host: -c for color c's
     class vertex, the host vertex itself otherwise.  ``core_classes``
     lists the colors whose class vertices survived into the extender.
+    ``subset`` (R) and ``expanded`` (R') are vertex masks of the host.
     """
 
     host: Graph
-    subset: frozenset[int]
+    subset: int
     identified: Graph
     extender: Graph
     labels: tuple[int, ...]
     core_classes: tuple[int, ...]
-    expanded: frozenset[int]
+    expanded: int
     complete: bool
     spanning: bool
     empty_classes: tuple[int, ...]
@@ -213,15 +214,15 @@ class ExtensionRecord:
         return len(self.core_classes)
 
 
-def critical_extension(G: Graph, R, phi: dict[int, int]) -> ExtensionRecord:
-    """Extract a critical extension of R along phi.
+def critical_extension(G: Graph, phi: dict[int, int]) -> ExtensionRecord:
+    """Extract a critical extension of R, the keys of phi, along phi.
 
     The identified graph of a proper subset of a 5-critical graph is never
     4-colorable; a 4-coloring here would be a structural impossibility and
     raises :class:`InvariantViolation` rather than returning.
     """
-    R = frozenset(R)
-    H, names = phi_identify(G, R, phi)
+    H, names = phi_identify(G, phi)
+    R = mask_of(phi)
     try:
         W, kept = col.extract_5_critical(H)
     except ValueError:
@@ -232,7 +233,7 @@ def critical_extension(G: Graph, R, phi: dict[int, int]) -> ExtensionRecord:
     labels = tuple(names[v] for v in kept)
     core_classes = tuple(sorted(-lab for lab in labels if lab < 0))
     real = [v for v in range(W.n) if labels[v] >= 0]
-    expanded = frozenset(labels[v] for v in real) | R
+    expanded = mask_of(labels[v] for v in real) | R
     class_mask = [0, 0, 0, 0]
     for v, c in phi.items():
         class_mask[c - 1] |= 1 << v
@@ -242,7 +243,7 @@ def critical_extension(G: Graph, R, phi: dict[int, int]) -> ExtensionRecord:
     # a kept vertex must spend one extender-core edge per host neighbor in R
     for v in real:
         orig = labels[v]
-        in_r = (G.adj[orig] & mask_of(R)).bit_count()
+        in_r = (G.adj[orig] & R).bit_count()
         in_core = sum(1 for c in core_classes if W.has_edge(v, core_pos[c]))
         if in_r > in_core:
             complete = False
@@ -256,7 +257,7 @@ def critical_extension(G: Graph, R, phi: dict[int, int]) -> ExtensionRecord:
         for d in core_classes[i + 1 :]:
             if not W.has_edge(core_pos[c], core_pos[d]):
                 complete = False
-    spanning = expanded == G.vertex_set()
+    spanning = expanded == (1 << G.n) - 1
     return ExtensionRecord(
         host=G,
         subset=R,
@@ -319,12 +320,10 @@ def random_extension(G: Graph, rng: random.Random) -> ExtensionRecord:
         raise ValueError("graph too small to have a proper subset of size 5")
     size = rng.randint(5, G.n - 1)
     R = sorted(rng.sample(range(G.n), size))
-    sub = induced_subgraph(G, R)
-    colors = col.seeded_coloring(sub, 4, rng)
+    colors = col.seeded_coloring(induced_subgraph(G, mask_of(R)), 4, rng)
     if colors is None:
         raise InvariantViolation("proper subgraph of a 5-critical graph must be 4-colorable")
-    phi = {v: colors[i] for i, v in enumerate(R)}
-    return critical_extension(G, R, phi)
+    return critical_extension(G, dict(zip(R, colors)))
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +437,11 @@ def verify_ore5_bounds(facts: Facts) -> Report:
     rep.add("ore5-equivalence", key, (ky >= 3) == is_ore, note="ky>=3-iff-5-ore")
     if not is_ore:
         return rep
-    low = [(bits(mask), p) for mask, p in _low_ky_subsets(G)]
+    low = _low_ky_subsets(G)
     worst = next((R for R, p in low if p != 9 or not col.is_collapsible(G, R)), None)
     total = (1 << G.n) - 1 - sum(comb(G.n, k) for k in range(5))
     note = f"subsets={total} of={total} low={len(low)}"
     if worst is not None:
-        note += " violation=" + ",".join(map(str, worst))
+        note += " violation=" + ",".join(map(str, bits(worst)))
     rep.add("ore5-low-ky-collapsible", key, worst is None, note=note)
     return rep

@@ -62,7 +62,7 @@ def brute_colorable(G: Graph, k: int) -> bool:
         if v == G.n:
             return True
         for c in range(1, k + 1):
-            if all(colors[u] != c for u in G.neighbors(v) if u < v):
+            if all(colors[u] != c for u in bits(G.adj[v]) if u < v):
                 colors[v] = c
                 if go(v + 1):
                     return True
@@ -177,7 +177,7 @@ def k_coloring_reference(G: Graph, k: int) -> tuple[int, ...] | None:
     place: a graph with at most one component of two or more vertices is
     solved whole, and otherwise each such component is copied out and
     solved on its own, with every other vertex colored 1."""
-    parts = [comp for comp in connected_components(G) if len(comp) > 1]
+    parts = [comp for comp in connected_components(G) if comp.bit_count() > 1]
     if len(parts) < 2:
         colors = solve_component_reference(G, k)
         return None if colors is None else tuple(colors)
@@ -186,7 +186,7 @@ def k_coloring_reference(G: Graph, k: int) -> tuple[int, ...] | None:
         res = solve_component_reference(induced_subgraph(G, comp), k)
         if res is None:
             return None
-        for i, v in enumerate(sorted(comp)):
+        for i, v in enumerate(bits(comp)):
             colors[v] = res[i]
     return tuple(colors)
 
@@ -258,7 +258,7 @@ def brute_mic(G: Graph) -> int:
     for r in range(1, G.n + 1):
         for sub in combinations(range(G.n), r):
             ss = set(sub)
-            if any(u in ss for v in sub for u in G.neighbors(v)):
+            if any(u in ss for v in sub for u in bits(G.adj[v])):
                 continue
             best = max(best, sum(G.degree(v) for v in sub))
     return best
@@ -392,10 +392,10 @@ def two_cuts_by_pairs(G: Graph):
     """``two_cuts`` by one component scan of G - {x, y} per vertex pair."""
     for x in range(G.n):
         for y in range(x + 1, G.n):
-            rest = [v for v in range(G.n) if v not in (x, y)]
+            rest = ((1 << G.n) - 1) & ~(1 << x | 1 << y)
             comps = connected_components(G, within=rest)
             if len(comps) > 1:
-                yield x, y, tuple(mask_of(c) for c in comps)
+                yield x, y, tuple(comps)
 
 
 def ore_collapsible_subsets(G: Graph) -> list[frozenset[int]]:
@@ -419,7 +419,7 @@ def ore_collapsible_subsets(G: Graph) -> list[frozenset[int]]:
             R = frozenset(bits(amask) + [x, y])
             order = sorted(R)
             pos = {v: i for i, v in enumerate(order)}
-            cand = with_edge(induced_subgraph(G, order), pos[x], pos[y])
+            cand = with_edge(induced_subgraph(G, mask_of(order)), pos[x], pos[y])
             if R not in found and is_5_ore(cand) is not None:
                 found.add(R)
     return sorted(found, key=lambda R: (len(R), sorted(R)))
@@ -469,12 +469,12 @@ def critical_complement(G: Graph, R) -> tuple[Graph, tuple[int, ...]]:
     follow in ascending order, each named by itself.  For 5-critical G the
     complement is itself 5-critical, and that is verified here.
     """
-    if not is_collapsible(G, R):
-        raise ValueError("R is not collapsible")
     rmask = mask_of(R)
+    if not is_collapsible(G, rmask):
+        raise ValueError("R is not collapsible")
     outside = tuple(v for v in range(G.n) if not rmask >> v & 1)
     attach = 0
-    for v in boundary(G, R):
+    for v in bits(boundary(G, rmask)):
         attach |= G.adj[v] & ~rmask
     pos = {v: i + 1 for i, v in enumerate(outside)}
     edges = []
@@ -499,8 +499,8 @@ def splitting_coloring(G: Graph, R) -> dict[int, int] | None:
     boundary pair u, v that some coloring splits, a coloring of G[R] when
     u and v are adjacent, else one of G[R] plus uv."""
     R = sorted(set(R))
-    sub = induced_subgraph(G, R)
-    bnd = boundary(G, R)
+    sub = induced_subgraph(G, mask_of(R))
+    bnd = bits(boundary(G, mask_of(R)))
     for i, u in enumerate(bnd):
         for v in bnd[i + 1 :]:
             a, b = R.index(u), R.index(v)
@@ -519,7 +519,7 @@ def _ordered_splits(g2: Graph, z: int):
     parts matter: the edge side need not admit an automorphism swapping
     the replaced edge's endpoints.
     """
-    nbrs = g2.neighbors(z)
+    nbrs = bits(g2.adj[z])
     if _is_k5(g2):
         for size in (1, 2, 3):
             yield tuple(nbrs[:size]), tuple(nbrs[size:])
@@ -627,7 +627,7 @@ def first_sites_by_orbits(classes, max_n: int):
         arc = _least_in_orbits(arcs, lambda g, a: (g[a[0]], g[a[1]]), group)
         splits = []
         for z in range(G.n):
-            nbrs = G.neighbors(z)
+            nbrs = bits(G.adj[z])
             d = len(nbrs)
             for pick in range(1, (1 << d) - 1):
                 a = tuple(nbrs[i] for i in range(d) if pick >> i & 1)

@@ -20,7 +20,7 @@ from orelab import (
 from orelab.coloring import is_5_critical, is_collapsible, is_k_colorable, seeded_coloring
 from orelab.constructions import complete_graph
 from orelab.discharge import closing_inequalities, run_discharge
-from orelab.graph_core import d4_components, induced_subgraph
+from orelab.graph_core import d4_components, induced_subgraph, mask_of
 from orelab.ore import Compose, Leaf
 from orelab.packing import piece_table
 from orelab.potential import random_extension, verify_extension_inequalities, verify_main_theorem
@@ -168,7 +168,7 @@ def test_criterion_07_extension_fuzz(lab_corpus):
                 f"{c.name.split('-')[0]}={c.slack21}/21" for c in rep.checks
             )
             fh.write(
-                f"record={i} key={key} r-size={len(rec.subset)} "
+                f"record={i} key={key} r-size={rec.subset.bit_count()} "
                 f"core={rec.core_size} {slacks}\n"
             )
     lines = log_path.read_text().count("\n")
@@ -188,18 +188,17 @@ def test_criterion_08_collapsibility_equivalence(ore17):
     for g, recipe in targets:
         n1 = ore_compose(recipe.edge_side).n
         R = list(range(n1))
-        ok = ok and is_collapsible(g, R)
+        ok = ok and is_collapsible(g, mask_of(R))
         blocks += 1
         for seed in range(3):
             colors = seeded_coloring(
-                induced_subgraph(g, R), 4, random.Random(seed)
+                induced_subgraph(g, mask_of(R)), 4, random.Random(seed)
             )
-            phi = {v: colors[i] for i, v in enumerate(R)}
-            rec = critical_extension(g, R, phi)
+            rec = critical_extension(g, dict(zip(R, colors)))
             ok = ok and rec.complete and rec.spanning and rec.core_size == 1
             extensions += 1
         for S in ore_collapsible_subsets(g):
-            ok = ok and is_collapsible(g, sorted(S))
+            ok = ok and is_collapsible(g, mask_of(S))
     conclude(
         8,
         "block-sides-collapse-and-extend-totally",

@@ -84,6 +84,10 @@ def test_add_graph6_file_with_two_graphs(tmp_path, run):
     code, out, _ = run("add", str(path), "--corpus", str(tmp_path / "c"))
     assert code == 0
     assert len(out.strip().splitlines()) == 2
+    # a single-graph query takes a file of one graph only
+    code, _, err = run("t", str(path), "--corpus", str(tmp_path / "c"))
+    assert code == 2
+    assert err == f"error: {path}: expected exactly one graph, found 2\n"
 
 
 def test_add_bad_graph6_line_reports_position(tmp_path, run):

@@ -211,3 +211,15 @@ def test_exact_colorings_take_one_solve_path():
         for owner, used, _ in uses
         if used == "is_k_colorable" and owner.startswith(recursion)
     ]
+
+
+def test_vertex_sets_are_masks():
+    # a vertex set crosses every library boundary as an int mask, bit v for
+    # vertex v; lists of vertices exist only where text enters or leaves
+    found = [
+        f"{path.name}:{i}"
+        for path in sorted(SRC.glob("*.py"))
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if "frozenset" in line or "sorted(set(" in line
+    ]
+    assert not found, "\n".join(found)

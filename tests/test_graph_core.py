@@ -18,6 +18,7 @@ from orelab.graph_core import (
     graph_to_text,
     cut_side,
     induced_subgraph,
+    mask_of,
     relabel,
     two_cuts,
     without_edges,
@@ -95,23 +96,25 @@ def test_with_without_edge():
 
 def test_induced_subgraph_keeps_vertex_order():
     G = complete_graph(5)
-    H = induced_subgraph(G, [4, 1, 3])
+    H = induced_subgraph(G, mask_of([4, 1, 3]))
     assert H.n == 3 and H.m == 3
-    # vertex i of the result is the i-th smallest vertex of the set
+    # vertex i of the result is the i-th lowest bit of the mask
     P = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert induced_subgraph(P, [4, 1, 3]) == Graph.from_edges(3, [(1, 2)])
-    assert induced_subgraph(P, [0, 2, 1]) == Graph.from_edges(3, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        induced_subgraph(G, [])
-    with pytest.raises(ValueError):
-        induced_subgraph(G, [0, 9])
+    assert induced_subgraph(P, mask_of([4, 1, 3])) == Graph.from_edges(3, [(1, 2)])
+    assert induced_subgraph(P, mask_of([0, 2, 1])) == Graph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="empty"):
+        induced_subgraph(G, 0)
+    with pytest.raises(ValueError, match="not contained"):
+        induced_subgraph(G, mask_of([0, 9]))
+    with pytest.raises(ValueError, match="not contained"):
+        induced_subgraph(G, -1)
 
 
 def test_delete_vertices():
     G = complete_graph(5)
-    assert induced_subgraph(G, range(1, 5)) == complete_graph(4)
+    assert induced_subgraph(G, mask_of(range(1, 5))) == complete_graph(4)
     with pytest.raises(ValueError):
-        induced_subgraph(G, [])  # deleting every vertex
+        induced_subgraph(G, 0)  # deleting every vertex
 
 
 def _identified(G: Graph, x: int, y: int) -> tuple[Graph, dict[int, int]]:
@@ -163,7 +166,7 @@ def test_cut_side_matches_the_induced_subgraph_build(ore13):
                     if pick >> i & 1:
                         mask |= part
                 vertices = bits(mask)
-                sub = induced_subgraph(G, vertices)
+                sub = induced_subgraph(G, mask)
                 pos = {v: i for i, v in enumerate(vertices)}
                 merged, merge_map = identify_vertices(sub, [pos[x], pos[y]])
                 assert cut_side(G, mask, x, y, True) == (
@@ -201,19 +204,19 @@ def test_every_derived_graph_passes_the_full_check(ore13):
         edges = G.edges()
         built["without_edges"].append(without_edges(G, edges[::2]))
         for v in range(G.n):
-            built["induced_subgraph"].append(induced_subgraph(G, order[: v + 1]))
+            built["induced_subgraph"].append(induced_subgraph(G, mask_of(order[: v + 1])))
         for e in edges:
             built["without_edges"].append(without_edges(G, [e]))
             built["_four_core"].append(_four_core(built["without_edges"][-1]))
         built["compose_graphs"].append(compose_graphs(G, edges[0], k5, 0, ((1,), (2, 3, 4)))[0])
         z = max(range(G.n), key=G.degree)
         if G.degree(z) > 1:
-            nz = G.neighbors(z)
+            nz = bits(G.adj[z])
             built["compose_graphs"].append(compose_graphs(k5, (0, 1), G, z, (nz[:1], nz[1:]))[0])
         R = range(1, G.n)
-        colors = is_k_colorable(induced_subgraph(G, R), 4) if G.n > 5 else None
+        colors = is_k_colorable(induced_subgraph(G, mask_of(R)), 4) if G.n > 5 else None
         if colors is not None:
-            H = phi_identify(G, R, dict(zip(R, colors)))[0]
+            H = phi_identify(G, dict(zip(R, colors)))[0]
             built["phi_identify"].append(H)
             if is_k_colorable(H, 4) is None:
                 built["extract_5_critical"].append(extract_5_critical(H)[0])
@@ -236,13 +239,9 @@ def test_every_derived_graph_passes_the_full_check(ore13):
 def test_components_and_connectivity():
     G = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
     comps = connected_components(G)
-    assert sorted(sorted(c) for c in comps) == [[0, 1, 2], [3, 4], [5]]
+    assert sorted(bits(c) for c in comps) == [[0, 1, 2], [3, 4], [5]]
     assert len(connected_components(complete_graph(3))) == 1
-    assert connected_components(G, within=[0, 2, 3, 4]) == [
-        frozenset({0}),
-        frozenset({2}),
-        frozenset({3, 4}),
-    ]
+    assert connected_components(G, within=mask_of([0, 2, 3, 4])) == [0b1, 0b100, 0b11000]
 
 
 # --- 2-cuts -------------------------------------------------------------------
@@ -290,11 +289,11 @@ def test_two_cuts_match_the_pair_loop_on_named_and_random_graphs():
 
 def test_d4_components_counts():
     rep = d4_components(complete_graph(5))
-    assert len(rep.components) == 1 and len(rep.components[0]) == 5
+    assert rep.components == (0b11111,)
     assert rep.singles == 0 and rep.pairs == 0
 
     rep = d4_components(star_graph(4))
-    assert rep.components == (frozenset({0}),)
+    assert rep.components == (0b1,)
     assert rep.singles == 1 and rep.pairs == 0
 
     rep = d4_components(cycle_graph(5))

@@ -17,7 +17,7 @@ from orelab import (
 )
 from orelab.coloring import boundary
 from orelab.constructions import complete_graph, cycle_graph
-from orelab.graph_core import canonical_form, induced_subgraph
+from orelab.graph_core import bits, canonical_form, induced_subgraph, mask_of
 from orelab.ore import Compose, Leaf, _orbit_tables, compose_graphs
 
 from helpers import (
@@ -89,7 +89,7 @@ def test_compose_graphs_matches_the_edge_list_build(ore13):
         if rng.random() < 0.5:
             x, y = y, x
         z = rng.randrange(g2.n)
-        nbrs = g2.neighbors(z)
+        nbrs = bits(g2.adj[z])
         pick = rng.randrange(1, (1 << len(nbrs)) - 1)
         split = tuple(tuple(v for i, v in enumerate(nbrs) if (pick >> i & 1) == side)
                       for side in (1, 0))
@@ -287,11 +287,11 @@ def test_ore_collapsible_subsets_trivial_cases():
 def test_ore_collapsible_subsets_satisfy_definition(doubles):
     for g, _ in doubles:
         for R in ore_collapsible_subsets(g):
-            bnd = boundary(g, R)
+            bnd = bits(boundary(g, mask_of(R)))
             assert len(bnd) == 2
             u, v = bnd
             assert not g.has_edge(u, v)
             order = sorted(R)
             pos = {w: i for i, w in enumerate(order)}
-            filled = with_edge(induced_subgraph(g, order), pos[u], pos[v])
+            filled = with_edge(induced_subgraph(g, mask_of(order)), pos[u], pos[v])
             assert is_5_ore(filled) is not None

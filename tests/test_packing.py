@@ -4,7 +4,7 @@ import pytest
 
 from orelab import Graph, InvariantViolation, named_graph, packing, t_number
 from orelab.constructions import NAMED, complete_graph, cycle_graph
-from orelab.graph_core import bits, induced_subgraph, without_edges
+from orelab.graph_core import bits, induced_subgraph, mask_of, without_edges
 from orelab.packing import mic
 from orelab.potential import random_extension, verify_extension_inequalities
 
@@ -160,7 +160,7 @@ def test_t_number_matches_the_reference_on_extension_subgraphs(ore17, monkeypatc
     assert len(asked) >= 800
     for G, mask in asked:
         kept = bits(mask)
-        want = mapped(kept, t_number_reference(induced_subgraph(G, kept)))
+        want = mapped(kept, t_number_reference(induced_subgraph(G, mask)))
         assert best_packing(G, packing.piece_table(G), mask) == want
 
 
@@ -175,7 +175,7 @@ def test_packing_inside_a_mask_is_the_induced_subgraphs(ore17):
         assert packing.best_packing(G, table, 0) == (0, ())
         for mask in [full] + [rng.getrandbits(G.n) or full for _ in range(3)]:
             kept = bits(mask)
-            want = mapped(kept, t_number(induced_subgraph(G, kept)))
+            want = mapped(kept, t_number(induced_subgraph(G, mask)))
             assert packing.best_packing(G, table, mask) == want
 
 
@@ -213,7 +213,7 @@ def test_t_number_vertex_monotone():
         G = random_graph(n, 0.6, rng)
         t, _ = t_number(G)
         w = rng.randrange(n)
-        t2, _ = t_number(induced_subgraph(G, [v for v in range(n) if v != w]))
+        t2, _ = t_number(induced_subgraph(G, mask_of(v for v in range(n) if v != w)))
         assert t - 2 <= t2 <= t
 
 

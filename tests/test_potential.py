@@ -15,7 +15,7 @@ from orelab import (
 )
 from orelab.coloring import is_collapsible, seeded_coloring
 from orelab.constructions import complete_graph, cycle_graph
-from orelab.graph_core import induced_subgraph
+from orelab.graph_core import induced_subgraph, mask_of
 from orelab.packing import piece_table
 from orelab.potential import (
     DELTA,
@@ -113,7 +113,7 @@ def test_potential_values(doubles):
 
 def test_set_potentials_match_induced_subgraph(doubles):
     g, _ = doubles[0]
-    for R in ([0, 1, 2, 3, 4], [1, 3, 5, 7, 8], list(range(6))):
+    for R in (mask_of([0, 1, 2, 3, 4]), mask_of([1, 3, 5, 7, 8]), mask_of(range(6))):
         sub = induced_subgraph(g, R)
         assert p_ky_set(g, R) == p_ky(sub)
         assert potentials_inside(g, piece_table(g), R) == (p_ky(sub), potential(sub))
@@ -125,9 +125,9 @@ def test_set_potentials_match_induced_subgraph(doubles):
 def test_phi_identify_shape(doubles):
     g, recipe = one_three(doubles)
     R = list(range(5))
-    colors = seeded_coloring(induced_subgraph(g, R), 4, random.Random(0))
-    phi = {v: colors[i] for i, v in enumerate(R)}
-    H, names = phi_identify(g, R, phi)
+    colors = seeded_coloring(induced_subgraph(g, mask_of(R)), 4, random.Random(0))
+    phi = dict(zip(R, colors))
+    H, names = phi_identify(g, phi)
     assert H.n == g.n - len(R) + 4
     assert names == (-1, -2, -3, -4, 5, 6, 7, 8)
     # identifying the filled block forces its boundary pair together
@@ -140,29 +140,29 @@ def test_phi_identify_shape(doubles):
 def test_phi_identify_rejects_bad_input(doubles):
     g, _ = doubles[0]
     good_r = list(range(5))
-    colors = seeded_coloring(induced_subgraph(g, good_r), 4, random.Random(0))
-    phi = {v: colors[i] for i, v in enumerate(good_r)}
+    colors = seeded_coloring(induced_subgraph(g, mask_of(good_r)), 4, random.Random(0))
+    phi = dict(zip(good_r, colors))
     with pytest.raises(ValueError, match="at least 5"):
-        phi_identify(g, range(4), {v: 1 for v in range(4)})
+        phi_identify(g, {v: 1 for v in range(4)})
     with pytest.raises(ValueError, match="proper subset"):
-        phi_identify(g, range(g.n), {v: 1 for v in range(g.n)})
+        phi_identify(g, {v: 1 for v in range(g.n)})
     with pytest.raises(ValueError, match="proper subset"):
-        phi_identify(g, good_r[1:] + [g.n], {v: 1 for v in good_r[1:] + [g.n]})
-    with pytest.raises(ValueError, match="exactly"):
-        phi_identify(g, good_r, {v: phi[v] for v in good_r[:-1]})
+        phi_identify(g, {v: 1 for v in good_r[1:] + [g.n]})
+    with pytest.raises(ValueError, match="proper subset"):
+        phi_identify(g, {v: 1 for v in [-1] + good_r[1:]})
     with pytest.raises(ValueError, match="outside 1..4"):
-        phi_identify(g, good_r, {**phi, 0: 5})
+        phi_identify(g, {**phi, 0: 5})
     bad = dict(phi)
     bad[2] = bad[3]
     with pytest.raises(ValueError, match="not proper"):
-        phi_identify(g, good_r, bad)
+        phi_identify(g, bad)
 
 
 def test_identification_panics_on_non_critical_host():
     C9 = cycle_graph(9)
     phi = {0: 1, 1: 2, 2: 1, 3: 2, 4: 1}
     with pytest.raises(InvariantViolation):
-        critical_extension(C9, range(5), phi)
+        critical_extension(C9, phi)
 
 
 # --- critical extensions --------------------------------------------------------
@@ -170,9 +170,8 @@ def test_identification_panics_on_non_critical_host():
 
 def block_extension(g, seed=0):
     R = list(range(5))
-    colors = seeded_coloring(induced_subgraph(g, R), 4, random.Random(seed))
-    phi = {v: colors[i] for i, v in enumerate(R)}
-    return critical_extension(g, R, phi)
+    colors = seeded_coloring(induced_subgraph(g, mask_of(R)), 4, random.Random(seed))
+    return critical_extension(g, dict(zip(R, colors)))
 
 
 def test_edge_block_extension_is_total_with_tiny_core(doubles):
@@ -181,7 +180,7 @@ def test_edge_block_extension_is_total_with_tiny_core(doubles):
         assert rec.core_size == 1
         assert rec.complete and rec.spanning
         assert rec.empty_classes == ()
-        assert rec.expanded == g.vertex_set()
+        assert rec.expanded == (1 << g.n) - 1
         # the extender reassembles the vertex side: merged class vertex
         # plus the four vertices outside the block, i.e. K5 again
         assert rec.extender.n == 5
@@ -203,7 +202,7 @@ def test_extension_inequalities_frozen_slacks(doubles):
 def test_extension_with_empty_class():
     g = named_graph("c5_join_k2")
     phi = {0: 1, 1: 2, 2: 1, 3: 2, 4: 3}  # rim cycle, three colors
-    rec = critical_extension(g, range(5), phi)
+    rec = critical_extension(g, phi)
     assert rec.empty_classes == (4,)
     assert 4 not in rec.core_classes
     assert verify_extension_inequalities(rec, corpus_key(g), piece_table(g)).ok
@@ -216,10 +215,9 @@ def test_collapsible_subsets_extend_totally(doubles):
             order = sorted(R)
             for seed in range(8):
                 colors = seeded_coloring(
-                    induced_subgraph(g, order), 4, random.Random(seed)
+                    induced_subgraph(g, mask_of(order)), 4, random.Random(seed)
                 )
-                phi = {v: colors[i] for i, v in enumerate(order)}
-                rec = critical_extension(g, order, phi)
+                rec = critical_extension(g, dict(zip(order, colors)))
                 assert rec.complete and rec.spanning and rec.core_size == 1
 
 
@@ -228,11 +226,11 @@ def test_splitting_colorings_break_totality(doubles):
     # to a total extension with a single-class core
     hit = False
     for g, _ in doubles:
-        if is_collapsible(g, range(6)):
+        if is_collapsible(g, mask_of(range(6))):
             continue
         hit = True
         phi = splitting_coloring(g, range(6))
-        rec = critical_extension(g, range(6), phi)
+        rec = critical_extension(g, phi)
         assert not (rec.complete and rec.spanning and rec.core_size == 1)
     assert hit
 
@@ -244,13 +242,13 @@ def test_complement_potential_bound(doubles):
     for g, _ in doubles:
         for R in ore_collapsible_subsets(g):
             W, _ = critical_complement(g, R)
-            _, lhs = potentials_inside(g, piece_table(g), R)
+            _, lhs = potentials_inside(g, piece_table(g), mask_of(R))
             rhs = potential(g) - potential(W) + gap
             assert lhs >= rhs
     g, _ = one_three(doubles)
     R = frozenset(range(5))
     W, _ = critical_complement(g, R)
-    assert potentials_inside(g, piece_table(g), R)[1] == Rat21(178)
+    assert potentials_inside(g, piece_table(g), mask_of(R))[1] == Rat21(178)
     assert potential(g) - potential(W) + gap == Rat21(170)
 
 
