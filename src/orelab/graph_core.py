@@ -17,18 +17,22 @@ is built unchecked, by :func:`_trusted` or the row builder :func:`_image`.
 
 Canonical forms are computed by equitable partition refinement plus
 backtracking over individualization choices, minimizing the lower-triangle
-adjacency certificate.  Each refinement pass counts neighbors only into the
-cells that the pass before it split, and each node of the search extends
-its parent's certificate rows instead of recomputing them.  The same search
-yields generators of the automorphism group, which it uses to skip
-subtrees equivalent to ones already searched and the Ore enumeration uses
-to compose one site per orbit.  Exactness is the contract; speed only has
-to be good enough for graphs of desk scale (n <= 24 or so).
+adjacency certificate.  The cells of a partition are vertex masks.  Each
+refinement pass counts neighbors only into the cells that the pass before
+it split, summing each such cell's rows into bit planes of counts, and
+splits every cell plane by plane, which orders the pieces as sorting their
+count vectors would; a child node's first pass, by its one individualized
+vertex, splits each cell by that vertex's row alone.  Each node of the
+search extends its parent's certificate rows instead of recomputing them.
+The same search yields generators of the automorphism group, which it uses
+to skip subtrees equivalent to ones already searched and the Ore
+enumeration uses to compose one site per orbit.  Exactness is the
+contract; speed only has to be good enough for graphs of desk scale
+(n <= 24 or so).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 MAX_VERTICES = 64
@@ -307,62 +311,99 @@ def d4_components(G: Graph) -> D4Report:
 
 
 def _refine(
-    adj: tuple[int, ...], cells: list[list[int]], splitters: list[list[int]] | None = None
-) -> list[list[int]]:
+    adj: tuple[int, ...], cells: list[int], splitters: list[int] | None = None
+) -> list[int]:
     """Equitable refinement of an ordered partition, deterministically.
 
-    Cells split by the vector of neighbor counts into every current cell;
-    sub-cells are ordered by that vector, so the refined partition depends
-    only on the input partition and the graph, never on list order quirks.
+    Cells are vertex masks.  A cell splits by the vector of its vertices'
+    neighbor counts into the splitter cells, and its pieces are ordered by
+    that vector, so the refined partition depends only on the input
+    partition and the graph.
 
     After a pass, two vertices of one cell agree on their counts into each
     cell of the partition before it, so only the cells that pass split can
     tell them apart, and the last piece of each split cell is implied by
-    its other pieces.  Those pieces are contiguous and sorted, so a pass
-    counts only into the pieces other than the last of each cell the
-    previous pass split: the same split in the same order, for less work.
-    The first pass counts into ``splitters``, every input cell by default.
-    A caller whose input is an equitable partition with one cell split
-    into ``[v]`` and the rest passes ``[[v]]``.
+    its other pieces.  So a pass counts only into the pieces other than the
+    last of each cell the previous pass split: the same split in the same
+    order, for less work.  The first pass counts into ``splitters``, every
+    input cell by default.  A caller whose input is an equitable partition
+    with one cell split into vertex v and the rest passes ``[1 << v]``.
+
+    A lone one-vertex splitter v splits each cell into the non-neighbors of
+    v, then the neighbors.  Otherwise each splitter's counts are summed as
+    bit planes, plane j holding bit j of every vertex's count, by
+    bit-sliced addition of the splitter's rows.  Splitting a cell by the
+    first splitter's planes from the most significant down orders its
+    pieces by that count; splitting each piece further by the next
+    splitter's planes, and so on, leaves the pieces in lexicographic order
+    of the count vectors, which is the order a sort of the vectors gives.
     """
     if splitters is None:
         splitters = cells
     while splitters:
-        masks = [mask_of(c) for c in splitters]
-        single = masks[0] if len(masks) == 1 else None
-        new_cells: list[list[int]] = []
+        first = splitters[0]
+        new_cells: list[int] = []
+        if len(splitters) == 1 and not first & (first - 1):
+            row = adj[first.bit_length() - 1]
+            splitters = []
+            for cell in cells:
+                away = cell & ~row
+                if away and away != cell:
+                    new_cells += (away, cell ^ away)
+                    splitters.append(away)
+                else:
+                    new_cells.append(cell)
+            cells = new_cells
+            continue
+        planes: list[int] = []  # each splitter's, most significant first
+        for s in splitters:
+            sums: list[int] = []  # least significant first
+            while s:
+                low = s & -s
+                s ^= low
+                carry = adj[low.bit_length() - 1]
+                for j, p in enumerate(sums):
+                    sums[j] = p ^ carry
+                    carry &= p
+                    if not carry:
+                        break
+                else:
+                    sums.append(carry)
+            planes += reversed(sums)
         splitters = []
         for cell in cells:
-            if len(cell) == 1:
+            if not cell & (cell - 1):
                 new_cells.append(cell)
                 continue
-            by_sig: dict[object, list[int]] = {}
-            if single is not None:
-                for v in cell:
-                    by_sig.setdefault((adj[v] & single).bit_count(), []).append(v)
-            else:
-                for v in cell:
-                    sig = tuple([(adj[v] & m).bit_count() for m in masks])
-                    by_sig.setdefault(sig, []).append(v)
-            pieces = [by_sig[sig] for sig in sorted(by_sig)]
+            pieces = [cell]
+            for p in planes:
+                hit = cell & p
+                if hit and hit != cell:
+                    split: list[int] = []
+                    for q in pieces:
+                        hit = q & p
+                        if hit and hit != q:
+                            split += (q ^ hit, hit)
+                        else:
+                            split.append(q)
+                    pieces = split
             new_cells += pieces
             splitters += pieces[:-1]
         cells = new_cells
     return cells
 
 
-def _is_homogeneous(adj: tuple[int, ...], cells: list[list[int]]) -> bool:
+def _is_homogeneous(adj: tuple[int, ...], cells: list[int]) -> bool:
     # For an equitable partition, per-cell neighbor counts are uniform, so a
     # single representative per cell decides complete-or-empty structure.
     # Singletons are homogeneous with everything.
-    cells = [c for c in cells if len(c) > 1]
-    masks = [mask_of(c) for c in cells]
-    for i, c in enumerate(cells):
-        row = adj[c[0]]
-        if (row & masks[i]).bit_count() not in (0, len(c) - 1):
-            return False
-        for j, d in enumerate(cells):
-            if i != j and (row & masks[j]).bit_count() not in (0, len(d)):
+    cells = [c for c in cells if c & (c - 1)]
+    for c in cells:
+        low = c & -c
+        row = adj[low.bit_length() - 1]
+        for d in cells:
+            hit = row & d
+            if hit and hit != d & ~low:
                 return False
     return True
 
@@ -424,9 +465,15 @@ def canonical_form(G: Graph) -> Canonical:
     search.  Along the path to that node, each skipped or explored child
     adds its coset of the pointwise stabilizer, so the automorphisms found
     generate the whole group (McKay, "Practical graph isomorphism", 1981).
+
+    Cells are vertex masks.  Every cell the search builds lists its
+    vertices in ascending order (the unit cell, the pieces of a split, and
+    v and the rest of an individualized cell all do), so a mask loses
+    nothing: the order of a node is its cells' bits, cell by cell.
     """
     adj = G.adj
     n = G.n
+    identity = tuple(range(n))
     best: list = [None, None]  # cert rows, perm
     found: list[tuple[int, ...]] = []
 
@@ -434,8 +481,9 @@ def canonical_form(G: Graph) -> Canonical:
         if best[0] is None or cert < best[0]:
             best[0], best[1] = cert, perm
             for c in cells:
-                for a, b in zip(c, c[1:]):
-                    image = list(range(n))
+                vs = bits(c)
+                for a, b in zip(vs, vs[1:]):
+                    image = list(identity)
                     image[a], image[b] = b, a
                     found.append(tuple(image))
         elif cert == best[0]:
@@ -445,45 +493,48 @@ def canonical_form(G: Graph) -> Canonical:
             found.append(tuple(image))
 
     def search(
-        cells: list[list[int]],
+        cells: list[int],
         path: tuple[int, ...],
-        splitters: list[list[int]] | None,
+        splitters: list[int] | None,
         done: tuple[int, ...],
     ):
         cells = _refine(adj, cells, splitters)
         prefix: list[int] = []
         for c in cells:
-            if len(c) != 1:
+            if c & (c - 1):
                 break
-            prefix.append(c[0])
+            prefix.append(c.bit_length() - 1)
         # the singleton prefix extends the parent's, whose rows are done
         pref = _cert_rows(adj, prefix, done)
         if best[0] is not None and pref > best[0][: len(pref)]:
             return
-        if len(prefix) == n:
+        idx = len(prefix)
+        if idx == n:
             record(pref, prefix, ())
             return
         if _is_homogeneous(adj, cells):
-            perm = list(itertools.chain.from_iterable(cells))
+            perm = prefix + [v for c in cells[idx:] for v in bits(c)]
             record(_cert_rows(adj, perm, pref), perm, cells)
             return
-        idx = next(i for i, c in enumerate(cells) if len(c) > 1)
         cell = cells[idx]
         explored = 0
         # found only grows, so filter just the generators new since the last look
         fixing: list[tuple[int, ...]] = []
         seen = 0
-        for v in cell:
+        for v in bits(cell):
             if explored:
                 fixing += [g for g in found[seen:] if all(g[w] == w for w in path)]
                 seen = len(found)
                 if _orbit(explored, fixing) >> v & 1:
                     continue
-            rest = [w for w in cell if w != v]
-            search(cells[:idx] + [[v], rest] + cells[idx + 1 :], path + (v,), [[v]], pref)
-            explored |= 1 << v
+            bit = 1 << v
+            search(cells[:idx] + [bit, cell ^ bit] + cells[idx + 1 :], path + (v,), [bit], pref)
+            explored |= bit
 
-    search([list(range(n))], (), None, ())
+    search([(1 << n) - 1], (), None, ())
+    # search refers to itself; dropping the name frees the search state now
+    # instead of at the next garbage collection
+    del search
     cert, perm = best
     blob = bytearray([n])
     for i, r in enumerate(cert):

@@ -156,23 +156,26 @@ def recipe_to_text(recipe: OreRecipe) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _orbit_roots(elements, act, generators) -> dict:
-    """The orbit representative of each element under the group generated
-    by ``generators``; ``act(g, e)`` is the image of element e under g."""
-    parent = {e: e for e in elements}
-
-    def root(e):
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    for g in generators:
-        for e in elements:
-            a, b = root(e), root(act(g, e))
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    return {e: root(e) for e in elements}
+def _least_of_orbits(keys, moves) -> dict[int, int]:
+    """The least key of each key's orbit, where each pair (a, b) of
+    ``moves`` puts a and b in one orbit: union-find with path halving,
+    each root the least key of its tree."""
+    parent = {k: k for k in keys}
+    for a, b in moves:
+        if a != b:
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+    for k, r in parent.items():
+        while parent[r] != r:
+            r = parent[r]
+        parent[k] = r
+    return parent
 
 
 def _orbit_tables(G: Graph, generators) -> tuple[list, dict, list]:
@@ -184,33 +187,51 @@ def _orbit_tables(G: Graph, generators) -> tuple[list, dict, list]:
     automorphism maps (x, y) to (y, x); the orbit representative of every
     (z, A) with A a nonempty proper subset of N(z) given as a bitmask; and
     the (z, A) that are the least element of their own orbit, ascending.
+
+    The orbits are found on int keys that sort as the pairs do: x << 6 | y
+    for the arc (x, y) and z << n | A for the split (z, A).  The subsets
+    of N(z) are listed by doubling, one neighbor w at a time, so listing
+    them the same way with g[w] for w gives each one's image under g at
+    the same place; a generator that fixes z and N(z) pointwise moves no
+    split of z and is skipped.
     """
     for g in generators:
         check_automorphism(G, g)
-    arcs = [a for u, v in G.edges() for a in ((u, v), (v, u))]
-    splits = []
-    for z in range(G.n):
-        nbrs = G.adj[z]
-        part = (nbrs - 1) & nbrs
-        while part:
-            splits.append((z, part))
-            part = (part - 1) & nbrs
+    n, adj = G.n, G.adj
+    arcs = [k for x, y in G.edges() for k in (x << 6 | y, y << 6 | x)]
+    arc = _least_of_orbits(
+        arcs, ((k, g[k >> 6] << 6 | g[k & 63]) for g in generators for k in arcs)
+    )
+    nbrs = [bits(row) for row in adj]
+    subsets = []
+    for z in range(n):
+        keys = [z << n]
+        for w in nbrs[z]:
+            keys += [k | 1 << w for k in keys]
+        subsets.append(keys[1:-1])
 
-    def move_arc(g, arc):
-        return g[arc[0]], g[arc[1]]
+    def split_moves():
+        for g in generators:
+            moved = mask_of(v for v in range(n) if g[v] != v)
+            for z in range(n):
+                if moved & (adj[z] | 1 << z):
+                    images = [g[z] << n]
+                    for w in nbrs[z]:
+                        images += [k | 1 << g[w] for k in images]
+                    yield from zip(subsets[z], images[1:-1])
 
-    def move_split(g, split):
-        return g[split[0]], mask_of(g[v] for v in bits(split[1]))
-
-    arc = _orbit_roots(arcs, move_arc, generators)
-    part = _orbit_roots(splits, move_split, generators)
+    least = _least_of_orbits([k for keys in subsets for k in keys], split_moves())
+    full = (1 << n) - 1
+    pair = {k: (k >> n, k & full) for k in least}
+    part = {pair[k]: pair[r] for k, r in least.items()}
     # an unordered edge orbit's least arc is its first edge in edge order
-    edges = [
-        (x, y, arc[x, y] == arc[y, x])
-        for x, y in G.edges()
-        if min(arc[x, y], arc[y, x]) == (x, y)
-    ]
-    return edges, part, sorted(s for s in splits if part[s] == s)
+    edges = []
+    for k in arcs[::2]:
+        x, y = k >> 6, k & 63
+        there, back = arc[k], arc[y << 6 | x]
+        if min(there, back) == k:
+            edges.append((x, y, there == back))
+    return edges, part, [pair[k] for k in sorted(least) if least[k] == k]
 
 
 def enumerate_5_ore(max_n: int):
@@ -230,7 +251,12 @@ def enumerate_5_ore(max_n: int):
     kept, so the kept sites are exactly those first sites, in the same
     order: each class is found first at the same site as by composing
     every site.
+
+    A max_n below 0 or above MAX_VERTICES is a ValueError, raised before
+    anything is composed or yielded.
     """
+    if not 0 <= max_n <= MAX_VERTICES:
+        raise ValueError(f"max_n {max_n} outside 0..{MAX_VERTICES}")
     if max_n < 5:
         return
     key, _, generators = canonical_form(_K5)

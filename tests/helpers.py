@@ -7,6 +7,7 @@ and not at the oracle.
 """
 
 import hashlib
+import itertools
 from itertools import combinations, permutations
 
 from orelab import Graph, InvariantViolation, is_5_ore
@@ -678,6 +679,170 @@ def refine_full(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]
         cells = new_cells
         if not changed:
             return cells
+
+
+def _refine_reference(
+    adj: tuple[int, ...], cells: list[list[int]], splitters: list[list[int]] | None = None
+) -> list[list[int]]:
+    """Equitable refinement of an ordered partition, deterministically.
+
+    Cells split by the vector of neighbor counts into every current cell;
+    sub-cells are ordered by that vector, so the refined partition depends
+    only on the input partition and the graph, never on list order quirks.
+
+    After a pass, two vertices of one cell agree on their counts into each
+    cell of the partition before it, so only the cells that pass split can
+    tell them apart, and the last piece of each split cell is implied by
+    its other pieces.  Those pieces are contiguous and sorted, so a pass
+    counts only into the pieces other than the last of each cell the
+    previous pass split: the same split in the same order, for less work.
+    The first pass counts into ``splitters``, every input cell by default.
+    A caller whose input is an equitable partition with one cell split
+    into ``[v]`` and the rest passes ``[[v]]``.
+    """
+    if splitters is None:
+        splitters = cells
+    while splitters:
+        masks = [mask_of(c) for c in splitters]
+        single = masks[0] if len(masks) == 1 else None
+        new_cells: list[list[int]] = []
+        splitters = []
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            by_sig: dict[object, list[int]] = {}
+            if single is not None:
+                for v in cell:
+                    by_sig.setdefault((adj[v] & single).bit_count(), []).append(v)
+            else:
+                for v in cell:
+                    sig = tuple([(adj[v] & m).bit_count() for m in masks])
+                    by_sig.setdefault(sig, []).append(v)
+            pieces = [by_sig[sig] for sig in sorted(by_sig)]
+            new_cells += pieces
+            splitters += pieces[:-1]
+        cells = new_cells
+    return cells
+
+
+def _is_homogeneous_reference(adj: tuple[int, ...], cells: list[list[int]]) -> bool:
+    # For an equitable partition, per-cell neighbor counts are uniform, so a
+    # single representative per cell decides complete-or-empty structure.
+    # Singletons are homogeneous with everything.
+    cells = [c for c in cells if len(c) > 1]
+    masks = [mask_of(c) for c in cells]
+    for i, c in enumerate(cells):
+        row = adj[c[0]]
+        if (row & masks[i]).bit_count() not in (0, len(c) - 1):
+            return False
+        for j, d in enumerate(cells):
+            if i != j and (row & masks[j]).bit_count() not in (0, len(d)):
+                return False
+    return True
+
+
+def _cert_rows_reference(
+    adj: tuple[int, ...], perm: list[int], done: tuple[int, ...] = ()
+) -> tuple[int, ...]:
+    """Certificate rows of ``perm``: row i holds the adjacency of
+    ``perm[i]`` to ``perm[:i]``.  Row i depends only on ``perm[:i + 1]``,
+    so ``done``, the rows of a prefix of ``perm``, is extended, not
+    recomputed."""
+    rows = list(done)
+    for i in range(len(done), len(perm)):
+        r = 0
+        row = adj[perm[i]]
+        for w in perm[:i]:
+            r = (r << 1) | (row >> w & 1)
+        rows.append(r)
+    return tuple(rows)
+
+
+def _orbit_reference(mask: int, generators) -> int:
+    """The union of the orbits of the vertices in ``mask`` under the
+    group that ``generators`` generate, as a bitmask."""
+    frontier = mask
+    while frontier:
+        grown = 0
+        for v in bits(frontier):
+            for g in generators:
+                grown |= 1 << g[v]
+        frontier = grown & ~mask
+        mask |= grown
+    return mask
+
+
+def canonical_form_reference(G: Graph):
+    """``graph_core.canonical_form`` as it stood before cells became
+    masks, with the refinement, homogeneity test, certificate rows and
+    orbit union it called: cells are ascending vertex lists, and each
+    refinement pass sorts its cells' pieces by their count vectors."""
+    adj = G.adj
+    n = G.n
+    best: list = [None, None]  # cert rows, perm
+    found: list[tuple[int, ...]] = []
+
+    def record(cert, perm, cells):
+        if best[0] is None or cert < best[0]:
+            best[0], best[1] = cert, perm
+            for c in cells:
+                for a, b in zip(c, c[1:]):
+                    image = list(range(n))
+                    image[a], image[b] = b, a
+                    found.append(tuple(image))
+        elif cert == best[0]:
+            image = [0] * n
+            for v, w in zip(best[1], perm):
+                image[v] = w
+            found.append(tuple(image))
+
+    def search(
+        cells: list[list[int]],
+        path: tuple[int, ...],
+        splitters: list[list[int]] | None,
+        done: tuple[int, ...],
+    ):
+        cells = _refine_reference(adj, cells, splitters)
+        prefix: list[int] = []
+        for c in cells:
+            if len(c) != 1:
+                break
+            prefix.append(c[0])
+        # the singleton prefix extends the parent's, whose rows are done
+        pref = _cert_rows_reference(adj, prefix, done)
+        if best[0] is not None and pref > best[0][: len(pref)]:
+            return
+        if len(prefix) == n:
+            record(pref, prefix, ())
+            return
+        if _is_homogeneous_reference(adj, cells):
+            perm = list(itertools.chain.from_iterable(cells))
+            record(_cert_rows_reference(adj, perm, pref), perm, cells)
+            return
+        idx = next(i for i, c in enumerate(cells) if len(c) > 1)
+        cell = cells[idx]
+        explored = 0
+        # found only grows, so filter just the generators new since the last look
+        fixing: list[tuple[int, ...]] = []
+        seen = 0
+        for v in cell:
+            if explored:
+                fixing += [g for g in found[seen:] if all(g[w] == w for w in path)]
+                seen = len(found)
+                if _orbit_reference(explored, fixing) >> v & 1:
+                    continue
+            rest = [w for w in cell if w != v]
+            search(cells[:idx] + [[v], rest] + cells[idx + 1 :], path + (v,), [[v]], pref)
+            explored |= 1 << v
+
+    search([list(range(n))], (), None, ())
+    cert, perm = best
+    blob = bytearray([n])
+    for i, r in enumerate(cert):
+        if i:
+            blob += r.to_bytes((i + 7) // 8, "big")
+    return bytes(blob), tuple(perm), tuple(found)
 
 
 def compose_by_edges(

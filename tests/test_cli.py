@@ -10,7 +10,7 @@ import pytest
 
 import orelab
 from orelab import Facts, graph_to_graph6, named_graph, recipe_to_text
-from orelab import coloring, lab_cli, packing
+from orelab import coloring, lab_cli, ore, packing
 from orelab.constructions import complete_graph
 from orelab.corpus import Corpus
 from orelab.graph_core import graph_to_text
@@ -50,6 +50,21 @@ def test_gen_reports_and_is_idempotent(tmp_path, run):
     code, out, _ = run("gen", "--max-n", "9", "--corpus", str(root))
     assert code == 0
     assert sum(1 for l in out.splitlines() if l.endswith(" known")) == 3
+
+
+@pytest.mark.parametrize("max_n", ["-3", "65", "100"])
+def test_gen_rejects_an_impossible_max_n(tmp_path, run, monkeypatch, max_n):
+    # refused before any work: enumeration would fail only at n = 65, after
+    # every level below it
+    def no_work(G):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(ore, "canonical_form", no_work)
+    root = tmp_path / "corpus"
+    code, out, err = run("gen", "--max-n", max_n, "--corpus", str(root))
+    assert (code, out) == (2, "")
+    assert err == f"error: max_n {max_n} outside 0..64\n"
+    assert not root.exists()
 
 
 def test_add_named_and_unknown(tmp_path, run):

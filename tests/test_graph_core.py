@@ -28,6 +28,7 @@ from orelab.potential import phi_identify
 
 from helpers import (
     brute_isomorphic,
+    canonical_form_reference,
     canonical_key,
     cluster_size_sequence,
     glued_pair,
@@ -362,6 +363,21 @@ def test_canonical_order_is_an_isomorphism_between_relabelings():
             check_automorphism(G, [back[iso[v]] for v in range(G.n)])
 
 
+def test_canonical_form_matches_the_list_cell_reference(ore17):
+    # keys, orders and generators alike: the mask-cell search must build
+    # the same tree in the same order as the list-cell one
+    graphs = [g for g, _ in ore17] + [named_graph(name) for name in sorted(NAMED)]
+    for name in ("groetzsch", "mycielski_groetzsch"):
+        G = named_graph(name)
+        graphs += [shuffled_copy(G, random.Random(seed))[0] for seed in range(5)]
+    rng = random.Random(23)
+    # edge probabilities across [0, 1] give empty, complete and
+    # disconnected graphs among the samples
+    graphs += [random_graph(rng.randint(1, 16), rng.random(), rng) for _ in range(300)]
+    for G in graphs:
+        assert canonical_form(G) == canonical_form_reference(G)
+
+
 ORE17_KEYS_SHA256 = "c203debe2b45d8ab7bacbd3c5d85b180accf0f79ed6b249b5a1e798009914bca"
 """sha256 of one ``<key hex> <order, comma-separated>`` line per class of
 ``enumerate_5_ore(17)``, in order, as computed before automorphism pruning.
@@ -427,6 +443,8 @@ def test_check_automorphism_rejects_a_corrupted_generator():
 
 
 def test_refine_matches_full_refinement_on_random_partitions():
+    # cells are shuffled vertex lists for the oracle; a mask has no order
+    # within a cell, so the two agree on the cells as vertex sets
     rng = random.Random(29)
     split = 0
     for _ in range(300):
@@ -436,15 +454,15 @@ def test_refine_matches_full_refinement_on_random_partitions():
         rng.shuffle(order)
         cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
         cells = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
-        want = refine_full(G.adj, [list(c) for c in cells])
-        assert _refine(G.adj, [list(c) for c in cells]) == want
+        want = [mask_of(c) for c in refine_full(G.adj, [list(c) for c in cells])]
+        assert _refine(G.adj, [mask_of(c) for c in cells]) == want
         split += len(want) > len(cells)
     assert split > 100  # most samples refine at least once
 
 
 def test_refine_of_an_individualized_vertex_matches_full_refinement(ore13):
     # the canonical search refines each child from its parent's equitable
-    # partition with one cell split into [v] and the rest, passing [[v]]
+    # partition with one cell split into v and the rest, passing [1 << v]
     graphs = [g for g, _ in ore13]
     graphs += [named_graph(name) for name in sorted(NAMED) if name != "k5"]
     children = 0
@@ -453,7 +471,8 @@ def test_refine_of_an_individualized_vertex_matches_full_refinement(ore13):
         for i, cell in enumerate(cells):
             for v in cell if len(cell) > 1 else ():
                 child = cells[:i] + [[v], [w for w in cell if w != v]] + cells[i + 1 :]
-                assert _refine(G.adj, child, [[v]]) == refine_full(G.adj, child)
+                want = [mask_of(c) for c in refine_full(G.adj, child)]
+                assert _refine(G.adj, [mask_of(c) for c in child], [1 << v]) == want
                 children += 1
     assert children > 300
 

@@ -17,7 +17,7 @@ from orelab import (
 )
 from orelab.coloring import boundary
 from orelab.constructions import complete_graph, cycle_graph
-from orelab.graph_core import bits, canonical_form, induced_subgraph, mask_of
+from orelab.graph_core import MAX_VERTICES, bits, canonical_form, induced_subgraph, mask_of
 from orelab.ore import Compose, Leaf, _orbit_tables, compose_graphs
 
 from helpers import (
@@ -172,6 +172,17 @@ def test_enumeration_to_21_is_frozen():
     assert (len(classes), sum(1 for g, _ in classes if g.n == 21)) == (21_603, 21_028)
     lines = "".join(f"{graph_to_graph6(g)} {recipe_to_text(r)}\n" for g, r in classes)
     assert hashlib.sha256(lines.encode()).hexdigest() == ORE21_SHA256
+
+
+def test_enumeration_refuses_an_impossible_max_n(monkeypatch):
+    def no_work(G):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(ore, "canonical_form", no_work)
+    for max_n in (-3, MAX_VERTICES + 1, 100):
+        with pytest.raises(ValueError, match=f"max_n {max_n} outside 0..{MAX_VERTICES}"):
+            next(enumerate_5_ore(max_n))
+    assert list(enumerate_5_ore(0)) == []
 
 
 def test_orbit_pruning_keeps_every_first_site(ore13):
