@@ -47,7 +47,7 @@ already holds, the 4-core of the last refutation and one walked or solved
 coloring per kept edge, rather than a second criticality proof.
 
 Seeded colorings (:func:`seeded_coloring`) come from the same search: the
-exact search's coloring of a seeded relabeling of G, with the colors
+exact search's coloring of a seeded relabeling of G[R], with the colors
 renamed by a seeded permutation.  The search above is the only one here.
 """
 
@@ -306,26 +306,25 @@ def _check_proper(G: Graph, colors: tuple[int, ...], k: int):
             raise InvariantViolation("solver produced an improper coloring")
 
 
-def seeded_coloring(G: Graph, k: int, rng: random.Random) -> tuple[int, ...] | None:
-    """Some proper k-coloring, chosen by a seeded relabeling of G.
+def seeded_coloring(G: Graph, R: int, k: int, rng: random.Random) -> dict[int, int] | None:
+    """Some proper k-coloring of G[R] for the mask R, as a dict from R's
+    vertices to colors, chosen by a seeded relabeling of G[R].
 
-    The exact search colors G with its vertices shuffled by ``rng``, and
+    The exact search colors G[R] with its vertices shuffled by ``rng``, and
     the colors are renamed by an ``rng``-drawn permutation of 1..k.  Used
     to sample varied colorings for extension records; same rng state, same
     answer.  Complete: returns None only when no coloring exists.
     """
-    order = list(range(G.n))
+    order = bits(R)
     rng.shuffle(order)
-    solved = is_k_colorable(relabel(G, order), k)
+    H = relabel(G, order)
+    solved = is_k_colorable(H, k)
     if solved is None:
         return None
     names = rng.sample(range(1, k + 1), k)
-    color = [0] * G.n
-    for v, c in zip(order, solved):
-        color[v] = names[c - 1]
-    out = tuple(color)
-    _check_proper(G, out, k)
-    return out
+    colors = tuple(names[c - 1] for c in solved)
+    _check_proper(H, colors, k)
+    return dict(zip(order, colors))
 
 
 def _recolor(colors: tuple[int, ...], x: int, b: int) -> tuple[int, ...]:

@@ -171,9 +171,10 @@ def induced_subgraph(G: Graph, mask: int) -> Graph:
 
 
 def relabel(G: Graph, order) -> Graph:
-    """G with vertex ``order[i]`` renamed i; ``order`` lists every vertex
-    once."""
-    return _image(G, (1 << G.n) - 1, {v: i for i, v in enumerate(order)}, [0] * G.n)
+    """G induced on the vertices of ``order``, with ``order[i]`` renamed i;
+    ``order`` lists each of them once."""
+    at = {v: i for i, v in enumerate(order)}
+    return _image(G, mask_of(at), at, [0] * len(at))
 
 
 def cut_side(G: Graph, mask: int, x: int, y: int, alike: bool) -> tuple[Graph, dict[int, int]]:
@@ -300,10 +301,10 @@ class D4Report:
 def d4_components(G: Graph) -> D4Report:
     d4 = mask_of(v for v in range(G.n) if G.degree(v) == 4)
     comps = connected_components(G, within=d4)
-    comps = tuple(sorted(comps, key=lambda c: (c.bit_count(), c & -c)))
+    comps.sort(key=lambda c: (c.bit_count(), c & -c))
     singles = sum(1 for c in comps if c.bit_count() == 1)
     pairs = sum(1 for c in comps if c.bit_count() == 2)
-    return D4Report(comps, singles, pairs)
+    return D4Report(tuple(comps), singles, pairs)
 
 # ---------------------------------------------------------------------------
 # Canonical form

@@ -51,7 +51,6 @@ from .graph_core import (
     graph_from_graph6,
     graph_from_text,
     graph_to_graph6,
-    induced_subgraph,
     mask_of,
 )
 from .report import Report
@@ -329,10 +328,9 @@ def cmd_extend(args) -> int:
     with _panics_naming(G, entry.key):
         if not col.is_5_critical(G):
             raise ValueError(f"entry {entry.key} is not 5-critical, so it has no extension")
-        colors = col.seeded_coloring(induced_subgraph(G, mask_of(R)), 4, random.Random(args.seed))
-        if colors is None:
-            raise ValueError("the induced subgraph on --r is not 4-colorable")
-        phi = dict(zip(R, colors))
+        phi = col.seeded_coloring(G, mask_of(R), 4, random.Random(args.seed))
+        if phi is None:
+            raise InvariantViolation("proper subgraph of a 5-critical graph must be 4-colorable")
         rec = critical_extension(G, phi)
         rep = verify_extension_inequalities(rec, entry.key, packing.piece_table(G))
     print(f"extend {args.key} r={','.join(map(str, R))} seed={args.seed}")
@@ -360,8 +358,8 @@ def cmd_t(args) -> int:
         t, pieces = packing.t_number(G)
     print(f"t={t}")
     for piece in pieces:
-        kind = "K4" if len(piece) == 4 else "K3"
-        print(f"piece {kind} " + " ".join(map(str, piece)))
+        kind = "K4" if piece.bit_count() == 4 else "K3"
+        print(f"piece {kind} " + " ".join(map(str, bits(piece))))
     return 0
 
 
@@ -370,7 +368,7 @@ def cmd_potential(args) -> int:
     G = _resolve_graph(corpus, args.key)
     with _panics_naming(G):
         t, _ = packing.t_number(G)
-        p = potential(G)
+        p = potential(G, t)
     print(f"n={G.n}")
     print(f"m={G.m}")
     print(f"t={t}")

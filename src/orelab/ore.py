@@ -48,9 +48,6 @@ from .graph_core import (
 class Leaf:
     """The K5 building block."""
 
-    def __repr__(self):
-        return "Leaf()"
-
 
 @dataclass(frozen=True)
 class Compose:
@@ -58,14 +55,14 @@ class Compose:
 
     ``replaced_edge`` is an ordered pair (x, y) in the edge side's
     labeling; x receives ``split[0]`` and y receives ``split[1]``, both
-    expressed in the vertex side's labeling as parts of N(z).
+    masks in the vertex side's labeling, parts of N(z).
     """
 
     edge_side: "OreRecipe"
     replaced_edge: tuple[int, int]
     vertex_side: "OreRecipe"
     split_vertex: int
-    split: tuple[tuple[int, ...], tuple[int, ...]]
+    split: tuple[int, int]
 
 
 OreRecipe = Leaf | Compose
@@ -83,20 +80,20 @@ def compose_graphs(
     replaced_edge: tuple[int, int],
     g2: Graph,
     split_vertex: int,
-    split: tuple[tuple[int, ...], tuple[int, ...]],
+    split: tuple[int, int],
 ) -> tuple[Graph, dict[int, int]]:
-    """Materialize one composition; returns the graph and the map from
-    vertex-side vertices (other than z) to output vertices."""
+    """Materialize one composition, ``split`` the masks (A, B) of N(z);
+    returns the graph and the map from vertex-side vertices (other than z)
+    to output vertices."""
     x, y = replaced_edge
     if not g1.has_edge(x, y):
         raise ValueError(f"replaced edge ({x},{y}) is not an edge of the edge side")
     z = split_vertex
     if not 0 <= z < g2.n:
         raise ValueError("split vertex out of range")
-    part_a, part_b = tuple(split[0]), tuple(split[1])
-    if not part_a or not part_b:
+    a, b = split
+    if not a or not b:
         raise ValueError("both sides of the neighbor split must be nonempty")
-    a, b = mask_of(part_a), mask_of(part_b)
     if a & b or a | b != g2.adj[z]:
         raise ValueError("split must partition the split vertex's neighborhood")
     n1 = g1.n
@@ -113,10 +110,10 @@ def compose_graphs(
         if v != z:
             row = g2.adj[v]
             rows.append(((row & below) | (row >> (z + 1) << z)) << n1)
-    for end, part in ((x, part_a), (y, part_b)):
-        for a in part:
-            rows[end] |= 1 << out_of[a]
-            rows[out_of[a]] |= 1 << end
+    for end, part in ((x, a), (y, b)):
+        for v in bits(part):
+            rows[end] |= 1 << out_of[v]
+            rows[out_of[v]] |= 1 << end
     return _trusted(len(rows), rows), out_of
 
 
@@ -140,8 +137,7 @@ def recipe_to_text(recipe: OreRecipe) -> str:
     """S-expression form, e.g. ``(compose (k5) e=0-1 (k5) z=0 split=1|2,3,4)``."""
     if isinstance(recipe, Leaf):
         return "(k5)"
-    a = ",".join(str(v) for v in recipe.split[0])
-    b = ",".join(str(v) for v in recipe.split[1])
+    a, b = (",".join(map(str, bits(part))) for part in recipe.split)
     return (
         f"(compose {recipe_to_text(recipe.edge_side)}"
         f" e={recipe.replaced_edge[0]}-{recipe.replaced_edge[1]}"
@@ -266,10 +262,9 @@ def enumerate_5_ore(max_n: int):
     for n in range(9, max_n + 1, 4):
         found: dict[bytes, tuple[Graph, OreRecipe, tuple]] = {}
         raw_seen: set[tuple[int, tuple[int, ...]]] = set()
+        # every stored n1 < n leaves n2 = n + 1 - n1 stored too
         for n1 in sorted(levels):
             n2 = n + 1 - n1
-            if n2 not in levels:
-                continue
             for g1, r1, edges, _, _ in levels[n1]:
                 for g2, r2, _, part, splits in levels[n2]:
                     for x, y, flips in edges:
@@ -277,8 +272,7 @@ def enumerate_5_ore(max_n: int):
                             b = g2.adj[z] & ~a
                             if flips and part[z, b] < (z, a):
                                 continue  # the swapped site's orbit comes first
-                            split = (tuple(bits(a)), tuple(bits(b)))
-                            G, _ = compose_graphs(g1, (x, y), g2, z, split)
+                            G, _ = compose_graphs(g1, (x, y), g2, z, (a, b))
                             fp = (G.n, G.adj)
                             if fp in raw_seen:
                                 continue
@@ -286,7 +280,7 @@ def enumerate_5_ore(max_n: int):
                             key, _, generators = canonical_form(G)
                             if key in seen or key in found:
                                 continue
-                            found[key] = (G, Compose(r1, (x, y), r2, z, split), generators)
+                            found[key] = (G, Compose(r1, (x, y), r2, z, (a, b)), generators)
         seen.update(found)
         level = [found[key] for key in sorted(found)]
         if n + 4 <= max_n:
@@ -402,15 +396,8 @@ def _try_factor(G: Graph, x: int, y: int, amask: int, bmask: int):
     if side2 is None:
         return None
     (r1, iso1), (r2, iso2) = side1, side2
-    part_a = sorted(iso2[vpos[v]] for v in bits(G.adj[x] & bmask))
-    part_b = sorted(iso2[vpos[v]] for v in bits(G.adj[y] & bmask))
-    recipe = Compose(
-        r1,
-        (iso1[epos[x]], iso1[epos[y]]),
-        r2,
-        iso2[vpos[x]],
-        (tuple(part_a), tuple(part_b)),
-    )
+    split = tuple(mask_of(iso2[vpos[v]] for v in bits(G.adj[end] & bmask)) for end in (x, y))
+    recipe = Compose(r1, (iso1[epos[x]], iso1[epos[y]]), r2, iso2[vpos[x]], split)
     # Rebuild the recipe and check that the vertex map G -> rebuilt is an
     # isomorphism.  G is its class's canonical relabeling, so the map is
     # also a canonical order of the rebuilt graph.

@@ -31,52 +31,49 @@ lower bound 2|E| >= 3|V| + mic used by the discharging audit.
 
 from __future__ import annotations
 
-from .graph_core import Graph, InvariantViolation, mask_of
+from .graph_core import Graph, InvariantViolation, bits
 
 
-def piece_table(G: Graph) -> list[list[tuple[int, int, tuple[int, ...]]]]:
-    """G's triangles and K4s, each as (mask, weight, ascending vertices),
-    listed under their lowest vertex; a K4 follows the triangle it extends,
-    so each list is in lexicographic order."""
+def piece_table(G: Graph) -> list[list[tuple[int, int]]]:
+    """G's triangles and K4s, each as (mask, weight), listed under their
+    lowest vertex; a K4 follows the triangle it extends, so each list is in
+    lexicographic order."""
     adj = G.adj
-    by_low: list[list[tuple[int, int, tuple[int, ...]]]] = []
+    by_low: list[list[tuple[int, int]]] = []
     for u in range(G.n):
-        row: list[tuple[int, int, tuple[int, ...]]] = []
+        row: list[tuple[int, int]] = []
         # each walk consumes its mask upward, so what is left of it after
         # taking a vertex is the part above that vertex
         later = adj[u] >> (u + 1) << (u + 1)
         while later:
             vbit = later & -later
             later ^= vbit
-            v = vbit.bit_length() - 1
-            common = later & adj[v]
+            common = later & adj[vbit.bit_length() - 1]
             while common:
                 wbit = common & -common
                 common ^= wbit
-                w = wbit.bit_length() - 1
                 tri = 1 << u | vbit | wbit
-                row.append((tri, 1, (u, v, w)))
-                fourth = common & adj[w]
+                row.append((tri, 1))
+                fourth = common & adj[wbit.bit_length() - 1]
                 while fourth:
                     xbit = fourth & -fourth
                     fourth ^= xbit
-                    row.append((tri | xbit, 2, (u, v, w, xbit.bit_length() - 1)))
+                    row.append((tri | xbit, 2))
         by_low.append(row)
     return by_low
 
 
-def best_packing(
-    G: Graph, table: list, mask: int
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def best_packing(G: Graph, table: list, mask: int) -> tuple[int, tuple[int, ...]]:
     """Exact packing number of G[mask] and a checked witness in G's labels,
-    searched over G's ``table`` from :func:`piece_table`.
+    the masks of its pieces, searched over G's ``table`` from
+    :func:`piece_table`.
 
     Deterministic: pieces are tried in lexicographic order and only strict
     improvements replace the incumbent, so the witness is reproducible.
     """
     cover = 0
     for row in table:
-        for pmask, _, _ in row:
+        for pmask, _ in row:
             if not pmask & ~mask:
                 cover |= pmask
     best: list = [0, ()]
@@ -86,9 +83,9 @@ def best_packing(
     return best_w, best_pieces
 
 
-def t_number(G: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def t_number(G: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact packing number and a checked witness: disjoint triangles and
-    K4s, each an ascending vertex tuple, whose weights sum to it."""
+    K4s, each a vertex mask, whose weights sum to it."""
     return best_packing(G, piece_table(G), (1 << G.n) - 1)
 
 
@@ -102,10 +99,10 @@ def _pack(free: int, cur: int, chosen: list, by_low: list, best: list) -> None:
     if cur + 2 * (size // 4) + (size % 4 == 3) <= best[0]:
         return
     low = free & -free
-    for pmask, w, verts in by_low[low.bit_length() - 1]:
+    for pmask, w in by_low[low.bit_length() - 1]:
         if pmask & ~free:
             continue
-        chosen.append(verts)
+        chosen.append(pmask)
         _pack(free & ~pmask, cur + w, chosen, by_low, best)
         chosen.pop()
     _pack(free & ~low, cur, chosen, by_low, best)
@@ -114,25 +111,26 @@ def _pack(free: int, cur: int, chosen: list, by_low: list, best: list) -> None:
 def _check_packing(G: Graph, pieces, weight: int, mask: int):
     used = 0
     total = 0
-    for p in pieces:
-        pm = mask_of(p)
+    for pm in pieces:
         if pm & used:
             raise InvariantViolation("packing pieces overlap")
         if pm & ~mask:
             raise InvariantViolation("packing piece leaves the vertex set")
         used |= pm
-        for i, u in enumerate(p):
-            for v in p[i + 1 :]:
-                if not G.has_edge(u, v):
-                    raise InvariantViolation("packing piece is not a clique")
-        total += {3: 1, 4: 2}[len(p)]
+        for u in bits(pm):
+            if G.adj[u] & pm != pm & ~(1 << u):
+                raise InvariantViolation("packing piece is not a clique")
+        size = pm.bit_count()
+        if size not in (3, 4):
+            raise InvariantViolation("packing piece is neither a triangle nor a K4")
+        total += size - 2
     if total != weight:
         raise InvariantViolation("packing weight mismatch")
 
 
-def mic(G: Graph) -> tuple[int, tuple[int, ...]]:
+def mic(G: Graph) -> tuple[int, int]:
     """Maximum total degree over independent sets, and a checked witness:
-    an independent set, ascending, whose degrees sum to it.
+    the mask of an independent set whose degrees sum to it.
 
     Branch and bound over the vertex bitmask: pick the heaviest available
     vertex, take it or leave it, prune when the remaining weight cannot
@@ -141,13 +139,13 @@ def mic(G: Graph) -> tuple[int, tuple[int, ...]]:
     weights = [G.degree(v) for v in range(G.n)]
     order = sorted(range(G.n), key=lambda v: (-weights[v], v))
     best_val = -1
-    best_set: tuple[int, ...] = ()
+    best_set = 0
 
-    def rec(idx: int, avail: int, cur: int, chosen: list[int]):
+    def rec(idx: int, avail: int, cur: int, chosen: int):
         nonlocal best_val, best_set
         if cur > best_val:
             best_val = cur
-            best_set = tuple(sorted(chosen))
+            best_set = chosen
         rest = sum(weights[v] for v in order[idx:] if avail >> v & 1)
         if cur + rest <= best_val:
             return
@@ -155,19 +153,15 @@ def mic(G: Graph) -> tuple[int, tuple[int, ...]]:
             v = order[i]
             if not avail >> v & 1:
                 continue
-            chosen.append(v)
-            rec(i + 1, avail & ~(G.adj[v] | 1 << v), cur + weights[v], chosen)
-            chosen.pop()
+            rec(i + 1, avail & ~(G.adj[v] | 1 << v), cur + weights[v], chosen | 1 << v)
             avail &= ~(1 << v)
             rest -= weights[v]
             if cur + rest <= best_val:
                 return
 
-    rec(0, (1 << G.n) - 1, 0, [])
-    smask = mask_of(best_set)
-    for v in best_set:
-        if G.adj[v] & smask:
-            raise InvariantViolation("mic witness is not independent")
-    if sum(weights[v] for v in best_set) != best_val:
+    rec(0, (1 << G.n) - 1, 0, 0)
+    if any(G.adj[v] & best_set for v in bits(best_set)):
+        raise InvariantViolation("mic witness is not independent")
+    if sum(weights[v] for v in bits(best_set)) != best_val:
         raise InvariantViolation("mic witness value mismatch")
     return best_val, best_set

@@ -40,7 +40,6 @@ from .graph_core import (
     _image,
     bits,
     canonical_form,
-    induced_subgraph,
     mask_of,
 )
 from .report import Report
@@ -92,12 +91,9 @@ def p_ky_set(G: Graph, R: int) -> int:
     return 9 * R.bit_count() - 2 * sum((G.adj[v] & R).bit_count() for v in bits(R))
 
 
-def potential(G: Graph) -> Rat21:
-    """(9 + eps) n - 4 m - delta T(G), exactly."""
-    return _refined(G, packing.t_number(G)[0])
-
-
-def _refined(G: Graph, t: int) -> Rat21:
+def potential(G: Graph, t: int) -> Rat21:
+    """(9 + eps) n - 4 m - delta t, exactly, for t = T(G) the packing
+    number."""
     return Rat21(190 * G.n - 84 * G.m - 8 * t)
 
 
@@ -141,11 +137,11 @@ def phi_identify(G: Graph, phi: dict[int, int]) -> tuple[Graph, tuple[int, ...]]
         for u in bits(G.adj[v] & R):
             if phi[u] == phi[v]:
                 raise ValueError(f"phi is not proper on G[R]: edge ({u},{v})")
-    outside = tuple(bits(((1 << G.n) - 1) & ~R))
+    outside = bits(((1 << G.n) - 1) & ~R)
     # R onto its class vertices, the rest after them; phi is proper, so no loop
     at = {v: c - 1 for v, c in phi.items()} | {v: 4 + i for i, v in enumerate(outside)}
     rows = [0b1111 & ~(1 << i) for i in range(4)] + [0] * len(outside)
-    return _image(G, (1 << G.n) - 1, at, rows), (-1, -2, -3, -4) + outside
+    return _image(G, (1 << G.n) - 1, at, rows), (-1, -2, -3, -4, *outside)
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,7 @@ class Facts:
     @property
     def p(self) -> Rat21:
         """The refined potential, from the stored packing number."""
-        return _refined(self.graph, self.t)
+        return potential(self.graph, self.t)
 
 
 @dataclass(frozen=True)
@@ -231,13 +227,11 @@ def critical_extension(G: Graph, phi: dict[int, int]) -> ExtensionRecord:
             "the host graph cannot be 5-critical"
         ) from None
     labels = tuple(names[v] for v in kept)
-    core_classes = tuple(sorted(-lab for lab in labels if lab < 0))
+    core_classes = tuple(c for c in range(1, 5) if -c in labels)
     real = [v for v in range(W.n) if labels[v] >= 0]
     expanded = mask_of(labels[v] for v in real) | R
-    class_mask = [0, 0, 0, 0]
-    for v, c in phi.items():
-        class_mask[c - 1] |= 1 << v
-    empty = tuple(i + 1 for i in range(4) if not class_mask[i])
+    used = set(phi.values())
+    empty = tuple(c for c in range(1, 5) if c not in used)
     core_pos = {-labels[v]: v for v in range(W.n) if labels[v] < 0}
     complete = True
     # a kept vertex must spend one extender-core edge per host neighbor in R
@@ -299,7 +293,7 @@ def verify_extension_inequalities(rec: ExtensionRecord, key: str, table: list) -
         raise InvariantViolation("extender contains only class vertices")
     w_table = packing.piece_table(W)
     t_w, _ = packing.best_packing(W, w_table, (1 << W.n) - 1)
-    p_w = _refined(W, t_w)
+    p_w = potential(W, t_w)
     t_wc, _ = packing.best_packing(W, w_table, real)
     rhs = p_r + p_w - f_core(x) + DELTA * (t_w - t_wc)
     slack_ref = rhs - p_rp
@@ -319,11 +313,10 @@ def random_extension(G: Graph, rng: random.Random) -> ExtensionRecord:
     if G.n < 6:
         raise ValueError("graph too small to have a proper subset of size 5")
     size = rng.randint(5, G.n - 1)
-    R = sorted(rng.sample(range(G.n), size))
-    colors = col.seeded_coloring(induced_subgraph(G, mask_of(R)), 4, rng)
-    if colors is None:
+    phi = col.seeded_coloring(G, mask_of(rng.sample(range(G.n), size)), 4, rng)
+    if phi is None:
         raise InvariantViolation("proper subgraph of a 5-critical graph must be 4-colorable")
-    return critical_extension(G, dict(zip(R, colors)))
+    return critical_extension(G, phi)
 
 
 # ---------------------------------------------------------------------------

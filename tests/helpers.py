@@ -561,7 +561,8 @@ def enumerate_by_sites(max_n: int):
                 continue
             for r1, g1 in levels[n1]:
                 for r2, g2 in levels[n2]:
-                    for xy, z, split in composition_sites(g1, g2):
+                    for xy, z, (a, b) in composition_sites(g1, g2):
+                        split = (mask_of(a), mask_of(b))  # compose_graphs takes masks
                         G, _ = compose_graphs(g1, xy, g2, z, split)
                         key = canonical_key(G)
                         if key not in seen and key not in found:

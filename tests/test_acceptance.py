@@ -20,7 +20,7 @@ from orelab import (
 from orelab.coloring import is_5_critical, is_collapsible, is_k_colorable, seeded_coloring
 from orelab.constructions import complete_graph
 from orelab.discharge import closing_inequalities, run_discharge
-from orelab.graph_core import d4_components, induced_subgraph, mask_of
+from orelab.graph_core import d4_components, mask_of
 from orelab.ore import Compose, Leaf
 from orelab.packing import piece_table
 from orelab.potential import random_extension, verify_extension_inequalities, verify_main_theorem
@@ -107,7 +107,7 @@ def test_criterion_04_packing_oracle_equivalence(lab_facts):
 
 
 def test_criterion_05_main_theorem_cases(lab_facts):
-    ok = potential(complete_graph(5)) == Rat21(94)
+    ok = potential(complete_graph(5), t_number(complete_graph(5))[0]) == Rat21(94)
     cases = {"k5": 1, "ore": 0, "other": 0}
     for facts in lab_facts:
         if not facts.critical or facts.n == 5:
@@ -122,7 +122,7 @@ def test_criterion_05_main_theorem_cases(lab_facts):
     bound = Rat21.whole(5) - Rat21(48)  # 5 - 16/7 as a numerator over 21
     for name in NON_ORE_WITNESSES:
         G = named_graph(name)
-        ok = ok and potential(G) <= bound
+        ok = ok and potential(G, t_number(G)[0]) <= bound
     ok = ok and cases["ore"] == 574 and cases["other"] == 3
     conclude(
         5,
@@ -191,10 +191,7 @@ def test_criterion_08_collapsibility_equivalence(ore17):
         ok = ok and is_collapsible(g, mask_of(R))
         blocks += 1
         for seed in range(3):
-            colors = seeded_coloring(
-                induced_subgraph(g, mask_of(R)), 4, random.Random(seed)
-            )
-            rec = critical_extension(g, dict(zip(R, colors)))
+            rec = critical_extension(g, seeded_coloring(g, mask_of(R), 4, random.Random(seed)))
             ok = ok and rec.complete and rec.spanning and rec.core_size == 1
             extensions += 1
         for S in ore_collapsible_subsets(g):

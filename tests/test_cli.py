@@ -433,6 +433,20 @@ def test_extend_usage_errors(small_corpus, run):
     assert err == f"error: no corpus entry {'0' * 16} under {small_corpus}\n"
 
 
+def test_extend_reports_a_solver_fault_as_a_panic(small_corpus, run, monkeypatch):
+    # every proper induced subgraph of a 5-critical host is 4-colorable, so
+    # no seeded coloring of --r means the solver is wrong, not the user
+    monkeypatch.setattr(coloring, "seeded_coloring", lambda *args: None)
+    G = named_graph("c5_join_k2")
+    key = corpus_key(G)
+    code, out, err = run("extend", key, "--r", "0,1,2,3,4", "--corpus", str(small_corpus))
+    assert (code, out) == (3, "")
+    assert err == (
+        f"panic: entry {key} graph6 {graph_to_graph6(G)}: "
+        "proper subgraph of a 5-critical graph must be 4-colorable\n"
+    )
+
+
 def test_extend_rejects_a_host_that_is_not_5_critical(small_corpus, run):
     code, out, _ = run("add", "groetzsch", "--corpus", str(small_corpus))
     assert code == 0
@@ -453,6 +467,21 @@ def test_potential_command(run, tmp_path):
     code, out, _ = run("potential", "c5_join_k2", "--corpus", str(tmp_path / "c"))
     assert code == 0
     assert out.splitlines() == ["n=7", "m=16", "t=2", "p_ky=-1", "p=-30/21"]
+
+
+def test_potential_command_searches_the_packing_once(run, tmp_path, monkeypatch):
+    calls = 0
+    t_number = packing.t_number
+
+    def counted(G):
+        nonlocal calls
+        calls += 1
+        return t_number(G)
+
+    monkeypatch.setattr(packing, "t_number", counted)
+    code, out, _ = run("potential", "c5_join_k2", "--corpus", str(tmp_path / "c"))
+    assert code == 0 and out.splitlines()[-1] == "p=-30/21"
+    assert calls == 1
 
 
 def test_discharge_command_on_critical_graph(run, tmp_path):

@@ -204,9 +204,10 @@ def test_witnesses_equal_the_reference_search(ore17):
     pick = random.Random(17)
     for s in range(200):
         R = sorted(pick.sample(range(17), pick.randint(5, 16)))
-        H, k = induced_subgraph(pick.choice(seventeen), mask_of(R)), 3 + s % 2
-        want = seeded_by_reference(H, k, random.Random(s))
-        assert seeded_coloring(H, k, random.Random(s)) == want
+        G, k = pick.choice(seventeen), 3 + s % 2
+        want = seeded_by_reference(induced_subgraph(G, mask_of(R)), k, random.Random(s))
+        got = seeded_coloring(G, mask_of(R), k, random.Random(s))
+        assert got == (None if want is None else dict(zip(R, want)))
 
 
 def with_low_degree_vertices(n, rng):
@@ -279,24 +280,25 @@ def test_a_wrong_peel_is_caught(monkeypatch):
 
 def test_seeded_coloring_is_deterministic_and_varied(doubles):
     G = named_graph("groetzsch")
+    every = (1 << G.n) - 1
     rngs = [random.Random(s) for s in (0, 0, 1, 2, 3)]
-    outs = [seeded_coloring(G, 4, r) for r in rngs]
-    for colors in outs:
-        proper(G, colors, 4)
+    outs = [seeded_coloring(G, every, 4, r) for r in rngs]
+    for phi in outs:
+        proper(G, [phi[v] for v in range(G.n)], 4)
     assert outs[0] == outs[1]
-    assert len(set(outs)) > 1
-    assert seeded_coloring(complete_graph(5), 4, random.Random(0)) is None
+    assert len({tuple(sorted(phi.items())) for phi in outs}) > 1
+    assert seeded_coloring(complete_graph(5), 0b11111, 4, random.Random(0)) is None
     # complete, proper on G itself, and a function of the rng state, over
     # the 9-vertex classes and their one-edge deletions and additions
     verdicts = set()
     for g, _ in doubles:
         for s, h in enumerate([g] + one_edge_changes(g)):
-            colors = seeded_coloring(h, 4, random.Random(s))
-            assert (colors is None) == (is_k_colorable(h, 4) is None)
-            assert colors == seeded_coloring(h, 4, random.Random(s))
-            if colors is not None:
-                proper(h, colors, 4)
-            verdicts.add(colors is None)
+            phi = seeded_coloring(h, (1 << h.n) - 1, 4, random.Random(s))
+            assert (phi is None) == (is_k_colorable(h, 4) is None)
+            assert phi == seeded_coloring(h, (1 << h.n) - 1, 4, random.Random(s))
+            if phi is not None:
+                proper(h, [phi[v] for v in range(h.n)], 4)
+            verdicts.add(phi is None)
     assert verdicts == {False, True}
 
 
@@ -308,8 +310,8 @@ def test_seeded_colorings_open_few_search_nodes():
     pick = random.Random(0)
     nodes = []
     for s in range(100):
-        sub = induced_subgraph(M, mask_of(pick.sample(range(M.n), 22)))
-        colors, count = search_nodes(lambda: seeded_coloring(sub, 4, random.Random(s)))
+        R = mask_of(pick.sample(range(M.n), 22))
+        colors, count = search_nodes(lambda: seeded_coloring(M, R, 4, random.Random(s)))
         assert colors is not None
         nodes.append(count)
     # 11,824 in all and 951 at most
@@ -449,9 +451,8 @@ def identifications(hosts, per_host, rng):
     out = []
     for G in hosts:
         for _ in range(per_host):
-            R = sorted(rng.sample(range(G.n), rng.randint(5, G.n - 1)))
-            colors = seeded_coloring(induced_subgraph(G, mask_of(R)), 4, rng)
-            out.append((G, dict(zip(R, colors))))
+            R = mask_of(rng.sample(range(G.n), rng.randint(5, G.n - 1)))
+            out.append((G, seeded_coloring(G, R, 4, rng)))
     return out
 
 
@@ -603,8 +604,8 @@ def test_the_n17_proofs_end_in_their_k5_blocks(ore17, monkeypatch):
 
 def test_the_composite_of_two_mycielski_groetzsch_graphs_is_critical(monkeypatch):
     M = named_graph("mycielski_groetzsch")
-    nbrs = bits(M.adj[0])
-    G, _ = compose_graphs(M, M.edges()[0], M, 0, (tuple(nbrs[:1]), tuple(nbrs[1:])))
+    low = M.adj[0] & -M.adj[0]
+    G, _ = compose_graphs(M, M.edges()[0], M, 0, (low, M.adj[0] ^ low))
     assert (G.n, G.m) == (45, 141)
     assert not any(G.adj[u] & G.adj[v] for u, v in G.edges())
     leaves = counted_leaves(monkeypatch)
@@ -704,7 +705,7 @@ def test_critical_complement_of_chain_block(doubles):
     # glue a K5 onto a double K5 through a fresh composition, then collapse
     # the new block; what is left must be the double K5 again
     g2, recipe2 = doubles[0]
-    chain = Compose(Leaf(), (0, 1), recipe2, 2, ((0,), (1, 3, 4)))
+    chain = Compose(Leaf(), (0, 1), recipe2, 2, (0b1, 0b11010))
     G = ore_compose(chain)
     assert G.n == 13
     W, _ = critical_complement(G, range(5))

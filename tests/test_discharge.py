@@ -47,7 +47,7 @@ def test_charge_total_matches_potential_identity(doubles):
     ]:
         ledger = run_discharge(G)
         t, _ = t_number(G)
-        assert ledger.total84 == 4 * potential(G).num + 32 * t
+        assert ledger.total84 == 4 * potential(G, t).num + 32 * t
 
 
 def test_isolated_degree_four_vertex_keeps_everything():

@@ -1,10 +1,12 @@
 import argparse
 import ast
+import random
 import re
 from pathlib import Path
 
 import orelab
-from orelab import lab_cli
+from orelab import coloring, lab_cli, ore, packing
+from orelab.graph_core import bits, mask_of
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -215,11 +217,55 @@ def test_exact_colorings_take_one_solve_path():
 
 def test_vertex_sets_are_masks():
     # a vertex set crosses every library boundary as an int mask, bit v for
-    # vertex v; lists of vertices exist only where text enters or leaves
+    # vertex v; lists of vertices exist only where text enters or leaves,
+    # and no vertex set is frozen into a sorted tuple to be handed on
+    patterns = ("frozenset", "sorted(set(", "tuple(sorted(", "tuple(bits(")
     found = [
         f"{path.name}:{i}"
         for path in sorted(SRC.glob("*.py"))
         for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
-        if "frozenset" in line or "sorted(set(" in line
+        if any(pattern in line for pattern in patterns)
     ]
     assert not found, "\n".join(found)
+
+
+def is_mask_of(x, n: int) -> bool:
+    return type(x) is int and 0 <= x < 1 << n
+
+
+def test_vertex_set_results_are_int_masks(ore17, lab_facts):
+    # packing pieces, mic witnesses, Ore splits and the set a seeded
+    # coloring colors, each an int mask of the vertices it names
+    graphs = [facts.graph for facts in lab_facts]
+    for G in graphs:
+        t, pieces = packing.t_number(G)
+        used = 0
+        for piece in pieces:
+            assert is_mask_of(piece, G.n) and not piece & used
+            assert piece.bit_count() in (3, 4)
+            assert all(G.adj[u] & piece == piece & ~(1 << u) for u in bits(piece))
+            used |= piece
+        assert sum(piece.bit_count() - 2 for piece in pieces) == t
+        value, witness = packing.mic(G)
+        assert is_mask_of(witness, G.n)
+        assert not any(G.adj[v] & witness for v in bits(witness))
+        assert sum(G.degree(v) for v in bits(witness)) == value
+    recipes = [r for _, r in ore17] + [f.recipe for f in lab_facts if f.recipe is not None]
+    nodes = 0
+    while recipes:
+        node = recipes.pop()
+        if isinstance(node, ore.Compose):
+            g2 = ore.ore_compose(node.vertex_side)
+            a, b = node.split
+            assert is_mask_of(a, g2.n) and is_mask_of(b, g2.n)
+            assert a and b and not a & b and a | b == g2.adj[node.split_vertex]
+            recipes += (node.edge_side, node.vertex_side)
+            nodes += 1
+    assert nodes > 1000
+    rng = random.Random(24)
+    for G in graphs[-60:]:
+        if G.n > 5:
+            R = mask_of(rng.sample(range(G.n), rng.randint(5, G.n - 1)))
+            phi = coloring.seeded_coloring(G, R, 4, rng)
+            assert phi is not None and all(type(v) is int for v in phi)
+            assert mask_of(phi) == R

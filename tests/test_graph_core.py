@@ -202,6 +202,7 @@ def test_every_derived_graph_passes_the_full_check(ore13):
         order = list(range(G.n))
         rng.shuffle(order)
         built["relabel"].append(relabel(G, order))
+        built["relabel"].append(relabel(G, order[: G.n // 2 + 1]))
         edges = G.edges()
         built["without_edges"].append(without_edges(G, edges[::2]))
         for v in range(G.n):
@@ -209,11 +210,11 @@ def test_every_derived_graph_passes_the_full_check(ore13):
         for e in edges:
             built["without_edges"].append(without_edges(G, [e]))
             built["_four_core"].append(_four_core(built["without_edges"][-1]))
-        built["compose_graphs"].append(compose_graphs(G, edges[0], k5, 0, ((1,), (2, 3, 4)))[0])
+        built["compose_graphs"].append(compose_graphs(G, edges[0], k5, 0, (0b10, 0b11100))[0])
         z = max(range(G.n), key=G.degree)
         if G.degree(z) > 1:
-            nz = bits(G.adj[z])
-            built["compose_graphs"].append(compose_graphs(k5, (0, 1), G, z, (nz[:1], nz[1:]))[0])
+            low = G.adj[z] & -G.adj[z]
+            built["compose_graphs"].append(compose_graphs(k5, (0, 1), G, z, (low, G.adj[z] ^ low))[0])
         R = range(1, G.n)
         colors = is_k_colorable(induced_subgraph(G, mask_of(R)), 4) if G.n > 5 else None
         if colors is not None:

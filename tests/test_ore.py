@@ -42,7 +42,7 @@ def split_kinds(doubles):
 
 
 def test_compose_graphs_counts_and_mapping():
-    G, out_of = compose_graphs(complete_graph(5), (0, 1), complete_graph(5), 0, ((1,), (2, 3, 4)))
+    G, out_of = compose_graphs(complete_graph(5), (0, 1), complete_graph(5), 0, (0b10, 0b11100))
     assert G.n == 9 and G.m == 19
     assert not G.has_edge(0, 1)
     assert sorted(out_of) == [1, 2, 3, 4]
@@ -58,18 +58,18 @@ def test_compose_graphs_counts_and_mapping():
 
 def test_compose_graphs_rejects_bad_sites():
     with pytest.raises(ValueError, match="not an edge"):
-        compose_graphs(cycle_graph(5), (0, 2), complete_graph(5), 0, ((1,), (2, 3, 4)))
+        compose_graphs(cycle_graph(5), (0, 2), complete_graph(5), 0, (0b10, 0b11100))
     with pytest.raises(ValueError, match="nonempty"):
-        compose_graphs(complete_graph(5), (0, 1), complete_graph(5), 0, ((), (1, 2, 3, 4)))
+        compose_graphs(complete_graph(5), (0, 1), complete_graph(5), 0, (0, 0b11110))
     with pytest.raises(ValueError, match="partition"):
-        compose_graphs(complete_graph(5), (0, 1), complete_graph(5), 0, ((1, 2), (2, 3, 4)))
+        compose_graphs(complete_graph(5), (0, 1), complete_graph(5), 0, (0b110, 0b11100))
     with pytest.raises(ValueError, match="partition"):
-        compose_graphs(complete_graph(5), (0, 1), complete_graph(5), 0, ((1,), (2, 3)))
+        compose_graphs(complete_graph(5), (0, 1), complete_graph(5), 0, (0b10, 0b1100))
     with pytest.raises(ValueError, match="out of range"):
-        compose_graphs(complete_graph(5), (0, 1), complete_graph(5), 9, ((1,), (2, 3, 4)))
+        compose_graphs(complete_graph(5), (0, 1), complete_graph(5), 9, (0b10, 0b11100))
     # 61 + 5 - 1 vertices, more than a Graph may have
     with pytest.raises(ValueError, match="65 vertices exceeds 64"):
-        compose_graphs(complete_graph(61), (0, 1), complete_graph(5), 0, ((1,), (2, 3, 4)))
+        compose_graphs(complete_graph(61), (0, 1), complete_graph(5), 0, (0b10, 0b11100))
 
 
 def test_compose_graphs_matches_the_edge_list_build(ore13):
@@ -95,9 +95,9 @@ def test_compose_graphs_matches_the_edge_list_build(ore13):
                       for side in (1, 0))
         sites.append((g1, (x, y), g2, z, split))
     assert len(sites) > 1000
-    for site in sites:
-        G, out_of = compose_graphs(*site)
-        H, out_of_h = compose_by_edges(*site)
+    for g1, xy, g2, z, (a, b) in sites:
+        G, out_of = compose_graphs(g1, xy, g2, z, (mask_of(a), mask_of(b)))
+        H, out_of_h = compose_by_edges(g1, xy, g2, z, (a, b))
         assert (G, out_of) == (H, out_of_h)
 
 
@@ -115,7 +115,7 @@ def test_double_k5_shapes(doubles):
 
 
 def test_recipe_text_exact_form():
-    recipe = Compose(Leaf(), (0, 1), Leaf(), 0, ((1,), (2, 3, 4)))
+    recipe = Compose(Leaf(), (0, 1), Leaf(), 0, (0b10, 0b11100))
     text = recipe_to_text(recipe)
     assert text == "(compose (k5) e=0-1 (k5) z=0 split=1|2,3,4)"
     assert recipe_to_text(Leaf()) == "(k5)"
@@ -206,7 +206,10 @@ def test_orbit_walk_composes_the_first_site_of_every_orbit(ore13, monkeypatch):
     compose = ore.compose_graphs
     monkeypatch.setattr(ore, "compose_graphs", lambda *a: calls.append(a) or compose(*a))
     assert len(list(enumerate_5_ore(17))) == 575
-    expected = list(first_sites_by_orbits(ore13, 17))
+    expected = [
+        (g1, xy, g2, z, (mask_of(a), mask_of(b)))
+        for g1, xy, g2, z, (a, b) in first_sites_by_orbits(ore13, 17)
+    ]
     assert len(calls) == len(expected) == 1950
     assert calls == expected
 

@@ -21,7 +21,7 @@ from helpers import (
 def check_packing(G, t, pieces):
     used = set()
     total = 0
-    for piece in pieces:
+    for piece in map(bits, pieces):
         assert len(piece) in (3, 4)
         assert not used & set(piece)
         used |= set(piece)
@@ -101,7 +101,7 @@ def test_t_number_known_values(doubles):
         t, pieces = t_number(g)
         assert t == 4
         check_packing(g, t, pieces)
-        assert sorted(len(p) for p in pieces) == [4, 4]
+        assert sorted(p.bit_count() for p in pieces) == [4, 4]
 
 
 def test_two_disjoint_k4s():
@@ -132,13 +132,19 @@ def test_t_number_matches_the_reference_search(ore13):
     rng = random.Random(15)
     graphs += [random_graph(rng.randint(1, 14), rng.random(), rng) for _ in range(500)]
     for G in graphs:
-        assert t_number(G) == t_number_reference(G)
+        assert t_number(G) == as_masks(t_number_reference(G))
+
+
+def as_masks(packed):
+    """A packing with vertex-tuple pieces, each piece as its mask."""
+    t, pieces = packed
+    return t, tuple(map(mask_of, pieces))
 
 
 def mapped(kept, packed):
     """A packing of G[kept] in G's labels, where ``kept[i]`` is G[kept]'s vertex i."""
     t, pieces = packed
-    return t, tuple(tuple(kept[v] for v in piece) for piece in pieces)
+    return t, tuple(mask_of(kept[v] for v in bits(piece)) for piece in pieces)
 
 
 def test_t_number_matches_the_reference_on_extension_subgraphs(ore17, monkeypatch):
@@ -160,7 +166,7 @@ def test_t_number_matches_the_reference_on_extension_subgraphs(ore17, monkeypatc
     assert len(asked) >= 800
     for G, mask in asked:
         kept = bits(mask)
-        want = mapped(kept, t_number_reference(induced_subgraph(G, mask)))
+        want = mapped(kept, as_masks(t_number_reference(induced_subgraph(G, mask))))
         assert best_packing(G, packing.piece_table(G), mask) == want
 
 
@@ -180,13 +186,24 @@ def test_packing_inside_a_mask_is_the_induced_subgraphs(ore17):
 
 
 def test_a_packing_that_leaves_the_mask_is_caught(monkeypatch):
-    # a search that picks (0, 1, 2) of K4 while the mask leaves out vertex 2
+    # a search that picks {0, 1, 2} of K4 while the mask leaves out vertex 2
     def escaping(free, cur, chosen, by_low, best):
-        best[0], best[1] = 1, ((0, 1, 2),)
+        best[0], best[1] = 1, (0b111,)
 
     monkeypatch.setattr(packing, "_pack", escaping)
     with pytest.raises(InvariantViolation):
         packing.best_packing(complete_graph(4), packing.piece_table(complete_graph(4)), 0b1011)
+
+
+def test_a_piece_that_is_no_triangle_or_k4_is_caught(monkeypatch):
+    # a search that picks all of K5 as one piece; a KeyError here would
+    # reach the CLI as a usage error instead of a panic
+    def oversized(free, cur, chosen, by_low, best):
+        best[0], best[1] = 3, (0b11111,)
+
+    monkeypatch.setattr(packing, "_pack", oversized)
+    with pytest.raises(InvariantViolation, match="neither a triangle nor a K4"):
+        t_number(complete_graph(5))
 
 
 def test_oracle_refuses_large_graphs():
@@ -253,7 +270,8 @@ def test_mic_witness_is_independent_and_matches():
     for _ in range(40):
         G = random_graph(rng.randint(2, 11), rng.random(), rng)
         value, witness = mic(G)
-        assert list(witness) == sorted(set(witness))
+        assert isinstance(witness, int) and not witness >> G.n
+        witness = bits(witness)
         assert value == sum(G.degree(v) for v in witness)
         for i, u in enumerate(witness):
             for v in witness[i + 1 :]:

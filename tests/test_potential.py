@@ -12,6 +12,7 @@ from orelab import (
     named_graph,
     p_ky,
     potential,
+    t_number,
 )
 from orelab.coloring import is_collapsible, seeded_coloring
 from orelab.constructions import complete_graph, cycle_graph
@@ -44,6 +45,11 @@ from helpers import (
     random_graph,
     splitting_coloring,
 )
+
+
+def refined(G):
+    """The refined potential of G, from its packing number."""
+    return potential(G, t_number(G)[0])
 
 
 def one_three(doubles):
@@ -103,12 +109,12 @@ def test_p_ky_values(doubles):
 
 
 def test_potential_values(doubles):
-    assert potential(complete_graph(5)) == Rat21(94)
+    assert refined(complete_graph(5)) == Rat21(94)
     for g, _ in doubles:
-        assert potential(g) == Rat21(82)
-    assert potential(named_graph("c5_join_k2")) == Rat21(-30)
-    assert potential(named_graph("k1_join_groetzsch")) == Rat21(-332)
-    assert potential(named_graph("mycielski_groetzsch")) == Rat21(-1594)
+        assert refined(g) == Rat21(82)
+    assert refined(named_graph("c5_join_k2")) == Rat21(-30)
+    assert refined(named_graph("k1_join_groetzsch")) == Rat21(-332)
+    assert refined(named_graph("mycielski_groetzsch")) == Rat21(-1594)
 
 
 def test_set_potentials_match_induced_subgraph(doubles):
@@ -116,7 +122,7 @@ def test_set_potentials_match_induced_subgraph(doubles):
     for R in (mask_of([0, 1, 2, 3, 4]), mask_of([1, 3, 5, 7, 8]), mask_of(range(6))):
         sub = induced_subgraph(g, R)
         assert p_ky_set(g, R) == p_ky(sub)
-        assert potentials_inside(g, piece_table(g), R) == (p_ky(sub), potential(sub))
+        assert potentials_inside(g, piece_table(g), R) == (p_ky(sub), refined(sub))
 
 
 # --- identification -----------------------------------------------------------
@@ -125,8 +131,7 @@ def test_set_potentials_match_induced_subgraph(doubles):
 def test_phi_identify_shape(doubles):
     g, recipe = one_three(doubles)
     R = list(range(5))
-    colors = seeded_coloring(induced_subgraph(g, mask_of(R)), 4, random.Random(0))
-    phi = dict(zip(R, colors))
+    phi = seeded_coloring(g, mask_of(R), 4, random.Random(0))
     H, names = phi_identify(g, phi)
     assert H.n == g.n - len(R) + 4
     assert names == (-1, -2, -3, -4, 5, 6, 7, 8)
@@ -140,8 +145,7 @@ def test_phi_identify_shape(doubles):
 def test_phi_identify_rejects_bad_input(doubles):
     g, _ = doubles[0]
     good_r = list(range(5))
-    colors = seeded_coloring(induced_subgraph(g, mask_of(good_r)), 4, random.Random(0))
-    phi = dict(zip(good_r, colors))
+    phi = seeded_coloring(g, mask_of(good_r), 4, random.Random(0))
     with pytest.raises(ValueError, match="at least 5"):
         phi_identify(g, {v: 1 for v in range(4)})
     with pytest.raises(ValueError, match="proper subset"):
@@ -169,9 +173,7 @@ def test_identification_panics_on_non_critical_host():
 
 
 def block_extension(g, seed=0):
-    R = list(range(5))
-    colors = seeded_coloring(induced_subgraph(g, mask_of(R)), 4, random.Random(seed))
-    return critical_extension(g, dict(zip(R, colors)))
+    return critical_extension(g, seeded_coloring(g, mask_of(range(5)), 4, random.Random(seed)))
 
 
 def test_edge_block_extension_is_total_with_tiny_core(doubles):
@@ -212,12 +214,8 @@ def test_collapsible_subsets_extend_totally(doubles):
     # one direction of the collapsibility/extension correspondence
     for g, _ in doubles:
         for R in ore_collapsible_subsets(g):
-            order = sorted(R)
             for seed in range(8):
-                colors = seeded_coloring(
-                    induced_subgraph(g, mask_of(order)), 4, random.Random(seed)
-                )
-                rec = critical_extension(g, dict(zip(order, colors)))
+                rec = critical_extension(g, seeded_coloring(g, mask_of(R), 4, random.Random(seed)))
                 assert rec.complete and rec.spanning and rec.core_size == 1
 
 
@@ -243,13 +241,13 @@ def test_complement_potential_bound(doubles):
         for R in ore_collapsible_subsets(g):
             W, _ = critical_complement(g, R)
             _, lhs = potentials_inside(g, piece_table(g), mask_of(R))
-            rhs = potential(g) - potential(W) + gap
+            rhs = refined(g) - refined(W) + gap
             assert lhs >= rhs
     g, _ = one_three(doubles)
     R = frozenset(range(5))
     W, _ = critical_complement(g, R)
     assert potentials_inside(g, piece_table(g), mask_of(R))[1] == Rat21(178)
-    assert potential(g) - potential(W) + gap == Rat21(170)
+    assert refined(g) - refined(W) + gap == Rat21(170)
 
 
 def test_random_extension_fuzz_never_violates(doubles):
