@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
-from .graph_core import Graph, d4_components, graph_from_text, graph_to_text
+from .graph_core import Graph, Record, d4_components, graph_from_text, graph_to_text
 from .potential import Facts, p_ky
 from .report import Report
 
@@ -47,10 +46,10 @@ def compute_invariants(facts: Facts) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(Record):
     """One stored graph; ``key`` is the name it is stored under."""
 
+    __slots__ = ("key", "graph", "invariants")
     key: str
     graph: Graph
     invariants: dict

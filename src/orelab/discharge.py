@@ -14,9 +14,7 @@ ledger whose sums disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graph_core import Graph, InvariantViolation, bits, d4_components
+from .graph_core import Graph, InvariantViolation, Record, bits, d4_components
 from .potential import Facts
 from .report import Report
 
@@ -28,14 +26,14 @@ def initial_charge_84(degree: int) -> int:
 TRANSFER_84 = 21
 
 
-@dataclass(frozen=True)
-class ChargeLedger:
+class ChargeLedger(Record):
     """Full audit trail of one discharging run.
 
     ``initial84[v]`` and ``final84[v]`` are numerators over 84;
     ``transfers`` lists (sender, receiver) pairs, each moving 21/84.
     """
 
+    __slots__ = ("graph", "initial84", "final84", "transfers")
     graph: Graph
     initial84: tuple[int, ...]
     final84: tuple[int, ...]

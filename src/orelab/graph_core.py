@@ -10,6 +10,8 @@ audits) builds on the operations here: induced subgraphs, the sides of a
 degree-four subgraph, and an exact canonical form used to deduplicate
 isomorphism classes.
 
+Graphs and the library's other records are immutable :class:`Record`
+values: plain ``__slots__`` classes, of which none is generated at import.
 Structure is checked where outside data enters, by ``Graph(n, adj)``,
 which ``Graph.from_edges``, the codecs and the constructions call.  A graph
 derived from one the library holds is well formed by construction, so it
@@ -32,8 +34,6 @@ contract; speed only has to be good enough for graphs of desk scale
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 MAX_VERTICES = 64
 
@@ -63,8 +63,51 @@ def bits(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Graph:
+class Record:
+    """An immutable value whose fields are its class's ``__slots__``, each
+    declared beside an annotated line.  It is built from its fields by
+    position or keyword, compares and hashes as the tuple of its fields,
+    and pickles and copies through its constructor.  Records built on hot
+    paths define a straight-line ``__init__`` instead of this one.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        # extra, repeated, missing and unknown fields all show in the counts
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names) or 'none'}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class Graph(Record):
     """Simple undirected graph; ``adj[v]`` is the neighbor bitmask of ``v``.
 
     A graph is its adjacency alone.  Builders whose callers need to know
@@ -73,12 +116,30 @@ class Graph:
     ``phi_identify``).
     """
 
+    __slots__ = ("n", "adj")
     n: int
     adj: tuple[int, ...]
 
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        if not 1 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+        if len(adj) != n:
+            raise ValueError("adjacency length differs from vertex count")
+        full = (1 << n) - 1
+        for v, row in enumerate(adj):
+            if row & ~full:
+                raise ValueError(f"adjacency row {v} references missing vertices")
+            if row >> v & 1:
+                raise ValueError(f"loop at vertex {v}")
+            for u in bits(row):
+                if not adj[u] >> v & 1:
+                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
+
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
-        """Each edge listed once; ``__post_init__`` rejects a loop.  n is
+        """Each edge listed once; ``__init__`` rejects a loop.  n is
         checked first, as the rows are allocated from it, and each endpoint
         before it indexes a row, where a negative index would wrap silently."""
         if not 1 <= n <= MAX_VERTICES:
@@ -92,21 +153,6 @@ class Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return Graph(n, tuple(rows))
-
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
-        if len(self.adj) != self.n:
-            raise ValueError("adjacency length differs from vertex count")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
-            if row & ~full:
-                raise ValueError(f"adjacency row {v} references missing vertices")
-            if row >> v & 1:
-                raise ValueError(f"loop at vertex {v}")
-            for u in bits(row):
-                if not self.adj[u] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
     @property
     def m(self) -> int:
@@ -284,8 +330,7 @@ def two_cuts(G: Graph):
                 yield x, y, tuple(parts)
 
 
-@dataclass(frozen=True)
-class D4Report:
+class D4Report(Record):
     """Connected components of the subgraph induced by degree-four vertices,
     as masks sorted by size, then by lowest vertex.
 
@@ -293,6 +338,7 @@ class D4Report:
     discharging arithmetic consumes exactly those two numbers.
     """
 
+    __slots__ = ("components", "singles", "pairs")
     components: tuple[int, ...]
     singles: int
     pairs: int
@@ -482,6 +528,8 @@ def canonical_form(G: Graph) -> Canonical:
         if best[0] is None or cert < best[0]:
             best[0], best[1] = cert, perm
             for c in cells:
+                if not c & (c - 1):
+                    continue  # a one-vertex cell gives no transposition
                 vs = bits(c)
                 for a, b in zip(vs, vs[1:]):
                     image = list(identity)
@@ -514,7 +562,12 @@ def canonical_form(G: Graph) -> Canonical:
             record(pref, prefix, ())
             return
         if _is_homogeneous(adj, cells):
-            perm = prefix + [v for c in cells[idx:] for v in bits(c)]
+            perm = prefix
+            for c in cells[idx:]:
+                if c & (c - 1):
+                    perm += bits(c)
+                else:
+                    perm.append(c.bit_length() - 1)
             record(_cert_rows(adj, perm, pref), perm, cells)
             return
         cell = cells[idx]

@@ -25,14 +25,13 @@ which saves time and cannot change an answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .constructions import complete_graph
 from .graph_core import (
     MAX_VERTICES,
     Canonical,
     Graph,
     InvariantViolation,
+    Record,
     _trusted,
     bits,
     canonical_form,
@@ -44,13 +43,13 @@ from .graph_core import (
 )
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(Record):
     """The K5 building block."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Compose:
+
+class Compose(Record):
     """One composition step.
 
     ``replaced_edge`` is an ordered pair (x, y) in the edge side's
@@ -58,6 +57,7 @@ class Compose:
     masks in the vertex side's labeling, parts of N(z).
     """
 
+    __slots__ = ("edge_side", "replaced_edge", "vertex_side", "split_vertex", "split")
     edge_side: "OreRecipe"
     replaced_edge: tuple[int, int]
     vertex_side: "OreRecipe"

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from functools import total_ordering
 from math import comb
 
 from . import coloring as col
@@ -37,6 +37,7 @@ from . import packing
 from .graph_core import (
     Graph,
     InvariantViolation,
+    Record,
     _image,
     bits,
     canonical_form,
@@ -45,11 +46,18 @@ from .graph_core import (
 from .report import Report
 
 
-@dataclass(frozen=True, order=True)
-class Rat21:
-    """An exact rational with fixed denominator 21."""
+@total_ordering
+class Rat21(Record):
+    """An exact rational with fixed denominator 21, ordered by value."""
 
+    __slots__ = ("num",)
     num: int
+
+    def __init__(self, num: int):
+        object.__setattr__(self, "num", num)
+
+    def __lt__(self, other: "Rat21") -> bool:
+        return self.num < other.num if other.__class__ is Rat21 else NotImplemented
 
     def __add__(self, other: "Rat21") -> "Rat21":
         return Rat21(self.num + other.num)
@@ -144,8 +152,7 @@ def phi_identify(G: Graph, phi: dict[int, int]) -> tuple[Graph, tuple[int, ...]]
     return _image(G, (1 << G.n) - 1, at, rows), (-1, -2, -3, -4, *outside)
 
 
-@dataclass(frozen=True)
-class Facts:
+class Facts(Record):
     """What the corpus and the verifiers ask of one graph, each answered once.
 
     ``key`` is the graph's corpus key, the first 16 hex digits of the
@@ -154,6 +161,7 @@ class Facts:
     the maximum independent cover number.
     """
 
+    __slots__ = ("graph", "key", "critical", "recipe", "t", "mic")
     graph: Graph
     key: str
     critical: bool
@@ -183,8 +191,7 @@ class Facts:
         return potential(self.graph, self.t)
 
 
-@dataclass(frozen=True)
-class ExtensionRecord:
+class ExtensionRecord(Record):
     """One critical extension: who extended, with what, and how cleanly.
 
     ``extender`` is a 5-critical subgraph of the identified graph, and
@@ -194,6 +201,8 @@ class ExtensionRecord:
     ``subset`` (R) and ``expanded`` (R') are vertex masks of the host.
     """
 
+    __slots__ = ("host", "subset", "identified", "extender", "labels", "core_classes",
+                 "expanded", "complete", "spanning", "empty_classes")
     host: Graph
     subset: int
     identified: Graph
@@ -252,18 +261,7 @@ def critical_extension(G: Graph, phi: dict[int, int]) -> ExtensionRecord:
             if not W.has_edge(core_pos[c], core_pos[d]):
                 complete = False
     spanning = expanded == (1 << G.n) - 1
-    return ExtensionRecord(
-        host=G,
-        subset=R,
-        identified=H,
-        extender=W,
-        labels=labels,
-        core_classes=core_classes,
-        expanded=expanded,
-        complete=complete,
-        spanning=spanning,
-        empty_classes=empty,
-    )
+    return ExtensionRecord(G, R, H, W, labels, core_classes, expanded, complete, spanning, empty)
 
 
 def verify_extension_inequalities(rec: ExtensionRecord, key: str, table: list) -> Report:

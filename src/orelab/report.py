@@ -9,16 +9,23 @@ byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .graph_core import Record
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
+    __slots__ = ("name", "key", "ok", "slack21", "note")
     name: str
     key: str
     ok: bool
-    slack21: int | None = None
-    note: str = ""
+    slack21: int | None
+    note: str
+
+    def __init__(self, name: str, key: str, ok: bool, slack21: int | None = None, note: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "slack21", slack21)
+        object.__setattr__(self, "note", note)
 
     def line(self) -> str:
         s = f"CHECK {self.name} {self.key} {'PASS' if self.ok else 'FAIL'}"
@@ -29,9 +36,14 @@ class Check:
         return s
 
 
-@dataclass
 class Report:
-    checks: list[Check] = field(default_factory=list)
+    """A mutable list of checks, in the order they were added."""
+
+    __slots__ = ("checks",)
+    checks: list[Check]
+
+    def __init__(self):
+        self.checks = []
 
     def add(self, name: str, key: str, ok: bool, slack21: int | None = None, note: str = ""):
         self.checks.append(Check(name, key, bool(ok), slack21, note))

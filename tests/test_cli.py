@@ -299,13 +299,15 @@ def test_verify_jobs_output_identical_in_fresh_processes(ore17, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_importing_the_cli_loads_no_process_pool():
-    # only verify --jobs above 1 starts a pool, and only then imports one
+def test_importing_the_cli_loads_no_process_pool_or_dataclasses():
+    # only verify --jobs above 1 starts a pool, and only then imports one;
+    # records are plain __slots__ classes, so no code is generated at import
     src = str(Path(orelab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
         "import sys, orelab.lab_cli; "
-        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        "print(sorted({'concurrent.futures', 'multiprocessing', 'dataclasses', 'inspect'}"
+        " & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60

@@ -110,6 +110,18 @@ def test_library_code_is_reached_outside_tests():
         if owner and (name := _member(node)) and not name.startswith("__")
         and not any(name in seen for j, seen in enumerate(unit_loads) if j != i)
     ]
+    # a record's fields are its __slots__; each needs its annotated line, or
+    # it would leave the check above by being declared only in __slots__
+    unannotated = [
+        f"{module}.{stmt.name}.{name} has no annotated field line"
+        for module, stmt in statements
+        if isinstance(stmt, ast.ClassDef)
+        for node in stmt.body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", "") for target in node.targets] == ["__slots__"]
+        for name in ast.literal_eval(node.value)
+        if name not in {_member(field) for field in stmt.body if isinstance(field, ast.AnnAssign)}
+    ]
     unused_imports = []
     for module, tree in modules.items():
         used = _loads(tree)
@@ -123,11 +135,12 @@ def test_library_code_is_reached_outside_tests():
                         unused_imports.append(f"{module} imports {bound}")
     readme = README.read_text(encoding="utf-8")
     undocumented = [name for name in orelab.__all__ if not re.search(rf"\b{name}\b", readme)]
-    problems = unreached + unused_imports + [f"README lacks {name}" for name in undocumented]
+    problems = unreached + unannotated + unused_imports
+    problems += [f"README lacks {name}" for name in undocumented]
     assert not problems, "\n".join(problems)
 
 
-# Graph.__post_init__ checks the structure of every graph built with
+# Graph.__init__ checks the structure of every graph built with
 # Graph(...); the graphs the library derives from graphs it holds skip it by
 # way of graph_core._trusted, mostly through the row builder graph_core._image.
 # These are the only functions that may use either, each for rows that are

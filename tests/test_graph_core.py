@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 from collections import defaultdict
 
@@ -23,8 +25,9 @@ from orelab.graph_core import (
     two_cuts,
     without_edges,
 )
-from orelab.ore import compose_graphs
-from orelab.potential import phi_identify
+from orelab.ore import Compose, Leaf, compose_graphs
+from orelab.potential import Facts, Rat21, phi_identify
+from orelab.report import Check
 
 from helpers import (
     brute_isomorphic,
@@ -67,6 +70,43 @@ def test_from_edges_rejects_bad_input():
 def test_adjacency_must_be_symmetric():
     with pytest.raises(ValueError):
         Graph(2, (2, 0))
+
+
+def test_records_are_immutable_values_that_pickle_and_copy(doubles):
+    G, recipe = doubles[0]
+    facts = Facts.of(G)
+    assert isinstance(recipe, Compose) and isinstance(facts.recipe, Compose)
+    for value in (G, facts, Rat21(-5), recipe, Leaf(), Check("c", "k", False, -2, "x")):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+            assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+    assert Graph(n=G.n, adj=G.adj) == G and G != (G.n, G.adj)
+    assert Leaf() == Leaf() and hash(Leaf()) == hash(Leaf()) and recipe != Leaf()
+    assert recipe == Compose(
+        edge_side=recipe.edge_side,
+        replaced_edge=recipe.replaced_edge,
+        vertex_side=recipe.vertex_side,
+        split_vertex=recipe.split_vertex,
+        split=recipe.split,
+    )
+    assert Check("c", "k", True) == Check(name="c", key="k", ok=True, slack21=None, note="")
+    for value, name in ((G, "adj"), (facts, "t"), (Rat21(1), "num"), (recipe, "split")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    k5 = complete_graph(5)
+    for build in (
+        lambda: Graph(5),
+        lambda: Graph(5, k5.adj, m=10),
+        lambda: Facts(G),
+        lambda: Facts(G, facts.key, True, recipe, facts.t, facts.mic, 0),
+        lambda: Compose(Leaf(), (0, 1), Leaf(), 0, recipe.split, split_vertex=0),
+        lambda: Leaf(k5),
+        lambda: Rat21(num=1, den=21),
+        lambda: Check("c", "k"),
+    ):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_handshake_on_random_graphs():

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -331,9 +330,9 @@ def test_ore5_bounds_names_a_violating_subset():
     # c5_join_k2 is not 5-Ore; given a recipe anyway, the sweep runs and
     # finds R = V - {4}: p_ky(R) = 6, and the adjacent K2 pair lies on its
     # boundary, so R is not collapsible
-    facts = dataclasses.replace(
-        Facts.of(named_graph("c5_join_k2")), recipe=Facts.of(complete_graph(5)).recipe
-    )
+    c5 = Facts.of(named_graph("c5_join_k2"))
+    recipe = Facts.of(complete_graph(5)).recipe
+    facts = Facts(c5.graph, c5.key, c5.critical, recipe, c5.t, c5.mic)
     row = verify_ore5_bounds(facts).checks[-1]
     assert row.name == "ore5-low-ky-collapsible"
     assert not row.ok
