@@ -29,6 +29,13 @@ for the search above, so a ``None`` still rests on exhaustive searches,
 and every glued coloring is checked proper.  A 5-Ore graph splits down to
 its K5 blocks, which its clique refutes without a search node.
 
+No side is copied out as a graph of its own.  A side is a vertex mask
+over its parent's rows, with the bits of xy set, or with y's row merged
+into x's and y off the mask; peel, 2-cut scan and search read the rows
+masked to it and write its coloring into the caller's color list.  They
+break ties by lowest index, as on a copy numbered in ascending order, so
+a proof reaches the cuts, leaves and colorings such copies would.
+
 Criticality needs a 4-coloring of G - e for every edge e.  Rather than one
 exact search per edge, a solved G - uv seeds a witness walk: the coloring
 gives u and v one color, and recoloring an endpoint x to a color b that
@@ -61,7 +68,6 @@ from .graph_core import (
     _trusted,
     bits,
     connected_components,
-    cut_side,
     induced_subgraph,
     mask_of,
     relabel,
@@ -70,8 +76,9 @@ from .graph_core import (
 )
 
 
-def _peel(g: Graph, k: int) -> tuple[int, list[int]]:
-    """The k-core of g as a mask, and the vertices outside it in peel order.
+def _peel(g: Graph, k: int, mask: int) -> tuple[int, list[int]]:
+    """The k-core of g[mask] as a mask, and the vertices of ``mask``
+    outside it in peel order.
 
     Sweeps the vertices in ascending index order, deleting each one with
     fewer than k neighbors left, until a sweep deletes none.  A peeled
@@ -79,7 +86,7 @@ def _peel(g: Graph, k: int) -> tuple[int, list[int]]:
     peeled after it.
     """
     adj = g.adj
-    core = (1 << g.n) - 1
+    core = mask
     order: list[int] = []
     swept = True
     while swept:
@@ -172,30 +179,29 @@ def _search(g: Graph, k: int, mask: int, color: list[int]) -> bool:
     return dfs(len(clique))
 
 
-def _peel_solve_check(G: Graph, k: int, solve) -> tuple[int, ...] | None:
-    """A k-coloring of G, or None: peel G once, color its k-core by
-    ``solve(G, k, core, color)`` (False when it has none), give the peeled
-    vertices the lowest free color in reverse peel order, check the whole."""
-    core, peeled = _peel(G, k)
-    color = [0] * G.n
+def _peel_solve_check(G: Graph, mask: int, k: int, solve, color: list[int]) -> bool:
+    """Write a k-coloring of G[mask] into ``color``, or return False: peel
+    G[mask] once, color its k-core by ``solve(G, k, core, color)`` (False
+    when it has none), give the peeled vertices the lowest free color in
+    reverse peel order, and check the coloring on ``mask``."""
+    core, peeled = _peel(G, k, mask)
     if core and not solve(G, k, core, color):
-        return None
+        return False
     if peeled:
         adj = G.adj
         # color-class masks, with room for a color k + 1, which only a wrong
         # peel gives and the check below refuses
         classes = [0] * (k + 2)
-        for v, c in enumerate(color):
-            classes[c] |= 1 << v
+        for v in bits(core):
+            classes[color[v]] |= 1 << v
         for v in reversed(peeled):
             c = 1
             while c <= k and classes[c] & adj[v]:
                 c += 1
             color[v] = c
             classes[c] |= 1 << v
-    out = tuple(color)
-    _check_proper(G, out, k)
-    return out
+    _check_proper(G, mask, color, k)
+    return True
 
 
 def is_k_colorable(G: Graph, k: int) -> tuple[int, ...] | None:
@@ -210,7 +216,10 @@ def is_k_colorable(G: Graph, k: int) -> tuple[int, ...] | None:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    return _peel_solve_check(G, k, _search_components)
+    color = [0] * G.n
+    if not _peel_solve_check(G, (1 << G.n) - 1, k, _search_components, color):
+        return None
+    return tuple(color)
 
 
 def _search_components(G: Graph, k: int, core: int, color: list[int]) -> bool:
@@ -223,67 +232,77 @@ def _search_components(G: Graph, k: int, core: int, color: list[int]) -> bool:
     return True
 
 
-def _by_cuts(G: Graph, k: int) -> tuple[int, ...] | None:
-    """:func:`is_k_colorable`'s verdict, reached through the 2-cuts of G's
-    k-core (:func:`_cut_or_search`)."""
-    return _peel_solve_check(G, k, _cut_or_search)
+def _by_cuts(G: Graph, mask: int, k: int, color: list[int]) -> bool:
+    """:func:`is_k_colorable`'s verdict on G[mask], reached through the
+    2-cuts of its k-core (:func:`_cut_or_search`); a coloring is written
+    into ``color`` on ``mask``."""
+    return _peel_solve_check(G, mask, k, _cut_or_search, color)
 
 
 def _cut_or_search(G: Graph, k: int, core: int, color: list[int]) -> bool:
-    """Split the core at its first 2-cut (:func:`_split`), or search it in
+    """Split G[core] at its first 2-cut (:func:`_split`), or search it in
     place when it has none.  A core with no 2-cut is connected."""
-    inner = G if core == (1 << G.n) - 1 else induced_subgraph(G, core)
-    cut = next(two_cuts(inner), None)
+    cut = next(two_cuts(G, core), None)
     if cut is None:
         return _search(G, k, core, color)
-    colors = _split(inner, k, cut)
-    if colors is None:
-        return False
-    for v, c in zip(bits(core), colors):
-        color[v] = c
-    return True
+    return _split(G, core, k, cut, color)
 
 
-def _split(G: Graph, k: int, cut) -> tuple[int, ...] | None:
-    """A k-coloring of G or None, from the sides of the 2-cut ``cut``.
+def _split(G: Graph, mask: int, k: int, cut, color: list[int]) -> bool:
+    """Write a k-coloring of G[mask] into ``color`` from the sides of the
+    2-cut ``cut``, or return False when there is none.
 
-    ``cut`` is ``(x, y, parts)`` as :func:`two_cuts` yields it; side A is
-    x, y and the first part, side B is x, y and the other parts.  G is
-    k-colorable exactly when A + xy and B + xy are (x and y different) or,
-    if xy is not an edge, A/xy and B/xy are (x and y identified).  Each
-    side, built by :func:`~orelab.graph_core.cut_side`, goes through
-    :func:`_by_cuts`, the smaller first, and a side with no k-coloring
-    settles its case.  The second side's colors are permuted to match the
-    first's on x and y, and the glued coloring is checked.
+    ``cut`` is ``(x, y, parts)`` as :func:`two_cuts` yields it for
+    ``mask``; side A is x, y and the first part, side B is x, y and the
+    other parts.  G[mask] is k-colorable exactly when A + xy and B + xy
+    are (x and y different) or, if xy is not an edge, A/xy and B/xy are (x
+    and y identified).  Each side, a mask over the rows :func:`_paired`
+    gives its case, goes through :func:`_by_cuts`, the smaller first, and
+    a side with no k-coloring settles its case.  The second side's colors
+    are permuted to match the first's on x and y, and the glued coloring
+    is checked on ``mask``.
     """
     x, y, parts = cut
     ends = 1 << x | 1 << y
-    sides = sorted((parts[0] | ends, ((1 << G.n) - 1) & ~parts[0]), key=int.bit_count)
+    sides = sorted((parts[0] | ends, mask & ~parts[0]), key=int.bit_count)
     # x and y different first: over is_5_critical on the 549 n = 17 Ore
     # classes this order makes 2,478 splits and 2,464 leaf solves, the
     # other 3,521 and 3,889
     for alike in (False, True):
         if alike and G.has_edge(x, y):
             continue
-        solved = []
-        for mask in sides:
-            side, at = cut_side(G, mask, x, y, alike)
-            colors = _by_cuts(side, k)
-            if colors is None:
-                break
-            solved.append({v: colors[i] for v, i in at.items()})
-        else:
-            first, second = solved
-            perm = _glue_permutation(k, {second[x]: first[x], second[y]: first[y]})
-            glued = [0] * G.n
-            for v, c in second.items():
-                glued[v] = perm[c]
-            for v, c in first.items():
-                glued[v] = c
-            out = tuple(glued)
-            _check_proper(G, out, k)
-            return out
-    return None
+        side = _paired(G, x, y, alike)
+        first, second = (m & ~(1 << y) for m in sides) if alike else sides
+        # with x and y alike, y is off both masks and takes x's color
+        twin = x if alike else y
+        if not _by_cuts(side, first, k, color):
+            continue
+        cx, cy = color[x], color[twin]
+        if not _by_cuts(side, second, k, color):
+            continue
+        perm = _glue_permutation(k, {color[x]: cx, color[twin]: cy})
+        for v in bits(second):
+            color[v] = perm[color[v]]
+        color[y] = cy
+        _check_proper(G, mask, color, k)
+        return True
+    return False
+
+
+def _paired(G: Graph, x: int, y: int, alike: bool) -> Graph:
+    """G's rows with x and y different, the edge xy added, or alike, y's
+    row merged into x's and x added to the rows of y's neighbors.  With x
+    and y alike, the rows are read only on masks without y, where they are
+    G with y identified into x."""
+    rows = list(G.adj)
+    if alike:
+        rows[x] |= rows[y]
+        for v in bits(rows[y]):
+            rows[v] |= 1 << x
+    else:
+        rows[x] |= 1 << y
+        rows[y] |= 1 << x
+    return _trusted(G.n, rows)
 
 
 def _glue_permutation(k: int, moves: dict[int, int]) -> list[int]:
@@ -294,15 +313,20 @@ def _glue_permutation(k: int, moves: dict[int, int]) -> list[int]:
     return [0] + [moves[c] if c in moves else next(rest) for c in range(1, k + 1)]
 
 
-def _check_proper(G: Graph, colors: tuple[int, ...], k: int):
+def _check_proper(G: Graph, mask: int, colors: list[int] | tuple[int, ...], k: int):
+    """Check that ``colors`` gives each vertex of ``mask`` a color 1..k and
+    the two ends of no edge of G[mask] one color."""
+    # range lists a mask of 0..j-1, such as all of G, faster than bits
+    vs = bits(mask) if mask & (mask + 1) else range(mask.bit_length())
     classes = [0] * (k + 1)
-    for v, c in enumerate(colors):
+    for v in vs:
+        c = colors[v]
         if not 1 <= c <= k:
             raise InvariantViolation("solver produced an out-of-range color")
         classes[c] |= 1 << v
     adj = G.adj
-    for v, c in enumerate(colors):
-        if adj[v] & classes[c]:
+    for v in vs:
+        if adj[v] & classes[colors[v]]:
             raise InvariantViolation("solver produced an improper coloring")
 
 
@@ -323,7 +347,7 @@ def seeded_coloring(G: Graph, R: int, k: int, rng: random.Random) -> dict[int, i
         return None
     names = rng.sample(range(1, k + 1), k)
     colors = tuple(names[c - 1] for c in solved)
-    _check_proper(H, colors, k)
+    _check_proper(H, (1 << H.n) - 1, colors, k)
     return dict(zip(order, colors))
 
 
@@ -412,7 +436,10 @@ def is_5_critical(G: Graph) -> bool:
     cut = next(two_cuts(G), None)
 
     def solve(g: Graph):
-        return is_k_colorable(g, 4) if cut is None else _split(g, 4, cut)
+        if cut is None:
+            return is_k_colorable(g, 4)
+        color = [0] * g.n
+        return tuple(color) if _split(g, (1 << g.n) - 1, 4, cut, color) else None
 
     if solve(G) is not None:
         return False
@@ -429,7 +456,7 @@ def is_5_critical(G: Graph) -> bool:
 
 def _four_core(G: Graph) -> Graph:
     """G with every edge outside its 4-core deleted; vertices are kept."""
-    core, _ = _peel(G, 4)
+    core, _ = _peel(G, 4, (1 << G.n) - 1)
     return _trusted(G.n, [row & core if core >> v & 1 else 0 for v, row in enumerate(G.adj)])
 
 
@@ -536,9 +563,9 @@ def is_collapsible(G: Graph, R: int) -> bool:
     Equivalent formulation, and the one actually checked: the boundary is
     independent and every boundary pair is identifiable in R; a single-vertex
     boundary is collapsible by convention.  Each pair test, G[R] plus the
-    pair's edge (built by :func:`~orelab.graph_core.cut_side`), is solved
-    through its 2-cuts (:func:`_by_cuts`), which checks any coloring that
-    splits the pair proper.
+    pair's edge (the mask R over G's rows with the pair's bits set, by
+    :func:`_paired`), is solved through its 2-cuts (:func:`_by_cuts`),
+    which checks any coloring that splits the pair proper.
     """
     if R.bit_count() < 5:
         raise ValueError("R must have at least 5 vertices")
@@ -550,8 +577,9 @@ def is_collapsible(G: Graph, R: int) -> bool:
     if not bnd:
         raise ValueError("R has empty boundary")
     # adjacent boundary vertices always split
+    color = [0] * G.n
     return not any(
-        G.has_edge(u, v) or _by_cuts(cut_side(G, R, u, v, False)[0], 4) is not None
+        G.has_edge(u, v) or _by_cuts(_paired(G, u, v, False), R, 4, color)
         for i, u in enumerate(bnd)
         for v in bnd[i + 1 :]
     )

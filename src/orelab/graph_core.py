@@ -227,7 +227,9 @@ def cut_side(G: Graph, mask: int, x: int, y: int, alike: bool) -> tuple[Graph, d
     """One side of the 2-cut {x, y}: G[mask] with y identified into x when
     ``alike``, else with the edge xy added if it is missing; and the map
     from mask's vertices to the side's, which keeps their order.  ``mask``
-    holds x and y; identifying adjacent x and y is a ValueError."""
+    holds x and y; identifying adjacent x and y is a ValueError.  Only Ore
+    recognition builds sides, for ``canonical_form``; the coloring proofs
+    read theirs off the parent's rows."""
     if alike and G.has_edge(x, y):
         raise ValueError(f"cannot identify adjacent vertices {x} and {y}")
     keep = mask & ~(1 << y) if alike else mask
@@ -259,13 +261,16 @@ def connected_components(G: Graph, within: int | None = None) -> list[int]:
     return comps
 
 
-def two_cuts(G: Graph):
-    """Every 2-cut of G with the components it leaves.
+def two_cuts(G: Graph, within: int | None = None):
+    """Every 2-cut of G[within], every vertex by default, with the
+    components it leaves.
 
     A 2-cut is a pair {x, y}, adjacent or not, whose removal leaves at
     least two components.  Yields ``(x, y, parts)`` with x < y, pairs in
-    ascending order, and ``parts`` the components of G - {x, y} as
-    bitmasks ordered by their least vertex.
+    ascending order, and ``parts`` the components of G[within] - {x, y} as
+    bitmasks ordered by their least vertex: what a scan of a copy of
+    G[within] with its vertices renumbered in ascending order yields, in
+    G's labels.
 
     One depth-first search of G - x per x finds the cut vertices of
     G - x: a child subtree whose lowpoint does not reach above y is cut
@@ -274,10 +279,11 @@ def two_cuts(G: Graph):
     and what is left of y's own component, when anything is.
     """
     n, adj = G.n, G.adj
-    full = (1 << n) - 1
-    if all(row | 1 << v == full for v, row in enumerate(adj)):
+    full = (1 << n) - 1 if within is None else within
+    if all(adj[v] & full | 1 << v == full for v in bits(full)):
         return  # a complete graph has no 2-cut
-    for x in range(n - 1):
+    # the highest vertex has no y above it
+    for x in bits(full & ~(1 << full.bit_length() - 1)):
         alive = full & ~(1 << x)
         disc = [-1] * n
         low = [0] * n
@@ -307,17 +313,19 @@ def two_cuts(G: Graph):
             low[v], below[v] = reach, subtree
 
         comps = []
-        for root in bits(alive):
-            if disc[root] < 0:
-                visit(root)
-                comps.append(below[root])
+        todo = alive
+        while todo:
+            root = (todo & -todo).bit_length() - 1
+            visit(root)
+            comps.append(below[root])
+            todo &= ~below[root]
         # visit refers to itself; dropping the name frees the search now
         # instead of at the next garbage collection
         del visit
-        for y in range(x + 1, n):
+        # with G - x connected, G - {x, y} is disconnected only for a cut
+        # vertex y of G - x
+        for y in bits((alive if len(comps) > 1 else mask_of(cut_off)) >> x << x):
             pieces = cut_off.get(y, [])
-            if len(comps) == 1 and not pieces:
-                continue  # G - {x, y} is connected, or empty
             home = next(c for c in comps if c >> y & 1)
             parts = [c for c in comps if c != home] + pieces
             rest = home & ~(1 << y)

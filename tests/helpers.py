@@ -10,15 +10,17 @@ import hashlib
 import itertools
 from itertools import combinations, permutations
 
-from orelab import Graph, InvariantViolation, is_5_ore
+from orelab import Graph, InvariantViolation, coloring, is_5_ore
 from orelab.coloring import boundary, is_5_critical, is_collapsible, is_k_colorable
 from orelab.constructions import complete_graph, cycle_graph, join
 from orelab.graph_core import (
     bits,
     canonical_form,
     connected_components,
+    cut_side,
     induced_subgraph,
     mask_of,
+    two_cuts,
     without_edges,
 )
 from orelab.ore import Compose, Leaf, _is_k5, compose_graphs
@@ -73,13 +75,12 @@ def brute_colorable(G: Graph, k: int) -> bool:
     return go(0)
 
 
-def solve_component_reference(g: Graph, k: int) -> list[int] | None:
-    """The exact search as it stood before components were searched in
-    place, copied from the package: peel g to its k-core, search the core,
-    and give the peeled vertices the lowest free color in reverse peel
-    order."""
-    n, adj = g.n, g.adj
-    core = (1 << n) - 1
+def peel_reference(g: Graph, k: int) -> tuple[int, list[int]]:
+    """The k-core of g as a mask and the vertices outside it in peel order,
+    by ascending sweeps that each delete every vertex with fewer than k
+    neighbors left."""
+    adj = g.adj
+    core = (1 << g.n) - 1
     peeled: list[int] = []
     swept = True
     while swept:
@@ -89,6 +90,16 @@ def solve_component_reference(g: Graph, k: int) -> list[int] | None:
                 core ^= 1 << v
                 peeled.append(v)
                 swept = True
+    return core, peeled
+
+
+def solve_component_reference(g: Graph, k: int) -> list[int] | None:
+    """The exact search as it stood before components were searched in
+    place, copied from the package: peel g to its k-core, search the core,
+    and give the peeled vertices the lowest free color in reverse peel
+    order."""
+    n, adj = g.n, g.adj
+    core, peeled = peel_reference(g, k)
     color = [0] * n
     if core:
         start = max(bits(core), key=lambda v: ((adj[v] & core).bit_count(), -v))
@@ -192,6 +203,89 @@ def k_coloring_reference(G: Graph, k: int) -> tuple[int, ...] | None:
     return tuple(colors)
 
 
+def by_cuts_reference(G: Graph, k: int) -> tuple[int, ...] | None:
+    """``coloring._by_cuts`` as it stood when every 2-cut side was a graph
+    of its own, copied from the package: peel G, split its k-core at its
+    first 2-cut (:func:`split_reference`) on a copy built by
+    ``induced_subgraph`` or search the core in place, color the peeled
+    vertices, and check the whole."""
+    core, peeled = peel_reference(G, k)
+    color = [0] * G.n
+    if core:
+        inner = G if core == (1 << G.n) - 1 else induced_subgraph(G, core)
+        cut = next(two_cuts(inner), None)
+        if cut is None:
+            if not coloring._search(G, k, core, color):
+                return None
+        else:
+            colors = split_reference(inner, k, cut)
+            if colors is None:
+                return None
+            for v, c in zip(bits(core), colors):
+                color[v] = c
+    for v in reversed(peeled):
+        taken = 0
+        for u in bits(G.adj[v]):
+            taken |= 1 << color[u]
+        c = 1
+        while taken >> c & 1:
+            c += 1
+        color[v] = c
+    return _proper_reference(G, color, k)
+
+
+def split_reference(G: Graph, k: int, cut) -> tuple[int, ...] | None:
+    """``coloring._split`` as it stood when every 2-cut side was a graph of
+    its own: each side built by ``cut_side``, solved by
+    :func:`by_cuts_reference`, and glued back through the side's vertex
+    map, the second side's colors permuted to match the first's on x and
+    y."""
+    x, y, parts = cut
+    ends = 1 << x | 1 << y
+    sides = sorted((parts[0] | ends, ((1 << G.n) - 1) & ~parts[0]), key=int.bit_count)
+    for alike in (False, True):
+        if alike and G.has_edge(x, y):
+            continue
+        solved = []
+        for mask in sides:
+            side, at = cut_side(G, mask, x, y, alike)
+            colors = by_cuts_reference(side, k)
+            if colors is None:
+                break
+            solved.append({v: colors[i] for v, i in at.items()})
+        else:
+            first, second = solved
+            moves = {second[x]: first[x], second[y]: first[y]}
+            rest = iter(c for c in range(1, k + 1) if c not in moves.values())
+            perm = [0] + [moves[c] if c in moves else next(rest) for c in range(1, k + 1)]
+            glued = [0] * G.n
+            for v, c in second.items():
+                glued[v] = perm[c]
+            for v, c in first.items():
+                glued[v] = c
+            return _proper_reference(G, glued, k)
+    return None
+
+
+def _proper_reference(G: Graph, color: list[int], k: int) -> tuple[int, ...]:
+    """``color`` as a tuple, after asserting it is a proper k-coloring of G."""
+    assert all(1 <= c <= k for c in color)
+    assert all(color[u] != color[v] for u, v in G.edges())
+    return tuple(color)
+
+
+def collapsible_reference(G: Graph, R: int) -> bool:
+    """``is_collapsible`` as it stood when each boundary pair test solved
+    G[R] plus the pair's edge, built by ``cut_side``, through
+    :func:`by_cuts_reference`; R must satisfy its preconditions."""
+    bnd = bits(boundary(G, R))
+    return not any(
+        G.has_edge(u, v) or by_cuts_reference(cut_side(G, R, u, v, False)[0], 4) is not None
+        for i, u in enumerate(bnd)
+        for v in bnd[i + 1 :]
+    )
+
+
 def critical_by_edges(G: Graph) -> bool:
     """5-criticality with one exact 4-coloring search per edge of G."""
     if G.n < 5 or any(G.degree(v) < 4 for v in range(G.n)):
@@ -263,6 +357,35 @@ def brute_mic(G: Graph) -> int:
                 continue
             best = max(best, sum(G.degree(v) for v in sub))
     return best
+
+
+def mic_reference(G: Graph) -> int:
+    """``packing.mic``'s value as it stood before the clique-cover bound,
+    copied from the package: pick the heaviest available vertex, take it or
+    leave it, and prune when the weights of all available later vertices
+    cannot beat the incumbent."""
+    weights = [G.degree(v) for v in range(G.n)]
+    order = sorted(range(G.n), key=lambda v: (-weights[v], v))
+    best_val = -1
+
+    def rec(idx: int, avail: int, cur: int):
+        nonlocal best_val
+        best_val = max(best_val, cur)
+        rest = sum(weights[v] for v in order[idx:] if avail >> v & 1)
+        if cur + rest <= best_val:
+            return
+        for i in range(idx, len(order)):
+            v = order[i]
+            if not avail >> v & 1:
+                continue
+            rec(i + 1, avail & ~(G.adj[v] | 1 << v), cur + weights[v])
+            avail &= ~(1 << v)
+            rest -= weights[v]
+            if cur + rest <= best_val:
+                return
+
+    rec(0, (1 << G.n) - 1, 0)
+    return best_val
 
 
 def random_graph(n: int, p: float, rng) -> Graph:

@@ -20,14 +20,17 @@ from orelab.graph_core import (
     induced_subgraph,
     mask_of,
     relabel,
+    two_cuts,
     without_edges,
 )
 from orelab.ore import Compose, Leaf, compose_graphs
-from orelab.potential import critical_extension, phi_identify
+from orelab.potential import _low_ky_subsets, critical_extension, phi_identify
 
 from helpers import (
     brute_colorable,
+    by_cuts_reference,
     canonical_key,
+    collapsible_reference,
     critical_by_edges,
     critical_complement,
     extract_by_edges,
@@ -35,6 +38,7 @@ from helpers import (
     k_coloring_reference,
     path_graph,
     random_graph,
+    split_reference,
     splitting_coloring,
     wheel,
     with_edge,
@@ -101,8 +105,9 @@ def solve_each_component(G, k):
     graph of its own."""
     colors = [0] * G.n
     for comp in connected_components(G):
-        res = coloring._peel_solve_check(induced_subgraph(G, comp), k, coloring._search)
-        if res is None:
+        sub = induced_subgraph(G, comp)
+        res = [0] * sub.n
+        if not coloring._peel_solve_check(sub, (1 << sub.n) - 1, k, coloring._search, res):
             return None
         for i, v in enumerate(bits(comp)):
             colors[v] = res[i]
@@ -188,7 +193,7 @@ def test_witnesses_equal_the_reference_search(ore17):
         got = is_k_colorable(G, k)
         assert got == k_coloring_reference(G, k)
         comps = connected_components(G)
-        core, _ = coloring._peel(G, k)
+        core, _ = coloring._peel(G, k, (1 << G.n) - 1)
         cored = [c for c in comps if core & c]
         split = len(cored) == 1 and len(connected_components(G, within=core)) > 1
         shapes.add((k, got is None, split, len(cored) > 1, any(c.bit_count() == 1 for c in comps)))
@@ -267,8 +272,8 @@ def test_a_degenerate_graph_is_colored_without_search():
 def test_a_wrong_peel_is_caught(monkeypatch):
     real = coloring._peel
 
-    def wrong(g, k):
-        core, order = real(g, k)
+    def wrong(g, k, mask):
+        core, order = real(g, k, mask)
         return core & ~1, order + [0]
 
     # K5 is its own 4-core; with vertex 0 peeled, the search colors the
@@ -372,17 +377,19 @@ def split_inputs(ore13):
 
 
 def checked_splits(monkeypatch) -> list[bool]:
-    """Make every coloring that ``coloring._split`` returns pass ``proper``
-    here as well; the list gets one ``is None`` verdict per split."""
+    """Make every coloring that ``coloring._split`` writes pass ``proper``
+    here as well, on the graph its mask induces; the list gets one ``is
+    None`` verdict per split."""
     real = coloring._split
     verdicts = []
 
-    def checked(G, k, cut):
-        colors = real(G, k, cut)
+    def checked(G, mask, k, cut, color):
+        found = real(G, mask, k, cut, color)
+        colors = [color[v] for v in bits(mask)] if found else None
         if colors is not None:
-            proper(G, colors, k)
+            proper(induced_subgraph(G, mask), colors, k)
         verdicts.append(colors is None)
-        return colors
+        return found
 
     monkeypatch.setattr(coloring, "_split", checked)
     return verdicts
@@ -556,16 +563,49 @@ def test_extract_rechecks_every_certificate_on_the_final_graph(monkeypatch):
 # --- 2-separations -----------------------------------------------------------
 
 
+def by_cuts(G, k):
+    """``coloring._by_cuts`` on all of G, its coloring as a tuple or None."""
+    color = [0] * G.n
+    return tuple(color) if coloring._by_cuts(G, (1 << G.n) - 1, k, color) else None
+
+
 def test_split_verdicts_equal_the_plain_solver(ore13, monkeypatch):
     graphs = split_inputs(ore13)
     splits = checked_splits(monkeypatch)
     for G in graphs:
         for k in (3, 4):
-            got = coloring._by_cuts(G, k)
+            got = by_cuts(G, k)
             assert (got is None) == (is_k_colorable(G, k) is None)
             if got is not None:
                 proper(G, got, k)
     assert True in splits and False in splits
+
+
+def test_sides_read_off_the_parent_rows_give_the_built_sides_colorings(ore13, doubles):
+    # the sides of a split are masks over the parent's rows; building each
+    # as a graph of its own, vertex order kept, gives the same cuts, leaves
+    # and colorings
+    splits = 0
+    for G in split_inputs(ore13):
+        cut = next(two_cuts(G), None)
+        for k in (3, 4):
+            assert by_cuts(G, k) == by_cuts_reference(G, k)
+            if cut is not None:
+                color = [0] * G.n
+                found = coloring._split(G, (1 << G.n) - 1, k, cut, color)
+                assert (tuple(color) if found else None) == split_reference(G, k, cut)
+                splits += 1
+    assert splits > 1000
+    # and every low-p_ky set of the n <= 13 classes, all 72 of them
+    # collapsible, and every set of 5 to 8 vertices of the two 9-vertex
+    # classes gets the same collapsibility verdict as with the built pair
+    # tests
+    questions = [(G, R) for G, _ in ore13 for R, _ in _low_ky_subsets(G)]
+    assert len(questions) == 72
+    questions += [(G, R) for G, _ in doubles for R in range(1, 511) if R.bit_count() >= 5]
+    verdicts = [is_collapsible(G, R) for G, R in questions]
+    assert verdicts == [collapsible_reference(G, R) for G, R in questions]
+    assert 72 < verdicts.count(True) < len(verdicts)
 
 
 def test_a_spoiled_glue_is_caught(doubles, monkeypatch):
@@ -592,7 +632,7 @@ def test_the_n17_proofs_end_in_their_k5_blocks(ore17, monkeypatch):
     seventeen = [g for g, _ in ore17 if g.n == 17]
     assert len(seventeen) == 549
     leaves = counted_leaves(monkeypatch)
-    verdicts, nodes = search_nodes(lambda: [coloring._by_cuts(g, 4) for g in seventeen])
+    verdicts, nodes = search_nodes(lambda: [by_cuts(g, 4) for g in seventeen])
     assert verdicts == [None] * 549
     # four leaves per proof, the graph's four K5 blocks, each refuted by its
     # clique without a search node; the plain solver opens 300,905 search
@@ -612,7 +652,7 @@ def test_the_composite_of_two_mycielski_groetzsch_graphs_is_critical(monkeypatch
     # the plain search took minutes on this proof; split at the composition
     # pair, it refutes the two copies and colors the edge side with x and y
     # identified
-    assert coloring._by_cuts(G, 4) is None
+    assert by_cuts(G, 4) is None
     assert len(leaves) == 3
     assert is_5_critical(G)
     assert len(leaves) <= 120

@@ -145,11 +145,13 @@ def test_library_code_is_reached_outside_tests():
 # way of graph_core._trusted, mostly through the row builder graph_core._image.
 # These are the only functions that may use either, each for rows that are
 # well formed by construction, so a new one must be added here on purpose.
+# coloring._paired gives a 2-cut proof the rows of both sides of one case.
 UNCHECKED_BUILDERS = {
     "_trusted": {
         "graph_core._image",
         "graph_core.without_edges",
         "coloring._four_core",
+        "coloring._paired",
         "ore.compose_graphs",
     },
     "_image": {
@@ -196,11 +198,15 @@ def test_graphs_skip_the_structure_check_only_in_listed_builders():
     assert {owner for owner, used, called in uses if used == "Graph" and called} == {
         "graph_core.Graph.from_edges"
     }
+    # Ore recognition alone builds 2-cut sides as graphs of their own, for
+    # canonical_form; a 2-cut coloring proof reads its sides off the
+    # parent's rows
+    assert {owner for owner, used, _ in uses if used == "cut_side"} == {"ore._try_factor"}
 
 
-# Every exact coloring takes one path: coloring._peel_solve_check peels once,
-# hands the k-core to a solve step, colors the peeled vertices and checks the
-# whole once; the solve steps are the only callers of the search.  These are
+# Every exact coloring takes one path: coloring._peel_solve_check peels a
+# mask once, hands its k-core to a solve step, colors the peeled vertices and
+# checks the mask once; the solve steps are the only callers of the search.  These are
 # the only functions that may peel, search or check a solver's coloring, so a
 # second solve path must be added here on purpose.
 SOLVE_PATH = {

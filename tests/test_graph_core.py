@@ -425,10 +425,11 @@ ORE17_KEYS_SHA256 = "c203debe2b45d8ab7bacbd3c5d85b180accf0f79ed6b249b5a1e7980099
 Corpus file names derive from these keys."""
 
 
-REFINE_AND_BOUND = 126_702
+REFINE_AND_BOUND = 39_687
 """Row-and-mask ANDs that ``canonical_form`` makes over the classes of
-``enumerate_5_ore(17)``, pinned from the refinement that counts only into
-freshly split cells; counting into every cell on every pass made 472,902."""
+``enumerate_5_ore(17)``, pinned from the refinement on mask cells that sums
+rows into bit planes; on list cells, counting into every cell on every pass
+made 472,902, and counting only into freshly split cells 126,702."""
 
 
 def test_canonical_forms_of_ore17_are_frozen(ore17):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -11,6 +12,7 @@ from orelab.potential import random_extension, verify_extension_inequalities
 from helpers import (
     brute_mic,
     four_cliques,
+    mic_reference,
     random_graph,
     t_number_oracle,
     t_number_reference,
@@ -263,6 +265,38 @@ def test_mic_matches_brute_force():
         G = random_graph(n, rng.random(), rng)
         value, _ = mic(G)
         assert value == brute_mic(G)
+
+
+def test_mic_matches_the_reference_search(ore17):
+    graphs = [g for g, _ in ore17] + [named_graph(name) for name in sorted(NAMED)]
+    for G in graphs:
+        assert mic(G)[0] == mic_reference(G)
+
+
+def mic_nodes(run):
+    """run() and the number of nodes the ``mic`` search opened."""
+    nodes = 0
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        code = frame.f_code
+        if event == "call" and code.co_name == "rec" and code.co_filename == packing.__file__:
+            nodes += 1
+
+    sys.setprofile(profile)
+    try:
+        out = run()
+    finally:
+        sys.setprofile(None)
+    return out, nodes
+
+
+def test_mic_search_work_is_bounded(ore17):
+    # the clique-cover bound opens 4,081 nodes over the 575 classes; the sum
+    # of the available weights opened 133,673
+    values, nodes = mic_nodes(lambda: [mic(g)[0] for g, _ in ore17])
+    assert len(values) == 575
+    assert nodes <= 4_081
 
 
 def test_mic_witness_is_independent_and_matches():
