@@ -30,11 +30,12 @@ and every glued coloring is checked proper.  A 5-Ore graph splits down to
 its K5 blocks, which its clique refutes without a search node.
 
 No side is copied out as a graph of its own.  A side is a vertex mask
-over its parent's rows, with the bits of xy set, or with y's row merged
-into x's and y off the mask; peel, 2-cut scan and search read the rows
-masked to it and write its coloring into the caller's color list.  They
-break ties by lowest index, as on a copy numbered in ascending order, so
-a proof reaches the cuts, leaves and colorings such copies would.
+over its parent's rows as :func:`~orelab.graph_core.paired` gives them,
+with the bits of xy set, or with y's row merged into x's and y off the
+mask; peel, 2-cut scan and search read the rows masked to it and write
+its coloring into the caller's color list.  They break ties by lowest
+index, as on a copy numbered in ascending order, so a proof reaches the
+cuts, leaves and colorings such copies would.
 
 Criticality needs a 4-coloring of G - e for every edge e.  Rather than one
 exact search per edge, a solved G - uv seeds a witness walk: the coloring
@@ -70,6 +71,7 @@ from .graph_core import (
     connected_components,
     induced_subgraph,
     mask_of,
+    paired,
     relabel,
     two_cuts,
     without_edges,
@@ -256,11 +258,11 @@ def _split(G: Graph, mask: int, k: int, cut, color: list[int]) -> bool:
     ``mask``; side A is x, y and the first part, side B is x, y and the
     other parts.  G[mask] is k-colorable exactly when A + xy and B + xy
     are (x and y different) or, if xy is not an edge, A/xy and B/xy are (x
-    and y identified).  Each side, a mask over the rows :func:`_paired`
-    gives its case, goes through :func:`_by_cuts`, the smaller first, and
-    a side with no k-coloring settles its case.  The second side's colors
-    are permuted to match the first's on x and y, and the glued coloring
-    is checked on ``mask``.
+    and y identified).  Each side, a mask over the rows
+    :func:`~orelab.graph_core.paired` gives its case, goes through
+    :func:`_by_cuts`, the smaller first, and a side with no k-coloring
+    settles its case.  The second side's colors are permuted to match the
+    first's on x and y, and the glued coloring is checked on ``mask``.
     """
     x, y, parts = cut
     ends = 1 << x | 1 << y
@@ -271,7 +273,7 @@ def _split(G: Graph, mask: int, k: int, cut, color: list[int]) -> bool:
     for alike in (False, True):
         if alike and G.has_edge(x, y):
             continue
-        side = _paired(G, x, y, alike)
+        side = paired(G, x, y, alike)
         first, second = (m & ~(1 << y) for m in sides) if alike else sides
         # with x and y alike, y is off both masks and takes x's color
         twin = x if alike else y
@@ -287,22 +289,6 @@ def _split(G: Graph, mask: int, k: int, cut, color: list[int]) -> bool:
         _check_proper(G, mask, color, k)
         return True
     return False
-
-
-def _paired(G: Graph, x: int, y: int, alike: bool) -> Graph:
-    """G's rows with x and y different, the edge xy added, or alike, y's
-    row merged into x's and x added to the rows of y's neighbors.  With x
-    and y alike, the rows are read only on masks without y, where they are
-    G with y identified into x."""
-    rows = list(G.adj)
-    if alike:
-        rows[x] |= rows[y]
-        for v in bits(rows[y]):
-            rows[v] |= 1 << x
-    else:
-        rows[x] |= 1 << y
-        rows[y] |= 1 << x
-    return _trusted(G.n, rows)
 
 
 def _glue_permutation(k: int, moves: dict[int, int]) -> list[int]:
@@ -564,8 +550,9 @@ def is_collapsible(G: Graph, R: int) -> bool:
     independent and every boundary pair is identifiable in R; a single-vertex
     boundary is collapsible by convention.  Each pair test, G[R] plus the
     pair's edge (the mask R over G's rows with the pair's bits set, by
-    :func:`_paired`), is solved through its 2-cuts (:func:`_by_cuts`),
-    which checks any coloring that splits the pair proper.
+    :func:`~orelab.graph_core.paired`), is solved through its 2-cuts
+    (:func:`_by_cuts`), which checks any coloring that splits the pair
+    proper.
     """
     if R.bit_count() < 5:
         raise ValueError("R must have at least 5 vertices")
@@ -579,7 +566,7 @@ def is_collapsible(G: Graph, R: int) -> bool:
     # adjacent boundary vertices always split
     color = [0] * G.n
     return not any(
-        G.has_edge(u, v) or _by_cuts(_paired(G, u, v, False), R, 4, color)
+        G.has_edge(u, v) or _by_cuts(paired(G, u, v, False), R, 4, color)
         for i, u in enumerate(bnd)
         for v in bnd[i + 1 :]
     )

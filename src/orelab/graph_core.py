@@ -5,10 +5,10 @@ A :class:`Graph` is an immutable value: vertex ``i``'s neighborhood is an
 vertex set a function takes or returns is such a mask too, bit v for
 vertex v; :func:`bits` lists one in ascending order.  All of the higher
 machinery (exact coloring, clique packing, composition search, potential
-audits) builds on the operations here: induced subgraphs, the sides of a
-2-cut, the 2-cuts that Ore compositions glue along, the components of the
-degree-four subgraph, and an exact canonical form used to deduplicate
-isomorphism classes.
+audits) builds on the operations here: induced subgraphs, the 2-cuts that
+Ore compositions glue along, the rows of each case of a 2-cut (x and y
+different or alike), the components of the degree-four subgraph, and an
+exact canonical form used to deduplicate isomorphism classes.
 
 Graphs and the library's other records are immutable :class:`Record`
 values: plain ``__slots__`` classes, of which none is generated at import.
@@ -112,8 +112,9 @@ class Graph(Record):
 
     A graph is its adjacency alone.  Builders whose callers need to know
     where each vertex came from return a vertex map beside the graph
-    (:func:`cut_side`, ``compose_graphs``, ``extract_5_critical``,
-    ``phi_identify``).
+    (``compose_graphs``, ``extract_5_critical``, ``phi_identify``); the
+    graphs :func:`induced_subgraph` copies out, 2-cut sides among them,
+    number a mask's vertices by their rank among its bits.
     """
 
     __slots__ = ("n", "adj")
@@ -223,24 +224,25 @@ def relabel(G: Graph, order) -> Graph:
     return _image(G, mask_of(at), at, [0] * len(at))
 
 
-def cut_side(G: Graph, mask: int, x: int, y: int, alike: bool) -> tuple[Graph, dict[int, int]]:
-    """One side of the 2-cut {x, y}: G[mask] with y identified into x when
-    ``alike``, else with the edge xy added if it is missing; and the map
-    from mask's vertices to the side's, which keeps their order.  ``mask``
-    holds x and y; identifying adjacent x and y is a ValueError.  Only Ore
-    recognition builds sides, for ``canonical_form``; the coloring proofs
-    read theirs off the parent's rows."""
-    if alike and G.has_edge(x, y):
-        raise ValueError(f"cannot identify adjacent vertices {x} and {y}")
-    keep = mask & ~(1 << y) if alike else mask
-    at = {v: i for i, v in enumerate(bits(keep))}
-    rows = [0] * keep.bit_count()
+def paired(G: Graph, x: int, y: int, alike: bool) -> Graph:
+    """G's rows for one case of the 2-cut {x, y}: x and y different, the
+    edge xy added, or alike, y's row merged into x's and x added to the
+    rows of y's neighbors; identifying adjacent x and y is a ValueError.
+    With x and y alike, the rows are read only on masks without y, where
+    they are G with y identified into x.  A side of the cut is a mask over
+    these rows, which the coloring proofs read in place and Ore
+    recognition copies out by :func:`induced_subgraph`."""
+    rows = list(G.adj)
     if alike:
-        at[y] = at[x]
+        if rows[x] >> y & 1:
+            raise ValueError(f"cannot identify adjacent vertices {x} and {y}")
+        rows[x] |= rows[y]
+        for v in bits(rows[y]):
+            rows[v] |= 1 << x
     else:
-        rows[at[x]] |= 1 << at[y]
-        rows[at[y]] |= 1 << at[x]
-    return _image(G, mask, at, rows), at
+        rows[x] |= 1 << y
+        rows[y] |= 1 << x
+    return _trusted(G.n, rows)
 
 
 def connected_components(G: Graph, within: int | None = None) -> list[int]:
@@ -632,6 +634,8 @@ def graph_to_text(G: Graph) -> str:
 
 
 def graph_from_text(text: str) -> Graph:
+    """The graph :func:`graph_to_text` wrote; a ValueError names the line
+    at fault, when there is one."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty graph text")
@@ -642,6 +646,8 @@ def graph_from_text(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise ValueError("line 1: expected two integers") from None
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"line 1: vertex count {n} outside 1..{MAX_VERTICES}")
     edges = []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -655,7 +661,11 @@ def graph_from_text(text: str) -> Graph:
             raise ValueError(f"line {i}: expected two integers") from None
         if not u < v:
             raise ValueError(f"line {i}: edges must satisfy u < v")
-        if edges and (u, v) <= edges[-1]:
+        if u < 0 or v >= n:
+            raise ValueError(f"line {i}: edge ({u},{v}) out of range for n={n}")
+        if edges and (u, v) == edges[-1]:
+            raise ValueError(f"line {i}: duplicate edge ({u},{v})")
+        if edges and (u, v) < edges[-1]:
             raise ValueError(f"line {i}: edges out of order")
         edges.append((u, v))
     if len(edges) != m:

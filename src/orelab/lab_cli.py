@@ -79,9 +79,12 @@ def _graphs_from_file(path: Path) -> list[Graph]:
     stripped = text.strip()
     if not stripped:
         raise ValueError(f"{path}: empty file")
-    first = stripped.splitlines()[0].split()
-    if len(first) == 2 and all(tok.isdigit() for tok in first):
-        return [graph_from_text(text)]
+    # a graph6 line holds no whitespace, so a two-token head is text
+    if len(stripped.splitlines()[0].split()) == 2:
+        try:
+            return [graph_from_text(text)]
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     graphs = []
     for i, line in enumerate(stripped.splitlines(), start=1):
         line = line.strip()

@@ -15,12 +15,15 @@ vertices other than z follow, in ascending order).
 Recognition inverts the construction: scan the 2-cuts {x, y} of G
 (:func:`~orelab.graph_core.two_cuts`, one depth-first search per x),
 skip adjacent pairs, assign the components of G - {x, y} to the two sides
-in every way, build each side with :func:`~orelab.graph_core.cut_side`
-(the edge side with xy added, the vertex side with y identified into x),
-and recurse.  It runs on the canonical relabeling of its input, so
-the recipe it finds is a function of the isomorphism class alone; a table
-keyed by canonical key keeps each class's answer, positive or negative,
-which saves time and cannot change an answer.
+in every way, copy each side's mask out of the rows the 2-cut coloring
+proofs read, :func:`~orelab.graph_core.paired` (the edge side with xy
+added, the vertex side with y identified into x), and recurse; a side
+vertex is numbered by its rank among its mask's bits.  It runs on the
+canonical relabeling of its input, so the recipe it finds is a function
+of the isomorphism class alone; a table keyed by canonical key keeps each
+class's answer, positive or negative, which saves time and cannot change
+an answer.  The input graph and every side take one lookup in that table
+(:func:`_side`).
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ from .graph_core import (
     bits,
     canonical_form,
     check_automorphism,
-    cut_side,
+    induced_subgraph,
     mask_of,
+    paired,
     relabel,
     two_cuts,
 )
@@ -333,17 +337,8 @@ def is_5_ore(
     side is one union of components plus the edge xy, the vertex side is
     the rest with x and y identified back into the split vertex.
     """
-    if _is_k5(G):
-        return Leaf()
-    return _classify(G, canonical or canonical_form(G))[0]
-
-
-def _classify(G: Graph, canonical: Canonical):
-    """The class-table entry of G, recognizing its class on first sight."""
-    key, order, _ = canonical
-    if key not in _CLASSES:
-        _CLASSES[key] = _recognize(relabel(G, order))
-    return _CLASSES[key]
+    found = _side(G, canonical)
+    return None if found is None else found[0]
 
 
 def _recognize(G: Graph):
@@ -370,43 +365,46 @@ def _recognize(G: Graph):
     return None, ()
 
 
-def _side(G: Graph):
-    """A recipe for one side of a split, with a map from the side's vertices
-    onto the recipe's materialization, or None if the side is not 5-Ore."""
+def _side(G: Graph, canonical: Canonical | None = None):
+    """A recipe for G, recognizing its class on first sight, with a map from
+    G's vertices onto the recipe's materialization, or None if G is not
+    5-Ore; ``canonical`` is G's :func:`canonical_form`, if known."""
     if _is_k5(G):
         return Leaf(), range(5)
-    canonical = canonical_form(G)
-    recipe, built = _classify(G, canonical)
+    key, order, _ = canonical or canonical_form(G)
+    if key not in _CLASSES:
+        _CLASSES[key] = _recognize(relabel(G, order))
+    recipe, built = _CLASSES[key]
     if recipe is None:
         return None
     iso = [0] * G.n
-    for v, w in zip(canonical[1], built):
+    for v, w in zip(order, built):
         iso[v] = w
     return recipe, iso
 
 
 def _try_factor(G: Graph, x: int, y: int, amask: int, bmask: int):
-    ends = 1 << x | 1 << y
-    edge, epos = cut_side(G, amask | ends, x, y, False)
-    side1 = _side(edge)
+    emask = amask | 1 << x | 1 << y
+    side1 = _side(induced_subgraph(paired(G, x, y, False), emask))
     if side1 is None:
         return None
-    vertex, vpos = cut_side(G, bmask | ends, x, y, True)
-    side2 = _side(vertex)
+    vmask = bmask | 1 << x
+    side2 = _side(induced_subgraph(paired(G, x, y, True), vmask))
     if side2 is None:
         return None
     (r1, iso1), (r2, iso2) = side1, side2
-    split = tuple(mask_of(iso2[vpos[v]] for v in bits(G.adj[end] & bmask)) for end in (x, y))
-    recipe = Compose(r1, (iso1[epos[x]], iso1[epos[y]]), r2, iso2[vpos[x]], split)
+    # where each vertex of a side's mask lands in the side's materialization
+    epos = dict(zip(bits(emask), iso1))
+    vpos = dict(zip(bits(vmask), iso2))
+    split = tuple(mask_of(vpos[v] for v in bits(G.adj[end] & bmask)) for end in (x, y))
+    recipe = Compose(r1, (epos[x], epos[y]), r2, vpos[x], split)
     # Rebuild the recipe and check that the vertex map G -> rebuilt is an
     # isomorphism.  G is its class's canonical relabeling, so the map is
     # also a canonical order of the rebuilt graph.
     rebuilt, out_of = compose_graphs(
         ore_compose(r1), recipe.replaced_edge, ore_compose(r2), recipe.split_vertex, recipe.split
     )
-    order = tuple(
-        iso1[epos[v]] if v in epos else out_of[iso2[vpos[v]]] for v in range(G.n)
-    )
+    order = tuple(epos[v] if v in epos else out_of[vpos[v]] for v in range(G.n))
     if sorted(order) != list(range(G.n)) or rebuilt.m != G.m or not all(
         rebuilt.has_edge(order[u], order[v]) for u, v in G.edges()
     ):

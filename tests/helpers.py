@@ -10,20 +10,20 @@ import hashlib
 import itertools
 from itertools import combinations, permutations
 
-from orelab import Graph, InvariantViolation, coloring, is_5_ore
+from orelab import Graph, InvariantViolation, coloring, is_5_ore, ore_compose
 from orelab.coloring import boundary, is_5_critical, is_collapsible, is_k_colorable
 from orelab.constructions import complete_graph, cycle_graph, join
 from orelab.graph_core import (
     bits,
     canonical_form,
     connected_components,
-    cut_side,
     induced_subgraph,
     mask_of,
+    relabel,
     two_cuts,
     without_edges,
 )
-from orelab.ore import Compose, Leaf, _is_k5, compose_graphs
+from orelab.ore import Compose, Leaf, _is_k5, _nonempty_proper_unions, compose_graphs
 
 
 def canonical_key(G: Graph) -> bytes:
@@ -201,6 +201,30 @@ def k_coloring_reference(G: Graph, k: int) -> tuple[int, ...] | None:
         for i, v in enumerate(bits(comp)):
             colors[v] = res[i]
     return tuple(colors)
+
+
+def cut_side(G: Graph, mask: int, x: int, y: int, alike: bool) -> tuple[Graph, dict[int, int]]:
+    """One side of the 2-cut {x, y}, built as a graph of its own, copied
+    from the package as it stood before every side became a mask over
+    ``graph_core.paired``'s rows: G[mask] with y identified into x when
+    ``alike``, else with the edge xy added if it is missing; and the map
+    from mask's vertices to the side's, which keeps their order.  ``mask``
+    holds x and y; identifying adjacent x and y is a ValueError.  The side
+    passes ``Graph``'s structure check."""
+    if alike and G.has_edge(x, y):
+        raise ValueError(f"cannot identify adjacent vertices {x} and {y}")
+    keep = mask & ~(1 << y) if alike else mask
+    at = {v: i for i, v in enumerate(bits(keep))}
+    rows = [0] * keep.bit_count()
+    if alike:
+        at[y] = at[x]
+    else:
+        rows[at[x]] |= 1 << at[y]
+        rows[at[y]] |= 1 << at[x]
+    for v in bits(mask):
+        for u in bits(G.adj[v] & mask):
+            rows[at[v]] |= 1 << at[u]
+    return Graph(len(rows), tuple(rows)), at
 
 
 def by_cuts_reference(G: Graph, k: int) -> tuple[int, ...] | None:
@@ -547,6 +571,79 @@ def ore_collapsible_subsets(G: Graph) -> list[frozenset[int]]:
             if R not in found and is_5_ore(cand) is not None:
                 found.add(R)
     return sorted(found, key=lambda R: (len(R), sorted(R)))
+
+
+def recognize_reference(G: Graph, table: dict):
+    """``is_5_ore`` as it stood when Ore recognition built each side with
+    :func:`cut_side` and found a side vertex's place through the side's
+    map, copied from the package.  ``table`` plays the part of
+    ``ore._CLASSES`` and receives the same entries."""
+    found = _side_reference(G, table)
+    return None if found is None else found[0]
+
+
+def _side_reference(G: Graph, table: dict):
+    if _is_k5(G):
+        return Leaf(), range(5)
+    key, order, _ = canonical_form(G)
+    if key not in table:
+        table[key] = _recognize_reference(relabel(G, order), table)
+    recipe, built = table[key]
+    if recipe is None:
+        return None
+    iso = [0] * G.n
+    for v, w in zip(order, built):
+        iso[v] = w
+    return recipe, iso
+
+
+def _recognize_reference(G: Graph, table: dict):
+    n, m = G.n, G.m
+    if n < 9 or n % 4 != 1 or 4 * m != 9 * n - 5:
+        return None, ()
+    if any(G.degree(v) < 4 for v in range(G.n)):
+        return None, ()
+    for x, y, parts in two_cuts(G):
+        if G.has_edge(x, y):
+            continue
+        common = G.adj[x] & G.adj[y]
+        for amask, bmask in _nonempty_proper_unions(parts):
+            if amask.bit_count() < 3 or bmask.bit_count() < 4:
+                continue
+            if common & bmask:
+                continue
+            if not (G.adj[x] & bmask) or not (G.adj[y] & bmask):
+                continue
+            found = _try_factor_reference(G, x, y, amask, bmask, table)
+            if found is not None:
+                return found
+    return None, ()
+
+
+def _try_factor_reference(G: Graph, x: int, y: int, amask: int, bmask: int, table: dict):
+    ends = 1 << x | 1 << y
+    edge, epos = cut_side(G, amask | ends, x, y, False)
+    side1 = _side_reference(edge, table)
+    if side1 is None:
+        return None
+    vertex, vpos = cut_side(G, bmask | ends, x, y, True)
+    side2 = _side_reference(vertex, table)
+    if side2 is None:
+        return None
+    (r1, iso1), (r2, iso2) = side1, side2
+    split = tuple(mask_of(iso2[vpos[v]] for v in bits(G.adj[end] & bmask)) for end in (x, y))
+    recipe = Compose(r1, (iso1[epos[x]], iso1[epos[y]]), r2, iso2[vpos[x]], split)
+    rebuilt, out_of = compose_graphs(
+        ore_compose(r1), recipe.replaced_edge, ore_compose(r2), recipe.split_vertex, recipe.split
+    )
+    order = tuple(
+        iso1[epos[v]] if v in epos else out_of[iso2[vpos[v]]] for v in range(G.n)
+    )
+    if sorted(order) != list(range(G.n)) or rebuilt.m != G.m or not all(
+        rebuilt.has_edge(order[u], order[v]) for u, v in G.edges()
+    ):
+        raise InvariantViolation("recognized recipe does not rebuild the input graph")
+    return recipe, order
 
 
 def low_ky_subsets_by_masks(G: Graph) -> list[tuple[int, int]]:
@@ -995,7 +1092,8 @@ def compose_by_edges(
 
 def identify_vertices(G: Graph, S) -> tuple[Graph, dict[int, int]]:
     """Merge the vertices of ``S`` into one, dropping parallel edges: the
-    reference for ``graph_core.cut_side`` with x and y alike.
+    reference for a 2-cut side over ``graph_core.paired``'s rows with x and
+    y alike.
 
     Identification is only defined for pairwise nonadjacent sets (merging
     adjacent vertices would create a loop); adjacency inside ``S`` is an

@@ -113,6 +113,24 @@ def test_add_bad_graph6_line_reports_position(tmp_path, run):
     assert "bad.g6:2:" in err
 
 
+@pytest.mark.parametrize(
+    "text, why",
+    [
+        ("2 2\n0 1\n0 1\n", "line 3: duplicate edge (0,1)"),
+        ("3 1\n0 5\n", "line 2: edge (0,5) out of range for n=3"),
+        ("3 1\n-1 2\n", "line 2: edge (-1,2) out of range for n=3"),
+        ("3 2\n0 1\n", "declared 2 edges, found 1"),
+        ("-3 1\n0 1\n", "line 1: vertex count -3 outside 1..64"),
+    ],
+)
+def test_a_bad_text_file_names_itself_and_the_line(tmp_path, run, text, why):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, _, err = run("add", str(path), "--corpus", str(tmp_path / "c"))
+    assert code == 2
+    assert err == f"error: {path}: {why}\n"
+
+
 def test_verify_empty_corpus_warns(tmp_path, run):
     code, out, err = run("verify", "main", "--corpus", str(tmp_path / "nothing"))
     assert code == 0

@@ -145,19 +145,18 @@ def test_library_code_is_reached_outside_tests():
 # way of graph_core._trusted, mostly through the row builder graph_core._image.
 # These are the only functions that may use either, each for rows that are
 # well formed by construction, so a new one must be added here on purpose.
-# coloring._paired gives a 2-cut proof the rows of both sides of one case.
+# graph_core.paired gives the rows of both sides of one case of a 2-cut.
 UNCHECKED_BUILDERS = {
     "_trusted": {
         "graph_core._image",
         "graph_core.without_edges",
+        "graph_core.paired",
         "coloring._four_core",
-        "coloring._paired",
         "ore.compose_graphs",
     },
     "_image": {
         "graph_core.induced_subgraph",
         "graph_core.relabel",
-        "graph_core.cut_side",
         "potential.phi_identify",
     },
     "__new__": {"graph_core._trusted"},
@@ -198,10 +197,14 @@ def test_graphs_skip_the_structure_check_only_in_listed_builders():
     assert {owner for owner, used, called in uses if used == "Graph" and called} == {
         "graph_core.Graph.from_edges"
     }
-    # Ore recognition alone builds 2-cut sides as graphs of their own, for
-    # canonical_form; a 2-cut coloring proof reads its sides off the
-    # parent's rows
-    assert {owner for owner, used, _ in uses if used == "cut_side"} == {"ore._try_factor"}
+    # one builder forms the cases of a 2-cut: the coloring proofs read its
+    # rows on masks, and Ore recognition copies its sides out of them for
+    # canonical_form
+    assert {owner for owner, used, _ in uses if used == "paired"} == {
+        "coloring._split",
+        "coloring.is_collapsible",
+        "ore._try_factor",
+    }
 
 
 # Every exact coloring takes one path: coloring._peel_solve_check peels a

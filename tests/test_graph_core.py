@@ -18,9 +18,9 @@ from orelab.graph_core import (
     d4_components,
     graph_from_text,
     graph_to_text,
-    cut_side,
     induced_subgraph,
     mask_of,
+    paired,
     relabel,
     two_cuts,
     without_edges,
@@ -159,8 +159,13 @@ def test_delete_vertices():
 
 
 def _identified(G: Graph, x: int, y: int) -> tuple[Graph, dict[int, int]]:
-    """G with y identified into x, as the vertex side of the whole of G."""
-    return cut_side(G, (1 << G.n) - 1, x, y, True)
+    """G with y identified into x, as the vertex side of the whole of G,
+    and the map from G's vertices to the side's: each vertex other than y
+    keeps its rank among the side's mask, and y lands on x."""
+    mask = (1 << G.n) - 1 & ~(1 << y)
+    at = {v: i for i, v in enumerate(bits(mask))}
+    at[y] = at[x]
+    return induced_subgraph(paired(G, x, y, True), mask), at
 
 
 def test_identify_pair_on_cycle():
@@ -192,8 +197,11 @@ def test_identify_map_covers_all_vertices():
             assert H.has_edge(mapping[u], mapping[v])
 
 
-def test_cut_side_matches_the_induced_subgraph_build(ore13):
-    # every union of the parts of every nonadjacent 2-cut, with x and y
+def test_paired_rows_match_the_induced_subgraph_build(ore13):
+    # every union of the parts of every nonadjacent 2-cut, with x and y,
+    # read off the builder's rows as the mask with xy added, and as the
+    # mask without y with y identified into x; a side vertex's index is
+    # its rank among the mask's bits, as in the oracles' maps
     graphs = [g for g, _ in ore13]
     graphs += [named_graph(name) for name in sorted(NAMED) if name != "k5"]
     sides = 0
@@ -201,6 +209,7 @@ def test_cut_side_matches_the_induced_subgraph_build(ore13):
         for x, y, parts in two_cuts(G):
             if G.has_edge(x, y):
                 continue
+            apart, alike = paired(G, x, y, False), paired(G, x, y, True)
             for pick in range(1, 1 << len(parts)):
                 mask = 1 << x | 1 << y
                 for i, part in enumerate(parts):
@@ -210,11 +219,12 @@ def test_cut_side_matches_the_induced_subgraph_build(ore13):
                 sub = induced_subgraph(G, mask)
                 pos = {v: i for i, v in enumerate(vertices)}
                 merged, merge_map = identify_vertices(sub, [pos[x], pos[y]])
-                assert cut_side(G, mask, x, y, True) == (
-                    merged,
-                    {v: merge_map[i] for v, i in pos.items()},
-                )
-                assert cut_side(G, mask, x, y, False) == (with_edge(sub, pos[x], pos[y]), pos)
+                assert induced_subgraph(alike, mask & ~(1 << y)) == merged
+                assert {v: merge_map[i] for v, i in pos.items() if v != y} == {
+                    v: i for i, v in enumerate(bits(mask & ~(1 << y)))
+                }
+                assert merge_map[pos[y]] == merge_map[pos[x]]
+                assert induced_subgraph(apart, mask) == with_edge(sub, pos[x], pos[y])
                 sides += 1
     assert sides == 195
 
@@ -222,20 +232,26 @@ def test_cut_side_matches_the_induced_subgraph_build(ore13):
 def test_every_derived_graph_passes_the_full_check(ore13):
     # derived graphs skip Graph's structure check, so each builder's output
     # on the n <= 13 classes, the named graphs and all their 2-cut sides
-    # must be a graph that the check accepts
+    # must be a graph that the check accepts; the rows paired gives a
+    # nonadjacent pair are G plus xy, or G plus x joined to y's neighbors
     graphs = [g for g, _ in ore13] + [named_graph(name) for name in sorted(NAMED)]
     built: dict[str, list[Graph]] = defaultdict(list)
     for G in graphs:
         for x, y, parts in two_cuts(G):
+            rows = [paired(G, x, y, False)]
+            built["paired"].append(rows[0])
+            if not G.has_edge(x, y):
+                rows.append(paired(G, x, y, True))
+                built["paired alike"].append(rows[1])
             for pick in range(1, 1 << len(parts)):
                 mask = 1 << x | 1 << y
                 for i, part in enumerate(parts):
                     if pick >> i & 1:
                         mask |= part
-                built["cut_side"].append(cut_side(G, mask, x, y, False)[0])
-                if not G.has_edge(x, y):
-                    built["cut_side alike"].append(cut_side(G, mask, x, y, True)[0])
-    inputs = graphs + built["cut_side"] + built["cut_side alike"]
+                built["side"].append(induced_subgraph(rows[0], mask))
+                if len(rows) > 1:
+                    built["side alike"].append(induced_subgraph(rows[1], mask & ~(1 << y)))
+    inputs = graphs + built["side"] + built["side alike"]
     k5 = complete_graph(5)
     rng = random.Random(19)
     for G in inputs:
@@ -270,8 +286,8 @@ def test_every_derived_graph_passes_the_full_check(ore13):
         if missing and is_k_colorable(H := with_edge(G, *missing[0]), 4) is None:
             built["extract_5_critical"].append(extract_5_critical(H)[0])
     assert sorted(built) == [
-        "_four_core", "compose_graphs", "cut_side", "cut_side alike", "extract_5_critical",
-        "induced_subgraph", "phi_identify", "relabel", "without_edges",
+        "_four_core", "compose_graphs", "extract_5_critical", "induced_subgraph", "paired",
+        "paired alike", "phi_identify", "relabel", "side", "side alike", "without_edges",
     ]
     for name, outputs in built.items():
         for H in outputs:
@@ -557,6 +573,14 @@ def test_text_parser_errors():
         graph_from_text("2 1\n1 0\n")
     with pytest.raises(ValueError, match="out of order"):
         graph_from_text("3 2\n1 2\n0 1\n")
+    with pytest.raises(ValueError, match=r"^line 3: duplicate edge \(0,1\)$"):
+        graph_from_text("2 2\n0 1\n0 1\n")
+    with pytest.raises(ValueError, match=r"^line 2: edge \(0,5\) out of range for n=3$"):
+        graph_from_text("3 1\n0 5\n")
+    with pytest.raises(ValueError, match=r"^line 2: edge \(-1,2\) out of range for n=3$"):
+        graph_from_text("3 1\n-1 2\n")
+    with pytest.raises(ValueError, match=r"^line 1: vertex count 0 outside 1\.\.64$"):
+        graph_from_text("0 0\n")
     with pytest.raises(ValueError, match="declared"):
         graph_from_text("3 2\n0 1\n")
     with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from orelab import (
     recipe_to_text,
 )
 from orelab.coloring import boundary
-from orelab.constructions import complete_graph, cycle_graph
+from orelab.constructions import NAMED, complete_graph, cycle_graph
 from orelab.graph_core import MAX_VERTICES, bits, canonical_form, induced_subgraph, mask_of
 from orelab.ore import Compose, Leaf, _orbit_tables, compose_graphs
 
@@ -28,6 +28,7 @@ from helpers import (
     enumerate_by_sites,
     first_sites_by_orbits,
     ore_collapsible_subsets,
+    recognize_reference,
     with_edge,
 )
 
@@ -277,6 +278,31 @@ def test_is_5_ore_recipe_depends_only_on_the_class(ore13, monkeypatch):
             monkeypatch.setattr(ore, "_CLASSES", {})
             texts.add(recipe_to_text(is_5_ore(relabeled)))
         assert len(texts) == 1, texts
+
+
+def test_recognition_matches_the_cut_side_reference(ore17, monkeypatch):
+    # the library and the reference copy of recognition with sides built
+    # by cut_side, each from an empty class table, on every class up to 17
+    # vertices, the named graphs and seeded relabelings of every seventh
+    # class; a side vertex placed one rank off changes a recipe or fails
+    # the rebuild check
+    graphs = [g for g, _ in ore17] + [named_graph(name) for name in sorted(NAMED)]
+    rng = random.Random(27)
+    for g, _ in ore17[::7]:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+    monkeypatch.setattr(ore, "_CLASSES", {})
+    table: dict = {}
+    members = 0
+    for g in graphs:
+        ours, theirs = is_5_ore(g), recognize_reference(g, table)
+        assert (ours is None) == (theirs is None)
+        if ours is not None:
+            assert recipe_to_text(ours) == recipe_to_text(theirs)
+            members += 1
+    assert members == len(ore17) + 1 + len(ore17[::7])
+    assert ore._CLASSES == table
 
 
 # --- Ore-collapsible subsets -------------------------------------------------

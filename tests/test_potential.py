@@ -339,6 +339,42 @@ def test_ore5_bounds_names_a_violating_subset():
     assert row.note == "subsets=28 of=28 low=10 violation=0,1,2,3,5,6"
 
 
+# Planted violations: a Facts record built with the constructor, one field
+# wrong, reaches each claim's FAIL branch; the exact line pins the slack.
+
+
+def test_planted_facts_fail_the_main_theorem_and_ore5_claims():
+    # the Groetzsch graph is 4-chromatic, so marked critical it breaks the
+    # main-theorem case bound, the triangle-free edge bound, p_ky <= 5 and
+    # the p_ky >= 3 iff 5-Ore equivalence at once
+    facts = Facts(named_graph("groetzsch"), "c0c71afdc9584b29", True, None, 0, 15)
+    assert verify_main_theorem(facts).lines() == [
+        "CHECK main-case-other c0c71afdc9584b29 FAIL slack=-353/21",
+        "CHECK triangle-free-edges c0c71afdc9584b29 FAIL note=slack=-305/84",
+    ]
+    assert verify_ore5_bounds(facts).lines() == [
+        "CHECK ore5-ky-upper c0c71afdc9584b29 FAIL slack=-294/21",
+        "CHECK ore5-equivalence c0c71afdc9584b29 FAIL note=ky>=3-iff-5-ore",
+    ]
+
+
+def test_planted_packing_numbers_fail_the_k5_and_ore_cases(doubles):
+    k5 = Facts.of(complete_graph(5))
+    assert k5.t == 2
+    planted = Facts(k5.graph, k5.key, k5.critical, k5.recipe, 1, k5.mic)
+    assert verify_main_theorem(planted).lines() == [
+        "CHECK main-case-k5 0b688a284bfc8f59 FAIL slack=8/21"
+    ]
+    # the first 9-vertex class of the enumeration, its t of 4 lowered to 3
+    g, _ = doubles[0]
+    ore9 = Facts.of(g)
+    assert ore9.t == 4 and ore9.recipe is not None
+    planted = Facts(g, ore9.key, ore9.critical, ore9.recipe, 3, ore9.mic)
+    assert verify_main_theorem(planted).lines() == [
+        "CHECK main-case-ore 9550650de1dc876e FAIL slack=-8/21"
+    ]
+
+
 def test_low_ky_subsets_match_the_mask_loop(ore13, ore17):
     graphs = [g for g, _ in ore13]
     for seed, g in enumerate(list(graphs)):
