@@ -14,13 +14,12 @@ from .constructions import named_graph
 from .graph_core import Graph, InvariantViolation, graph_from_graph6, graph_to_graph6
 from .ore import enumerate_5_ore, is_5_ore, ore_compose, recipe_to_text
 from .packing import t_number
-from .potential import Facts, Rat21, critical_extension, p_ky, potential
+from .potential import Facts, critical_extension, p_ky, potential
 
 __all__ = [
     "Facts",
     "Graph",
     "InvariantViolation",
-    "Rat21",
     "critical_extension",
     "enumerate_5_ore",
     "graph_from_graph6",

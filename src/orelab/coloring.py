@@ -178,7 +178,11 @@ def _search(g: Graph, k: int, mask: int, color: list[int]) -> bool:
             undo(best_v, touched, c)
         return False
 
-    return dfs(len(clique))
+    found = dfs(len(clique))
+    # dfs refers to itself; dropping the name frees the search state now
+    # instead of at the next garbage collection
+    del dfs
+    return found
 
 
 def _peel_solve_check(G: Graph, mask: int, k: int, solve, color: list[int]) -> bool:

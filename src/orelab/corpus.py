@@ -37,7 +37,7 @@ def compute_invariants(facts: Facts) -> dict:
         "m": G.m,
         "p_ky": p_ky(G),
         "t": facts.t,
-        "p_num": facts.p.num,
+        "p_num": facts.p,
         "critical5": facts.critical,
         "ore5": facts.recipe is not None,
         "mic": facts.mic,

@@ -110,7 +110,7 @@ def closing_inequalities(facts: Facts) -> Report:
     rep = Report()
     ledger = run_discharge(G)
     lhs = ledger.total84
-    rhs = 4 * p.num + 32 * facts.t
+    rhs = 4 * p + 32 * facts.t
     rep.add("charge-sum-identity", key, lhs == rhs, note=f"{lhs}/84 vs {rhs}/84")
     add_conservation(rep, key, ledger)
     slack_edges = 2 * G.m - 3 * G.n - facts.mic
@@ -120,7 +120,7 @@ def closing_inequalities(facts: Facts) -> Report:
     m_count = d4.pairs
     slack_mic = facts.mic - 4 * (s_count + m_count)
     rep.add("mic-vs-components", key, slack_mic >= 0, 21 * slack_mic)
-    if p.num > 0:
+    if p > 0:
         margin = 8 * G.n - 21 * (s_count + m_count)
         rep.add(
             "positive-p-components",
@@ -133,6 +133,6 @@ def closing_inequalities(facts: Facts) -> Report:
             "positive-p-components",
             key,
             True,
-            note=f"vacuous p={p}",
+            note=f"vacuous p={p}/21",
         )
     return rep

@@ -635,24 +635,23 @@ def graph_to_text(G: Graph) -> str:
 
 def graph_from_text(text: str) -> Graph:
     """The graph :func:`graph_to_text` wrote; a ValueError names the line
-    at fault, when there is one."""
-    lines = text.splitlines()
+    at fault, when there is one, numbered as in ``text``.  Blank lines are
+    skipped, before the header too."""
+    numbered = enumerate(text.splitlines(), start=1)
+    lines = [(i, parts) for i, line in numbered if (parts := line.split())]
     if not lines:
         raise ValueError("empty graph text")
-    head = lines[0].split()
+    at, head = lines[0]
     if len(head) != 2:
-        raise ValueError("line 1: expected 'n m'")
+        raise ValueError(f"line {at}: expected 'n m'")
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise ValueError("line 1: expected two integers") from None
+        raise ValueError(f"line {at}: expected two integers") from None
     if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"line 1: vertex count {n} outside 1..{MAX_VERTICES}")
+        raise ValueError(f"line {at}: vertex count {n} outside 1..{MAX_VERTICES}")
     edges = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
+    for i, parts in lines[1:]:
         if len(parts) != 2:
             raise ValueError(f"line {i}: expected 'u v'")
         try:

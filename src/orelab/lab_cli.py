@@ -86,7 +86,7 @@ def _graphs_from_file(path: Path) -> list[Graph]:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     graphs = []
-    for i, line in enumerate(stripped.splitlines(), start=1):
+    for i, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -376,7 +376,7 @@ def cmd_potential(args) -> int:
     print(f"m={G.m}")
     print(f"t={t}")
     print(f"p_ky={p_ky(G)}")
-    print(f"p={p}")
+    print(f"p={p}/21")
     return 0
 
 

@@ -6,9 +6,10 @@ The refined one perturbs it by eps = 1/21 per vertex and charges delta =
 
     p = (9 + eps) n - 4 m - delta T.
 
-Every constant in sight is an integer multiple of 1/21, so values are
-carried as plain integer numerators over a fixed denominator of 21
-(:class:`Rat21`); there is no floating point anywhere.
+Every constant in sight is an integer multiple of 1/21, so each refined
+potential, core cost and slack is carried as a plain ``int``, its
+numerator over a fixed denominator of 21; there is no floating point
+anywhere.
 
 The identification construction takes a proper 4-coloring phi of G[R]
 for a proper subset R, which it reads from phi's keys, contracts each
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from functools import total_ordering
 from math import comb
 
 from . import coloring as col
@@ -46,46 +46,10 @@ from .graph_core import (
 from .report import Report
 
 
-@total_ordering
-class Rat21(Record):
-    """An exact rational with fixed denominator 21, ordered by value."""
-
-    __slots__ = ("num",)
-    num: int
-
-    def __init__(self, num: int):
-        object.__setattr__(self, "num", num)
-
-    def __lt__(self, other: "Rat21") -> bool:
-        return self.num < other.num if other.__class__ is Rat21 else NotImplemented
-
-    def __add__(self, other: "Rat21") -> "Rat21":
-        return Rat21(self.num + other.num)
-
-    def __sub__(self, other: "Rat21") -> "Rat21":
-        return Rat21(self.num - other.num)
-
-    def __neg__(self) -> "Rat21":
-        return Rat21(-self.num)
-
-    def __mul__(self, k: int) -> "Rat21":
-        if not isinstance(k, int):
-            return NotImplemented
-        return Rat21(self.num * k)
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        return f"{self.num}/21"
-
-    @staticmethod
-    def whole(k: int) -> "Rat21":
-        return Rat21(21 * k)
-
-
-EPS = Rat21(1)        # 1/21
-DELTA = Rat21(8)      # 8 * eps
-P_GAP = Rat21(48)     # 6 * delta
+# numerators over 21
+EPS = 1        # 1/21
+DELTA = 8      # 8 * eps
+P_GAP = 48     # 6 * delta
 
 
 def p_ky(G: Graph) -> int:
@@ -99,28 +63,29 @@ def p_ky_set(G: Graph, R: int) -> int:
     return 9 * R.bit_count() - 2 * sum((G.adj[v] & R).bit_count() for v in bits(R))
 
 
-def potential(G: Graph, t: int) -> Rat21:
-    """(9 + eps) n - 4 m - delta t, exactly, for t = T(G) the packing
-    number."""
-    return Rat21(190 * G.n - 84 * G.m - 8 * t)
+def potential(G: Graph, t: int) -> int:
+    """(9 + eps) n - 4 m - delta t over 21, exactly, for t = T(G) the
+    packing number: 21 p_ky + n - 8 t."""
+    return 21 * p_ky(G) + G.n - 8 * t
 
 
-def potentials_inside(G: Graph, table: list, R: int) -> tuple[int, Rat21]:
-    """p_ky(G[R]) and p(G[R]) for the mask R, with t(G[R]) searched over
-    G's piece ``table``: p = 21 p_ky + |R| - 8 t."""
+def potentials_inside(G: Graph, table: list, R: int) -> tuple[int, int]:
+    """p_ky(G[R]) and p(G[R]) over 21 for the mask R, with t(G[R]) searched
+    over G's piece ``table``: p = 21 p_ky + |R| - 8 t."""
     ky = p_ky_set(G, R)
     t, _ = packing.best_packing(G, table, R)
-    return ky, Rat21(21 * ky + R.bit_count() - 8 * t)
+    return ky, 21 * ky + R.bit_count() - 8 * t
 
 
-def f_core(x: int) -> Rat21:
-    """Cost charged for a core of size x: 9x - 4*C(x,2) + x*eps."""
+# p_ky of K_x, 9x - 4 C(x,2), charged for a core of size x
+KY_CORE_COST = {1: 9, 2: 14, 3: 15, 4: 12}
+
+
+def f_core(x: int) -> int:
+    """Cost charged for a core of size x over 21: p_ky(K_x) + x eps."""
     if not 1 <= x <= 4:
         raise ValueError("core size must be between 1 and 4")
-    return Rat21(190 * x - 84 * comb(x, 2))
-
-
-KY_CORE_COST = {1: 9, 2: 14, 3: 15, 4: 12}
+    return 21 * KY_CORE_COST[x] + x
 
 
 def phi_identify(G: Graph, phi: dict[int, int]) -> tuple[Graph, tuple[int, ...]]:
@@ -186,8 +151,8 @@ class Facts(Record):
         return self.graph.n
 
     @property
-    def p(self) -> Rat21:
-        """The refined potential, from the stored packing number."""
+    def p(self) -> int:
+        """The refined potential over 21, from the stored packing number."""
         return potential(self.graph, self.t)
 
 
@@ -293,12 +258,10 @@ def verify_extension_inequalities(rec: ExtensionRecord, key: str, table: list) -
     t_w, _ = packing.best_packing(W, w_table, (1 << W.n) - 1)
     p_w = potential(W, t_w)
     t_wc, _ = packing.best_packing(W, w_table, real)
-    rhs = p_r + p_w - f_core(x) + DELTA * (t_w - t_wc)
-    slack_ref = rhs - p_rp
-    rep.add("refined-extension", key, slack_ref.num >= 0, slack_ref.num)
-    rhs2 = p_r + p_w - Rat21.whole(9) - EPS + DELTA
-    slack_coarse = rhs2 - p_rp
-    rep.add("coarse-extension", key, slack_coarse.num >= 0, slack_coarse.num)
+    slack_ref = p_r + p_w - f_core(x) + DELTA * (t_w - t_wc) - p_rp
+    rep.add("refined-extension", key, slack_ref >= 0, slack_ref)
+    slack_coarse = p_r + p_w - 21 * 9 - EPS + DELTA - p_rp
+    rep.add("coarse-extension", key, slack_coarse >= 0, slack_coarse)
     return rep
 
 
@@ -336,16 +299,14 @@ def verify_main_theorem(facts: Facts) -> Report:
     rep = Report()
     p = facts.p
     if G.n == 5:
-        rep.add("main-case-k5", key, p == Rat21(94), p.num - 94)
+        rep.add("main-case-k5", key, p == 94, p - 94)
     elif facts.recipe is not None:
-        # 5-Ore orders are 1 mod 4, so the bound is an exact Rat21
-        bound = Rat21(105 + G.n) - DELTA * (2 + (G.n - 1) // 4)
-        slack = bound - p
-        rep.add("main-case-ore", key, slack.num >= 0, slack.num)
+        # 5-Ore orders are 1 mod 4, so the bound is a whole numerator
+        slack = 105 + G.n - DELTA * (2 + (G.n - 1) // 4) - p
+        rep.add("main-case-ore", key, slack >= 0, slack)
     else:
-        bound = Rat21.whole(5) - P_GAP
-        slack = bound - p
-        rep.add("main-case-other", key, slack.num >= 0, slack.num)
+        slack = 21 * 5 - P_GAP - p
+        rep.add("main-case-other", key, slack >= 0, slack)
     if facts.t == 0:
         slack84 = 84 * G.m - (190 * G.n - 105)
         rep.add("triangle-free-edges", key, slack84 >= 0, note=f"slack={slack84}/84")

@@ -2,14 +2,13 @@
 
 Run with ``pytest -v tests/test_acceptance.py -s`` to see the lines as
 they print; without ``-s`` the per-test PASSED/FAILED verdicts carry the
-same information.  Everything is exact integer or Rat21 arithmetic; no
-tolerances anywhere.
+same information.  Everything is exact integer arithmetic, each refined
+potential an int numerator over 21; no tolerances anywhere.
 """
 
 import random
 
 from orelab import (
-    Rat21,
     critical_extension,
     named_graph,
     ore_compose,
@@ -107,7 +106,7 @@ def test_criterion_04_packing_oracle_equivalence(lab_facts):
 
 
 def test_criterion_05_main_theorem_cases(lab_facts):
-    ok = potential(complete_graph(5), t_number(complete_graph(5))[0]) == Rat21(94)
+    ok = potential(complete_graph(5), t_number(complete_graph(5))[0]) == 94
     cases = {"k5": 1, "ore": 0, "other": 0}
     for facts in lab_facts:
         if not facts.critical or facts.n == 5:
@@ -119,7 +118,7 @@ def test_criterion_05_main_theorem_cases(lab_facts):
             cases["ore"] += 1
         elif head.name == "main-case-other":
             cases["other"] += 1
-    bound = Rat21.whole(5) - Rat21(48)  # 5 - 16/7 as a numerator over 21
+    bound = 21 * 5 - 48  # 5 - 16/7 as a numerator over 21
     for name in NON_ORE_WITNESSES:
         G = named_graph(name)
         ok = ok and potential(G, t_number(G)[0]) <= bound
@@ -213,7 +212,7 @@ def test_criterion_09_counting_inequalities(lab_facts):
         ok = ok and sum(ledger.final84) == ledger.total84
         runs += 1
         d4 = d4_components(G)
-        if facts.p.num > 0:
+        if facts.p > 0:
             ok = ok and 21 * (d4.singles + d4.pairs) < 8 * G.n
         if not facts.critical:
             continue

@@ -111,6 +111,11 @@ def test_add_bad_graph6_line_reports_position(tmp_path, run):
     code, _, err = run("add", str(path), "--corpus", str(tmp_path / "c"))
     assert code == 2
     assert "bad.g6:2:" in err
+    # lines are numbered as in the file, leading blank lines included
+    path.write_text("\nD~{\n@@@\n")
+    code, _, err = run("add", str(path), "--corpus", str(tmp_path / "c"))
+    assert code == 2
+    assert "bad.g6:3:" in err
 
 
 @pytest.mark.parametrize(
@@ -118,6 +123,7 @@ def test_add_bad_graph6_line_reports_position(tmp_path, run):
     [
         ("2 2\n0 1\n0 1\n", "line 3: duplicate edge (0,1)"),
         ("3 1\n0 5\n", "line 2: edge (0,5) out of range for n=3"),
+        ("\n3 1\n0 5\n", "line 3: edge (0,5) out of range for n=3"),
         ("3 1\n-1 2\n", "line 2: edge (-1,2) out of range for n=3"),
         ("3 2\n0 1\n", "declared 2 edges, found 1"),
         ("-3 1\n0 1\n", "line 1: vertex count -3 outside 1..64"),
@@ -129,6 +135,12 @@ def test_a_bad_text_file_names_itself_and_the_line(tmp_path, run, text, why):
     code, _, err = run("add", str(path), "--corpus", str(tmp_path / "c"))
     assert code == 2
     assert err == f"error: {path}: {why}\n"
+
+
+def test_a_text_file_may_open_with_a_blank_line(tmp_path, run):
+    path = tmp_path / "lead.txt"
+    path.write_text("\n3 1\n0 1\n")
+    assert run("t", str(path), "--corpus", str(tmp_path / "c")) == (0, "t=0\n", "")
 
 
 def test_verify_empty_corpus_warns(tmp_path, run):
@@ -568,6 +580,19 @@ def test_recipes_and_lemma2_rows_are_frozen(lab_facts):
     assert len(lines) == 3360
     digest = hashlib.sha256("".join(l + "\n" for l in lines).encode()).hexdigest()
     assert digest == LEMMA2_ROWS_SHA256
+
+
+def test_planted_packing_number_fails_the_lemma2_claims(doubles):
+    # the first 9-vertex class composes two K5s (t = 2 each); its t of 4
+    # lowered to 1 breaks 4t >= n + 7, superadditivity and the K5 bump
+    g, _ = doubles[0]
+    facts = Facts.of(g)
+    planted = Facts(g, facts.key, facts.critical, facts.recipe, 1, facts.mic)
+    assert lab_cli._lemma2_report(planted).lines() == [
+        "CHECK packing-lower-bound 9550650de1dc876e FAIL note=4t=4 need=16",
+        "CHECK compose-superadditive 9550650de1dc876e FAIL note=node=0 t=1 sides=2+2",
+        "CHECK compose-k5-bump 9550650de1dc876e FAIL note=node=0 t=1 edge-side=2",
+    ]
 
 
 def test_lemma2_computes_one_t_per_recipe_node(ore17_facts, monkeypatch):

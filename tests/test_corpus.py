@@ -118,3 +118,4 @@ def test_verify_entry_detects_wrong_key(tmp_path):
     by_name = {c.name: c for c in rep.checks}
     assert not by_name["corpus-key"].ok
     assert by_name["corpus-key"].note == f"recomputed={key}"
+    assert rep.lines()[0] == f"CHECK corpus-key ffffffffffffffff FAIL note=recomputed={key}"

@@ -47,7 +47,7 @@ def test_charge_total_matches_potential_identity(doubles):
     ]:
         ledger = run_discharge(G)
         t, _ = t_number(G)
-        assert ledger.total84 == 4 * potential(G, t).num + 32 * t
+        assert ledger.total84 == 4 * potential(G, t) + 32 * t
 
 
 def test_isolated_degree_four_vertex_keeps_everything():
@@ -132,6 +132,27 @@ def test_closing_vacuous_row_for_negative_potential():
     assert rep.ok
     by_name = {c.name: c for c in rep.checks}
     assert by_name["positive-p-components"].note == "vacuous p=-1594/21"
+
+
+# Planted violations: a Facts record built with the constructor reaches each
+# closing inequality's FAIL branch; the exact line pins the slack.
+
+
+def test_planted_facts_fail_the_closing_inequalities():
+    # K_{4,5} is bipartite, so marked critical it breaks 2m >= 3n + mic
+    # (40 < 27 + 20); its five degree-4 vertices are independent, so S = 5,
+    # and p = 30/21 > 0 while 21 S = 105 exceeds 8n = 72
+    K45 = Graph.from_edges(9, [(u, v) for u in range(4) for v in range(4, 9)])
+    assert closing_inequalities(Facts(K45, "42acafa5bb13bab0", True, None, 0, 20)).lines() == [
+        "CHECK charge-sum-identity 42acafa5bb13bab0 PASS note=120/84 vs 120/84",
+        "CHECK conservation 42acafa5bb13bab0 PASS note=transfers=0",
+        "CHECK edges-vs-mic 42acafa5bb13bab0 FAIL slack=-147/21",
+        "CHECK mic-vs-components 42acafa5bb13bab0 PASS slack=0/21",
+        "CHECK positive-p-components 42acafa5bb13bab0 FAIL note=S=5 M=0 margin=-33",
+    ]
+    # a mic of 0 falls below 4 (S + M) = 20
+    rows = closing_inequalities(Facts(K45, "42acafa5bb13bab0", True, None, 0, 0)).lines()
+    assert rows[3] == "CHECK mic-vs-components 42acafa5bb13bab0 FAIL slack=-420/21"
 
 
 def test_one_vertex_per_d4_component_is_independent(ore13):

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import orelab
 from orelab import coloring, lab_cli, ore, packing
+from orelab.discharge import closing_inequalities
 from orelab.graph_core import bits, mask_of
+from orelab.potential import f_core, potential, verify_main_theorem, verify_ore5_bounds
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -291,3 +293,68 @@ def test_vertex_set_results_are_int_masks(ore17, lab_facts):
             phi = coloring.seeded_coloring(G, R, 4, rng)
             assert phi is not None and all(type(v) is int for v in phi)
             assert mask_of(phi) == R
+
+
+# Check names whose FAIL branch no input reaches, each with the reason; every
+# other name must have a test that asserts one of its FAIL lines exactly.
+STRUCTURAL_CHECKS = {
+    "extension-shape": "added with a literal True; the row describes a record",
+    "conservation": "run_discharge raises before it returns a ledger whose sums disagree",
+    "charge-sum-identity": "both sides equal 760n - 336m",
+}
+
+
+def test_every_check_name_has_a_planted_fail_line():
+    names = {
+        node.args[0].value
+        for tree in _modules().values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "add"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+    }
+    assert STRUCTURAL_CHECKS.keys() <= names
+    tests = "".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted(ROOT.glob("tests/test_*.py"))
+        if path.name != "test_docs.py"
+    )
+    unpinned = sorted(
+        name
+        for name in names - STRUCTURAL_CHECKS.keys()
+        if not re.search(rf"CHECK {re.escape(name)} \S+ FAIL\b", tests)
+    )
+    assert not unpinned, "\n".join(unpinned)
+
+
+def test_library_arithmetic_has_no_float():
+    # potentials, slacks and charges are int numerators over 21 or 84, so
+    # no true division, float literal or float() call belongs in the
+    # library; corpus.py's "/" joins paths
+    found = [
+        f"{module}.py:{node.lineno}"
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+            and module != "corpus")
+        or (isinstance(node, ast.Constant) and isinstance(node.value, float))
+        or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float")
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_potentials_and_slacks_are_ints(lab_facts):
+    assert all(type(f_core(x)) is int for x in range(1, 5))
+    reports = []
+    for facts in lab_facts:
+        assert type(facts.p) is int and type(potential(facts.graph, facts.t)) is int
+        # the corpus and lemma2 rows carry notes, never a slack
+        if facts.critical:
+            reports += [verify_main_theorem(facts), verify_ore5_bounds(facts)]
+            reports.append(closing_inequalities(facts))
+            if 6 <= facts.graph.n <= 13:
+                reports.append(lab_cli._extension_report(facts, 0, list(range(4))))
+    slacks = [c.slack21 for rep in reports for c in rep.checks if c.slack21 is not None]
+    assert len(slacks) > 2000 and all(type(s) is int for s in slacks)

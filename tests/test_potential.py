@@ -6,7 +6,6 @@ from orelab import (
     Facts,
     Graph,
     InvariantViolation,
-    Rat21,
     critical_extension,
     named_graph,
     p_ky,
@@ -22,6 +21,7 @@ from orelab.potential import (
     EPS,
     KY_CORE_COST,
     P_GAP,
+    ExtensionRecord,
     _low_ky_subsets,
     f_core,
     p_ky_set,
@@ -60,35 +60,12 @@ def one_three(doubles):
 # --- exact arithmetic ---------------------------------------------------------
 
 
-def test_rat21_arithmetic():
-    a, b = Rat21(5), Rat21(-7)
-    assert (a + b).num == -2
-    assert (a - b).num == 12
-    assert (-a).num == -5
-    assert (3 * a).num == 15 and (a * 3).num == 15
-    assert Rat21.whole(4) == Rat21(84)
-    assert str(Rat21(94)) == "94/21"
-    assert Rat21(1) < Rat21(2) <= Rat21(2) < Rat21(44)
-    assert sorted([Rat21(3), Rat21(-1), Rat21(0)]) == [
-        Rat21(-1),
-        Rat21(0),
-        Rat21(3),
-    ]
-
-
-def test_rat21_rejects_non_integer_factors():
-    with pytest.raises(TypeError):
-        Rat21(1) * 0.5
-    with pytest.raises(TypeError):
-        Rat21(1) * Rat21(2)
-
-
 def test_constants():
-    assert (EPS.num, DELTA.num, P_GAP.num) == (1, 8, 48)
+    assert (EPS, DELTA, P_GAP) == (1, 8, 48)
 
 
 def test_f_core_values_and_range():
-    assert [f_core(x).num for x in (1, 2, 3, 4)] == [190, 296, 318, 256]
+    assert [f_core(x) for x in (1, 2, 3, 4)] == [190, 296, 318, 256]
     assert KY_CORE_COST == {1: 9, 2: 14, 3: 15, 4: 12}
     for bad in (0, 5, -1):
         with pytest.raises(ValueError):
@@ -108,12 +85,12 @@ def test_p_ky_values(doubles):
 
 
 def test_potential_values(doubles):
-    assert refined(complete_graph(5)) == Rat21(94)
+    assert refined(complete_graph(5)) == 94
     for g, _ in doubles:
-        assert refined(g) == Rat21(82)
-    assert refined(named_graph("c5_join_k2")) == Rat21(-30)
-    assert refined(named_graph("k1_join_groetzsch")) == Rat21(-332)
-    assert refined(named_graph("mycielski_groetzsch")) == Rat21(-1594)
+        assert refined(g) == 82
+    assert refined(named_graph("c5_join_k2")) == -30
+    assert refined(named_graph("k1_join_groetzsch")) == -332
+    assert refined(named_graph("mycielski_groetzsch")) == -1594
 
 
 def test_set_potentials_match_induced_subgraph(doubles):
@@ -235,7 +212,7 @@ def test_splitting_colorings_break_totality(doubles):
 def test_complement_potential_bound(doubles):
     # exact form of the collapse/complement interplay: for Ore-collapsible
     # R, p(R) >= p(G) - p(W) + 9 + eps - delta with W the complement
-    gap = Rat21.whole(9) + EPS - DELTA
+    gap = 21 * 9 + EPS - DELTA
     for g, _ in doubles:
         for R in ore_collapsible_subsets(g):
             W, _ = critical_complement(g, R)
@@ -245,8 +222,8 @@ def test_complement_potential_bound(doubles):
     g, _ = one_three(doubles)
     R = frozenset(range(5))
     W, _ = critical_complement(g, R)
-    assert potentials_inside(g, piece_table(g), mask_of(R))[1] == Rat21(178)
-    assert refined(g) - refined(W) + gap == Rat21(170)
+    assert potentials_inside(g, piece_table(g), mask_of(R))[1] == 178
+    assert refined(g) - refined(W) + gap == 170
 
 
 def test_random_extension_fuzz_never_violates(doubles):
@@ -337,6 +314,10 @@ def test_ore5_bounds_names_a_violating_subset():
     assert row.name == "ore5-low-ky-collapsible"
     assert not row.ok
     assert row.note == "subsets=28 of=28 low=10 violation=0,1,2,3,5,6"
+    assert row.line() == (
+        "CHECK ore5-low-ky-collapsible c467ea5e67d1d76c FAIL"
+        " note=subsets=28 of=28 low=10 violation=0,1,2,3,5,6"
+    )
 
 
 # Planted violations: a Facts record built with the constructor, one field
@@ -372,6 +353,20 @@ def test_planted_packing_numbers_fail_the_k5_and_ore_cases(doubles):
     planted = Facts(g, ore9.key, ore9.critical, ore9.recipe, 3, ore9.mic)
     assert verify_main_theorem(planted).lines() == [
         "CHECK main-case-ore 9550650de1dc876e FAIL slack=-8/21"
+    ]
+
+
+def test_planted_record_fails_the_extension_inequalities(doubles):
+    # a record whose expanded set R' is its subset R: p(R') = p(R), so each
+    # inequality asks p(W) to pay for the core, and the extender cannot
+    g, _ = doubles[0]
+    rec = random_extension(g, random.Random(0))
+    fields = {name: getattr(rec, name) for name in ExtensionRecord.__slots__}
+    planted = ExtensionRecord(**{**fields, "expanded": rec.subset})
+    assert verify_extension_inequalities(planted, "9550650de1dc876e", piece_table(g)).lines() == [
+        "CHECK ky-extension 9550650de1dc876e FAIL slack=-147/21",
+        "CHECK refined-extension 9550650de1dc876e FAIL slack=-146/21",
+        "CHECK coarse-extension 9550650de1dc876e FAIL slack=-88/21",
     ]
 
 
