@@ -44,15 +44,13 @@ exactly one neighbor w carries yields a proper coloring of G - xw.  Each
 walked coloring is re-checked proper before it certifies its edge, and
 only edges the walk never reaches are solved exactly.
 
-Extracting a 5-critical subgraph is the same edge scan with deletions
-tried in doubling batches: a batch whose deletion leaves the graph
-non-4-colorable goes whole, and a colorable one is bisected for its first
-necessary edge, so the scan deletes exactly the edges one-at-a-time
-deletion would.  The scan works on the 4-core: every refuted graph is cut
-down to its 4-core, which holds every 5-critical subgraph, and the edges
-dropped that way are never solved.  It ends on the certificates it
-already holds, the 4-core of the last refutation and one walked or solved
-coloring per kept edge, rather than a second criticality proof.
+Extracting a 5-critical subgraph is the same edge scan, deleting each
+edge whose removal leaves the graph non-4-colorable.  The scan works on
+the 4-core: every refuted graph is cut down to its 4-core, which holds
+every 5-critical subgraph, and the edges dropped that way are never
+solved.  It ends on the certificates it already holds, the 4-core of the
+last refutation and one walked or solved coloring per kept edge, rather
+than a second criticality proof.
 
 Seeded colorings (:func:`seeded_coloring`) come from the same search: the
 exact search's coloring of a seeded relabeling of G[R], with the colors
@@ -465,17 +463,9 @@ def extract_5_critical(G: Graph) -> tuple[Graph, tuple[int, ...]]:
     X is 4-colorable exactly when core(X) is (see :func:`is_k_colorable`).
     So the scan starts from core(G), and after every refutation cur becomes
     the refuted graph's 4-core.  Throughout, core(X) <= cur <= X: every
-    attempt cur - B sits between core(X - B) and X - B and gets the plain
-    scan's verdict, and an edge no longer in cur is one the plain scan
-    deletes without changing that verdict, so it is skipped unsolved.
-
-    Deletions go in batches: the next b undecided edges of cur at once,
-    b = 1, 2, 4, ... while the graph stays non-4-colorable.  The plain scan
-    deletes a run of edges exactly when the graph minus the whole run is
-    not 4-colorable (a prefix of a deletable run is deletable, by
-    monotonicity), so a colorable batch is bisected for its first
-    necessary edge: the edges before it go, it stays, and b starts again
-    at 1.
+    attempt cur - uv sits between core(X - uv) and X - uv and gets the
+    plain scan's verdict, and an edge no longer in cur is one the plain
+    scan deletes without changing that verdict, so it is skipped unsolved.
 
     A necessary edge seeds the witness walk of :func:`is_5_critical`.  A
     coloring of cur - f stays proper as later deletions shrink cur, so
@@ -495,40 +485,15 @@ def extract_5_critical(G: Graph) -> tuple[Graph, tuple[int, ...]]:
     cur = _four_core(G)
     done = [0] * cur.n
     certs: dict[tuple[int, int], tuple[int, ...]] = {}
-    edges = G.edges()[::-1]
-    i, b = 0, 1
-    while True:
-        batch = []
-        while i < len(edges) and len(batch) < b:
-            u, v = edges[i]
-            if (cur.adj[u] & ~done[u]) >> v & 1:
-                batch.append(i)
-            i += 1
-        if not batch:
-            break
-        cut = [edges[j] for j in batch]
-        attempt = without_edges(cur, cut)
+    for u, v in G.edges()[::-1]:
+        if not (cur.adj[u] & ~done[u]) >> v & 1:
+            continue
+        attempt = without_edges(cur, [(u, v)])
         colors = is_k_colorable(attempt, 4)
         if colors is None:
             cur = _four_core(attempt)
-            b *= 2
-            continue
-        # cur minus the first lo batch edges is not 4-colorable; minus the
-        # first hi it is, by ``colors``
-        lo, hi = 0, len(batch)
-        base = cur
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            attempt = without_edges(cur, cut[:mid])
-            found = is_k_colorable(attempt, 4)
-            if found is None:
-                lo, base = mid, _four_core(attempt)
-            else:
-                hi, colors = mid, found
-        cur = base
-        u, v = cut[hi - 1]
-        _walk(cur, colors, u, v, done, certs)
-        i, b = batch[hi - 1] + 1, 1
+        else:
+            _walk(cur, colors, u, v, done, certs)
     for u, v in cur.edges():
         colors = certs.pop((u, v), None)
         if colors is None:

@@ -75,7 +75,10 @@ def _panics_naming(G: Graph, entry: str | None = None):
 
 
 def _graphs_from_file(path: Path) -> list[Graph]:
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     stripped = text.strip()
     if not stripped:
         raise ValueError(f"{path}: empty file")

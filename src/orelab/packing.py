@@ -172,6 +172,9 @@ def mic(G: Graph) -> tuple[int, int]:
             avail ^= low
 
     rec((1 << G.n) - 1, 0, 0)
+    # rec refers to itself; dropping the name frees the search state now
+    # instead of at the next garbage collection
+    del rec
     best_val, best_set = best[0], mask_of(order[i] for i in bits(best[1]))
     if any(G.adj[v] & best_set for v in bits(best_set)):
         raise InvariantViolation("mic witness is not independent")

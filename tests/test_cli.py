@@ -127,11 +127,17 @@ def test_add_bad_graph6_line_reports_position(tmp_path, run):
         ("3 1\n-1 2\n", "line 2: edge (-1,2) out of range for n=3"),
         ("3 2\n0 1\n", "declared 2 edges, found 1"),
         ("-3 1\n0 1\n", "line 1: vertex count -3 outside 1..64"),
+        (
+            "\xff\xfe\x00\x01",
+            "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        ),
     ],
 )
 def test_a_bad_text_file_names_itself_and_the_line(tmp_path, run, text, why):
     path = tmp_path / "bad.txt"
-    path.write_text(text)
+    # latin-1 writes each character as the one byte of its code, so a case
+    # can hold bytes that are not UTF-8
+    path.write_bytes(text.encode("latin-1"))
     code, _, err = run("add", str(path), "--corpus", str(tmp_path / "c"))
     assert code == 2
     assert err == f"error: {path}: {why}\n"

@@ -469,7 +469,7 @@ def extension_hosts(ore17):
     return random.Random(5).sample(seventeen, 6) + [named_graph("mycielski_groetzsch")]
 
 
-def test_extract_keeps_the_plain_scan_result(doubles, ore17):
+def test_extract_keeps_the_plain_scan_result(doubles, ore17, monkeypatch):
     inputs = [complete_graph(6)] + one_edge_changes(named_graph("mycielski_groetzsch"))[-3:]
     for g, _ in doubles:
         inputs += one_edge_changes(g)[g.m :]
@@ -478,12 +478,23 @@ def test_extract_keeps_the_plain_scan_result(doubles, ore17):
     pairs = identifications(extension_hosts(ore17), 6, random.Random(17))
     identified = [phi_identify(*pair)[0] for pair in pairs]
     assert 0 < sum(map(contains_k5, identified)) < len(identified)
-    for G in inputs + identified:
+    real = coloring.is_k_colorable
+    solves = []
+    monkeypatch.setattr(coloring, "is_k_colorable", lambda g, k: solves.append(g) or real(g, k))
+    identified_solves = 0
+    for i, G in enumerate(inputs + identified):
         scanned = extract_by_edges(G)
         kept = tuple(v for v in range(scanned.n) if scanned.degree(v) > 0)
+        before = len(solves)
         got = extract_5_critical(G)
+        if i >= len(inputs):
+            identified_solves += len(solves) - before
         assert got == (induced_subgraph(scanned, mask_of(kept)), kept)
         assert is_5_critical(got[0])
+    # one edge at a time makes 115 exact solves on the identified graphs;
+    # deletions tried in doubling batches, bisected when colorable, made 134
+    assert len(identified) == 42
+    assert identified_solves <= 115
 
 
 def test_identification_and_extraction_name_their_vertices(ore17):

@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 
@@ -5,7 +6,15 @@ import pytest
 
 from orelab import Graph, InvariantViolation, named_graph, packing, t_number
 from orelab.constructions import NAMED, complete_graph, cycle_graph
-from orelab.graph_core import bits, induced_subgraph, mask_of, without_edges
+from orelab.coloring import is_5_critical, is_k_colorable
+from orelab.graph_core import (
+    bits,
+    canonical_form,
+    induced_subgraph,
+    mask_of,
+    two_cuts,
+    without_edges,
+)
 from orelab.packing import mic
 from orelab.potential import random_extension, verify_extension_inequalities
 
@@ -297,6 +306,33 @@ def test_mic_search_work_is_bounded(ore17):
     values, nodes = mic_nodes(lambda: [mic(g)[0] for g, _ in ore17])
     assert len(values) == 575
     assert nodes <= 4_081
+
+
+def test_searches_leave_no_reference_cycles():
+    # each recursive search drops its closure when done, so reference
+    # counting frees its state and the cyclic collector finds nothing
+    groetzsch, c5k2 = named_graph("mycielski_groetzsch"), named_graph("c5_join_k2")
+    runs = {
+        "is_k_colorable": lambda: is_k_colorable(groetzsch, 4),
+        "two_cuts": lambda: list(two_cuts(c5k2)),
+        "canonical_form": lambda: canonical_form(groetzsch),
+        "t_number": lambda: t_number(groetzsch),
+        "mic": lambda: mic(groetzsch),
+        "is_5_critical": lambda: is_5_critical(c5k2),
+    }
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        for name, run in runs.items():
+            run()
+            assert gc.collect() == 0, name
+    finally:
+        gc.set_debug(flags)
+        if enabled:
+            gc.enable()
+        gc.garbage.clear()
 
 
 def test_mic_witness_is_independent_and_matches():
