@@ -146,8 +146,7 @@ def _search(g: Graph, k: int, mask: int, color: list[int]) -> bool:
             domain[u] |= bit
 
     for i, v in enumerate(clique):
-        if not assign(v, i + 1, []):
-            return False
+        assign(v, i + 1, [])  # maximal in mask, so no vertex loses all k colors
 
     def dfs(used: int) -> bool:
         if not uncolored:
@@ -159,8 +158,6 @@ def _search(g: Graph, k: int, mask: int, color: list[int]) -> bool:
             m ^= low
             v = low.bit_length() - 1
             size = domain[v].bit_count()
-            if size == 0:
-                return False
             if size < best_size:
                 best_v, best_size = v, size
         cap = (1 << min(used + 1, k)) - 1

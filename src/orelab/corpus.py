@@ -62,11 +62,8 @@ class Corpus:
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
-    def exists(self) -> bool:
-        return self.root.is_dir()
-
     def keys(self) -> list[str]:
-        if not self.exists():
+        if not self.root.is_dir():
             return []
         return sorted(p.stem for p in self.root.glob("*.json"))
 

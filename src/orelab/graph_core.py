@@ -568,10 +568,7 @@ def canonical_form(G: Graph) -> Canonical:
         if best[0] is not None and pref > best[0][: len(pref)]:
             return
         idx = len(prefix)
-        if idx == n:
-            record(pref, prefix, ())
-            return
-        if _is_homogeneous(adj, cells):
+        if _is_homogeneous(adj, cells):  # a discrete partition is too
             perm = prefix
             for c in cells[idx:]:
                 if c & (c - 1):

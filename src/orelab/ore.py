@@ -259,9 +259,8 @@ def enumerate_5_ore(max_n: int):
         raise ValueError(f"max_n {max_n} outside 0..{MAX_VERTICES}")
     if max_n < 5:
         return
-    key, _, generators = canonical_form(_K5)
+    _, _, generators = canonical_form(_K5)
     levels = {5: [(_K5, Leaf(), *_orbit_tables(_K5, generators))]}
-    seen = {key}
     yield _K5, Leaf()
     for n in range(9, max_n + 1, 4):
         found: dict[bytes, tuple[Graph, OreRecipe, tuple]] = {}
@@ -282,10 +281,9 @@ def enumerate_5_ore(max_n: int):
                                 continue
                             raw_seen.add(fp)
                             key, _, generators = canonical_form(G)
-                            if key in seen or key in found:
+                            if key in found:
                                 continue
                             found[key] = (G, Compose(r1, (x, y), r2, z, (a, b)), generators)
-        seen.update(found)
         level = [found[key] for key in sorted(found)]
         if n + 4 <= max_n:
             # orbit tables only for the classes that later levels compose

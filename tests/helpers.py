@@ -8,7 +8,7 @@ and not at the oracle.
 
 import hashlib
 import itertools
-from itertools import combinations, permutations
+from itertools import combinations
 
 from orelab import Graph, InvariantViolation, coloring, is_5_ore, ore_compose
 from orelab.coloring import boundary, is_5_critical, is_collapsible, is_k_colorable
@@ -359,16 +359,6 @@ def brute_isomorphic(G: Graph, H: Graph) -> bool:
         return False
 
     return go(0, 0)
-
-
-def brute_isomorphic_perm(G: Graph, H: Graph) -> bool:
-    """Even dumber check over all permutations; keep n tiny."""
-    if G.n != H.n or G.m != H.m:
-        return False
-    for perm in permutations(range(H.n)):
-        if all(H.has_edge(perm[u], perm[v]) for u, v in G.edges()):
-            return True
-    return False
 
 
 def brute_mic(G: Graph) -> int:

@@ -77,6 +77,11 @@ def test_add_named_and_unknown(tmp_path, run):
     code, _, err = run("add", "no_such_graph", "--corpus", root)
     assert code == 2
     assert "named construction" in err
+    # the CLI tries a file before asking the library, which refuses the name itself
+    with pytest.raises(ValueError) as refused:
+        named_graph("no_such_graph")
+    known = "c5_join_k2, groetzsch, k1_join_groetzsch, k5, mycielski_groetzsch"
+    assert str(refused.value) == f"unknown named graph 'no_such_graph' (known: {known})"
 
 
 def test_add_text_file(tmp_path, run):

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import pickle
 import random
 from collections import defaultdict
@@ -25,7 +26,7 @@ from orelab.graph_core import (
     two_cuts,
     without_edges,
 )
-from orelab.ore import Compose, Leaf, compose_graphs
+from orelab.ore import Compose, Leaf, compose_graphs, ore_compose
 from orelab.potential import Facts, phi_identify
 from orelab.report import Check
 
@@ -89,6 +90,11 @@ def test_records_are_immutable_values_that_pickle_and_copy(doubles):
         split=recipe.split,
     )
     assert Check("c", "k", True) == Check(name="c", key="k", ok=True, slack21=None, note="")
+    assert repr(Check("c", "k", True)) == "Check(name='c', key='k', ok=True, slack21=None, note='')"
+    assert repr(Leaf()) == "Leaf()"
+    with pytest.raises(TypeError) as refused:
+        ore_compose(complete_graph(5))
+    assert str(refused.value) == "not a recipe node: Graph(n=5, adj=(30, 29, 27, 23, 15))"
     for value, name in ((G, "adj"), (facts, "t"), (recipe, "split")):
         with pytest.raises(AttributeError):
             setattr(value, name, getattr(value, name))
@@ -602,13 +608,20 @@ def test_graph6_round_trip():
     for _ in range(40):
         G = random_graph(rng.randint(1, 20), rng.random(), rng)
         assert graph_from_graph6(graph_to_graph6(G)) == G
+    # 63 and more vertices take the four-character "~" header
+    for n in (62, 63, 64):
+        G = random_graph(n, rng.random(), rng)
+        text = graph_to_graph6(G)
+        assert (text[0] == "~") == (n > 62)
+        assert graph_from_graph6(text) == G
 
 
 def test_graph6_matches_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(29)
-    for _ in range(25):
-        G = random_graph(rng.randint(1, 30), rng.random(), rng)
+    # 62 vertices take the one-character header, 63 and 64 the "~" one
+    for n in itertools.chain((rng.randint(1, 30) for _ in range(25)), (62, 63, 64)):
+        G = random_graph(n, rng.random(), rng)
         ours = graph_to_graph6(G)
         g = nx.Graph()
         g.add_nodes_from(range(G.n))
@@ -627,3 +640,5 @@ def test_graph6_parser_errors():
         graph_from_graph6("D~")  # truncated body
     with pytest.raises(ValueError):
         graph_from_graph6("D~{{")  # too long
+    with pytest.raises(ValueError, match="truncated graph6 header"):
+        graph_from_graph6("~??")

@@ -8,6 +8,7 @@ from orelab import (
     Graph,
     InvariantViolation,
     enumerate_5_ore,
+    graph_from_graph6,
     graph_to_graph6,
     is_5_ore,
     named_graph,
@@ -206,6 +207,9 @@ def test_orbit_walk_composes_the_first_site_of_every_orbit(ore13, monkeypatch):
     calls = []
     compose = ore.compose_graphs
     monkeypatch.setattr(ore, "compose_graphs", lambda *a: calls.append(a) or compose(*a))
+    forms = []
+    canonical = ore.canonical_form
+    monkeypatch.setattr(ore, "canonical_form", lambda G: forms.append(G) or canonical(G))
     assert len(list(enumerate_5_ore(17))) == 575
     expected = [
         (g1, xy, g2, z, (mask_of(a), mask_of(b)))
@@ -213,6 +217,9 @@ def test_orbit_walk_composes_the_first_site_of_every_orbit(ore13, monkeypatch):
     ]
     assert len(calls) == len(expected) == 1950
     assert calls == expected
+    # K5 and each distinct composite adjacency once; canonizing all 1,950
+    # composites, repeated adjacencies included, would make 1,951 calls
+    assert len(forms) <= 1876
 
 
 def test_k5_orbit_table_keeps_the_three_k5_splits():
@@ -248,6 +255,33 @@ def test_is_5_ore_known_answers():
     assert is_5_ore(named_graph("groetzsch")) is None
     assert is_5_ore(complete_graph(6)) is None
     assert is_5_ore(cycle_graph(9)) is None
+
+
+# Non-members that pass the n and m screens and have minimum degree 4, from
+# one or two degree-preserving double-edge swaps of 5-Ore classes.  Between
+# them they reach every way recognition turns down a graph past those
+# screens: a side with a vertex of degree below 4 (the second), an adjacent
+# 2-cut (the first and the last), a split part that misses x or y (the
+# last), a vertex side that is not 5-Ore (the first two), and a scan that
+# ends with no factorization (all four).
+NON_ORE_PAST_THE_SCREENS = (
+    "P^|?ILB_A?_b@FO??CGCB?_[",
+    "P^}A?NE@?G_R?f?O?GGAB?G[",
+    "Ha]stLp",
+    "LvkKHLFOA?gBOF",
+)
+
+
+def test_is_5_ore_rejects_graphs_past_its_screens(ore17, monkeypatch):
+    members = {canonical_key(g) for g, _ in ore17}
+    monkeypatch.setattr(ore, "_CLASSES", {})
+    for text in NON_ORE_PAST_THE_SCREENS:
+        G = graph_from_graph6(text)
+        assert G.n % 4 == 1 and 4 * G.m == 9 * G.n - 5, text
+        assert min(G.degree(v) for v in range(G.n)) == 4, text
+        assert is_5_ore(G) is None, text
+        assert recognize_reference(G, {}) is None, text
+        assert canonical_key(G) not in members, text
 
 
 def test_is_5_ore_round_trip(ore13):
