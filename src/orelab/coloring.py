@@ -72,7 +72,7 @@ from .graph_core import (
     paired,
     relabel,
     two_cuts,
-    without_edges,
+    without_edge,
 )
 
 
@@ -432,7 +432,7 @@ def is_5_critical(G: Graph) -> bool:
     for u, v in G.edges():
         if done[u] >> v & 1:
             continue
-        colors = solve(without_edges(G, [(u, v)]))
+        colors = solve(without_edge(G, u, v))
         if colors is None:
             return False
         _walk(G, colors, u, v, done)
@@ -485,7 +485,7 @@ def extract_5_critical(G: Graph) -> tuple[Graph, tuple[int, ...]]:
     for u, v in G.edges()[::-1]:
         if not (cur.adj[u] & ~done[u]) >> v & 1:
             continue
-        attempt = without_edges(cur, [(u, v)])
+        attempt = without_edge(cur, u, v)
         colors = is_k_colorable(attempt, 4)
         if colors is None:
             cur = _four_core(attempt)
@@ -512,27 +512,25 @@ def boundary(G: Graph, R: int) -> int:
 def is_collapsible(G: Graph, R: int) -> bool:
     """Does every 4-coloring of G[R] color the boundary monochromatically?
 
-    Equivalent formulation, and the one actually checked: the boundary is
-    independent and every boundary pair is identifiable in R; a single-vertex
-    boundary is collapsible by convention.  Each pair test, G[R] plus the
-    pair's edge (the mask R over G's rows with the pair's bits set, by
-    :func:`~orelab.graph_core.paired`), is solved through its 2-cuts
-    (:func:`_by_cuts`), which checks any coloring that splits the pair
-    proper.
+    One rule answers it: a boundary pair u, v splits exactly when G[R]
+    plus the edge uv is 4-colorable (for an adjacent pair, G[R] itself),
+    and R is collapsible when no pair splits.  So the answer is vacuously
+    True when G[R] has no 4-coloring, or when the boundary is one vertex,
+    which has no pair.  Each pair test, the mask R over the rows
+    :func:`~orelab.graph_core.paired` gives G plus uv, is solved through
+    its 2-cuts (:func:`_by_cuts`), which checks any coloring that splits
+    the pair proper.
     """
     if R.bit_count() < 5:
         raise ValueError("R must have at least 5 vertices")
     if R.bit_count() >= G.n:
         raise ValueError("R must be a proper subset of the vertices")
-    if is_k_colorable(induced_subgraph(G, R), 4) is None:
-        raise ValueError("G[R] must be 4-colorable")
     bnd = bits(boundary(G, R))
     if not bnd:
         raise ValueError("R has empty boundary")
-    # adjacent boundary vertices always split
     color = [0] * G.n
     return not any(
-        G.has_edge(u, v) or _by_cuts(paired(G, u, v, False), R, 4, color)
+        _by_cuts(paired(G, u, v, False), R, 4, color)
         for i, u in enumerate(bnd)
         for v in bnd[i + 1 :]
     )

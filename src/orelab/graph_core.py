@@ -193,14 +193,13 @@ def _image(G: Graph, mask: int, at, rows: list[int]) -> Graph:
     return _trusted(len(rows), rows)
 
 
-def without_edges(G: Graph, edges) -> Graph:
-    """G minus ``edges``, each an edge of G listed once."""
+def without_edge(G: Graph, u: int, v: int) -> Graph:
+    """G minus its edge uv."""
     rows = list(G.adj)
-    for u, v in edges:
-        if not rows[u] >> v & 1:
-            raise ValueError(f"edge ({u},{v}) not present")
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
+    if not rows[u] >> v & 1:
+        raise ValueError(f"edge ({u},{v}) not present")
+    rows[u] &= ~(1 << v)
+    rows[v] &= ~(1 << u)
     return _trusted(G.n, rows)
 
 
@@ -465,9 +464,7 @@ def _is_homogeneous(adj: tuple[int, ...], cells: list[int]) -> bool:
     return True
 
 
-def _cert_rows(
-    adj: tuple[int, ...], perm: list[int], done: tuple[int, ...] = ()
-) -> tuple[int, ...]:
+def _cert_rows(adj: tuple[int, ...], perm: list[int], done: tuple[int, ...]) -> tuple[int, ...]:
     """Certificate rows of ``perm``: row i holds the adjacency of
     ``perm[i]`` to ``perm[:i]``.  Row i depends only on ``perm[:i + 1]``,
     so ``done``, the rows of a prefix of ``perm``, is extended, not

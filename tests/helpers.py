@@ -21,7 +21,7 @@ from orelab.graph_core import (
     mask_of,
     relabel,
     two_cuts,
-    without_edges,
+    without_edge,
 )
 from orelab.ore import Compose, Leaf, _is_k5, _nonempty_proper_unions, compose_graphs
 
@@ -301,7 +301,9 @@ def _proper_reference(G: Graph, color: list[int], k: int) -> tuple[int, ...]:
 def collapsible_reference(G: Graph, R: int) -> bool:
     """``is_collapsible`` as it stood when each boundary pair test solved
     G[R] plus the pair's edge, built by ``cut_side``, through
-    :func:`by_cuts_reference`; R must satisfy its preconditions."""
+    :func:`by_cuts_reference`, and an adjacent pair split without a test;
+    G[R] must be 4-colorable, where that shortcut gives the pair rule's
+    answer."""
     bnd = bits(boundary(G, R))
     return not any(
         G.has_edge(u, v) or by_cuts_reference(cut_side(G, R, u, v, False)[0], 4) is not None
@@ -317,7 +319,7 @@ def critical_by_edges(G: Graph) -> bool:
     if is_k_colorable(G, 4) is not None:
         return False
     return all(
-        is_k_colorable(without_edges(G, [(u, v)]), 4) is not None for u, v in G.edges()
+        is_k_colorable(without_edge(G, u, v), 4) is not None for u, v in G.edges()
     )
 
 
@@ -326,7 +328,7 @@ def extract_by_edges(G: Graph) -> Graph:
     before isolated vertices are dropped."""
     cur = G
     for u, v in reversed(G.edges()):
-        attempt = without_edges(cur, [(u, v)])
+        attempt = without_edge(cur, u, v)
         if is_k_colorable(attempt, 4) is None:
             cur = attempt
     return cur
@@ -954,7 +956,7 @@ def _is_homogeneous_reference(adj: tuple[int, ...], cells: list[list[int]]) -> b
 
 
 def _cert_rows_reference(
-    adj: tuple[int, ...], perm: list[int], done: tuple[int, ...] = ()
+    adj: tuple[int, ...], perm: list[int], done: tuple[int, ...]
 ) -> tuple[int, ...]:
     """Certificate rows of ``perm``: row i holds the adjacency of
     ``perm[i]`` to ``perm[:i]``.  Row i depends only on ``perm[:i + 1]``,

@@ -21,7 +21,7 @@ from orelab.graph_core import (
     mask_of,
     relabel,
     two_cuts,
-    without_edges,
+    without_edge,
 )
 from orelab.ore import Compose, Leaf, compose_graphs
 from orelab.potential import _low_ky_subsets, critical_extension, phi_identify
@@ -72,7 +72,7 @@ def test_solver_agrees_with_brute_force():
 
 def test_solver_known_answers():
     assert is_k_colorable(complete_graph(5), 4) is None
-    assert is_k_colorable(without_edges(complete_graph(5), [(0, 1)]), 4) is not None
+    assert is_k_colorable(without_edge(complete_graph(5), 0, 1), 4) is not None
     assert is_k_colorable(cycle_graph(5), 2) is None
     assert is_k_colorable(cycle_graph(5), 3) is not None
     gro = named_graph("groetzsch")
@@ -260,7 +260,7 @@ def search_nodes(run):
 
 def test_a_degenerate_graph_is_colored_without_search():
     # K5 - e with a pendant path: every subgraph has a vertex of degree < 4
-    G = Graph.from_edges(8, without_edges(complete_graph(5), [(0, 1)]).edges()
+    G = Graph.from_edges(8, without_edge(complete_graph(5), 0, 1).edges()
                          + [(4, 5), (5, 6), (6, 7)])
     colors, nodes = search_nodes(lambda: is_k_colorable(G, 4))
     proper(G, colors, 4)
@@ -353,7 +353,7 @@ def test_k5_plus_pendant_is_not_critical():
 
 def one_edge_changes(G):
     """G with each edge deleted, then G with each non-edge added."""
-    out = [without_edges(G, [(u, v)]) for u, v in G.edges()]
+    out = [without_edge(G, u, v) for u, v in G.edges()]
     for u in range(G.n):
         for v in range(u + 1, G.n):
             if not G.has_edge(u, v):
@@ -620,10 +620,20 @@ def test_sides_read_off_the_parent_rows_give_the_built_sides_colorings(ore13, do
 
 
 def test_a_spoiled_glue_is_caught(doubles, monkeypatch):
+    # two octahedra glued at the antipodal pair {0, 1}: 4-colorable, with
+    # minimum degree 4 and the 2-cut {0, 1}, so the glued coloring's check is
+    # all that stands between a spoiled glue and a silent "not critical"
+    octahedron = [(u, v) for u in range(6) for v in range(u + 1, 6) if u // 2 != v // 2]
+    octahedra = Graph.from_edges(
+        10, octahedron + [(u if u < 2 else u + 4, v + 4) for u, v in octahedron]
+    )
+    assert next(two_cuts(octahedra))[:2] == (0, 1)
+    assert is_k_colorable(octahedra, 4) is not None
     # every color of the second side goes to 1, so one of its edges clashes
     monkeypatch.setattr(coloring, "_glue_permutation", lambda k, moves: [0] + [1] * k)
-    with pytest.raises(InvariantViolation, match="improper"):
-        is_5_critical(doubles[0][0])
+    for G in (doubles[0][0], octahedra):
+        with pytest.raises(InvariantViolation, match="improper"):
+            is_5_critical(G)
 
 
 def counted_leaves(monkeypatch) -> list[Graph]:
@@ -720,7 +730,7 @@ def test_splitting_witness_is_a_proper_splitting(doubles):
 
 
 def test_single_vertex_boundary_is_collapsible_by_convention():
-    base = without_edges(complete_graph(5), [(0, 1)])
+    base = without_edge(complete_graph(5), 0, 1)
     G = Graph.from_edges(6, base.edges() + [(0, 5)])
     assert is_collapsible(G, mask_of(range(5))) and boundary(G, mask_of(range(5))) == 0b1
 
@@ -731,10 +741,6 @@ def test_is_collapsible_rejects_bad_subsets():
         is_collapsible(G, mask_of(range(4)))
     with pytest.raises(ValueError, match="proper subset"):
         is_collapsible(G, mask_of(range(G.n)))
-    with pytest.raises(ValueError, match="4-colorable"):
-        is_collapsible(
-            Graph.from_edges(6, complete_graph(5).edges() + [(0, 5)]), mask_of(range(5))
-        )
     disconnected = Graph.from_edges(
         10,
         cycle_graph(5).edges()
@@ -742,6 +748,17 @@ def test_is_collapsible_rejects_bad_subsets():
     )
     with pytest.raises(ValueError, match="boundary"):
         is_collapsible(disconnected, mask_of(range(5)))
+
+
+def test_collapsibility_is_vacuous_without_a_coloring():
+    # G[R] = K5 has no 4-coloring, so none splits its boundary: one vertex,
+    # or the adjacent pair 0, 1, which G[R] plus their edge (G[R] itself)
+    # cannot color apart
+    R = mask_of(range(5))
+    for extra in ([(0, 5)], [(0, 5), (1, 6)]):
+        G = Graph.from_edges(5 + len(extra), complete_graph(5).edges() + extra)
+        assert boundary(G, R) == mask_of(u for u, _ in extra)
+        assert is_collapsible(G, R)
 
 
 def test_critical_complement_of_edge_block_is_k5(doubles):

@@ -151,7 +151,7 @@ def test_library_code_is_reached_outside_tests():
 UNCHECKED_BUILDERS = {
     "_trusted": {
         "graph_core._image",
-        "graph_core.without_edges",
+        "graph_core.without_edge",
         "graph_core.paired",
         "coloring._four_core",
         "ore.compose_graphs",

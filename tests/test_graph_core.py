@@ -24,7 +24,7 @@ from orelab.graph_core import (
     paired,
     relabel,
     two_cuts,
-    without_edges,
+    without_edge,
 )
 from orelab.ore import Compose, Leaf, compose_graphs, ore_compose
 from orelab.potential import Facts, phi_identify
@@ -131,11 +131,11 @@ def test_with_without_edge():
     C5 = cycle_graph(5)
     G = with_edge(C5, 0, 2)
     assert G.m == 6 and G.has_edge(0, 2)
-    assert without_edges(G, [(0, 2)]) == C5
+    assert without_edge(G, 0, 2) == C5
     with pytest.raises(ValueError):
         with_edge(C5, 0, 1)
     with pytest.raises(ValueError):
-        without_edges(C5, [(0, 2)])
+        without_edge(C5, 0, 2)
     with pytest.raises(ValueError):
         with_edge(C5, 3, 3)
 
@@ -186,13 +186,13 @@ def test_identify_rejects_adjacent():
 
 
 def test_identify_drops_parallel_edges():
-    G = without_edges(complete_graph(5), [(0, 1)])
+    G = without_edge(complete_graph(5), 0, 1)
     H, _ = _identified(G, 0, 1)
     assert H == complete_graph(4)
 
 
 def test_identify_map_covers_all_vertices():
-    G = without_edges(complete_graph(6), [(1, 4)])
+    G = without_edge(complete_graph(6), 1, 4)
     H, mapping = _identified(G, 1, 4)
     assert mapping[1] == mapping[4]
     assert set(mapping) == set(range(6))
@@ -265,12 +265,11 @@ def test_every_derived_graph_passes_the_full_check(ore13):
         built["relabel"].append(relabel(G, order))
         built["relabel"].append(relabel(G, order[: G.n // 2 + 1]))
         edges = G.edges()
-        built["without_edges"].append(without_edges(G, edges[::2]))
         for v in range(G.n):
             built["induced_subgraph"].append(induced_subgraph(G, mask_of(order[: v + 1])))
         for e in edges:
-            built["without_edges"].append(without_edges(G, [e]))
-            built["_four_core"].append(_four_core(built["without_edges"][-1]))
+            built["without_edge"].append(without_edge(G, *e))
+            built["_four_core"].append(_four_core(built["without_edge"][-1]))
         built["compose_graphs"].append(compose_graphs(G, edges[0], k5, 0, (0b10, 0b11100))[0])
         z = max(range(G.n), key=G.degree)
         if G.degree(z) > 1:
@@ -292,7 +291,7 @@ def test_every_derived_graph_passes_the_full_check(ore13):
             built["extract_5_critical"].append(extract_5_critical(H)[0])
     assert sorted(built) == [
         "_four_core", "compose_graphs", "extract_5_critical", "induced_subgraph", "paired",
-        "paired alike", "phi_identify", "relabel", "side", "side alike", "without_edges",
+        "paired alike", "phi_identify", "relabel", "side", "side alike", "without_edge",
     ]
     for name, outputs in built.items():
         for H in outputs:
@@ -397,7 +396,7 @@ def test_canonical_key_agrees_with_brute_isomorphism():
             if rng.random() < 0.4 and G.m and G.m < n * (n - 1) // 2:
                 # knock one edge over to get a near-miss pair
                 u, v = H.edges()[rng.randrange(H.m)]
-                H = without_edges(H, [(u, v)])
+                H = without_edge(H, u, v)
         else:
             H = random_graph(n, rng.random(), rng)
         same_key = canonical_key(G) == canonical_key(H)

@@ -13,7 +13,7 @@ from orelab.graph_core import (
     induced_subgraph,
     mask_of,
     two_cuts,
-    without_edges,
+    without_edge,
 )
 from orelab.packing import mic
 from orelab.potential import random_extension, verify_extension_inequalities
@@ -96,7 +96,7 @@ def test_t_number_known_values(doubles):
         (complete_graph(3), 1),
         (complete_graph(4), 2),
         (complete_graph(5), 2),
-        (without_edges(complete_graph(5), [(0, 1)]), 2),
+        (without_edge(complete_graph(5), 0, 1), 2),
         (complete_graph(7), 3),
         (cycle_graph(5), 0),
         (named_graph("groetzsch"), 0),
@@ -230,7 +230,7 @@ def test_t_number_edge_monotone():
         if G.m == 0:
             continue
         u, v = G.edges()[rng.randrange(G.m)]
-        t2, _ = t_number(without_edges(G, [(u, v)]))
+        t2, _ = t_number(without_edge(G, u, v))
         assert t - 1 <= t2 <= t
 
 

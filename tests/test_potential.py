@@ -6,6 +6,7 @@ from orelab import (
     Facts,
     Graph,
     InvariantViolation,
+    coloring,
     critical_extension,
     named_graph,
     p_ky,
@@ -415,6 +416,34 @@ def test_low_ky_sweep_work_is_bounded(ore13):
         total += calls[0] - before
         assert low == low_ky_subsets_by_masks(g)
     assert total <= sum(g.n for g, _ in ore13)
+
+
+def test_collapsibility_sweep_solves_only_pair_tests(ore13, monkeypatch):
+    # is_collapsible answers by one 2-cut proof per boundary pair, G[R] plus
+    # the pair's edge, and solves G[R] itself nowhere: checking G[R] for a
+    # 4-coloring before the pair tests made 72 exact solves here
+    facts = [Facts.of(g) for g, _ in ore13]
+    calls, stack = [], []
+
+    def counted(name):
+        real = getattr(coloring, name)
+
+        def wrapped(*args):
+            calls.append((name, tuple(stack)))
+            stack.append(name)
+            try:
+                return real(*args)
+            finally:
+                stack.pop()
+
+        monkeypatch.setattr(coloring, name, wrapped)
+
+    for name in ("is_collapsible", "is_k_colorable", "_by_cuts"):
+        counted(name)
+    assert all(verify_ore5_bounds(f).ok for f in facts)
+    assert calls.count(("is_collapsible", ())) == 72
+    assert not [c for c in calls if c[0] == "is_k_colorable" and "is_collapsible" in c[1]]
+    assert calls.count(("_by_cuts", ("is_collapsible",))) == 86
 
 
 def test_ore5_bounds_on_non_ore_graph():
