@@ -13,9 +13,9 @@ Subcommands:
 The corpus directory comes from --corpus, else $ORELAB_CORPUS, else
 ./corpus.  Exit codes: 0 all checks pass, 1 at least one FAIL row
 (verify and extend then name each failing entry's key and graph6 string
-on stderr), 2 usage errors, 3 an internal invariant broke (the message
-names the graph's graph6 string, and under verify and extend its corpus
-key).
+on stderr), 2 usage errors, 3 an internal invariant broke or any other
+internal fault (the message names the graph's graph6 string, and under
+verify and extend its corpus key).
 Output contains no timestamps; a command re-run with the same corpus and
 seed produces identical bytes, with any number of --jobs.
 """
@@ -58,15 +58,25 @@ from .report import Report
 SUITES = ("main", "ore5", "extensions", "lemma2", "discharge", "all")
 
 
+def _fault(exc: Exception) -> str:
+    """The panic text of ``exc``: an :class:`InvariantViolation`'s message,
+    or any other fault's type and message."""
+    return str(exc) if isinstance(exc, InvariantViolation) else f"{type(exc).__name__}: {exc}"
+
+
 @contextmanager
 def _panics_naming(G: Graph, entry: str | None = None):
     """Let an :class:`InvariantViolation` leave with G's graph6 string in its
-    message, after the corpus key ``entry`` when there is one."""
+    message, after the corpus key ``entry`` when there is one.  Any other
+    fault but a usage error (``ValueError``, ``KeyError``, ``OSError``)
+    leaves as an :class:`InvariantViolation` too, its type and message kept."""
     try:
         yield
-    except InvariantViolation as exc:
+    except (ValueError, KeyError, OSError):
+        raise
+    except Exception as exc:
         where = f"entry {entry} " if entry else ""
-        raise InvariantViolation(f"{where}graph6 {graph_to_graph6(G)}: {exc}") from None
+        raise InvariantViolation(f"{where}graph6 {graph_to_graph6(G)}: {_fault(exc)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +482,8 @@ def main(argv=None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) else exc  # str() would quote it
         print(f"error: {message}", file=sys.stderr)
         return 2
-    except InvariantViolation as exc:
-        print(f"panic: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"panic: {_fault(exc)}", file=sys.stderr)
         return 3
 
 

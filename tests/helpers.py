@@ -8,6 +8,7 @@ and not at the oracle.
 
 import hashlib
 import itertools
+import sys
 from itertools import combinations
 
 from orelab import Graph, InvariantViolation, coloring, is_5_ore, ore_compose
@@ -37,6 +38,23 @@ def with_edge(G: Graph, u: int, v: int) -> Graph:
     rows[u] |= 1 << v
     rows[v] |= 1 << u
     return Graph(G.n, tuple(rows))
+
+
+def one_edge_changes(G: Graph) -> list[Graph]:
+    """G with each edge deleted, then G with each non-edge added."""
+    out = [without_edge(G, u, v) for u, v in G.edges()]
+    for u in range(G.n):
+        for v in range(u + 1, G.n):
+            if not G.has_edge(u, v):
+                out.append(with_edge(G, u, v))
+    return out
+
+
+def shuffled_copy(G: Graph, rng) -> tuple[Graph, list[int]]:
+    """G with vertex v renamed perm[v], for perm shuffled by rng, and perm."""
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(G.n, [(perm[u], perm[v]) for u, v in G.edges()]), perm
 
 
 def corpus_key(G: Graph) -> str:
@@ -1118,3 +1136,75 @@ def identify_vertices(G: Graph, S) -> tuple[Graph, dict[int, int]]:
                 rows[new_u] |= 1 << pos[v]
     mapping = {v: pos[target] if smask >> v & 1 else pos[v] for v in range(G.n)}
     return Graph(len(keep), tuple(rows)), mapping
+
+
+# --- counting work: the one copy of each counter that work gates use ---------
+
+
+class CallRecorder:
+    """``watch(owner, name)`` wraps ``owner.name`` through ``monkeypatch``
+    and returns the list that gets each call's argument tuple; ``log`` gets
+    ``(name, outer)`` for every watched call, ``outer`` being the names of
+    the watched calls it runs inside, outermost first."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        self.log: list[tuple[str, tuple[str, ...]]] = []
+        self.stack: list[str] = []
+
+    def watch(self, owner, name: str) -> list[tuple]:
+        real = getattr(owner, name)
+        seen = []
+
+        def wrapped(*args):
+            seen.append(args)
+            self.log.append((name, tuple(self.stack)))
+            self.stack.append(name)
+            try:
+                return real(*args)
+            finally:
+                self.stack.pop()
+
+        self.monkeypatch.setattr(owner, name, wrapped)
+        return seen
+
+
+def calls_into(module, name: str, run):
+    """run() and how many times it entered a function called ``name`` that
+    is defined in ``module``'s file, nested functions included."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        code = frame.f_code
+        if event == "call" and code.co_name == name and code.co_filename == module.__file__:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        out = run()
+    finally:
+        sys.setprofile(None)
+    return out, count
+
+
+def row_work(run, G: Graph):
+    """run(H), where H is G on adjacency rows that count the ``&`` and the
+    ``bit_count`` calls made on them, with those two counts."""
+    ands = bit_counts = 0
+
+    class Row(int):
+        def __and__(self, other):
+            nonlocal ands
+            ands += 1
+            return int.__and__(self, other)
+
+        def bit_count(self):
+            nonlocal bit_counts
+            bit_counts += 1
+            return int.bit_count(self)
+
+    H = Graph(G.n, tuple(Row(r) for r in G.adj))
+    ands = bit_counts = 0  # the structure check on H's rows is not run's work
+    out = run(H)
+    return out, ands, bit_counts

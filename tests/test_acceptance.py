@@ -51,17 +51,17 @@ def test_criterion_01_ore_identity(ore17_facts):
     )
 
 
-def test_criterion_02_packing_lower_bound(ore17):
+def test_criterion_02_packing_lower_bound(ore17_facts):
     bad = [
-        g.n
-        for g, _ in ore17
-        if g.n > 5 and 4 * t_number(g)[0] < g.n + 7
+        f.n
+        for f in ore17_facts
+        if f.n > 5 and 4 * f.t < f.n + 7
     ]
     conclude(
         2,
         "every-5-ore-to-17-has-4t-at-least-n-plus-7",
         not bad,
-        f"classes={sum(1 for g, _ in ore17 if g.n > 5)}",
+        f"classes={sum(1 for f in ore17_facts if f.n > 5)}",
     )
 
 
@@ -106,7 +106,8 @@ def test_criterion_04_packing_oracle_equivalence(lab_facts):
 
 
 def test_criterion_05_main_theorem_cases(lab_facts):
-    ok = potential(complete_graph(5), t_number(complete_graph(5))[0]) == 94
+    t_of = {facts.graph: facts.t for facts in lab_facts}
+    ok = potential(complete_graph(5), t_of[complete_graph(5)]) == 94
     cases = {"k5": 1, "ore": 0, "other": 0}
     for facts in lab_facts:
         if not facts.critical or facts.n == 5:
@@ -121,7 +122,7 @@ def test_criterion_05_main_theorem_cases(lab_facts):
     bound = 21 * 5 - 48  # 5 - 16/7 as a numerator over 21
     for name in NON_ORE_WITNESSES:
         G = named_graph(name)
-        ok = ok and potential(G, t_number(G)[0]) <= bound
+        ok = ok and potential(G, t_of[G]) <= bound
     ok = ok and cases["ore"] == 574 and cases["other"] == 3
     conclude(
         5,

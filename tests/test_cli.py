@@ -318,14 +318,14 @@ def test_verify_jobs_output_identical(small_corpus, run):
     assert parallel == serial
 
 
-def test_verify_jobs_output_identical_in_fresh_processes(ore17, tmp_path):
+def test_verify_jobs_output_identical_in_fresh_processes(ore17_facts, tmp_path):
     # a forked pool inherits its parent's recognized classes, so only fresh
     # interpreters show whether a recipe depends on which labeling came first
     root = tmp_path / "corpus"
     corpus = Corpus(root)
-    graphs = [g for g, _ in ore17 if g.n <= 13] + [g for g, _ in ore17 if g.n == 17][:16]
-    for g in graphs:
-        corpus.add(Facts.of(g), "test")
+    small = [f for f in ore17_facts if f.graph.n <= 13]
+    for facts in small + [f for f in ore17_facts if f.graph.n == 17][:16]:
+        corpus.add(facts, "test")
     src = str(Path(orelab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     outs = []
@@ -419,11 +419,33 @@ def test_store_panic_exits_3_naming_the_graph(tmp_path, run, monkeypatch, argv):
     assert err.splitlines() == [f"panic: {where}graph6 {graph_to_graph6(first)}: invariant broke"]
 
 
-def test_extend_block_of_double(small_corpus, run):
-    from orelab import enumerate_5_ore
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("t", "c5_join_k2"),
+        ("add", "c5_join_k2"),
+        ("extend", C5K2_KEY, "--r", "0,1,2,3,4"),
+        ("verify", "main", "--jobs", "1"),
+        ("verify", "main", "--jobs", "2"),
+    ],
+)
+def test_an_internal_fault_exits_3_naming_the_graph(small_corpus, run, monkeypatch, argv):
+    # a fault that is no InvariantViolation is a panic too, not a failed check
+    def broken(*args):
+        raise IndexError("planted")
 
-    nine = [g for g, _ in enumerate_5_ore(9) if g.n == 9]
-    key = corpus_key(nine[0])
+    corpus = Corpus(small_corpus)
+    key = {"extend": C5K2_KEY, "verify": corpus.keys()[0]}.get(argv[0])
+    G = corpus.load(key).graph if key else named_graph("c5_join_k2")
+    where = f"entry {key} " if key else ""
+    monkeypatch.setattr(packing, "best_packing", broken)
+    code, out, err = run(*argv, "--corpus", str(small_corpus))
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [f"panic: {where}graph6 {graph_to_graph6(G)}: IndexError: planted"]
+
+
+def test_extend_block_of_double(small_corpus, run, doubles):
+    key = corpus_key(doubles[0][0])
     code, out, _ = run(
         "extend", key, "--r", "0,1,2,3,4", "--corpus", str(small_corpus)
     )
@@ -452,11 +474,8 @@ def test_extend_names_a_failing_entry(small_corpus, run, monkeypatch):
     assert err == f"fail: entry {key} graph6 {graph_to_graph6(G)}\n"
 
 
-def test_extend_usage_errors(small_corpus, run):
-    from orelab import enumerate_5_ore
-
-    nine = [g for g, _ in enumerate_5_ore(9) if g.n == 9]
-    key = corpus_key(nine[0])
+def test_extend_usage_errors(small_corpus, run, doubles):
+    key = corpus_key(doubles[0][0])
     cases = [
         ("0,1,2,3,4,5,6,7,8", "proper subset"),
         ("0,1,2", "at least 5"),
@@ -512,19 +531,11 @@ def test_potential_command(run, tmp_path):
     assert out.splitlines() == ["n=7", "m=16", "t=2", "p_ky=-1", "p=-30/21"]
 
 
-def test_potential_command_searches_the_packing_once(run, tmp_path, monkeypatch):
-    calls = 0
-    t_number = packing.t_number
-
-    def counted(G):
-        nonlocal calls
-        calls += 1
-        return t_number(G)
-
-    monkeypatch.setattr(packing, "t_number", counted)
+def test_potential_command_searches_the_packing_once(run, tmp_path, recorder):
+    calls = recorder.watch(packing, "t_number")
     code, out, _ = run("potential", "c5_join_k2", "--corpus", str(tmp_path / "c"))
     assert code == 0 and out.splitlines()[-1] == "p=-30/21"
-    assert calls == 1
+    assert len(calls) == 1
 
 
 def test_discharge_command_on_critical_graph(run, tmp_path):
@@ -606,18 +617,10 @@ def test_planted_packing_number_fails_the_lemma2_claims(doubles):
     ]
 
 
-def test_lemma2_computes_one_t_per_recipe_node(ore17_facts, monkeypatch):
+def test_lemma2_computes_one_t_per_recipe_node(ore17_facts, recorder):
     # an n = 17 recipe has three composition nodes; the root's t is G's,
     # and K5 takes one more call
-    calls = 0
-    t_number = packing.t_number
-
-    def counted(G):
-        nonlocal calls
-        calls += 1
-        return t_number(G)
-
-    monkeypatch.setattr(packing, "t_number", counted)
+    calls = recorder.watch(packing, "t_number")
     reports = [lab_cli._lemma2_report(f) for f in ore17_facts if f.graph.n == 17]
     assert len(reports) == 549
-    assert calls == 549 * 3
+    assert len(calls) == 549 * 3

@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 
@@ -13,7 +12,7 @@ from orelab.coloring import (
     is_k_colorable,
     seeded_coloring,
 )
-from orelab.constructions import NAMED, complete_graph, cycle_graph
+from orelab.constructions import complete_graph, cycle_graph
 from orelab.graph_core import (
     bits,
     connected_components,
@@ -29,19 +28,19 @@ from orelab.potential import _low_ky_subsets, critical_extension, phi_identify
 from helpers import (
     brute_colorable,
     by_cuts_reference,
+    calls_into,
     canonical_key,
     collapsible_reference,
     critical_by_edges,
     critical_complement,
     extract_by_edges,
-    glued_pair,
     k_coloring_reference,
+    one_edge_changes,
     path_graph,
     random_graph,
     split_reference,
     splitting_coloring,
     wheel,
-    with_edge,
 )
 
 
@@ -184,7 +183,7 @@ def seeded_by_reference(G, k, rng):
     return tuple(color)
 
 
-def test_witnesses_equal_the_reference_search(ore17):
+def test_witnesses_equal_the_reference_search(n17):
     rng = random.Random(404)
     shapes = set()
     for _ in range(400):
@@ -205,11 +204,10 @@ def test_witnesses_equal_the_reference_search(ore17):
             (3, False, False, True, False), (4, False, False, True, True),
             (4, True, True, False, False), (3, True, False, True, True)} <= shapes
     # seeded colorings of induced subgraphs of the n = 17 classes
-    seventeen = [g for g, _ in ore17 if g.n == 17]
     pick = random.Random(17)
     for s in range(200):
         R = sorted(pick.sample(range(17), pick.randint(5, 16)))
-        G, k = pick.choice(seventeen), 3 + s % 2
+        G, k = pick.choice(n17), 3 + s % 2
         want = seeded_by_reference(induced_subgraph(G, mask_of(R)), k, random.Random(s))
         got = seeded_coloring(G, mask_of(R), k, random.Random(s))
         assert got == (None if want is None else dict(zip(R, want)))
@@ -240,33 +238,15 @@ def test_solver_agrees_with_brute_force_around_the_peel():
     assert len(verdicts) == 8
 
 
-def search_nodes(run):
-    """run() and the number of backtracking nodes it opened in the solver."""
-    nodes = 0
-
-    def profile(frame, event, arg):
-        nonlocal nodes
-        code = frame.f_code
-        if event == "call" and code.co_name == "dfs" and code.co_filename == coloring.__file__:
-            nodes += 1
-
-    sys.setprofile(profile)
-    try:
-        out = run()
-    finally:
-        sys.setprofile(None)
-    return out, nodes
-
-
 def test_a_degenerate_graph_is_colored_without_search():
     # K5 - e with a pendant path: every subgraph has a vertex of degree < 4
     G = Graph.from_edges(8, without_edge(complete_graph(5), 0, 1).edges()
                          + [(4, 5), (5, 6), (6, 7)])
-    colors, nodes = search_nodes(lambda: is_k_colorable(G, 4))
+    colors, nodes = calls_into(coloring, "dfs", lambda: is_k_colorable(G, 4))
     proper(G, colors, 4)
     assert nodes == 0
     # the wheel's 3-core is all of it, and its rim needs the search
-    assert search_nodes(lambda: is_k_colorable(wheel(5), 3))[1] > 0
+    assert calls_into(coloring, "dfs", lambda: is_k_colorable(wheel(5), 3))[1] > 0
 
 
 def test_a_wrong_peel_is_caught(monkeypatch):
@@ -316,7 +296,9 @@ def test_seeded_colorings_open_few_search_nodes():
     nodes = []
     for s in range(100):
         R = mask_of(pick.sample(range(M.n), 22))
-        colors, count = search_nodes(lambda: seeded_coloring(M, R, 4, random.Random(s)))
+        colors, count = calls_into(
+            coloring, "dfs", lambda: seeded_coloring(M, R, 4, random.Random(s))
+        )
         assert colors is not None
         nodes.append(count)
     # 11,824 in all and 951 at most
@@ -351,31 +333,6 @@ def test_k5_plus_pendant_is_not_critical():
 # --- the witness walk ----------------------------------------------------------
 
 
-def one_edge_changes(G):
-    """G with each edge deleted, then G with each non-edge added."""
-    out = [without_edge(G, u, v) for u, v in G.edges()]
-    for u in range(G.n):
-        for v in range(u + 1, G.n):
-            if not G.has_edge(u, v):
-                out.append(with_edge(G, u, v))
-    return out
-
-
-def split_inputs(ore13):
-    """The n <= 13 classes, the named graphs, 400 seeded random graphs (half
-    of them two graphs glued at two vertices), and every one-edge deletion
-    and addition of the n <= 13 classes."""
-    classes = [g for g, _ in ore13]
-    rng = random.Random(505)
-    graphs = classes + [named_graph(name) for name in sorted(NAMED)]
-    for i in range(400):
-        graphs.append(glued_pair(rng) if i % 2 else
-                      random_graph(rng.randint(1, 12), 0.3 + 0.6 * rng.random(), rng))
-    for g in classes:
-        graphs += one_edge_changes(g)
-    return graphs
-
-
 def checked_splits(monkeypatch) -> list[bool]:
     """Make every coloring that ``coloring._split`` writes pass ``proper``
     here as well, on the graph its mask induces; the list gets one ``is
@@ -395,12 +352,11 @@ def checked_splits(monkeypatch) -> list[bool]:
     return verdicts
 
 
-def test_is_5_critical_agrees_with_per_edge_oracle(ore13, monkeypatch):
+def test_is_5_critical_agrees_with_per_edge_oracle(ore13, split_inputs, monkeypatch):
     assert len(ore13) == 26
-    graphs = split_inputs(ore13)
     splits = checked_splits(monkeypatch)
-    verdicts = [is_5_critical(g) for g in graphs]
-    assert verdicts == [critical_by_edges(g) for g in graphs]
+    verdicts = [is_5_critical(g) for g in split_inputs]
+    assert verdicts == [critical_by_edges(g) for g in split_inputs]
     assert 0 < verdicts.count(False) < len(verdicts)
     # proofs and G - e solves both went through a split
     assert True in splits and False in splits
@@ -422,17 +378,10 @@ def test_walk_checks_every_walked_coloring(monkeypatch):
         is_5_critical(complete_graph(5))
 
 
-def test_walk_solves_fewer_than_one_search_per_edge(monkeypatch):
+def test_walk_solves_fewer_than_one_search_per_edge(recorder):
     G = named_graph("mycielski_groetzsch")
     assert G.m == 71
-    real = coloring._search
-    solves = []
-
-    def counted(g, k, mask, color):
-        solves.append(mask.bit_count())
-        return real(g, k, mask, color)
-
-    monkeypatch.setattr(coloring, "_search", counted)
+    solves = recorder.watch(coloring, "_search")
     assert is_5_critical(G)
     assert 0 < len(solves) < G.m
 
@@ -463,24 +412,21 @@ def identifications(hosts, per_host, rng):
     return out
 
 
-def extension_hosts(ore17):
+def extension_hosts(n17):
     """Six seeded n = 17 classes and mycielski_groetzsch."""
-    seventeen = [g for g, _ in ore17 if g.n == 17]
-    return random.Random(5).sample(seventeen, 6) + [named_graph("mycielski_groetzsch")]
+    return random.Random(5).sample(n17, 6) + [named_graph("mycielski_groetzsch")]
 
 
-def test_extract_keeps_the_plain_scan_result(doubles, ore17, monkeypatch):
+def test_extract_keeps_the_plain_scan_result(doubles, n17, recorder):
     inputs = [complete_graph(6)] + one_edge_changes(named_graph("mycielski_groetzsch"))[-3:]
     for g, _ in doubles:
         inputs += one_edge_changes(g)[g.m :]
     # identified graphs as extension records build them; with a K5 inside,
     # the scan deletes nearly every other edge in long runs
-    pairs = identifications(extension_hosts(ore17), 6, random.Random(17))
+    pairs = identifications(extension_hosts(n17), 6, random.Random(17))
     identified = [phi_identify(*pair)[0] for pair in pairs]
     assert 0 < sum(map(contains_k5, identified)) < len(identified)
-    real = coloring.is_k_colorable
-    solves = []
-    monkeypatch.setattr(coloring, "is_k_colorable", lambda g, k: solves.append(g) or real(g, k))
+    solves = recorder.watch(coloring, "is_k_colorable")
     identified_solves = 0
     for i, G in enumerate(inputs + identified):
         scanned = extract_by_edges(G)
@@ -497,10 +443,10 @@ def test_extract_keeps_the_plain_scan_result(doubles, ore17, monkeypatch):
     assert identified_solves <= 115
 
 
-def test_identification_and_extraction_name_their_vertices(ore17):
+def test_identification_and_extraction_name_their_vertices(n17):
     # the vertex maps of phi_identify and extract_5_critical, and the
     # extension record's labels composed from them
-    for G, phi in identifications(extension_hosts(ore17), 6, random.Random(17)):
+    for G, phi in identifications(extension_hosts(n17), 6, random.Random(17)):
         H, names = phi_identify(G, phi)
         assert names[:4] == (-1, -2, -3, -4)
         assert list(names[4:]) == sorted(names[4:]) and not set(names[4:]) & set(phi)
@@ -526,19 +472,12 @@ def test_extract_5_critical():
         extract_5_critical(cycle_graph(5))
 
 
-def test_extract_drops_a_pendant_tree_without_solving_it(monkeypatch):
+def test_extract_drops_a_pendant_tree_without_solving_it(recorder):
     rng = random.Random(30)
     root = rng.randrange(5)
     tree = [(rng.choice([root, *range(5, v)]), v) for v in range(5, 35)]
     G = Graph.from_edges(35, complete_graph(5).edges() + tree)
-    real = coloring.is_k_colorable
-    calls = []
-
-    def counted(g, k):
-        calls.append(g)
-        return real(g, k)
-
-    monkeypatch.setattr(coloring, "is_k_colorable", counted)
+    calls = recorder.watch(coloring, "is_k_colorable")
     assert extract_5_critical(G) == (complete_graph(5), (0, 1, 2, 3, 4))
     # one refutation of G, and one coloring of K5 - e whose walk certifies
     # the other nine edges
@@ -580,33 +519,45 @@ def by_cuts(G, k):
     return tuple(color) if coloring._by_cuts(G, (1 << G.n) - 1, k, color) else None
 
 
-def test_split_verdicts_equal_the_plain_solver(ore13, monkeypatch):
-    graphs = split_inputs(ore13)
-    splits = checked_splits(monkeypatch)
-    for G in graphs:
-        for k in (3, 4):
-            got = by_cuts(G, k)
+@pytest.fixture(scope="module")
+def cut_colorings(split_inputs):
+    """One pass of 2-cut proofs over ``split_inputs``: each graph's
+    ``by_cuts`` colorings for k = 3 and 4, and the ``checked_splits``
+    verdicts of the splits they made."""
+    with pytest.MonkeyPatch.context() as patch:
+        splits = checked_splits(patch)
+        colorings = [(by_cuts(G, 3), by_cuts(G, 4)) for G in split_inputs]
+    return colorings, splits
+
+
+def test_split_verdicts_equal_the_plain_solver(split_inputs, cut_colorings):
+    colorings, splits = cut_colorings
+    for G, pair in zip(split_inputs, colorings):
+        for k, got in zip((3, 4), pair):
             assert (got is None) == (is_k_colorable(G, k) is None)
             if got is not None:
                 proper(G, got, k)
     assert True in splits and False in splits
 
 
-def test_sides_read_off_the_parent_rows_give_the_built_sides_colorings(ore13, doubles):
+def test_sides_read_off_the_parent_rows_give_the_built_sides_colorings(
+    ore13, doubles, split_inputs, cut_colorings, monkeypatch
+):
     # the sides of a split are masks over the parent's rows; building each
     # as a graph of its own, vertex order kept, gives the same cuts, leaves
     # and colorings
-    splits = 0
-    for G in split_inputs(ore13):
+    checked_splits(monkeypatch)
+    cut_splits = 0
+    for G, pair in zip(split_inputs, cut_colorings[0]):
         cut = next(two_cuts(G), None)
-        for k in (3, 4):
-            assert by_cuts(G, k) == by_cuts_reference(G, k)
+        for k, got in zip((3, 4), pair):
+            assert got == by_cuts_reference(G, k)
             if cut is not None:
                 color = [0] * G.n
                 found = coloring._split(G, (1 << G.n) - 1, k, cut, color)
                 assert (tuple(color) if found else None) == split_reference(G, k, cut)
-                splits += 1
-    assert splits > 1000
+                cut_splits += 1
+    assert cut_splits > 1000
     # and every low-p_ky set of the n <= 13 classes, all 72 of them
     # collapsible, and every set of 5 to 8 vertices of the two 9-vertex
     # classes gets the same collapsibility verdict as with the built pair
@@ -636,40 +587,26 @@ def test_a_spoiled_glue_is_caught(doubles, monkeypatch):
             is_5_critical(G)
 
 
-def counted_leaves(monkeypatch) -> list[Graph]:
-    """Record every core that the search is run on, as a graph of its own."""
-    real = coloring._search
-    leaves = []
-
-    def counted(g, k, mask, color):
-        leaves.append(induced_subgraph(g, mask))
-        return real(g, k, mask, color)
-
-    monkeypatch.setattr(coloring, "_search", counted)
-    return leaves
-
-
-def test_the_n17_proofs_end_in_their_k5_blocks(ore17, monkeypatch):
-    seventeen = [g for g, _ in ore17 if g.n == 17]
-    assert len(seventeen) == 549
-    leaves = counted_leaves(monkeypatch)
-    verdicts, nodes = search_nodes(lambda: [by_cuts(g, 4) for g in seventeen])
+def test_the_n17_proofs_end_in_their_k5_blocks(n17, recorder):
+    assert len(n17) == 549
+    leaves = recorder.watch(coloring, "_search")
+    verdicts, nodes = calls_into(coloring, "dfs", lambda: [by_cuts(g, 4) for g in n17])
     assert verdicts == [None] * 549
     # four leaves per proof, the graph's four K5 blocks, each refuted by its
     # clique without a search node; the plain solver opens 300,905 search
     # nodes on these graphs
     assert len(leaves) == 4 * 549
-    assert all(g == complete_graph(5) for g in leaves)
+    assert all(induced_subgraph(g, mask) == complete_graph(5) for g, _, mask, _ in leaves)
     assert nodes == 0
 
 
-def test_the_composite_of_two_mycielski_groetzsch_graphs_is_critical(monkeypatch):
+def test_the_composite_of_two_mycielski_groetzsch_graphs_is_critical(recorder):
     M = named_graph("mycielski_groetzsch")
     low = M.adj[0] & -M.adj[0]
     G, _ = compose_graphs(M, M.edges()[0], M, 0, (low, M.adj[0] ^ low))
     assert (G.n, G.m) == (45, 141)
     assert not any(G.adj[u] & G.adj[v] for u, v in G.edges())
-    leaves = counted_leaves(monkeypatch)
+    leaves = recorder.watch(coloring, "_search")
     # the plain search took minutes on this proof; split at the composition
     # pair, it refutes the two copies and colors the edge side with x and y
     # identified
@@ -730,6 +667,7 @@ def test_splitting_witness_is_a_proper_splitting(doubles):
 
 
 def test_single_vertex_boundary_is_collapsible_by_convention():
+    # a one-vertex boundary has no pair to split
     base = without_edge(complete_graph(5), 0, 1)
     G = Graph.from_edges(6, base.edges() + [(0, 5)])
     assert is_collapsible(G, mask_of(range(5))) and boundary(G, mask_of(range(5))) == 0b1
@@ -781,8 +719,8 @@ def test_critical_complement_of_chain_block(doubles):
 
 
 def test_critical_complement_rejects_non_collapsible(doubles):
-    g = doubles[0][0]
-    if not is_collapsible(g, mask_of(range(6))):
+    for g, _ in doubles:
+        assert not is_collapsible(g, mask_of(range(6)))
         with pytest.raises(ValueError):
             critical_complement(g, range(6))
 

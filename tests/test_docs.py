@@ -329,6 +329,21 @@ def test_every_check_name_has_a_planted_fail_line():
     assert not unpinned, "\n".join(unpinned)
 
 
+def test_work_is_counted_only_by_the_shared_counters():
+    # a profiler hook and adjacency rows that subclass int are how tests
+    # count work no wrapper reaches; helpers.py holds the one copy of each
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(__file__).parent.glob("*.py"))
+        if path.name != "helpers.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr == "setprofile")
+        or (isinstance(node, ast.ClassDef)
+            and any(getattr(base, "id", None) == "int" for base in node.bases))
+    ]
+    assert not found, "\n".join(found)
+
+
 def test_library_arithmetic_has_no_float():
     # potentials, slacks and charges are int numerators over 21 or 84, so
     # no true division, float literal or float() call belongs in the

@@ -40,18 +40,12 @@ from helpers import (
     identify_vertices,
     random_graph,
     refine_full,
+    row_work,
+    shuffled_copy,
     star_graph,
     two_cuts_by_pairs,
     with_edge,
 )
-
-
-def shuffled_copy(G, rng):
-    perm = list(range(G.n))
-    rng.shuffle(perm)
-    return Graph.from_edges(
-        G.n, [(perm[u], perm[v]) for u, v in G.edges()]
-    ), perm
 
 
 # --- construction and basic accessors ---------------------------------------
@@ -477,13 +471,13 @@ def automorphism_count(G):
     return sum(1 for _ in nx.vf2pp_all_isomorphisms(g, g))
 
 
-def test_generators_generate_the_automorphism_group(ore13, ore17):
+def test_generators_generate_the_automorphism_group(ore13, n17):
     graphs = [g for g, _ in ore13] + [named_graph(name) for name in sorted(NAMED)]
     graphs += [cycle_graph(7), star_graph(4), Graph.from_edges(4, [(0, 1), (2, 3)])]
     # the smallest asymmetric trees have seven vertices
     graphs.append(Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)]))
     # n = 17 generators feed the orbit tables of the n = 21 compositions
-    graphs += random.Random(17).sample([g for g, _ in ore17 if g.n == 17], 40)
+    graphs += random.Random(17).sample(n17, 40)
     for G in graphs:
         _, _, generators = canonical_form(G)
         for g in generators:
@@ -542,19 +536,10 @@ def test_refine_of_an_individualized_vertex_matches_full_refinement(ore13):
 def test_canonical_refinement_work_is_bounded(ore17):
     # every refinement count and homogeneity test ANDs an adjacency row
     # with a mask; wrapping the rows counts them without a counter in src/
-    calls = [0]
-
-    class Row(int):
-        def __and__(self, other):
-            calls[0] += 1
-            return int.__and__(self, other)
-
     total = 0
     for g, _ in ore17:
-        wrapped = Graph(g.n, tuple(Row(r) for r in g.adj))
-        before = calls[0]
-        result = canonical_form(wrapped)
-        total += calls[0] - before
+        result, ands, _ = row_work(canonical_form, g)
+        total += ands
         assert result == canonical_form(g)
     assert total <= REFINE_AND_BOUND
 

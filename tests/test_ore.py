@@ -5,7 +5,6 @@ import random
 import pytest
 
 from orelab import (
-    Graph,
     InvariantViolation,
     enumerate_5_ore,
     graph_from_graph6,
@@ -30,6 +29,7 @@ from helpers import (
     first_sites_by_orbits,
     ore_collapsible_subsets,
     recognize_reference,
+    shuffled_copy,
     with_edge,
 )
 
@@ -192,10 +192,8 @@ def test_orbit_pruning_keeps_every_first_site(ore13):
     assert pruned == [(g.adj, recipe_to_text(r)) for g, r in enumerate_by_sites(13)]
 
 
-def test_orbit_pruning_composes_fewer_sites(monkeypatch):
-    calls = []
-    compose = ore.compose_graphs
-    monkeypatch.setattr(ore, "compose_graphs", lambda *a: calls.append(a) or compose(*a))
+def test_orbit_pruning_composes_fewer_sites(recorder):
+    calls = recorder.watch(ore, "compose_graphs")
     assert len(list(enumerate_5_ore(13))) == 26
     # the walk visits 81 sites at n <= 13 (3 at n = 9) and composes one per
     # orbit, 51 (2 at n = 9), of the 6,680 sites that every edge, vertex and
@@ -203,14 +201,9 @@ def test_orbit_pruning_composes_fewer_sites(monkeypatch):
     assert len(calls) == 51
 
 
-def test_orbit_walk_composes_the_first_site_of_every_orbit(ore13, monkeypatch):
-    calls = []
-    compose = ore.compose_graphs
-    monkeypatch.setattr(ore, "compose_graphs", lambda *a: calls.append(a) or compose(*a))
-    forms = []
-    canonical = ore.canonical_form
-    monkeypatch.setattr(ore, "canonical_form", lambda G: forms.append(G) or canonical(G))
-    assert len(list(enumerate_5_ore(17))) == 575
+def test_orbit_walk_composes_the_first_site_of_every_orbit(ore13, ore17_build):
+    classes, calls, forms = ore17_build
+    assert len(classes) == 575
     expected = [
         (g1, xy, g2, z, (mask_of(a), mask_of(b)))
         for g1, xy, g2, z, (a, b) in first_sites_by_orbits(ore13, 17)
@@ -306,9 +299,7 @@ def test_is_5_ore_recipe_depends_only_on_the_class(ore13, monkeypatch):
     for g, _ in ore13:
         texts = set()
         for seed in range(5):
-            perm = list(range(g.n))
-            random.Random(seed).shuffle(perm)
-            relabeled = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            relabeled, _ = shuffled_copy(g, random.Random(seed))
             monkeypatch.setattr(ore, "_CLASSES", {})
             texts.add(recipe_to_text(is_5_ore(relabeled)))
         assert len(texts) == 1, texts
@@ -322,10 +313,7 @@ def test_recognition_matches_the_cut_side_reference(ore17, monkeypatch):
     # the rebuild check
     graphs = [g for g, _ in ore17] + [named_graph(name) for name in sorted(NAMED)]
     rng = random.Random(27)
-    for g, _ in ore17[::7]:
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        graphs.append(Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+    graphs += [shuffled_copy(g, rng)[0] for g, _ in ore17[::7]]
     monkeypatch.setattr(ore, "_CLASSES", {})
     table: dict = {}
     members = 0

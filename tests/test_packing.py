@@ -1,6 +1,5 @@
 import gc
 import random
-import sys
 
 import pytest
 
@@ -20,6 +19,7 @@ from orelab.potential import random_extension, verify_extension_inequalities
 
 from helpers import (
     brute_mic,
+    calls_into,
     four_cliques,
     mic_reference,
     random_graph,
@@ -158,24 +158,18 @@ def mapped(kept, packed):
     return t, tuple(mask_of(kept[v] for v in bits(piece)) for piece in pieces)
 
 
-def test_t_number_matches_the_reference_on_extension_subgraphs(ore17, monkeypatch):
+def test_t_number_matches_the_reference_on_extension_subgraphs(n17, recorder):
     # every vertex set whose packing number a seeded extension record asks for
-    hosts = random.Random(15).sample([g for g, _ in ore17 if g.n == 17], 4)
+    hosts = random.Random(15).sample(n17, 4)
     hosts.append(named_graph("mycielski_groetzsch"))
     tables = [packing.piece_table(g) for g in hosts]
-    asked = []
     best_packing = packing.best_packing
-
-    def recorded(G, table, mask):
-        asked.append((G, mask))
-        return best_packing(G, table, mask)
-
-    monkeypatch.setattr(packing, "best_packing", recorded)
+    asked = recorder.watch(packing, "best_packing")
     for i in range(200):
         rec = random_extension(hosts[i % len(hosts)], random.Random(7 * 1_000_003 + i))
         verify_extension_inequalities(rec, "host", tables[i % len(hosts)])
     assert len(asked) >= 800
-    for G, mask in asked:
+    for G, _, mask in asked:
         kept = bits(mask)
         want = mapped(kept, as_masks(t_number_reference(induced_subgraph(G, mask))))
         assert best_packing(G, packing.piece_table(G), mask) == want
@@ -282,28 +276,10 @@ def test_mic_matches_the_reference_search(ore17):
         assert mic(G)[0] == mic_reference(G)
 
 
-def mic_nodes(run):
-    """run() and the number of nodes the ``mic`` search opened."""
-    nodes = 0
-
-    def profile(frame, event, arg):
-        nonlocal nodes
-        code = frame.f_code
-        if event == "call" and code.co_name == "rec" and code.co_filename == packing.__file__:
-            nodes += 1
-
-    sys.setprofile(profile)
-    try:
-        out = run()
-    finally:
-        sys.setprofile(None)
-    return out, nodes
-
-
 def test_mic_search_work_is_bounded(ore17):
     # the clique-cover bound opens 4,081 nodes over the 575 classes; the sum
     # of the available weights opened 133,673
-    values, nodes = mic_nodes(lambda: [mic(g)[0] for g, _ in ore17])
+    values, nodes = calls_into(packing, "rec", lambda: [mic(g)[0] for g, _ in ore17])
     assert len(values) == 575
     assert nodes <= 4_081
 

@@ -4,7 +4,6 @@ import pytest
 
 from orelab import (
     Facts,
-    Graph,
     InvariantViolation,
     coloring,
     critical_extension,
@@ -43,6 +42,8 @@ from helpers import (
     low_ky_subsets_reference,
     ore_collapsible_subsets,
     random_graph,
+    row_work,
+    shuffled_copy,
     splitting_coloring,
 )
 
@@ -371,19 +372,28 @@ def test_planted_record_fails_the_extension_inequalities(doubles):
     ]
 
 
-def test_low_ky_subsets_match_the_mask_loop(ore13, ore17):
+@pytest.fixture(scope="module")
+def low_ky_runs(ore13, n17):
+    """One ``_low_ky_subsets`` run per input on counted rows: each graph, its
+    low sets, and the ``&`` plus ``bit_count`` calls made on its rows.  The
+    n <= 13 classes come first."""
     graphs = [g for g, _ in ore13]
-    for seed, g in enumerate(list(graphs)):
-        perm = list(range(g.n))
-        random.Random(seed).shuffle(perm)
-        graphs.append(Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
-    graphs += random.Random(17).sample([g for g, _ in ore17 if g.n == 17], 2)
+    graphs += [shuffled_copy(g, random.Random(seed))[0] for seed, g in enumerate(graphs)]
+    graphs += random.Random(17).sample(n17, 2)
     # arbitrary graphs also hold low sets with p_ky of 10 and 11
     rng = random.Random(5)
     for _ in range(30):
         graphs.append(random_graph(rng.randint(6, 12), rng.choice((0.4, 0.6, 0.8)), rng))
+    runs = []
     for g in graphs:
-        assert sorted(_low_ky_subsets(g)) == low_ky_subsets_by_masks(g)
+        low, ands, bit_counts = row_work(_low_ky_subsets, g)
+        runs.append((g, low, ands + bit_counts))
+    return runs
+
+
+def test_low_ky_subsets_match_the_mask_loop(low_ky_runs):
+    for g, low, _ in low_ky_runs:
+        assert sorted(low) == low_ky_subsets_by_masks(g)
 
 
 def test_low_ky_subsets_keep_the_reference_order(ore17):
@@ -392,55 +402,26 @@ def test_low_ky_subsets_keep_the_reference_order(ore17):
         assert _low_ky_subsets(g) == list(low_ky_subsets_reference(g))
 
 
-def test_low_ky_sweep_work_is_bounded(ore13):
+def test_low_ky_sweep_work_is_bounded(ore13, low_ky_runs):
     # the sweep keeps its bound incrementally, so it reads each adjacency
     # row's degree once and never masks a row; summing the bound afresh at
     # every node masks two rows per undecided vertex (74,883 over these
     # classes)
-    calls = [0]
-
-    class Row(int):
-        def __and__(self, other):
-            calls[0] += 1
-            return int.__and__(self, other)
-
-        def bit_count(self):
-            calls[0] += 1
-            return int.bit_count(self)
-
-    total = 0
-    for g, _ in ore13:
-        wrapped = Graph(g.n, tuple(Row(r) for r in g.adj))
-        before = calls[0]
-        low = sorted(_low_ky_subsets(wrapped))
-        total += calls[0] - before
-        assert low == low_ky_subsets_by_masks(g)
-    assert total <= sum(g.n for g, _ in ore13)
+    runs = low_ky_runs[: len(ore13)]
+    assert [g for g, _, _ in runs] == [g for g, _ in ore13]
+    assert sum(work for _, _, work in runs) <= sum(g.n for g, _ in ore13)
 
 
-def test_collapsibility_sweep_solves_only_pair_tests(ore13, monkeypatch):
+def test_collapsibility_sweep_solves_only_pair_tests(ore13, ore17_facts, recorder):
     # is_collapsible answers by one 2-cut proof per boundary pair, G[R] plus
     # the pair's edge, and solves G[R] itself nowhere: checking G[R] for a
     # 4-coloring before the pair tests made 72 exact solves here
-    facts = [Facts.of(g) for g, _ in ore13]
-    calls, stack = [], []
-
-    def counted(name):
-        real = getattr(coloring, name)
-
-        def wrapped(*args):
-            calls.append((name, tuple(stack)))
-            stack.append(name)
-            try:
-                return real(*args)
-            finally:
-                stack.pop()
-
-        monkeypatch.setattr(coloring, name, wrapped)
-
+    facts = ore17_facts[: len(ore13)]
+    assert [f.graph for f in facts] == [g for g, _ in ore13]
     for name in ("is_collapsible", "is_k_colorable", "_by_cuts"):
-        counted(name)
+        recorder.watch(coloring, name)
     assert all(verify_ore5_bounds(f).ok for f in facts)
+    calls = recorder.log
     assert calls.count(("is_collapsible", ())) == 72
     assert not [c for c in calls if c[0] == "is_k_colorable" and "is_collapsible" in c[1]]
     assert calls.count(("_by_cuts", ("is_collapsible",))) == 86
