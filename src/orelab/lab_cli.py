@@ -12,10 +12,11 @@ Subcommands:
 
 The corpus directory comes from --corpus, else $ORELAB_CORPUS, else
 ./corpus.  Exit codes: 0 all checks pass, 1 at least one FAIL row
-(verify and extend then name each failing entry's key and graph6 string
-on stderr), 2 usage errors, 3 an internal invariant broke or any other
-internal fault (the message names the graph's graph6 string, and under
-verify and extend its corpus key).
+(verify, extend and discharge then name each failing graph on stderr),
+2 usage errors (an I/O error, or a check made before the library
+computes), 3 an internal invariant broke or any other internal fault
+(the message names the graph).  A graph is named by its graph6 string,
+after its corpus key under verify and extend.
 Output contains no timestamps; a command re-run with the same corpus and
 seed produces identical bytes, with any number of --jobs.
 """
@@ -43,7 +44,7 @@ from .potential import (
     verify_main_theorem,
     verify_ore5_bounds,
 )
-from .corpus import Corpus, Entry, resolve_dir
+from .corpus import Corpus, resolve_dir
 from .graph_core import (
     Graph,
     InvariantViolation,
@@ -64,19 +65,25 @@ def _fault(exc: Exception) -> str:
     return str(exc) if isinstance(exc, InvariantViolation) else f"{type(exc).__name__}: {exc}"
 
 
+def _naming(G: Graph, entry: str | None = None) -> str:
+    """How a ``fail:`` or ``panic:`` line names G: its graph6 string, after
+    the corpus key ``entry`` when there is one."""
+    where = f"entry {entry} " if entry else ""
+    return f"{where}graph6 {graph_to_graph6(G)}"
+
+
 @contextmanager
 def _panics_naming(G: Graph, entry: str | None = None):
-    """Let an :class:`InvariantViolation` leave with G's graph6 string in its
-    message, after the corpus key ``entry`` when there is one.  Any other
-    fault but a usage error (``ValueError``, ``KeyError``, ``OSError``)
-    leaves as an :class:`InvariantViolation` too, its type and message kept."""
+    """Let any fault of the block but an ``OSError`` leave as an
+    :class:`InvariantViolation` that names G, its message kept (with its
+    type, unless it was an InvariantViolation).  Usage errors are checked
+    before or after such a block, never inside it."""
     try:
         yield
-    except (ValueError, KeyError, OSError):
+    except OSError:
         raise
     except Exception as exc:
-        where = f"entry {entry} " if entry else ""
-        raise InvariantViolation(f"{where}graph6 {graph_to_graph6(G)}: {_fault(exc)}") from None
+        raise InvariantViolation(f"{_naming(G, entry)}: {_fault(exc)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +130,15 @@ def _named_or_file(token: str, tried: str = "") -> list[tuple[Graph, str]]:
     raise ValueError(f"{token!r} is not {tried}a named construction ({known}) or a file")
 
 
-def _resolve_graph(corpus: Corpus, token: str) -> Graph:
-    """The one graph ``token`` names: a corpus key, else a named
+def _resolve_graph(args) -> Graph:
+    """The one graph ``args.key`` names: a key of the corpus, else a named
     construction or a file."""
-    if token in corpus:
-        return corpus.load(token).graph
-    graphs = _named_or_file(token, "a corpus key, ")
+    corpus = Corpus(resolve_dir(args.corpus))
+    if args.key in corpus:
+        return corpus.load(args.key).graph
+    graphs = _named_or_file(args.key, "a corpus key, ")
     if len(graphs) != 1:
-        raise ValueError(f"{Path(token)}: expected exactly one graph, found {len(graphs)}")
+        raise ValueError(f"{Path(args.key)}: expected exactly one graph, found {len(graphs)}")
     return graphs[0][0]
 
 
@@ -207,41 +215,36 @@ def _extension_report(facts: Facts, seed: int, record_ids: list[int]) -> Report:
 
 def _entry_report(
     root: str, suite: str, key: str, seed: int, record_ids: list[int]
-) -> tuple[str, list[str], int, str | None]:
-    """The key and check lines of one corpus entry, how many of them
-    failed, and the entry's graph6 string when any did.
+) -> tuple[list[str], int, str | None]:
+    """The check lines of one corpus entry, how many of them failed, and
+    the entry's name for a ``fail:`` line when any did.
 
-    An :class:`InvariantViolation` leaves with the entry's key and graph6
-    string in its message.
+    A corrupt or missing entry is a usage error; any fault but an I/O
+    error after it is read leaves as an :class:`InvariantViolation` naming
+    the entry.
     """
     corpus = Corpus(Path(root))
     entry = corpus.load(key)
-    with _panics_naming(entry.graph, key):
-        rep = _suite_report(corpus, entry, suite, seed, record_ids)
+    G = entry.graph
+    with _panics_naming(G, key):
+        facts = Facts.of(G)
+        rep = corpus.verify_entry(entry, facts)
+        if suite in ("main", "all") and facts.critical:
+            rep.extend(verify_main_theorem(facts))
+        if suite in ("ore5", "all") and facts.critical:
+            rep.extend(verify_ore5_bounds(facts))
+        if suite in ("lemma2", "all"):
+            rep.extend(_lemma2_report(facts))
+        if suite in ("discharge", "all"):
+            if facts.critical:
+                rep.extend(dis.closing_inequalities(facts))
+            else:
+                dis.add_conservation(rep, key, dis.run_discharge(G))
+        # records follow the stored critical5 and n, which may be stale
+        if suite in ("extensions", "all") and record_ids and facts.critical and G.n > 5:
+            rep.extend(_extension_report(facts, seed, record_ids))
     failed = sum(not c.ok for c in rep.checks)
-    return key, rep.lines(), failed, graph_to_graph6(entry.graph) if failed else None
-
-
-def _suite_report(
-    corpus: Corpus, entry: Entry, suite: str, seed: int, record_ids: list[int]
-) -> Report:
-    facts = Facts.of(entry.graph)
-    rep = corpus.verify_entry(entry, facts)
-    if suite in ("main", "all") and facts.critical:
-        rep.extend(verify_main_theorem(facts))
-    if suite in ("ore5", "all") and facts.critical:
-        rep.extend(verify_ore5_bounds(facts))
-    if suite in ("lemma2", "all"):
-        rep.extend(_lemma2_report(facts))
-    if suite in ("discharge", "all"):
-        if facts.critical:
-            rep.extend(dis.closing_inequalities(facts))
-        else:
-            dis.add_conservation(rep, entry.key, dis.run_discharge(entry.graph))
-    # records follow the stored critical5 flag, which may be stale
-    if suite in ("extensions", "all") and record_ids and facts.critical:
-        rep.extend(_extension_report(facts, seed, record_ids))
-    return rep
+    return rep.lines(), failed, _naming(G, key) if failed else None
 
 
 def cmd_verify(args) -> int:
@@ -279,11 +282,11 @@ def cmd_verify(args) -> int:
             from concurrent.futures import ProcessPoolExecutor
 
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        for key, lines, failed, g6 in mapper(_entry_report, *zip(*tasks)):
+        for lines, failed, name in mapper(_entry_report, *zip(*tasks)):
             for line in lines:
                 print(line)
             if failed:
-                print(f"fail: entry {key} graph6 {g6}", file=sys.stderr)
+                print(f"fail: {name}", file=sys.stderr)
             checks += len(lines)
             failures += failed
     verdict = "PASS" if failures == 0 else "FAIL"
@@ -342,8 +345,10 @@ def cmd_extend(args) -> int:
     if len(R) >= G.n:
         raise ValueError("--r must be a proper subset of the vertices")
     with _panics_naming(G, entry.key):
-        if not col.is_5_critical(G):
-            raise ValueError(f"entry {entry.key} is not 5-critical, so it has no extension")
+        critical = col.is_5_critical(G)
+    if not critical:
+        raise ValueError(f"entry {entry.key} is not 5-critical, so it has no extension")
+    with _panics_naming(G, entry.key):
         phi = col.seeded_coloring(G, mask_of(R), 4, random.Random(args.seed))
         if phi is None:
             raise InvariantViolation("proper subgraph of a 5-critical graph must be 4-colorable")
@@ -363,13 +368,12 @@ def cmd_extend(args) -> int:
     for line in rep.lines():
         print(line)
     if not rep.ok:
-        print(f"fail: entry {entry.key} graph6 {graph_to_graph6(G)}", file=sys.stderr)
+        print(f"fail: {_naming(G, entry.key)}", file=sys.stderr)
     return 0 if rep.ok else 1
 
 
 def cmd_t(args) -> int:
-    corpus = Corpus(resolve_dir(args.corpus))
-    G = _resolve_graph(corpus, args.key)
+    G = _resolve_graph(args)
     with _panics_naming(G):
         t, pieces = packing.t_number(G)
     print(f"t={t}")
@@ -380,8 +384,7 @@ def cmd_t(args) -> int:
 
 
 def cmd_potential(args) -> int:
-    corpus = Corpus(resolve_dir(args.corpus))
-    G = _resolve_graph(corpus, args.key)
+    G = _resolve_graph(args)
     with _panics_naming(G):
         t, _ = packing.t_number(G)
         p = potential(G, t)
@@ -394,8 +397,7 @@ def cmd_potential(args) -> int:
 
 
 def cmd_discharge(args) -> int:
-    corpus = Corpus(resolve_dir(args.corpus))
-    G = _resolve_graph(corpus, args.key)
+    G = _resolve_graph(args)
     with _panics_naming(G):
         ledger = dis.run_discharge(G)
         facts = Facts.of(G)
@@ -406,6 +408,8 @@ def cmd_discharge(args) -> int:
         return 0
     for line in rep.lines():
         print(line)
+    if not rep.ok:
+        print(f"fail: {_naming(G)}", file=sys.stderr)
     return 0 if rep.ok else 1
 
 
@@ -420,23 +424,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact laboratory for 5-critical graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--corpus", help="corpus directory (default $ORELAB_CORPUS or ./corpus)")
 
-    def add_corpus_arg(p):
-        p.add_argument("--corpus", help="corpus directory (default $ORELAB_CORPUS or ./corpus)")
+    def command(name, func, help):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gen", help="enumerate 5-Ore graphs into the corpus")
+    p = command("gen", cmd_gen, "enumerate 5-Ore graphs into the corpus")
     p.add_argument("--max-n", type=int, required=True, help="largest vertex count")
-    add_corpus_arg(p)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("add", help="add a named construction or graph file")
+    p = command("add", cmd_add, "add a named construction or graph file")
     p.add_argument("source", help="named construction or path (text / graph6)")
-    add_corpus_arg(p)
-    p.set_defaults(func=cmd_add)
 
-    p = sub.add_parser("verify", help="run a verification suite over the corpus")
+    p = command("verify", cmd_verify, "run a verification suite over the corpus")
     p.add_argument("suite", choices=SUITES)
-    add_corpus_arg(p)
     p.add_argument("--records", type=int, default=100, help="extension record count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
@@ -446,29 +449,19 @@ def build_parser() -> argparse.ArgumentParser:
         default=13,
         help="largest graph eligible for extension records",
     )
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("extend", help="critical extension of a corpus entry")
+    p = command("extend", cmd_extend, "critical extension of a corpus entry")
     p.add_argument("key")
     p.add_argument("--r", required=True, help="comma-separated vertex list")
     p.add_argument("--seed", type=int, default=0)
-    add_corpus_arg(p)
-    p.set_defaults(func=cmd_extend)
 
-    p = sub.add_parser("t", help="packing number of a graph")
-    p.add_argument("key", help="corpus key, named construction, or file")
-    add_corpus_arg(p)
-    p.set_defaults(func=cmd_t)
-
-    p = sub.add_parser("potential", help="exact potentials of a graph")
-    p.add_argument("key", help="corpus key, named construction, or file")
-    add_corpus_arg(p)
-    p.set_defaults(func=cmd_potential)
-
-    p = sub.add_parser("discharge", help="charge ledger of a graph")
-    p.add_argument("key", help="corpus key, named construction, or file")
-    add_corpus_arg(p)
-    p.set_defaults(func=cmd_discharge)
+    for name, func, help in (
+        ("t", cmd_t, "packing number of a graph"),
+        ("potential", cmd_potential, "exact potentials of a graph"),
+        ("discharge", cmd_discharge, "charge ledger of a graph"),
+    ):
+        p = command(name, func, help)
+        p.add_argument("key", help="corpus key, named construction, or file")
 
     return parser
 

@@ -233,6 +233,9 @@ def test_verify_all_includes_every_row_family(small_corpus, run):
         # extension records
         ("groetzsch", "critical5", True, ["extensions", "--records", "6"]),
         ("groetzsch", "critical5", True, ["all", "--records", "6"]),
+        # records follow the stored n, so K5 stored as 9 vertices is handed
+        # records it is too small to have
+        ("k5", "n", 9, ["extensions", "--records", "6"]),
     ],
 )
 def test_verify_catches_tampered_invariants(small_corpus, run, name, field, value, argv):
@@ -430,18 +433,31 @@ def test_store_panic_exits_3_naming_the_graph(tmp_path, run, monkeypatch, argv):
     ],
 )
 def test_an_internal_fault_exits_3_naming_the_graph(small_corpus, run, monkeypatch, argv):
-    # a fault that is no InvariantViolation is a panic too, not a failed check
-    def broken(*args):
-        raise IndexError("planted")
-
+    # a fault that is no InvariantViolation is a panic too, not a failed
+    # check; a ValueError or KeyError the library raises is no usage error
     corpus = Corpus(small_corpus)
     key = {"extend": C5K2_KEY, "verify": corpus.keys()[0]}.get(argv[0])
     G = corpus.load(key).graph if key else named_graph("c5_join_k2")
     where = f"entry {key} " if key else ""
-    monkeypatch.setattr(packing, "best_packing", broken)
-    code, out, err = run(*argv, "--corpus", str(small_corpus))
-    assert (code, out) == (3, "")
-    assert err.splitlines() == [f"panic: {where}graph6 {graph_to_graph6(G)}: IndexError: planted"]
+    for fault in (IndexError("planted"), ValueError("planted"), KeyError("planted")):
+
+        def broken(*args):
+            raise fault
+
+        monkeypatch.setattr(packing, "best_packing", broken)
+        code, out, err = run(*argv, "--corpus", str(small_corpus))
+        assert (code, out) == (3, "")
+        name = type(fault).__name__
+        assert err.splitlines() == [f"panic: {where}graph6 {graph_to_graph6(G)}: {name}: {fault}"]
+
+
+def test_an_io_error_in_the_store_is_a_usage_error(tmp_path, run):
+    # the corpus directory's path names a regular file
+    root = tmp_path / "corpus"
+    root.write_text("")
+    code, out, err = run("add", "k5", "--corpus", str(root))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 17] File exists: '{root}'\n"
 
 
 def test_extend_block_of_double(small_corpus, run, doubles):
@@ -545,6 +561,15 @@ def test_discharge_command_on_critical_graph(run, tmp_path):
     assert lines[0] == "v0 d=4 init=88/84 final=88/84"
     assert "total 440/84" in lines
     assert any(l.startswith("CHECK charge-sum-identity") for l in lines)
+
+
+def test_discharge_command_names_a_failing_graph(run, tmp_path, monkeypatch):
+    monkeypatch.setattr(packing, "mic", lambda G: (0, 0))
+    G = named_graph("k1_join_groetzsch")
+    code, out, err = run("discharge", "k1_join_groetzsch", "--corpus", str(tmp_path / "c"))
+    assert code == 1
+    assert "CHECK mic-vs-components cdbd446e54ca24c1 FAIL slack=-420/21" in out.splitlines()
+    assert err == f"fail: graph6 {graph_to_graph6(G)}\n"
 
 
 def test_discharge_command_skips_closing_for_non_critical(run, tmp_path):

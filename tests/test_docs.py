@@ -344,6 +344,26 @@ def test_work_is_counted_only_by_the_shared_counters():
     assert not found, "\n".join(found)
 
 
+def _called(node: ast.AST | None) -> str | None:
+    """The name that ``f(...)`` calls, or that a bare name reads."""
+    return getattr(getattr(node, "func", node), "id", None)
+
+
+def test_no_usage_error_is_raised_where_faults_panic():
+    # inside a _panics_naming block every ValueError and KeyError becomes a
+    # panic, so a usage check raised there would exit 3 instead of 2
+    found = [
+        f"lab_cli.py:{raised.lineno}"
+        for node in ast.walk(_modules()["lab_cli"])
+        if isinstance(node, ast.With)
+        and any(_called(item.context_expr) == "_panics_naming" for item in node.items)
+        for stmt in node.body
+        for raised in ast.walk(stmt)
+        if isinstance(raised, ast.Raise) and _called(raised.exc) in ("ValueError", "KeyError")
+    ]
+    assert not found, "\n".join(found)
+
+
 def test_library_arithmetic_has_no_float():
     # potentials, slacks and charges are int numerators over 21 or 84, so
     # no true division, float literal or float() call belongs in the
