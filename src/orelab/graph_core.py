@@ -28,7 +28,10 @@ vertex, splits each cell by that vertex's row alone.  Each node of the
 search extends its parent's certificate rows instead of recomputing them.
 The same search yields generators of the automorphism group, which it uses
 to skip subtrees equivalent to ones already searched and the Ore
-enumeration uses to compose one site per orbit.  Exactness is the
+enumeration uses to compose one site per orbit.  When a terminal node ties
+the best one, the search backjumps to the depth where the two nodes' paths
+part: the automorphism between them maps a searched subtree onto the whole
+subtree that the tied node's path enters there.  Exactness is the
 contract; speed only has to be good enough for graphs of desk scale
 (n <= 24 or so).
 """
@@ -511,14 +514,36 @@ def canonical_form(G: Graph) -> Canonical:
     than the best, and keeps every automorphism it finds: the map from the
     best order onto a terminal node that ties it, and, at a homogeneous
     terminal node that becomes the best, the transpositions of consecutive
-    vertices in each of its cells.  Before descending into a child ``v``
-    of a target cell, it skips ``v`` when the found automorphisms that fix
-    the individualized vertices pointwise map an explored sibling onto
-    ``v``: that subtree is the image of one already searched, so the first
-    best terminal node, hence the key and the order, are those of the full
-    search.  Along the path to that node, each skipped or explored child
-    adds its coset of the pointwise stabilizer, so the automorphisms found
-    generate the whole group (McKay, "Practical graph isomorphism", 1981).
+    vertices in each of its cells.  It skips two kinds of subtree, each the
+    image of one already searched, so the first best terminal node, hence
+    the key and the order, are those of the full search:
+
+    - Before descending into a child ``v`` of a target cell, it skips ``v``
+      when the found automorphisms that fix the individualized vertices
+      pointwise map an explored sibling onto ``v``.
+    - When a terminal node ties the best, refinement commutes with the
+      automorphism between them, so it maps the best node's path onto the
+      tied node's vertex by vertex.  It fixes the first d vertices, which
+      the paths share, and maps the best path's child of the depth-d node,
+      whose subtree the search finished before, onto the tied path's
+      child, so all of that child's subtree is an image of a searched one.
+      Every node deeper than d returns at once, and the node at depth d
+      goes on with its next child.
+
+    The automorphisms found generate the whole group (McKay, "Practical
+    graph isomorphism", 1981).  The transpositions of the best terminal
+    node generate the stabilizer of its path.  At each node on that path,
+    no earlier child lies in the orbit of the path's child under the
+    pointwise stabilizer of the path so far, or a tie would have come
+    first.  A later child in that orbit is either skipped, as the image of
+    an explored one under found automorphisms fixing the path so far, or
+    explored.  If explored, its subtree holds an image of the best node, so
+    its search records a tie whose automorphism fixes the path so far and
+    maps the path's child onto it.  A backjump never cuts a node on the
+    path short once the best node is found, because every later tie inside
+    that node's subtree shares its path.  So each stabilizer on the path is
+    generated by the one below it and found automorphisms covering its
+    orbit.
 
     Cells are vertex masks.  Every cell the search builds lists its
     vertices in ascending order (the unit cell, the pieces of a split, and
@@ -528,12 +553,13 @@ def canonical_form(G: Graph) -> Canonical:
     adj = G.adj
     n = G.n
     identity = tuple(range(n))
-    best: list = [None, None]  # cert rows, perm
+    best: list = [None, None, None]  # cert rows, perm, path
     found: list[tuple[int, ...]] = []
 
-    def record(cert, perm, cells):
+    def record(cert, perm, cells, path) -> int:
+        # the depth the search goes on at: on a tie, where path leaves best's
         if best[0] is None or cert < best[0]:
-            best[0], best[1] = cert, perm
+            best[:] = cert, perm, path
             for c in cells:
                 if not c & (c - 1):
                     continue  # a one-vertex cell gives no transposition
@@ -547,13 +573,16 @@ def canonical_form(G: Graph) -> Canonical:
             for v, w in zip(best[1], perm):
                 image[v] = w
             found.append(tuple(image))
+            # the two paths have one length and part somewhere
+            return next(d for d, (v, w) in enumerate(zip(path, best[2])) if v != w)
+        return len(path)
 
     def search(
         cells: list[int],
         path: tuple[int, ...],
         splitters: list[int] | None,
         done: tuple[int, ...],
-    ):
+    ) -> int:
         cells = _refine(adj, cells, splitters)
         prefix: list[int] = []
         for c in cells:
@@ -563,7 +592,7 @@ def canonical_form(G: Graph) -> Canonical:
         # the singleton prefix extends the parent's, whose rows are done
         pref = _cert_rows(adj, prefix, done)
         if best[0] is not None and pref > best[0][: len(pref)]:
-            return
+            return len(path)
         idx = len(prefix)
         if _is_homogeneous(adj, cells):  # a discrete partition is too
             perm = prefix
@@ -572,8 +601,7 @@ def canonical_form(G: Graph) -> Canonical:
                     perm += bits(c)
                 else:
                     perm.append(c.bit_length() - 1)
-            record(_cert_rows(adj, perm, pref), perm, cells)
-            return
+            return record(_cert_rows(adj, perm, pref), perm, cells, path)
         cell = cells[idx]
         explored = 0
         # found only grows, so filter just the generators new since the last look
@@ -586,14 +614,18 @@ def canonical_form(G: Graph) -> Canonical:
                 if _orbit(explored, fixing) >> v & 1:
                     continue
             bit = 1 << v
-            search(cells[:idx] + [bit, cell ^ bit] + cells[idx + 1 :], path + (v,), [bit], pref)
+            child = cells[:idx] + [bit, cell ^ bit] + cells[idx + 1 :]
+            back = search(child, path + (v,), [bit], pref)
+            if back < len(path):  # this node is in a skipped subtree
+                return back
             explored |= bit
+        return len(path)
 
     search([(1 << n) - 1], (), None, ())
     # search refers to itself; dropping the name frees the search state now
     # instead of at the next garbage collection
     del search
-    cert, perm = best
+    cert, perm, _ = best
     blob = bytearray([n])
     for i, r in enumerate(cert):
         if i:

@@ -432,6 +432,18 @@ def random_graph(n: int, p: float, rng) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def random_regular_graph(n: int, d: int, rng) -> Graph:
+    """A d-regular simple graph on n vertices by the pairing model: d
+    points per vertex are matched at random, again until the matching
+    gives no loop and no repeated edge.  n * d must be even."""
+    while True:
+        points = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(points)
+        edges = {(min(e), max(e)) for e in zip(points[::2], points[1::2])}
+        if len(edges) == n * d // 2 and all(u != v for u, v in edges):
+            return Graph.from_edges(n, sorted(edges))
+
+
 def glued_pair(rng):
     """Two seeded random graphs that share the vertices 0 and 1, which may
     be adjacent: {0, 1} separates the two unless one is only 0 and 1."""
@@ -824,8 +836,56 @@ def group_closure(n: int, generators) -> set[tuple[int, ...]]:
 
 def group_order(n: int, generators) -> int:
     """Order of the permutation group on range(n) that ``generators``
-    generate."""
-    return len(group_closure(n, generators))
+    generate, by Schreier-Sims, so that groups as large as Sym(16) count
+    quickly.  Level l keeps a base point b, the generators found that fix
+    the base points before b, and for each point p of b's orbit a
+    representative r with r[b] == p and its inverse.  Every pair of an
+    orbit point and a generator gives a Schreier generator of b's
+    stabilizer, which is sifted down the levels; one that does not sift to
+    the identity joins the levels it fixes.  Representatives never change,
+    so a pair is checked once, and when none is left the order is the
+    product of the orbit lengths."""
+    identity = tuple(range(n))
+    levels: list = []  # base point, generators, {p: (r, r inverse)}, pairs checked
+
+    def sift(g):
+        for level, (b, _, reps, _) in enumerate(levels):
+            rep = reps.get(g[b])
+            if rep is None:
+                return g, level
+            g = tuple(rep[1][v] for v in g)
+        return g, len(levels)
+
+    pending = list(generators)
+    while pending:
+        h, level = sift(pending.pop())
+        if h == identity:
+            continue
+        if level == len(levels):
+            b = next(v for v in range(n) if h[v] != v)
+            levels.append((b, [], {b: (identity, identity)}, set()))
+        for _, gens, reps, checked in levels[: level + 1]:
+            gens.append(h)
+            orbit = list(reps)
+            for p in orbit:  # grows while it is walked
+                r = reps[p][0]
+                for i, s in enumerate(gens):
+                    q = s[p]
+                    if q not in reps:
+                        sr = tuple(s[v] for v in r)
+                        inverse = [0] * n
+                        for v, w in enumerate(sr):
+                            inverse[w] = v
+                        reps[q] = (sr, tuple(inverse))
+                        orbit.append(q)
+                    if (p, i) not in checked:
+                        checked.add((p, i))
+                        back = reps[q][1]
+                        pending.append(tuple(back[s[v]] for v in r))
+    order = 1
+    for _, _, reps, _ in levels:
+        order *= len(reps)
+    return order
 
 
 def _least_in_orbits(elements, act, group) -> dict:

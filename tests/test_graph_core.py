@@ -8,6 +8,7 @@ from collections import defaultdict
 import pytest
 
 from orelab import Graph, InvariantViolation, graph_from_graph6, graph_to_graph6, named_graph
+from orelab import graph_core
 from orelab.coloring import _four_core, extract_5_critical, is_k_colorable
 from orelab.constructions import NAMED, complete_graph, cycle_graph
 from orelab.graph_core import (
@@ -32,6 +33,7 @@ from orelab.report import Check
 
 from helpers import (
     brute_isomorphic,
+    calls_into,
     canonical_form_reference,
     canonical_key,
     cluster_size_sequence,
@@ -39,6 +41,7 @@ from helpers import (
     group_order,
     identify_vertices,
     random_graph,
+    random_regular_graph,
     refine_full,
     row_work,
     shuffled_copy,
@@ -418,9 +421,23 @@ def test_canonical_order_is_an_isomorphism_between_relabelings():
             check_automorphism(G, [back[iso[v]] for v in range(G.n)])
 
 
+def regular_samples() -> list[Graph]:
+    """Seeded random 3- and 4-regular graphs on 10 to 16 vertices: every
+    vertex looks alike to refinement, so the canonical search branches,
+    ties and prunes more than on graphs of mixed degree."""
+    return [
+        random_regular_graph(10 + 2 * (seed % 4), d, random.Random(seed))
+        for seed in range(12)
+        for d in (3, 4)
+    ]
+
+
 def test_canonical_form_matches_the_list_cell_reference(ore17):
-    # keys, orders and generators alike: the mask-cell search must build
-    # the same tree in the same order as the list-cell one
+    # keys and orders alike: the mask-cell search must reach the same first
+    # best terminal node as the list-cell one.  The reference does not
+    # backjump, so it also keeps the automorphisms it finds in subtrees
+    # that canonical_form skips as images of searched ones: the generators
+    # are a subsequence of the reference's and generate the same group
     graphs = [g for g, _ in ore17] + [named_graph(name) for name in sorted(NAMED)]
     for name in ("groetzsch", "mycielski_groetzsch"):
         G = named_graph(name)
@@ -429,8 +446,14 @@ def test_canonical_form_matches_the_list_cell_reference(ore17):
     # edge probabilities across [0, 1] give empty, complete and
     # disconnected graphs among the samples
     graphs += [random_graph(rng.randint(1, 16), rng.random(), rng) for _ in range(300)]
+    graphs += regular_samples()
     for G in graphs:
-        assert canonical_form(G) == canonical_form_reference(G)
+        key, order, generators = canonical_form(G)
+        want_key, want_order, want_generators = canonical_form_reference(G)
+        assert (key, order) == (want_key, want_order)
+        rest = iter(want_generators)
+        assert all(g in rest for g in generators)
+        assert group_order(G.n, generators) == group_order(G.n, want_generators)
 
 
 ORE17_KEYS_SHA256 = "c203debe2b45d8ab7bacbd3c5d85b180accf0f79ed6b249b5a1e798009914bca"
@@ -439,11 +462,18 @@ ORE17_KEYS_SHA256 = "c203debe2b45d8ab7bacbd3c5d85b180accf0f79ed6b249b5a1e7980099
 Corpus file names derive from these keys."""
 
 
-REFINE_AND_BOUND = 39_687
+REFINE_AND_BOUND = 38_958
 """Row-and-mask ANDs that ``canonical_form`` makes over the classes of
 ``enumerate_5_ore(17)``, pinned from the refinement on mask cells that sums
-rows into bit planes; on list cells, counting into every cell on every pass
-made 472,902, and counting only into freshly split cells 126,702."""
+rows into bit planes and the search that backjumps; without the backjump it
+made 39,687.  On list cells, counting into every cell on every pass made
+472,902, and counting only into freshly split cells 126,702."""
+
+SEARCH_NODE_BOUND = 2_219
+"""Search nodes that ``canonical_form`` visits over the same classes,
+pinned from the search that backjumps past subtrees that an automorphism
+found at a tied terminal node maps onto searched ones; without the
+backjump it visited 2,438."""
 
 
 def test_canonical_forms_of_ore17_are_frozen(ore17):
@@ -454,6 +484,82 @@ def test_canonical_forms_of_ore17_are_frozen(ore17):
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == ORE17_KEYS_SHA256
 
 
+def automorphism_count(G):
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph()
+    g.add_nodes_from(range(G.n))
+    g.add_edges_from(G.edges())
+    return sum(1 for _ in nx.vf2pp_all_isomorphisms(g, g))
+
+
+def rooks_graph(a: int) -> Graph:
+    """The a-by-a rook's graph: squares adjacent when they share a row or
+    a column."""
+    squares = list(itertools.product(range(a), repeat=2))
+    return Graph.from_edges(
+        a * a,
+        [
+            (i, j)
+            for i, j in itertools.combinations(range(a * a), 2)
+            if squares[i][0] == squares[j][0] or squares[i][1] == squares[j][1]
+        ],
+    )
+
+
+def test_canonical_form_on_vertex_transitive_graphs():
+    # all vertices are in one orbit, so every child of the root is an image
+    # of the first; terminal nodes tie the best early and often, and the
+    # backjump skips the rest of their subtrees
+    petersen = Graph.from_edges(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+    )
+    # the 4-cube: vertices are 4-bit words, adjacent when one bit apart
+    q4 = Graph.from_edges(
+        16, [(u, u | 1 << k) for u in range(16) for k in range(4) if not u >> k & 1]
+    )
+    k44 = Graph.from_edges(8, [(u, v) for u in range(4) for v in range(4, 8)])
+    # the orders of their automorphism groups, as networkx counts them
+    cases = [
+        (petersen, 120),
+        (q4, 384),
+        (rooks_graph(3), 72),
+        (rooks_graph(4), 1152),
+        (cycle_graph(12), 24),
+        (k44, 1152),
+    ]
+    for G, order in cases:
+        key, _, generators = canonical_form(G)
+        for g in generators:
+            check_automorphism(G, g)
+        assert group_order(G.n, generators) == order
+        rng = random.Random(G.n)
+        for _ in range(5):
+            assert canonical_key(shuffled_copy(G, rng)[0]) == key
+    # without the backjump the search visits 83 nodes
+    rook4 = rooks_graph(4)
+    assert calls_into(graph_core, "search", lambda: canonical_form(rook4))[1] <= 15
+
+
+def test_the_prefix_prune_fires_on_regular_graphs():
+    # a node whose certificate prefix is worse than the best returns before
+    # its homogeneity test, so fewer homogeneity tests than search nodes
+    # show the prune fired; on random graphs of mixed degree it rarely does
+    fired = 0
+    for G in regular_samples():
+        key, _, generators = canonical_form(G)
+        nodes = calls_into(graph_core, "search", lambda: canonical_form(G))[1]
+        tests = calls_into(graph_core, "_is_homogeneous", lambda: canonical_form(G))[1]
+        fired += tests < nodes
+        rng = random.Random(G.n)
+        for _ in range(5):
+            assert canonical_key(shuffled_copy(G, rng)[0]) == key
+        assert group_order(G.n, generators) == automorphism_count(G)
+    assert fired
+
+
 def test_automorphism_pruning_returns_few_generators():
     # without automorphism pruning the search returns 23, one per leaf
     # tying the best
@@ -461,14 +567,6 @@ def test_automorphism_pruning_returns_few_generators():
     _, _, generators = canonical_form(C12)
     assert len(generators) <= C12.n - 1
     assert group_order(C12.n, generators) == 24
-
-
-def automorphism_count(G):
-    nx = pytest.importorskip("networkx")
-    g = nx.Graph()
-    g.add_nodes_from(range(G.n))
-    g.add_edges_from(G.edges())
-    return sum(1 for _ in nx.vf2pp_all_isomorphisms(g, g))
 
 
 def test_generators_generate_the_automorphism_group(ore13, n17):
@@ -536,12 +634,16 @@ def test_refine_of_an_individualized_vertex_matches_full_refinement(ore13):
 def test_canonical_refinement_work_is_bounded(ore17):
     # every refinement count and homogeneity test ANDs an adjacency row
     # with a mask; wrapping the rows counts them without a counter in src/
-    total = 0
+    total = nodes = 0
     for g, _ in ore17:
-        result, ands, _ = row_work(canonical_form, g)
+        (result, ands, _), calls = calls_into(
+            graph_core, "search", lambda: row_work(canonical_form, g)
+        )
         total += ands
+        nodes += calls
         assert result == canonical_form(g)
     assert total <= REFINE_AND_BOUND
+    assert nodes <= SEARCH_NODE_BOUND
 
 
 # --- serialization -----------------------------------------------------------
