@@ -4,12 +4,14 @@ One JSON file per isomorphism class, named by the 16-hex-digit graph
 fingerprint, holding the graph in text format, a provenance string, and
 the cached invariants.  An append-only ``ledger.log`` records additions
 and verification outcomes.  No database, diff-friendly, idempotent adds.
+:meth:`Corpus.load` is the one reader of an entry, and checks all of it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 
 from .graph_core import Graph, Record, d4_components, graph_from_text, graph_to_text
@@ -63,15 +65,12 @@ class Corpus:
         return self.root / f"{key}.json"
 
     def keys(self) -> list[str]:
-        if not self.root.is_dir():
-            return []
         return sorted(p.stem for p in self.root.glob("*.json"))
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).is_file()
 
     def log(self, message: str):
-        self.root.mkdir(parents=True, exist_ok=True)
         with open(self.root / "ledger.log", "a", encoding="utf-8") as fh:
             fh.write(message + "\n")
 
@@ -97,39 +96,35 @@ class Corpus:
         self.log(f"add {key} n={inv['n']} m={inv['m']} {provenance}")
         return True
 
-    def _read(self, key: str, *fields: str) -> list:
-        """An entry's named fields, then its invariants (an object); ValueError if corrupt."""
+    def load(self, key: str) -> Entry:
+        """The entry stored under ``key``; KeyError if there is none, and
+        ValueError if it is corrupt, its invariants' ``"n"`` not an integer too."""
         path = self._path(key)
-        fields += ("invariants",)
+
+        def corrupt(why) -> ValueError:
+            return ValueError(f"{path}: corrupt entry: {why}")
+
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-            values = [raw[name] for name in fields]
         except FileNotFoundError:
             raise KeyError(f"no corpus entry {key} under {self.root}") from None
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: corrupt entry: {exc}") from None
-        except (KeyError, TypeError):
-            name = next(f for f in fields if not isinstance(raw, dict) or f not in raw)
-            raise ValueError(f"{path}: corrupt entry: no {name!r} field") from None
-        if not isinstance(values[-1], dict):
-            raise ValueError(f"{path}: corrupt entry: 'invariants' is not an object")
-        return values
-
-    def load(self, key: str) -> Entry:
-        text, invariants = self._read(key, "graph")
-        try:
-            return Entry(key, graph_from_text(text), invariants)
-        except (AttributeError, ValueError) as exc:
-            raise ValueError(f"{self._path(key)}: corrupt entry: {exc}") from None
-
-    def invariants(self, key: str) -> dict:
-        """The cached invariants of an entry, without building its graph;
-        ValueError if they hold an ``"n"`` that is not an integer."""
-        invariants = self._read(key)[0]
+            raise corrupt(exc) from None
+        for name in ("graph", "invariants"):
+            if not isinstance(raw, dict) or name not in raw:
+                raise corrupt(f"no {name!r} field")
+        invariants = raw["invariants"]
+        if not isinstance(invariants, dict):
+            raise corrupt("'invariants' is not an object")
         if not isinstance(invariants.get("n", 0), int):
-            raise ValueError(f"{self._path(key)}: corrupt entry: 'n' is not an integer")
-        return invariants
+            raise corrupt("'n' is not an integer")
+        try:
+            graph = graph_from_text(raw["graph"])
+        except (AttributeError, ValueError) as exc:
+            raise corrupt(exc) from None
+        # verify holds every entry at once; interned names are shared by all
+        return Entry(key, graph, {sys.intern(name): v for name, v in invariants.items()})
 
     def verify_entry(self, entry: Entry, facts: Facts) -> Report:
         """Compare an entry's key and cached invariants with the fresh

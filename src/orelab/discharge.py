@@ -14,7 +14,7 @@ ledger whose sums disagree.
 
 from __future__ import annotations
 
-from .graph_core import Graph, InvariantViolation, Record, bits, d4_components
+from .graph_core import Graph, InvariantViolation, Record, bits, d4_components, mask_of
 from .potential import Facts
 from .report import Report
 
@@ -47,15 +47,11 @@ class ChargeLedger(Record):
 def run_discharge(G: Graph) -> ChargeLedger:
     """Apply the transfer rule once and return the audited ledger."""
     initial = tuple(initial_charge_84(G.degree(v)) for v in range(G.n))
-    senders = 0
-    for comp in d4_components(G).components:
-        if comp.bit_count() >= 2:
-            senders |= comp
-    transfers = []
-    for v in bits(senders):
-        for u in bits(G.adj[v]):
-            if G.degree(u) >= 5:
-                transfers.append((v, u))
+    d4 = mask_of(v for v in range(G.n) if G.degree(v) == 4)
+    # a degree-4 vertex lies in a degree-4 component of size two or more
+    # exactly when it has a degree-4 neighbor
+    senders = [v for v in bits(d4) if G.adj[v] & d4]
+    transfers = [(v, u) for v in senders for u in bits(G.adj[v]) if G.degree(u) >= 5]
     final = list(initial)
     for s, r in transfers:
         final[s] -= TRANSFER_84

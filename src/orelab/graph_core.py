@@ -7,8 +7,9 @@ vertex v; :func:`bits` lists one in ascending order.  All of the higher
 machinery (exact coloring, clique packing, composition search, potential
 audits) builds on the operations here: induced subgraphs, the 2-cuts that
 Ore compositions glue along, the rows of each case of a 2-cut (x and y
-different or alike), the components of the degree-four subgraph, and an
-exact canonical form used to deduplicate isomorphism classes.
+different or alike), how many components of the degree-four subgraph
+have one and two vertices, and an exact canonical form used to
+deduplicate isomorphism classes.
 
 Graphs and the library's other records are immutable :class:`Record`
 values: plain ``__slots__`` classes, of which none is generated at import.
@@ -343,15 +344,13 @@ def two_cuts(G: Graph, within: int | None = None):
 
 
 class D4Report(Record):
-    """Connected components of the subgraph induced by degree-four vertices,
-    as masks sorted by size, then by lowest vertex.
-
-    ``singles`` and ``pairs`` count the components of size one and two; the
-    discharging arithmetic consumes exactly those two numbers.
+    """How many connected components of the subgraph induced by
+    degree-four vertices have one vertex (``singles``) and two
+    (``pairs``); the discharging arithmetic consumes exactly those two
+    numbers.
     """
 
-    __slots__ = ("components", "singles", "pairs")
-    components: tuple[int, ...]
+    __slots__ = ("singles", "pairs")
     singles: int
     pairs: int
 
@@ -359,10 +358,9 @@ class D4Report(Record):
 def d4_components(G: Graph) -> D4Report:
     d4 = mask_of(v for v in range(G.n) if G.degree(v) == 4)
     comps = connected_components(G, within=d4)
-    comps.sort(key=lambda c: (c.bit_count(), c & -c))
     singles = sum(1 for c in comps if c.bit_count() == 1)
     pairs = sum(1 for c in comps if c.bit_count() == 2)
-    return D4Report(tuple(comps), singles, pairs)
+    return D4Report(singles, pairs)
 
 # ---------------------------------------------------------------------------
 # Canonical form

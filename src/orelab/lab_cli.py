@@ -11,12 +11,14 @@ Subcommands:
   discharge  charge ledger and closing inequalities for one graph
 
 The corpus directory comes from --corpus, else $ORELAB_CORPUS, else
-./corpus.  Exit codes: 0 all checks pass, 1 at least one FAIL row
-(verify, extend and discharge then name each failing graph on stderr),
-2 usage errors (an I/O error, or a check made before the library
-computes), 3 an internal invariant broke or any other internal fault
-(the message names the graph).  A graph is named by its graph6 string,
-after its corpus key under verify and extend.
+./corpus; main resolves it once and hands it to the command.  verify
+reads every entry before it checks any.  Exit codes: 0 all checks pass,
+1 at least one FAIL row (verify, extend and discharge then name each
+failing graph on stderr), 2 usage errors (an I/O error, or a check made
+before the library computes, a corrupt corpus entry among them), 3 an
+internal invariant broke or any other internal fault (the message names
+the graph).  A graph is named by its graph6 string, after its corpus key
+under verify and extend.
 Output contains no timestamps; a command re-run with the same corpus and
 seed produces identical bytes, with any number of --jobs.
 """
@@ -27,6 +29,7 @@ import argparse
 import random
 import sys
 from contextlib import ExitStack, contextmanager
+from itertools import repeat
 from pathlib import Path
 
 from . import coloring as col
@@ -44,7 +47,7 @@ from .potential import (
     verify_main_theorem,
     verify_ore5_bounds,
 )
-from .corpus import Corpus, resolve_dir
+from .corpus import Corpus, Entry, resolve_dir
 from .graph_core import (
     Graph,
     InvariantViolation,
@@ -130,10 +133,9 @@ def _named_or_file(token: str, tried: str = "") -> list[tuple[Graph, str]]:
     raise ValueError(f"{token!r} is not {tried}a named construction ({known}) or a file")
 
 
-def _resolve_graph(args) -> Graph:
+def _resolve_graph(args, corpus: Corpus) -> Graph:
     """The one graph ``args.key`` names: a key of the corpus, else a named
     construction or a file."""
-    corpus = Corpus(resolve_dir(args.corpus))
     if args.key in corpus:
         return corpus.load(args.key).graph
     graphs = _named_or_file(args.key, "a corpus key, ")
@@ -214,18 +216,15 @@ def _extension_report(facts: Facts, seed: int, record_ids: list[int]) -> Report:
 
 
 def _entry_report(
-    root: str, suite: str, key: str, seed: int, record_ids: list[int]
+    corpus: Corpus, entry: Entry, suite: str, seed: int, record_ids: list[int]
 ) -> tuple[list[str], int, str | None]:
-    """The check lines of one corpus entry, how many of them failed, and
-    the entry's name for a ``fail:`` line when any did.
+    """The check lines of one loaded corpus entry, how many of them failed,
+    and the entry's name for a ``fail:`` line when any did.
 
-    A corrupt or missing entry is a usage error; any fault but an I/O
-    error after it is read leaves as an :class:`InvariantViolation` naming
-    the entry.
+    Any fault but an I/O error leaves as an :class:`InvariantViolation`
+    naming the entry.
     """
-    corpus = Corpus(Path(root))
-    entry = corpus.load(key)
-    G = entry.graph
+    key, G = entry.key, entry.graph
     with _panics_naming(G, key):
         facts = Facts.of(G)
         rep = corpus.verify_entry(entry, facts)
@@ -247,30 +246,29 @@ def _entry_report(
     return rep.lines(), failed, _naming(G, key) if failed else None
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, corpus: Corpus) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.records < 0:
         raise ValueError(f"--records must be at least 0, got {args.records}")
-    corpus = Corpus(resolve_dir(args.corpus))
-    keys = corpus.keys()
-    if not keys:
+    # every entry is read before any is checked, so a corrupt one stops the
+    # run before it prints
+    entries = [corpus.load(k) for k in corpus.keys()]
+    if not entries:
         print(f"warning: corpus at {corpus.root} is empty; nothing to verify", file=sys.stderr)
         return 0
-    record_map: dict[str, list[int]] = {k: [] for k in keys}
+    records: list[list[int]] = [[] for _ in entries]
     if args.suite in ("extensions", "all"):
-        eligible = []
-        for k in keys:
-            inv = corpus.invariants(k)
-            if inv.get("critical5") and 6 <= inv.get("n", 0) <= args.max_extend_n:
-                eligible.append(k)
+        eligible = [
+            ids for e, ids in zip(entries, records)
+            if e.invariants.get("critical5") and 6 <= e.invariants.get("n", 0) <= args.max_extend_n
+        ]
         if eligible:
             for i in range(args.records):
-                record_map[eligible[i % len(eligible)]].append(i)
+                eligible[i % len(eligible)].append(i)
         else:
             print("warning: no corpus entry is eligible for extension records", file=sys.stderr)
-    tasks = [(str(corpus.root), args.suite, k, args.seed, record_map[k]) for k in keys]
-    workers = min(args.jobs, len(tasks))
+    workers = min(args.jobs, len(entries))
     checks = 0
     failures = 0
     # each entry's lines are printed as its result arrives, in key order, so
@@ -282,7 +280,13 @@ def cmd_verify(args) -> int:
             from concurrent.futures import ProcessPoolExecutor
 
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        for lines, failed, name in mapper(_entry_report, *zip(*tasks)):
+        reports = mapper(
+            _entry_report, repeat(corpus), entries, repeat(args.suite), repeat(args.seed), records
+        )
+        for i, (lines, failed, name) in enumerate(reports):
+            # a checked entry is let go, so the entries held shrink as the
+            # run goes instead of all staying in memory to the end
+            entries[i] = None
             for line in lines:
                 print(line)
             if failed:
@@ -308,8 +312,7 @@ def _add_graph(corpus: Corpus, G: Graph, provenance: str) -> None:
     print(f"{facts.key} n={G.n} m={G.m} {'new' if added else 'known'}")
 
 
-def cmd_gen(args) -> int:
-    corpus = Corpus(resolve_dir(args.corpus))
+def cmd_gen(args, corpus: Corpus) -> int:
     count = 0
     for G, recipe in ore.enumerate_5_ore(args.max_n):
         _add_graph(corpus, G, "recipe " + ore.recipe_to_text(recipe))
@@ -318,8 +321,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_add(args) -> int:
-    corpus = Corpus(resolve_dir(args.corpus))
+def cmd_add(args, corpus: Corpus) -> int:
     for G, provenance in _named_or_file(args.source):
         _add_graph(corpus, G, provenance)
     return 0
@@ -330,8 +332,7 @@ def cmd_add(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_extend(args) -> int:
-    corpus = Corpus(resolve_dir(args.corpus))
+def cmd_extend(args, corpus: Corpus) -> int:
     entry = corpus.load(args.key)
     G = entry.graph
     try:
@@ -372,8 +373,8 @@ def cmd_extend(args) -> int:
     return 0 if rep.ok else 1
 
 
-def cmd_t(args) -> int:
-    G = _resolve_graph(args)
+def cmd_t(args, corpus: Corpus) -> int:
+    G = _resolve_graph(args, corpus)
     with _panics_naming(G):
         t, pieces = packing.t_number(G)
     print(f"t={t}")
@@ -383,8 +384,8 @@ def cmd_t(args) -> int:
     return 0
 
 
-def cmd_potential(args) -> int:
-    G = _resolve_graph(args)
+def cmd_potential(args, corpus: Corpus) -> int:
+    G = _resolve_graph(args, corpus)
     with _panics_naming(G):
         t, _ = packing.t_number(G)
         p = potential(G, t)
@@ -396,8 +397,8 @@ def cmd_potential(args) -> int:
     return 0
 
 
-def cmd_discharge(args) -> int:
-    G = _resolve_graph(args)
+def cmd_discharge(args, corpus: Corpus) -> int:
+    G = _resolve_graph(args, corpus)
     with _panics_naming(G):
         ledger = dis.run_discharge(G)
         facts = Facts.of(G)
@@ -470,7 +471,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, Corpus(resolve_dir(args.corpus)))
     except (ValueError, KeyError, OSError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) else exc  # str() would quote it
         print(f"error: {message}", file=sys.stderr)

@@ -256,6 +256,19 @@ def test_verify_catches_tampered_invariants(small_corpus, run, name, field, valu
 K5_KEY = corpus_key(complete_graph(5))
 
 
+BAD_N = {"critical5": True, "n": "five"}
+
+
+def _spoil(path: Path, field: str, text) -> None:
+    """Rewrite a corpus file with ``field`` set to ``text``, or removed."""
+    raw = json.loads(path.read_text())
+    if text is None:
+        del raw[field]
+    else:
+        raw[field] = text
+    path.write_text(json.dumps(raw, indent=1, sort_keys=True) + "\n")
+
+
 @pytest.mark.parametrize(
     "field, text, argv, why",
     [
@@ -265,23 +278,38 @@ K5_KEY = corpus_key(complete_graph(5))
         ("graph", "5 10\n0 1\n", ["t", K5_KEY], "declared 10 edges, found 1"),
         ("invariants", [1], ["verify", "main"], "'invariants' is not an object"),
         ("invariants", [1], ["verify", "extensions"], "'invariants' is not an object"),
-        ("invariants", {"critical5": True, "n": "five"}, ["verify", "extensions"],
-         "'n' is not an integer"),
-        ("invariants", {"critical5": True, "n": "five"}, ["verify", "all"],
-         "'n' is not an integer"),
+        ("invariants", BAD_N, ["verify", "extensions"], "'n' is not an integer"),
+        ("invariants", BAD_N, ["verify", "all"], "'n' is not an integer"),
+        # every command reads "n" through the one entry reader
+        ("invariants", BAD_N, ["verify", "main"], "'n' is not an integer"),
+        ("invariants", BAD_N, ["t", K5_KEY], "'n' is not an integer"),
     ],
 )
 def test_a_corrupt_entry_names_its_file(small_corpus, run, field, text, argv, why):
     path = small_corpus / f"{K5_KEY}.json"
-    raw = json.loads(path.read_text())
-    if text is None:
-        del raw[field]
-    else:
-        raw[field] = text
-    path.write_text(json.dumps(raw, indent=1, sort_keys=True) + "\n")
-    code, _, err = run(*argv, "--corpus", str(small_corpus))
-    assert code == 2
+    _spoil(path, field, text)
+    code, out, err = run(*argv, "--corpus", str(small_corpus))
+    assert (code, out) == (2, "")
     assert err == f"error: {path}: corrupt entry: {why}\n"
+
+
+def test_a_corrupt_last_entry_stops_verify_before_any_output(small_corpus, run):
+    # every entry is read before any is checked, so the entry that sorts
+    # last stops the run before the others' lines reach stdout
+    path = small_corpus / f"{Corpus(small_corpus).keys()[-1]}.json"
+    _spoil(path, "graph", "5 10\n0 1\n")
+    code, out, err = run("verify", "all", "--jobs", "2", "--corpus", str(small_corpus))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: corrupt entry: declared 10 edges, found 1\n"
+
+
+def test_verify_reads_each_entry_once(small_corpus, run, recorder):
+    from orelab import corpus
+
+    loads = recorder.watch(corpus.json, "load")
+    code, _, _ = run("verify", "all", "--corpus", str(small_corpus), "--records", "6")
+    assert code == 0
+    assert [Path(fh.name).stem for fh, in loads] == Corpus(small_corpus).keys()
 
 
 def test_verify_counts_failures_from_verdicts_not_text(small_corpus, run, monkeypatch):
